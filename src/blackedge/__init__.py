@@ -13,7 +13,7 @@ from .attack import (
 )
 from .cgs import CgsOutcome, coarse_grained_search
 from .datasets import DatasetBundle, generate_synthetic, load_tudataset
-from .defense import DefendedOracle, LowRankConfig, defended_oracle, low_rank_filter
+from .defense import DefendedOracle, LowRankConfig, low_rank_filter
 from .gin import GinOracle, GinWeights, gin_forward
 from .graph import (
     EdgeIndexMap,
@@ -38,8 +38,6 @@ from .oracle import (
     StructuralOracle,
     TableOracle,
     structural_oracle,
-    table_oracle,
-    with_budget,
 )
 from .partition import (
     Partition,

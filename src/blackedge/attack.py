@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     BudgetExhausted,
+    ConfigError,
     DegenerateTarget,
     NoAdversarialFound,
     NoBoundary,
@@ -39,6 +40,7 @@ class AttackConfig:
     ``learning_rate=None`` selects the default 1/sqrt(d) for slot
     dimension d.  ``target_label=None`` runs the untargeted attack;
     setting it demands that exact label instead of any label change.
+    ``max_queries`` caps the queries of one ``attack_graph`` run.
     """
 
     budget: float = 0.2
@@ -54,6 +56,19 @@ class AttackConfig:
     early_stop_tol: float = 1e-6
     strategy: str = "I"
     trials_scale: int = 5
+
+    def __post_init__(self):
+        if self.directions_per_step < 1:
+            raise ConfigError(
+                f"directions_per_step must be at least 1, got {self.directions_per_step}")
+        if not self.epsilon > 0.0:  # also rejects NaN
+            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.budget <= 1.0:
+            raise ConfigError(f"budget must be in (0, 1], got {self.budget}")
+        if self.iterations < 0:
+            raise ConfigError(f"iterations must be non-negative, got {self.iterations}")
+        if self.max_queries is not None and self.max_queries < 1:
+            raise ConfigError(f"max_queries must be at least 1, got {self.max_queries}")
 
     def predicate(self, y0: int):
         if self.target_label is None:
@@ -108,8 +123,7 @@ def boundary_distance(
     cap = max(np.sqrt(theta_norm.size), saturation) * (1.0 + 1e-9)
 
     def adversarial(lam: float) -> bool:
-        with oracle.ledger.phase("binary_search"):
-            label = oracle.classify(apply_perturbation(graph, lam * theta_norm))
+        label = oracle.classify(apply_perturbation(graph, lam * theta_norm), "binary_search")
         return predicate(label)
 
     hi = min(max(lambda_hint, epsilon), cap)
@@ -208,8 +222,7 @@ def qegc_sign(
     theta_norm = normalize(theta_new)
     g_star = solve_g_star(theta_norm, p_old)
     probe = apply_perturbation(graph, g_star * theta_norm)
-    with oracle.ledger.phase("qegc"):
-        label = oracle.classify(probe)
+    label = oracle.classify(probe, "qegc")
     return -1 if predicate(label) else +1
 
 
@@ -261,7 +274,9 @@ def sign_sgd_attack(
     current iterate, then one query per probe direction for the gradient
     signs, then a sign-SGD step.  The returned adversarial graph is the
     last accepted boundary point, so success only needs the budget check
-    plus one final verification query.
+    plus one final verification query.  If the query cap stops the run,
+    the last boundary point the binary search verified in this call is
+    returned instead, at no extra query, when it is within the budget.
     """
     start = time.perf_counter()
     d = graph.n_edge_slots
@@ -277,7 +292,7 @@ def sign_sgd_attack(
     grad_trace: list[float] = []
     lambda_hint = 1.0
     stagnant = 0
-    failure_reason = None
+    verified = False  # candidate was queried as adversarial by boundary_distance
 
     def result(success, adv_graph, reason=None):
         added, removed = flip_ledger(graph, adv_graph) if success else ([], [])
@@ -295,6 +310,11 @@ def sign_sgd_attack(
             failure_reason=reason,
         )
 
+    def query_capped(exc):
+        if verified and perturbation_rate(graph, candidate) <= cfg.budget:
+            return result(True, candidate)
+        return result(False, graph, f"budget exhausted: {exc}")
+
     try:
         for _t in range(cfg.iterations):
             g_t = boundary_distance(
@@ -302,6 +322,7 @@ def sign_sgd_attack(
             )
             lambda_hint = g_t
             candidate = apply_perturbation(graph, g_t * normalize(theta))
+            verified = True
             p_t = objective_p(theta, g_t)
             grad = estimate_gradient(
                 oracle, graph, y0, theta, p_t,
@@ -319,13 +340,13 @@ def sign_sgd_attack(
     except NoBoundary as exc:
         return result(False, graph, f"no boundary: {exc}")
     except BudgetExhausted as exc:
-        return result(False, graph, f"budget exhausted: {exc}")
+        return query_capped(exc)
 
     rate = perturbation_rate(graph, candidate)
     try:
         final_label = oracle.classify(candidate)  # ledger-counted re-verification
     except BudgetExhausted as exc:
-        return result(False, graph, f"budget exhausted: {exc}")
+        return query_capped(exc)
     if predicate(final_label) and rate <= cfg.budget:
         return result(True, candidate)
     reason = "perturbation rate exceeds budget" if rate > cfg.budget else \
@@ -339,14 +360,16 @@ def attack_graph(
     y0: int,
     cfg: AttackConfig,
 ) -> AttackResult:
-    """Full pipeline for one target: partition, coarse search, sign-SGD."""
+    """Full pipeline for one target: partition, coarse search, sign-SGD.
+
+    ``cfg.max_queries`` becomes the cap of ``oracle.ledger``, which keeps
+    counting for the caller.
+    """
     from .cgs import coarse_grained_search
-    from .oracle import with_budget
     from .partition import louvain
 
     start = time.perf_counter()
-    if cfg.max_queries is not None:
-        oracle = with_budget(oracle, cfg.max_queries)
+    oracle.ledger.max_queries = cfg.max_queries
     partition = louvain(graph, seed=cfg.seed)
     try:
         seed = coarse_grained_search(

@@ -96,8 +96,7 @@ def _search_component(oracle, graph, predicate, comp: SuperComponent,
         chosen = rng.choice(comp.slots, size=n_flip, replace=False)
         theta = np.zeros(graph.n_edge_slots)
         theta[chosen] = 1.0
-        with oracle.ledger.phase("cgs"):
-            label = oracle.classify(apply_perturbation(graph, theta))
+        label = oracle.classify(apply_perturbation(graph, theta), "cgs")
         counter[0] += 1
         if predicate(label) and (best_flips is None or n_flip < best_flips):
             best_theta, best_flips = theta, n_flip

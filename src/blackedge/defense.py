@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .oracle import HardLabelOracle, QueryLedger
+from .oracle import HardLabelOracle
 
 
 @dataclass(frozen=True)
@@ -60,28 +60,18 @@ def low_rank_filter(graph: Graph, cfg: LowRankConfig) -> Graph:
 class DefendedOracle(HardLabelOracle):
     """Filter every queried graph through the low-rank defense first.
 
-    Shares the inner oracle's ledger, so one classify still costs one
-    query.
+    An input transform in front of ``inner``: one classify is one query on
+    this oracle's ledger, which starts out as ``inner.ledger``.
     """
 
     def __init__(self, inner: HardLabelOracle, cfg: LowRankConfig):
+        self.ledger = inner.ledger
         self.inner = inner
         self.cfg = cfg
 
-    @property
-    def ledger(self) -> QueryLedger:
-        return self.inner.ledger
+    # Bound in this class body, not inherited, so the defended query has a
+    # ``classify`` of its own (``perfbench/tracing.py`` wraps it by name).
+    classify = HardLabelOracle.classify
 
-    @ledger.setter
-    def ledger(self, value):
-        self.inner.ledger = value
-
-    def classify(self, graph: Graph) -> int:
-        return self.inner.classify(low_rank_filter(graph, self.cfg))
-
-    def clone(self) -> "DefendedOracle":
-        return DefendedOracle(self.inner.clone(), self.cfg)
-
-
-def defended_oracle(oracle: HardLabelOracle, cfg: LowRankConfig) -> DefendedOracle:
-    return DefendedOracle(oracle, cfg)
+    def _classify(self, graph: Graph) -> int:
+        return self.inner._classify(low_rank_filter(graph, self.cfg))

@@ -159,8 +159,8 @@ def gin_forward(weights: GinWeights, graph: Graph) -> int:
 class GinOracle(HardLabelOracle):
     """Hard-label oracle backed by a fixed-weight network."""
 
-    def __init__(self, weights: GinWeights, ledger=None):
-        super().__init__(ledger)
+    def __init__(self, weights: GinWeights):
+        super().__init__()
         self.weights = weights
 
     def _classify(self, graph: Graph) -> int:

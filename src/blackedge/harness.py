@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ from .attack import AttackConfig, AttackResult, attack_graph
 from .defense import DefendedOracle, LowRankConfig
 from .errors import BudgetExhausted, ConfigError
 from .graph import Graph, apply_perturbation, flip_ledger, perturbation_rate
-from .oracle import HardLabelOracle, with_budget
+from .oracle import HardLabelOracle
 
 
 def random_attack(
@@ -209,11 +209,9 @@ def run_experiment(
             run_oracle = oracle.clone()
             seed = cfg.seed + 7919 * trial + idx
             if method == "signsgd":
-                trial_cfg = AttackConfig(**{**cfg.__dict__, "seed": seed})
-                res = attack_graph(run_oracle, graph, y0, trial_cfg)
+                res = attack_graph(run_oracle, graph, y0, replace(cfg, seed=seed))
             else:
-                if cfg.max_queries is not None:
-                    run_oracle = with_budget(run_oracle, cfg.max_queries)
+                run_oracle.ledger.max_queries = cfg.max_queries
                 res = random_attack(
                     run_oracle, graph, y0, cfg.budget, random_query_budget,
                     seed=seed, predicate=cfg.predicate(y0),
@@ -241,7 +239,7 @@ def budget_sweep(
     """SR and AP per budget value (the attack-strength curve)."""
     rows = []
     for b in budgets:
-        sweep_cfg = AttackConfig(**{**cfg.__dict__, "budget": float(b)})
+        sweep_cfg = replace(cfg, budget=float(b))
         report = run_experiment(oracle, graphs, sweep_cfg, method,
                                 random_query_budget=random_query_budget)
         rows.append({"budget": float(b), **report.aggregates})

@@ -1,14 +1,13 @@
 """Hard-label classifier oracles with exact query accounting.
 
 Every call to ``classify`` costs exactly one ledger query, attributed to
-the currently active phase (coarse search, binary search, gradient
+the phase the caller names (coarse search, binary search, gradient
 probes, ...).  Oracles return only an integer class label.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
+import copy
 
 import numpy as np
 
@@ -19,79 +18,56 @@ PHASES = ("cgs", "binary_search", "qegc", "other")
 
 
 class QueryLedger:
-    """Thread-safe per-phase query counter."""
+    """Per-phase query counter with an optional cap on the total."""
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._counts = {phase: 0 for phase in PHASES}
-        self._phase = "other"
+    def __init__(self, max_queries: int | None = None):
+        self.max_queries = max_queries
+        self._counts = dict.fromkeys(PHASES, 0)
 
     @property
     def total(self) -> int:
-        with self._lock:
-            return sum(self._counts.values())
+        return sum(self._counts.values())
 
-    def count(self, phase: str) -> int:
-        with self._lock:
-            return self._counts.get(phase, 0)
-
-    def record(self):
-        with self._lock:
-            self._counts[self._phase] = self._counts.get(self._phase, 0) + 1
-
-    @contextmanager
-    def phase(self, name: str):
-        """Attribute queries made inside the block to ``name``."""
-        previous = self._phase
-        self._phase = name
-        try:
-            yield self
-        finally:
-            self._phase = previous
+    def record(self, phase: str):
+        """Count one query in ``phase``; refuse it once the cap is reached."""
+        counts = self._counts
+        if phase not in counts:
+            raise ValueError(f"unknown phase {phase!r}; choose from {PHASES}")
+        if self.max_queries is not None and sum(counts.values()) >= self.max_queries:
+            raise BudgetExhausted(f"query budget of {self.max_queries} reached")
+        counts[phase] += 1
 
     def snapshot(self) -> dict:
-        with self._lock:
-            counts = dict(self._counts)
+        counts = dict(self._counts)
         counts["total"] = sum(counts.values())
         return counts
-
-    def merge(self, other: "QueryLedger"):
-        """Fold a worker's counts into this ledger."""
-        theirs = other.snapshot()
-        with self._lock:
-            for phase, n in theirs.items():
-                if phase == "total":
-                    continue
-                self._counts[phase] = self._counts.get(phase, 0) + n
 
 
 class HardLabelOracle:
     """Base class: deterministic Graph -> label with a query ledger."""
 
-    def __init__(self, ledger: QueryLedger | None = None):
-        self.ledger = ledger if ledger is not None else QueryLedger()
+    def __init__(self):
+        self.ledger = QueryLedger()
 
-    def classify(self, graph: Graph) -> int:
-        self.ledger.record()
+    def classify(self, graph: Graph, phase: str = "other") -> int:
+        self.ledger.record(phase)
         return self._classify(graph)
 
     def _classify(self, graph: Graph) -> int:
         raise NotImplementedError
 
     def clone(self) -> "HardLabelOracle":
-        """Same classifier behind a fresh ledger (for per-target accounting)."""
-        import copy
-
+        """Same classifier with fresh counts and the same cap (per-target accounting)."""
         twin = copy.copy(self)
-        twin.ledger = QueryLedger()
+        twin.ledger = QueryLedger(self.ledger.max_queries)
         return twin
 
 
 class FunctionOracle(HardLabelOracle):
     """Wrap an arbitrary pure function Graph -> int."""
 
-    def __init__(self, fn, ledger=None):
-        super().__init__(ledger)
+    def __init__(self, fn):
+        super().__init__()
         self._fn = fn
 
     def _classify(self, graph: Graph) -> int:
@@ -121,10 +97,10 @@ class StructuralOracle(HardLabelOracle):
     used for small-scale validation runs.
     """
 
-    def __init__(self, feature: str, threshold: int, ledger=None):
+    def __init__(self, feature: str, threshold: int):
         if feature not in STRUCTURAL_FEATURES:
             raise ValueError(f"feature must be one of {STRUCTURAL_FEATURES}")
-        super().__init__(ledger)
+        super().__init__()
         self.feature = feature
         self.threshold = int(threshold)
 
@@ -139,8 +115,8 @@ def structural_oracle(feature: str, threshold: int) -> StructuralOracle:
 class TableOracle(HardLabelOracle):
     """Pure lookup oracle over an explicit graph -> label table."""
 
-    def __init__(self, labels: dict[bytes, int], ledger=None):
-        super().__init__(ledger)
+    def __init__(self, labels: dict[bytes, int]):
+        super().__init__()
         self._table = dict(labels)
 
     @classmethod
@@ -162,36 +138,3 @@ class TableOracle(HardLabelOracle):
             raise UnknownGraph(f"graph on {graph.n_nodes} nodes not in the table")
         return self._table[key]
 
-
-def table_oracle(labels: dict[bytes, int]) -> TableOracle:
-    return TableOracle(labels)
-
-
-class BudgetedOracle(HardLabelOracle):
-    """Raise ``BudgetExhausted`` once the shared ledger reaches the cap."""
-
-    def __init__(self, inner: HardLabelOracle, max_queries: int):
-        if max_queries <= 0:
-            raise ValueError("max_queries must be positive")
-        self.inner = inner
-        self.max_queries = int(max_queries)
-
-    @property
-    def ledger(self) -> QueryLedger:
-        return self.inner.ledger
-
-    @ledger.setter
-    def ledger(self, value):
-        self.inner.ledger = value
-
-    def classify(self, graph: Graph) -> int:
-        if self.ledger.total >= self.max_queries:
-            raise BudgetExhausted(f"query budget of {self.max_queries} reached")
-        return self.inner.classify(graph)
-
-    def clone(self) -> "BudgetedOracle":
-        return BudgetedOracle(self.inner.clone(), self.max_queries)
-
-
-def with_budget(oracle: HardLabelOracle, max_queries: int) -> BudgetedOracle:
-    return BudgetedOracle(oracle, max_queries)

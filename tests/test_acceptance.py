@@ -8,6 +8,7 @@ once and is shared through a module-scoped fixture.
 import math
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -126,7 +127,7 @@ def test_criterion_3_one_query_sign_equivalence():
                 except DegenerateTarget:
                     continue
                 assert probe.ledger.total == 1  # exactly one query
-                assert probe.ledger.count("qegc") == 1
+                assert probe.ledger.snapshot()["qegc"] == 1
                 total += 1
                 if got == expected:
                     agree += 1
@@ -236,7 +237,7 @@ def attack_suite():
     t0 = time.perf_counter()
     for idx, graph in enumerate(bundle.graphs):
         run_oracle = oracle.clone()
-        cfg = AttackConfig(**{**base_cfg.__dict__, "seed": idx})
+        cfg = replace(base_cfg, seed=idx)
         res = attack_graph(run_oracle, graph, 0, cfg)
         runs.append({
             "graph": graph,

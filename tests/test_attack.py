@@ -1,5 +1,7 @@
 """Boundary distance, the clipped objective, its inversion and sign-SGD."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from blackedge.attack import (
     solve_g_star,
 )
 from blackedge.datasets import erdos_renyi
-from blackedge.errors import DegenerateTarget, NoBoundary
+from blackedge.errors import ConfigError, DegenerateTarget, NoBoundary
 from blackedge.graph import Graph, apply_perturbation, normalize
 from blackedge.oracle import FunctionOracle, TableOracle, structural_oracle
 
@@ -308,7 +310,7 @@ def test_estimate_gradient_costs_one_query_per_direction():
     theta = np.ones(6)
     estimate_gradient(oracle, graph, 0, theta, 0.7, 25, 0.1,
                       np.random.default_rng(0))
-    assert oracle.ledger.count("qegc") == 25
+    assert oracle.ledger.snapshot()["qegc"] == 25
     assert oracle.ledger.total == 25
 
 
@@ -376,6 +378,66 @@ def test_attack_respects_max_queries():
                        max_queries=120, seed=1)
     res = attack_graph(oracle, g, 0, cfg)
     assert res.queries["total"] <= 120
+
+
+def test_capped_run_keeps_the_verified_boundary_graph():
+    g = _er_target()
+    oracle = structural_oracle("edge_count", g.n_edges + 6)
+    cfg = AttackConfig(budget=0.5, iterations=50, directions_per_step=50,
+                       max_queries=300, seed=1)
+    res = attack_graph(oracle, g, 0, cfg)
+    assert res.queries["total"] == 300  # the cap stopped the descent
+    assert res.queries["other"] == 0  # no extra verification query
+    assert res.success and res.failure_reason is None
+    assert res.rate <= cfg.budget
+    assert res.queries == oracle.ledger.snapshot()
+    assert oracle.clone().classify(res.adversarial_graph) == 1
+
+
+def test_cap_at_the_final_verification_keeps_the_candidate():
+    g = _er_target()
+    cfg = AttackConfig(budget=0.5, iterations=3, directions_per_step=10, seed=4)
+    full = attack_graph(structural_oracle("edge_count", g.n_edges + 6), g, 0, cfg)
+    assert full.success and full.queries["other"] == 1
+    capped_cfg = replace(cfg, max_queries=full.queries["total"] - 1)
+    capped = attack_graph(structural_oracle("edge_count", g.n_edges + 6), g, 0, capped_cfg)
+    assert capped.success
+    assert np.array_equal(capped.adversarial_graph.bits, full.adversarial_graph.bits)
+    assert capped.queries == {**full.queries, "other": 0,
+                              "total": full.queries["total"] - 1}
+
+
+def test_capped_run_never_returns_an_unverified_seed():
+    g = _er_target()
+    theta0 = np.zeros(g.n_edge_slots)
+    theta0[np.flatnonzero(g.bits == 0)[:5]] = 1.0  # adversarial, but never queried
+    for iterations in (0, 3):
+        oracle = structural_oracle("edge_count", g.n_edges + 3)
+        oracle.ledger.max_queries = 1
+        oracle.classify(g)  # the cap is already spent
+        cfg = AttackConfig(budget=0.5, iterations=iterations, directions_per_step=10)
+        res = sign_sgd_attack(oracle, g, 0, cfg, theta0)
+        assert not res.success
+        assert res.failure_reason.startswith("budget exhausted")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("directions_per_step", 0),
+    ("epsilon", 0.0),
+    ("epsilon", -1e-3),
+    ("epsilon", float("nan")),
+    ("budget", 0.0),
+    ("budget", 1.5),
+    ("iterations", -1),
+    ("max_queries", 0),
+])
+def test_invalid_config_rejected(field, value):
+    with pytest.raises(ConfigError):
+        AttackConfig(**{field: value})
+
+
+def test_edge_of_range_configs_are_valid():
+    AttackConfig(iterations=0, budget=1.0, directions_per_step=1, max_queries=1)
 
 
 def test_attack_deterministic_given_seed():

@@ -7,7 +7,7 @@ from blackedge.cgs import coarse_grained_search
 from blackedge.datasets import barbell
 from blackedge.errors import BudgetExhausted, NoAdversarialFound
 from blackedge.graph import apply_perturbation
-from blackedge.oracle import FunctionOracle, structural_oracle, with_budget
+from blackedge.oracle import FunctionOracle, structural_oracle
 from blackedge.partition import louvain
 
 
@@ -24,7 +24,7 @@ def test_no_success_exhausts_every_phase(setup):
         coarse_grained_search(oracle, g, 0, part)
     # components carry 4+4+8+8 incident nodes, 5 trials each per node
     assert oracle.ledger.total == 120
-    assert oracle.ledger.count("cgs") == 120
+    assert oracle.ledger.snapshot()["cgs"] == 120
 
 
 def test_success_skips_later_phases(setup):
@@ -67,7 +67,8 @@ def test_deterministic_given_seed(setup):
 
 def test_budget_exhaustion_reports_exact_spend_and_partial(setup):
     g, part = setup
-    oracle = with_budget(FunctionOracle(lambda _: 1), 25)
+    oracle = FunctionOracle(lambda _: 1)
+    oracle.ledger.max_queries = 25
     with pytest.raises(BudgetExhausted) as exc_info:
         coarse_grained_search(oracle, g, 0, part)
     assert oracle.ledger.total == 25

@@ -6,7 +6,6 @@ import pytest
 from blackedge.defense import (
     DefendedOracle,
     LowRankConfig,
-    defended_oracle,
     low_rank_filter,
     low_rank_reconstruction,
 )
@@ -84,7 +83,7 @@ def test_gamma_validation():
 
 def test_defended_oracle_costs_one_query_and_shares_ledger():
     inner = structural_oracle("edge_count", 3)
-    oracle = defended_oracle(inner, LowRankConfig(gamma=0.5))
+    oracle = DefendedOracle(inner, LowRankConfig(gamma=0.5))
     oracle.classify(Graph.complete(4))
     assert inner.ledger.total == 1
     assert oracle.ledger is inner.ledger
@@ -99,15 +98,19 @@ def test_defended_oracle_filters_before_classifying():
     # the single edge contributes eigenvalues +-1; keeping only three of
     # six components halves the reconstruction to 0.5, which binarizes up
     filtered = low_rank_filter(g, LowRankConfig(gamma=0.5))
-    assert inner.clone().classify(filtered) == defended_oracle(
+    assert inner.clone().classify(filtered) == DefendedOracle(
         inner.clone(), LowRankConfig(gamma=0.5)
     ).classify(g)
 
 
 def test_defended_clone_is_independent():
-    oracle = defended_oracle(structural_oracle("edge_count", 1),
+    oracle = DefendedOracle(structural_oracle("edge_count", 1),
                              LowRankConfig(gamma=0.5))
     oracle.classify(Graph.complete(3))
     twin = oracle.clone()
     assert twin.ledger.total == 0
     assert twin.cfg.gamma == 0.5
+    twin.classify(Graph.complete(3), "qegc")
+    assert twin.ledger.snapshot()["qegc"] == 1
+    assert oracle.ledger.snapshot() == {"cgs": 0, "binary_search": 0, "qegc": 0,
+                                        "other": 1, "total": 1}

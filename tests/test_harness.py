@@ -17,7 +17,7 @@ from blackedge.harness import (
     run_experiment,
     select_targets,
 )
-from blackedge.oracle import structural_oracle, with_budget
+from blackedge.oracle import structural_oracle
 
 
 def _result(success, flips=0, queries=0, wall=1.0):
@@ -80,7 +80,8 @@ def test_random_attack_keeps_the_minimal_flip_success():
 
 def test_random_attack_stops_at_oracle_budget():
     g = Graph.empty(8)
-    oracle = with_budget(structural_oracle("edge_count", 100), 50)
+    oracle = structural_oracle("edge_count", 100)
+    oracle.ledger.max_queries = 50
     res = random_attack(oracle, g, 0, budget=0.5, query_budget=500, seed=0)
     assert not res.success
     assert oracle.ledger.total == 50

@@ -12,7 +12,6 @@ from blackedge.oracle import (
     StructuralOracle,
     TableOracle,
     structural_oracle,
-    with_budget,
 )
 
 
@@ -21,29 +20,31 @@ from blackedge.oracle import (
 
 def test_ledger_counts_by_phase():
     ledger = QueryLedger()
-    ledger.record()  # default phase
-    with ledger.phase("cgs"):
-        ledger.record()
-        ledger.record()
-        with ledger.phase("qegc"):  # nested phases restore on exit
-            ledger.record()
-        ledger.record()
+    for phase in ("other", "cgs", "cgs", "qegc", "cgs"):
+        ledger.record(phase)
     snap = ledger.snapshot()
     assert snap == {"cgs": 3, "binary_search": 0, "qegc": 1, "other": 1, "total": 5}
     assert ledger.total == 5
-    assert ledger.count("cgs") == 3
 
 
-def test_ledger_merge():
-    a, b = QueryLedger(), QueryLedger()
-    with a.phase("cgs"):
-        a.record()
-    with b.phase("cgs"):
-        b.record()
-    b.record()
-    a.merge(b)
-    assert a.snapshot() == {"cgs": 2, "binary_search": 0, "qegc": 0, "other": 1,
-                            "total": 3}
+def test_classify_records_its_phase():
+    oracle = structural_oracle("edge_count", 1)
+    g = Graph.complete(3)
+    oracle.classify(g)  # default phase
+    oracle.classify(g, "cgs")
+    oracle.classify(g, phase="binary_search")
+    assert oracle.ledger.snapshot() == {"cgs": 1, "binary_search": 1, "qegc": 0,
+                                        "other": 1, "total": 3}
+
+
+def test_unknown_phase_is_rejected_and_not_recorded():
+    oracle = structural_oracle("edge_count", 1)
+    with pytest.raises(ValueError):
+        oracle.classify(Graph.complete(3), "search")
+    with pytest.raises(ValueError):
+        oracle.ledger.record("total")
+    assert oracle.ledger.snapshot() == {"cgs": 0, "binary_search": 0, "qegc": 0,
+                                        "other": 0, "total": 0}
 
 
 def test_every_classify_costs_one_query():
@@ -115,7 +116,8 @@ def test_table_oracle_rejects_unknown_graphs():
 
 
 def test_budget_enforced_before_the_query():
-    oracle = with_budget(structural_oracle("edge_count", 1), 3)
+    oracle = structural_oracle("edge_count", 1)
+    oracle.ledger.max_queries = 3
     g = Graph.complete(3)
     for _ in range(3):
         oracle.classify(g)
@@ -126,19 +128,21 @@ def test_budget_enforced_before_the_query():
 
 
 def test_budget_counts_all_phases():
-    oracle = with_budget(structural_oracle("edge_count", 1), 2)
-    g = Graph.complete(3)
-    with oracle.ledger.phase("cgs"):
-        oracle.classify(g)
-    with oracle.ledger.phase("qegc"):
-        oracle.classify(g)
+    ledger = QueryLedger(max_queries=2)
+    ledger.record("cgs")
+    ledger.record("qegc")
     with pytest.raises(BudgetExhausted):
-        oracle.classify(g)
+        ledger.record("binary_search")
+    assert ledger.snapshot()["binary_search"] == 0
 
 
 def test_budgeted_clone_resets_spend():
-    oracle = with_budget(structural_oracle("edge_count", 1), 1)
+    oracle = structural_oracle("edge_count", 1)
+    oracle.ledger.max_queries = 1
     oracle.classify(Graph.complete(3))
     twin = oracle.clone()
     twin.classify(Graph.complete(3))  # fresh ledger, fresh budget
-    assert twin.max_queries == 1
+    assert twin.ledger.max_queries == 1
+    assert twin.ledger.total == 1 and oracle.ledger.total == 1
+    with pytest.raises(BudgetExhausted):
+        twin.classify(Graph.complete(3))
