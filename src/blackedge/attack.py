@@ -363,7 +363,9 @@ def attack_graph(
     """Full pipeline for one target: partition, coarse search, sign-SGD.
 
     ``cfg.max_queries`` becomes the cap of ``oracle.ledger``, which keeps
-    counting for the caller.
+    counting for the caller.  If the cap stops the coarse search after it
+    found an adversarial graph, that graph, which the search queried, is
+    returned at no extra query when it is within the budget.
     """
     from .cgs import coarse_grained_search
     from .partition import louvain
@@ -380,6 +382,17 @@ def attack_graph(
             predicate=cfg.predicate(y0),
         )
     except (NoAdversarialFound, BudgetExhausted) as exc:
+        partial = exc.partial if isinstance(exc, BudgetExhausted) else None
+        if partial is not None:
+            adv = apply_perturbation(graph, partial.theta0)
+            rate = perturbation_rate(graph, adv)
+            if rate <= cfg.budget:
+                added, removed = flip_ledger(graph, adv)
+                return AttackResult(
+                    success=True, adversarial_graph=adv, added=added, removed=removed,
+                    rate=rate, queries=oracle.ledger.snapshot(),
+                    wall_time=time.perf_counter() - start, found_in=partial.found_in,
+                )
         return AttackResult(
             success=False,
             adversarial_graph=graph,

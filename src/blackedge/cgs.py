@@ -15,7 +15,7 @@ import numpy as np
 from .errors import BudgetExhausted, NoAdversarialFound
 from .graph import Graph, apply_perturbation
 from .oracle import HardLabelOracle
-from .partition import Partition, SuperComponent, enumerate_components
+from .partition import Partition, enumerate_components
 
 
 @dataclass
@@ -56,8 +56,10 @@ def coarse_grained_search(
     rng = np.random.default_rng(rng_seed)
     components = enumerate_components(partition, strategy)
 
+    # updated after every trial, so the cap's payload holds any success
+    # found in a component it interrupts
     best: CgsOutcome | None = None
-    counter = [0]  # trials executed, exact even on budget exhaustion
+    trials = 0
     current_phase = None
     try:
         for comp in components:
@@ -65,39 +67,25 @@ def coarse_grained_search(
                 if best is not None:
                     break  # a success exists; later phases are larger spaces
                 current_phase = comp.kind
-            theta, flips = _search_component(
-                oracle, graph, predicate, comp, trials_scale, rng, counter
-            )
-            if theta is not None and (best is None or flips < best.flips):
-                best = CgsOutcome(theta, comp.kind, flips, 0)
+            m = comp.slots.size
+            for _ in range(trials_scale * comp.n_incident):
+                s = rng.uniform(0.0, 1.0)
+                n_flip = max(1, round(s * m))
+                chosen = rng.choice(comp.slots, size=n_flip, replace=False)
+                theta = np.zeros(graph.n_edge_slots)
+                theta[chosen] = 1.0
+                label = oracle.classify(apply_perturbation(graph, theta), "cgs")
+                trials += 1
+                if predicate(label) and (best is None or n_flip < best.flips):
+                    best = CgsOutcome(theta, comp.kind, n_flip, 0)
     except BudgetExhausted as exc:
         if best is not None:
-            best.queries_used = counter[0]
+            best.queries_used = trials
         raise BudgetExhausted(str(exc), partial=best) from exc
 
     if best is None:
         raise NoAdversarialFound(
-            f"no adversarial graph after {counter[0]} trials across all phases"
+            f"no adversarial graph after {trials} trials across all phases"
         )
-    best.queries_used = counter[0]
+    best.queries_used = trials
     return best
-
-
-def _search_component(oracle, graph, predicate, comp: SuperComponent,
-                      trials_scale, rng, counter):
-    """Run all trials of one component; returns (theta|None, flips)."""
-    m = comp.slots.size
-    trials = trials_scale * comp.n_incident
-    best_theta = None
-    best_flips = None
-    for _ in range(trials):
-        s = rng.uniform(0.0, 1.0)
-        n_flip = max(1, round(s * m))
-        chosen = rng.choice(comp.slots, size=n_flip, replace=False)
-        theta = np.zeros(graph.n_edge_slots)
-        theta[chosen] = 1.0
-        label = oracle.classify(apply_perturbation(graph, theta), "cgs")
-        counter[0] += 1
-        if predicate(label) and (best_flips is None or n_flip < best_flips):
-            best_theta, best_flips = theta, n_flip
-    return best_theta, best_flips

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, edge_index_map
 from .oracle import HardLabelOracle
 
 
@@ -47,14 +47,13 @@ def low_rank_reconstruction(graph: Graph, cfg: LowRankConfig) -> np.ndarray:
 def low_rank_filter(graph: Graph, cfg: LowRankConfig) -> Graph:
     """Truncate the adjacency spectrum and re-binarize to a valid graph.
 
-    Entries at or above the binarize threshold become edges; symmetry is
-    enforced by OR of the mirrored entries and the diagonal is zeroed.
+    A slot is an edge when its entry or the mirrored one (rounding can break
+    symmetry) reaches the binarize threshold; features and label are shared.
     """
-    approx = low_rank_reconstruction(graph, cfg)
-    binary = (approx >= cfg.binarize_threshold)
-    binary = (binary | binary.T).astype(np.uint8)
-    np.fill_diagonal(binary, 0)
-    return Graph.from_adjacency(binary, features=graph.features, label=graph.label)
+    keep = low_rank_reconstruction(graph, cfg) >= cfg.binarize_threshold
+    em = edge_index_map(graph.n_nodes)
+    # the OR of two bool vectors is 0/1 by construction
+    return graph._with_valid_bits((keep[em.rows, em.cols] | keep[em.cols, em.rows]).view(np.uint8))
 
 
 class DefendedOracle(HardLabelOracle):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from blackedge.defense import low_rank_reconstruction
 from blackedge.errors import DegenerateTarget, ZeroVector
 from blackedge.graph import FLIP_THRESHOLD, Graph, edge_index_map
 
@@ -97,6 +98,16 @@ def reference_flip_ledger(a: Graph, b: Graph):
             pair = (int(em.rows[k]), int(em.cols[k]))
             (added if b.bits[k] else removed).append(pair)
     return added, removed
+
+
+def reference_low_rank_filter(graph: Graph, cfg) -> Graph:
+    """Low-rank filter through the dense matrix and ``Graph.from_adjacency``;
+    the library's version, which reads the slots directly, must equal it."""
+    approx = low_rank_reconstruction(graph, cfg)
+    binary = (approx >= cfg.binarize_threshold)
+    binary = (binary | binary.T).astype(np.uint8)
+    np.fill_diagonal(binary, 0)
+    return Graph.from_adjacency(binary, features=graph.features, label=graph.label)
 
 
 # -- exhaustive set-partition enumeration --------------------------------

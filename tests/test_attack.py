@@ -380,6 +380,36 @@ def test_attack_respects_max_queries():
     assert res.queries["total"] <= 120
 
 
+def test_cap_in_the_coarse_search_keeps_its_first_success():
+    g = _er_target()
+    threshold = g.n_edges + 6
+    labels = []
+
+    def edge_count(graph):
+        labels.append(int(graph.n_edges >= threshold))
+        return labels[-1]
+
+    cfg = AttackConfig(budget=0.5, iterations=3, directions_per_step=10, seed=1)
+    full = attack_graph(FunctionOracle(edge_count), g, 0, cfg)
+    first = labels.index(1) + 1  # queries up to the coarse search's first success
+    assert first < full.queries["cgs"]  # the cap stops the search mid-phase
+    oracle = structural_oracle("edge_count", threshold)
+    res = attack_graph(oracle, g, 0, replace(cfg, max_queries=first))
+    assert res.success and res.failure_reason is None
+    assert res.found_in == full.found_in
+    assert res.queries == {"cgs": first, "binary_search": 0, "qegc": 0, "other": 0,
+                           "total": first}  # no extra verification query
+    assert res.queries == oracle.ledger.snapshot()
+    assert res.rate <= cfg.budget and res.p_trace == []
+    assert res.flips == len(res.added) + len(res.removed) > 0
+    assert oracle.clone().classify(res.adversarial_graph) == 1
+    # the same cap with a budget below the seed's rate is a failure
+    tight = attack_graph(structural_oracle("edge_count", threshold), g, 0,
+                         replace(cfg, max_queries=first, budget=res.rate / 2))
+    assert not tight.success and tight.adversarial_graph is g
+    assert tight.failure_reason.startswith("initial search failed")
+
+
 def test_capped_run_keeps_the_verified_boundary_graph():
     g = _er_target()
     oracle = structural_oracle("edge_count", g.n_edges + 6)

@@ -12,7 +12,7 @@ from blackedge.defense import (
 from blackedge.graph import Graph
 from blackedge.oracle import structural_oracle
 
-from conftest import random_graph
+from conftest import random_graph, reference_low_rank_filter
 
 
 def test_gamma_one_is_identity():
@@ -49,6 +49,25 @@ def test_reconstruction_matches_svd_truncation():
         checked += 1
 
 
+def test_filter_equals_reference_exactly():
+    rng = np.random.default_rng(0)
+    gammas = (0.05, 0.25, 0.5, 0.75, 1.0)
+    cases = [(Graph.from_edges(6, [(0, 1)]), LowRankConfig(gamma=0.5))]  # the 0.5 tie
+    cases += [(random_graph(rng, n), LowRankConfig(gamma=gammas[i % 5]))
+              for n in range(26) for i in range(200)]
+    asymmetric = mirror_only = 0
+    for g, cfg in cases:
+        assert np.array_equal(low_rank_filter(g, cfg).bits,
+                              reference_low_rank_filter(g, cfg).bits)
+        keep = low_rank_reconstruction(g, cfg) >= cfg.binarize_threshold
+        upper = np.triu_indices(g.n_nodes, k=1)
+        asymmetric += not np.array_equal(keep, keep.T)
+        mirror_only += np.any(keep.T[upper] & ~keep[upper])
+    # rounding breaks the symmetry of a few reconstructions; in some the
+    # lower-triangle entry alone reaches the threshold
+    assert asymmetric >= 3 and mirror_only >= 1
+
+
 def test_filter_output_is_a_valid_graph():
     rng = np.random.default_rng(2)
     for gamma in (0.1, 0.3, 0.7):
@@ -64,7 +83,8 @@ def test_filter_preserves_features_and_label():
     g = Graph.complete(4, label=1).replace(features=np.ones((4, 2)))
     out = low_rank_filter(g, LowRankConfig(gamma=0.5))
     assert out.label == 1
-    assert np.array_equal(out.features, g.features)
+    assert out.features is g.features
+    assert out.bits.dtype == np.uint8 and not out.bits.flags.writeable
 
 
 def test_rank_rounds_and_clamps():

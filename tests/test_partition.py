@@ -63,6 +63,25 @@ def test_louvain_edgeless_gives_singletons():
     assert part.assignment.tolist() == [0, 1, 2, 3]
 
 
+def test_louvain_modularity_agrees_with_networkx():
+    # an independent check on graphs too large for the brute-force reference
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(5)
+    for _ in range(12):
+        n = int(rng.integers(30, 61))
+        g = Graph(n, (rng.random(n_slots(n)) < rng.uniform(0.05, 0.3)).astype(np.uint8))
+        assignment = louvain(g, seed=int(rng.integers(1000))).assignment
+        nx_graph = nx.Graph()
+        nx_graph.add_nodes_from(range(n))
+        nx_graph.add_edges_from(g.edges())
+        communities = [set(np.flatnonzero(assignment == c).tolist())
+                       for c in np.unique(assignment)]
+        q = modularity(g, assignment)
+        assert q == pytest.approx(nx.community.modularity(nx_graph, communities),
+                                  abs=1e-12)
+        assert q > modularity(g, np.arange(n))  # better than singletons
+
+
 def test_louvain_deterministic_given_seed():
     rng = np.random.default_rng(3)
     for _ in range(5):

@@ -15,6 +15,8 @@ import numpy as np
 from blackedge import harness
 from blackedge.attack import AttackConfig
 from blackedge.datasets import erdos_renyi
+from blackedge.defense import DefendedOracle, LowRankConfig
+from blackedge.gin import GinOracle, GinWeights
 from blackedge.oracle import PHASES, structural_oracle
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -43,3 +45,23 @@ def test_traced_phases_match_the_ledger():
     queries = report.per_graph[0]["queries"]
     assert queries["total"] > 0
     assert tracer.phase_counts(1)[0].tolist() == [queries[p] for p in PHASES]
+
+
+def test_each_defended_query_filters_once_and_runs_the_gin_once():
+    graph = erdos_renyi(12, 0.3, np.random.default_rng(1))
+    oracle = DefendedOracle(GinOracle(GinWeights.random(0)), LowRankConfig(gamma=0.5))
+    with tracing.Tracer() as tracer:
+        tracer.begin_target(0)
+        report = harness.run_experiment(oracle, [graph], AttackConfig(budget=0.3, seed=2),
+                                        method="random", random_query_budget=30)
+    queries = report.per_graph[0]["queries"]
+    assert queries["total"] == 30
+    assert tracer.phase_counts(1)[0].tolist() == [queries[p] for p in PHASES]
+    c = tracer.columns()
+    is_query = c["query"] != tracing.NOT_QUERY
+    attack_cost = c["phase"] != tracing.UNCOUNTED  # not target selection
+    for layer in ("defense.low_rank_filter", "gin.gin_forward"):
+        spans = c["name"] == tracer.names.index(layer)
+        per_parent = np.bincount(c["parent"][spans], minlength=c["name"].size)
+        assert per_parent[is_query].tolist() == [1] * queries["total"]
+        assert (spans & attack_cost).sum() == queries["total"]
