@@ -34,6 +34,7 @@ from .harness import (
 )
 from .oracle import (
     HardLabelOracle,
+    LabelMemo,
     QueryLedger,
     StructuralOracle,
     TableOracle,

@@ -4,7 +4,8 @@ The continuous relaxation scores a search direction by the distance from
 the target graph to the decision boundary along it.  The objective is
 the clipped mass of the boundary vector above the flip threshold; its
 gradient signs are obtained with one oracle query per probe direction
-and averaged into a sign-SGD update.
+and averaged into a sign-SGD update.  Within one attack run, a graph
+already queried is answered from the run's label memo at no query.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .graph import (
     normalize,
     perturbation_rate,
 )
-from .oracle import HardLabelOracle
+from .oracle import HardLabelOracle, LabelMemo
 
 
 @dataclass
@@ -90,6 +91,9 @@ class AttackResult:
     p_trace: list = field(default_factory=list)
     found_in: str | None = None
     failure_reason: str | None = None
+    # submissions answered by the run's label memo; queries["total"] + memo_hits
+    # is the number of graphs the run submitted
+    memo_hits: int = 0
 
     @property
     def flips(self) -> int:
@@ -104,6 +108,7 @@ def boundary_distance(
     epsilon: float = 1e-3,
     lambda_hint: float = 1.0,
     predicate=None,
+    memo: LabelMemo | None = None,
 ) -> float:
     """Minimal scale (within ``epsilon``) at which the direction crosses
     the decision boundary.
@@ -111,10 +116,13 @@ def boundary_distance(
     The upper bracket grows by doubling from ``lambda_hint`` and is
     capped at the saturation scale beyond which every positive component
     already exceeds the flip threshold; no label change by then means no
-    boundary exists along this direction.  Every probe is one query.
+    boundary exists along this direction.  Every probe is one query unless
+    ``memo`` (a fresh one when none is given) already holds its graph.
     """
     if predicate is None:
         predicate = lambda label: label != y0
+    if memo is None:
+        memo = LabelMemo()
     theta_norm = normalize(theta)
     positive = theta_norm[theta_norm > 0]
     if positive.size == 0:
@@ -123,7 +131,7 @@ def boundary_distance(
     cap = max(np.sqrt(theta_norm.size), saturation) * (1.0 + 1e-9)
 
     def adversarial(lam: float) -> bool:
-        label = oracle.classify(apply_perturbation(graph, lam * theta_norm), "binary_search")
+        label = memo.label(oracle, apply_perturbation(graph, lam * theta_norm), "binary_search")
         return predicate(label)
 
     hi = min(max(lambda_hint, epsilon), cap)
@@ -188,18 +196,25 @@ def solve_g_star(theta_new, p_old: float) -> float:
     p_approx = np.concatenate([[0.0], np.cumsum(slope[:-1] * np.diff(events))])
     p_at = lambda g: _clipped_mass(g * positive)
     idx = int(np.searchsorted(p_approx, p_old, side="left"))
-    while idx > 0 and p_at(events[idx - 1]) >= p_old:
+    # p0 and p1 keep the last masses evaluated at events[idx - 1] and events[idx]
+    while idx > 0:
+        p0 = p_at(events[idx - 1])
+        if p0 < p_old:
+            break
         idx -= 1
-    while idx < events.size and p_at(events[idx]) < p_old:
+    while idx < events.size:
+        p1 = p_at(events[idx])
+        if p1 >= p_old:
+            break
+        p0 = p1
         idx += 1
-    # now p(events[idx - 1]) < p_old <= p(events[idx]), so p0 < p1 below
+    # now p0 = p(events[idx - 1]) < p_old <= p(events[idx]) = p1
     if idx == 0:
         # p_old <= p(first breakpoint) = 0, excluded above
         raise DegenerateTarget("objective target below the first breakpoint")
     if idx == events.size:
         raise DegenerateTarget("objective target above the saturation plateau")
     g0, g1 = events[idx - 1], events[idx]
-    p0, p1 = p_at(g0), p_at(g1)
     return float(g0 + (p_old - p0) * (g1 - g0) / (p1 - p0))
 
 
@@ -210,19 +225,23 @@ def qegc_sign(
     p_old: float,
     theta_new,
     predicate=None,
+    memo: LabelMemo | None = None,
 ) -> int:
     """Sign of the objective change toward a new direction, in one query.
 
     The scale whose objective equals ``p_old`` along the new direction is
     found analytically; if the graph there is already misclassified the
     boundary moved closer (sign -1), otherwise it moved away (sign +1).
+    A probe graph already in ``memo`` costs no query.
     """
     if predicate is None:
         predicate = lambda label: label != y0
+    if memo is None:
+        memo = LabelMemo()
     theta_norm = normalize(theta_new)
     g_star = solve_g_star(theta_norm, p_old)
     probe = apply_perturbation(graph, g_star * theta_norm)
-    label = oracle.classify(probe, "qegc")
+    label = memo.label(oracle, probe, "qegc")
     return -1 if predicate(label) else +1
 
 
@@ -236,10 +255,12 @@ def estimate_gradient(
     mu: float,
     rng: np.random.Generator,
     predicate=None,
+    memo: LabelMemo | None = None,
 ) -> np.ndarray:
     """Average of elementwise gradient signs over random probe directions.
 
-    Each probe direction costs exactly one query; degenerate probes are
+    Each probe direction costs one query, none if its graph is already in
+    ``memo`` (without one, every probe is a query); degenerate probes are
     re-drawn up to 3 times, then skipped (contributing zero).
     """
     d = np.asarray(theta).shape[0]
@@ -252,7 +273,7 @@ def estimate_gradient(
                 continue
             u = u / norm
             try:
-                s = qegc_sign(oracle, graph, y0, p_t, theta + mu * u, predicate)
+                s = qegc_sign(oracle, graph, y0, p_t, theta + mu * u, predicate, memo)
             except (DegenerateTarget, ZeroVector):
                 continue
             grad += s * np.sign(u)
@@ -267,6 +288,7 @@ def sign_sgd_attack(
     cfg: AttackConfig,
     theta0: np.ndarray,
     found_in: str | None = None,
+    memo: LabelMemo | None = None,
 ) -> AttackResult:
     """Descend the boundary objective from an adversarial seed direction.
 
@@ -277,8 +299,13 @@ def sign_sgd_attack(
     plus one final verification query.  If the query cap stops the run,
     the last boundary point the binary search verified in this call is
     returned instead, at no extra query, when it is within the budget.
+
+    Graphs already in ``memo`` (a fresh one when none is given) are not
+    queried again; the final verification is always a counted query.
     """
     start = time.perf_counter()
+    if memo is None:
+        memo = LabelMemo()
     d = graph.n_edge_slots
     predicate = cfg.predicate(y0)
     eta = cfg.learning_rate if cfg.learning_rate is not None else 1.0 / np.sqrt(d)
@@ -308,6 +335,7 @@ def sign_sgd_attack(
             p_trace=p_trace,
             found_in=found_in,
             failure_reason=reason,
+            memo_hits=memo.hits,
         )
 
     def query_capped(exc):
@@ -318,7 +346,7 @@ def sign_sgd_attack(
     try:
         for _t in range(cfg.iterations):
             g_t = boundary_distance(
-                oracle, graph, y0, theta, cfg.epsilon, lambda_hint, predicate
+                oracle, graph, y0, theta, cfg.epsilon, lambda_hint, predicate, memo
             )
             lambda_hint = g_t
             candidate = apply_perturbation(graph, g_t * normalize(theta))
@@ -326,7 +354,7 @@ def sign_sgd_attack(
             p_t = objective_p(theta, g_t)
             grad = estimate_gradient(
                 oracle, graph, y0, theta, p_t,
-                cfg.directions_per_step, cfg.smoothing, rng, predicate,
+                cfg.directions_per_step, cfg.smoothing, rng, predicate, memo,
             )
             p_trace.append(p_t)
             grad_trace.append(float(np.linalg.norm(grad)))
@@ -344,7 +372,8 @@ def sign_sgd_attack(
 
     rate = perturbation_rate(graph, candidate)
     try:
-        final_label = oracle.classify(candidate)  # ledger-counted re-verification
+        # a counted re-verification, never answered from the memo
+        final_label = oracle.classify(candidate)
     except BudgetExhausted as exc:
         return query_capped(exc)
     if predicate(final_label) and rate <= cfg.budget:
@@ -366,12 +395,16 @@ def attack_graph(
     counting for the caller.  If the cap stops the coarse search after it
     found an adversarial graph, that graph, which the search queried, is
     returned at no extra query when it is within the budget.
+
+    One label memo serves the whole run and is dropped with it: each
+    distinct graph costs one query, and ``memo_hits`` counts the repeats.
     """
     from .cgs import coarse_grained_search
     from .partition import louvain
 
     start = time.perf_counter()
     oracle.ledger.max_queries = cfg.max_queries
+    memo = LabelMemo()
     partition = louvain(graph, seed=cfg.seed)
     try:
         seed = coarse_grained_search(
@@ -380,6 +413,7 @@ def attack_graph(
             trials_scale=cfg.trials_scale,
             rng_seed=cfg.seed,
             predicate=cfg.predicate(y0),
+            memo=memo,
         )
     except (NoAdversarialFound, BudgetExhausted) as exc:
         partial = exc.partial if isinstance(exc, BudgetExhausted) else None
@@ -392,6 +426,7 @@ def attack_graph(
                     success=True, adversarial_graph=adv, added=added, removed=removed,
                     rate=rate, queries=oracle.ledger.snapshot(),
                     wall_time=time.perf_counter() - start, found_in=partial.found_in,
+                    memo_hits=memo.hits,
                 )
         return AttackResult(
             success=False,
@@ -399,7 +434,8 @@ def attack_graph(
             queries=oracle.ledger.snapshot(),
             wall_time=time.perf_counter() - start,
             failure_reason=f"initial search failed: {exc}",
+            memo_hits=memo.hits,
         )
-    res = sign_sgd_attack(oracle, graph, y0, cfg, seed.theta0, seed.found_in)
+    res = sign_sgd_attack(oracle, graph, y0, cfg, seed.theta0, seed.found_in, memo)
     res.wall_time = time.perf_counter() - start
     return res

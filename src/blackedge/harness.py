@@ -158,6 +158,7 @@ def _result_row(idx: int, res: AttackResult) -> dict:
         "flips_removed": len(res.removed),
         "rate": res.rate,
         "queries": res.queries,
+        "memo_hits": res.memo_hits,
         "time_s": res.wall_time,
         "found_in": res.found_in,
         "gradient_norm_trace": res.gradient_norm_trace,

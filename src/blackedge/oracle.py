@@ -63,6 +63,33 @@ class HardLabelOracle:
         return twin
 
 
+class LabelMemo:
+    """Labels of the graphs one attack run has already queried.
+
+    Oracles are deterministic, so a graph submitted again is answered from
+    here without a query; ``hits`` counts those answers.  Keyed by the
+    edge bits alone: one run keeps the node count fixed.  Kept per run,
+    never on an oracle or ledger (a ``DefendedOracle`` shares its inner
+    oracle's ledger).
+    """
+
+    __slots__ = ("labels", "hits")
+
+    def __init__(self):
+        self.labels: dict[bytes, int] = {}
+        self.hits = 0
+
+    def label(self, oracle: HardLabelOracle, graph: Graph, phase: str) -> int:
+        """The memoised label of ``graph``, else ``oracle.classify(graph, phase)``."""
+        key = graph.bits.tobytes()
+        label = self.labels.get(key)
+        if label is None:
+            label = self.labels[key] = oracle.classify(graph, phase)
+        else:
+            self.hits += 1
+        return label
+
+
 class FunctionOracle(HardLabelOracle):
     """Wrap an arbitrary pure function Graph -> int."""
 

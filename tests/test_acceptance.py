@@ -252,7 +252,10 @@ def attack_suite():
         run_oracle = oracle.clone()
         run["random"] = random_attack(
             run_oracle, run["graph"], 0, budget=0.2,
-            query_budget=run["result"].queries["total"], seed=1000 + idx,
+            # the graphs sign-SGD submitted, memo hits included: the baseline
+            # gets as many trials as before the memo
+            query_budget=run["result"].queries["total"] + run["result"].memo_hits,
+            seed=1000 + idx,
         )
     random_time = time.perf_counter() - t0
     return {"runs": runs, "oracle": oracle, "budget": base_cfg.budget,

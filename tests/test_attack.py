@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from blackedge import attack
 from blackedge.attack import (
     AttackConfig,
     attack_graph,
@@ -18,7 +19,7 @@ from blackedge.attack import (
 from blackedge.datasets import erdos_renyi
 from blackedge.errors import ConfigError, DegenerateTarget, NoBoundary
 from blackedge.graph import Graph, apply_perturbation, normalize
-from blackedge.oracle import FunctionOracle, TableOracle, structural_oracle
+from blackedge.oracle import FunctionOracle, LabelMemo, TableOracle, structural_oracle
 
 from conftest import reference_normalize, reference_solve_g_star
 
@@ -238,6 +239,28 @@ def test_solve_g_star_equals_reference_on_edge_cases(theta, p_old):
     _same_as_reference(theta, p_old)
 
 
+def test_solve_g_star_evaluates_each_bracket_mass_once(monkeypatch):
+    masses = []
+    clipped_mass = attack._clipped_mass
+
+    def recording(ghat):
+        masses.append(ghat.tobytes())
+        return clipped_mass(ghat)
+
+    monkeypatch.setattr(attack, "_clipped_mass", recording)
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        theta = rng.uniform(-0.2, 1.0, size=int(rng.integers(2, 60)))
+        p_old = rng.uniform(0.0, 1.0) * (theta > 0).sum()
+        masses.clear()
+        try:
+            got = solve_g_star(theta, p_old)
+        except DegenerateTarget:
+            continue
+        assert got == reference_solve_g_star(theta, p_old)
+        assert len(masses) == len(set(masses)) >= 2
+
+
 def test_solve_g_star_above_the_saturation_plateau():
     # Each of many tied smallest components can sit an ulp below its cap at
     # the last breakpoint, so p there rounds below the largest float under
@@ -414,9 +437,10 @@ def test_capped_run_keeps_the_verified_boundary_graph():
     g = _er_target()
     oracle = structural_oracle("edge_count", g.n_edges + 6)
     cfg = AttackConfig(budget=0.5, iterations=50, directions_per_step=50,
-                       max_queries=300, seed=1)
+                       max_queries=200, seed=1)
     res = attack_graph(oracle, g, 0, cfg)
-    assert res.queries["total"] == 300  # the cap stopped the descent
+    assert res.queries["total"] == 200  # the cap stopped the descent
+    assert 0 < len(res.p_trace) < cfg.iterations
     assert res.queries["other"] == 0  # no extra verification query
     assert res.success and res.failure_reason is None
     assert res.rate <= cfg.budget
@@ -435,6 +459,63 @@ def test_cap_at_the_final_verification_keeps_the_candidate():
     assert np.array_equal(capped.adversarial_graph.bits, full.adversarial_graph.bits)
     assert capped.queries == {**full.queries, "other": 0,
                               "total": full.queries["total"] - 1}
+
+
+# -- label memo ----------------------------------------------------------
+
+
+def _recording_oracle(threshold):
+    """Edge-count oracle that records the bits of every graph it classifies."""
+    asked = []
+
+    def edge_count(graph):
+        asked.append(graph.bits.tobytes())
+        return int(graph.n_edges >= threshold)
+
+    return FunctionOracle(edge_count), asked
+
+
+def test_each_distinct_graph_costs_one_query(monkeypatch):
+    submitted = []
+    memo_label = LabelMemo.label
+
+    def counting(self, oracle, graph, phase):
+        submitted.append(graph.bits.tobytes())
+        return memo_label(self, oracle, graph, phase)
+
+    monkeypatch.setattr(LabelMemo, "label", counting)
+    g = _er_target()
+    oracle, asked = _recording_oracle(g.n_edges + 6)
+    cfg = AttackConfig(budget=0.5, iterations=8, directions_per_step=20, seed=1)
+    res = attack_graph(oracle, g, 0, cfg)
+    assert res.success
+    # only the final re-verification repeats a graph: the candidate
+    assert len(set(asked[:-1])) == len(asked) - 1
+    assert asked[-1] == res.adversarial_graph.bits.tobytes() and asked[-1] in asked[:-1]
+    assert res.queries["total"] == len(asked) == len(set(asked)) + 1
+    assert res.queries["other"] == 1
+    assert res.queries == oracle.ledger.snapshot()
+    # every other submission is a query or a memo hit
+    assert res.memo_hits > 0
+    assert res.queries["total"] + res.memo_hits == len(submitted) + 1
+    assert set(submitted) == set(asked)
+
+
+def test_runs_on_clones_do_not_share_a_memo():
+    g = _er_target()
+    oracle, asked = _recording_oracle(g.n_edges + 6)
+    cfg = AttackConfig(budget=0.5, iterations=4, directions_per_step=10, seed=3)
+    first = attack_graph(oracle.clone(), g, 0, cfg)
+    n = len(asked)
+    assert n == first.queries["total"] > 0
+    second = attack_graph(oracle.clone(), g, 0, cfg)
+    assert asked[n:] == asked[:n]  # every graph asked again, in the same order
+    assert (second.queries, second.memo_hits) == (first.queries, first.memo_hits)
+    # nor do two runs on one oracle; its ledger keeps counting
+    attack_graph(oracle, g, 0, cfg)
+    attack_graph(oracle, g, 0, cfg)
+    assert asked[2 * n:] == asked[:n] * 2
+    assert oracle.ledger.total == 2 * n
 
 
 def test_capped_run_never_returns_an_unverified_seed():

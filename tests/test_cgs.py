@@ -7,7 +7,7 @@ from blackedge.cgs import coarse_grained_search
 from blackedge.datasets import barbell
 from blackedge.errors import BudgetExhausted, NoAdversarialFound
 from blackedge.graph import apply_perturbation
-from blackedge.oracle import FunctionOracle, structural_oracle
+from blackedge.oracle import FunctionOracle, LabelMemo, structural_oracle
 from blackedge.partition import louvain
 
 
@@ -20,21 +20,25 @@ def setup():
 def test_no_success_exhausts_every_phase(setup):
     g, part = setup
     oracle = FunctionOracle(lambda _: 0)  # never adversarial
-    with pytest.raises(NoAdversarialFound):
-        coarse_grained_search(oracle, g, 0, part)
-    # components carry 4+4+8+8 incident nodes, 5 trials each per node
-    assert oracle.ledger.total == 120
-    assert oracle.ledger.snapshot()["cgs"] == 120
+    memo = LabelMemo()
+    with pytest.raises(NoAdversarialFound, match="after 120 trials"):
+        coarse_grained_search(oracle, g, 0, part, memo=memo)
+    # components carry 4+4+8+8 incident nodes, 5 trials each per node; a
+    # trial repeating an earlier graph is answered by the memo
+    assert oracle.ledger.total + memo.hits == 120
+    assert oracle.ledger.snapshot()["cgs"] == oracle.ledger.total == len(memo.labels)
 
 
 def test_success_skips_later_phases(setup):
     g, part = setup
     oracle = FunctionOracle(lambda _: 1)  # everything is adversarial
-    outcome = coarse_grained_search(oracle, g, 0, part)
+    memo = LabelMemo()
+    outcome = coarse_grained_search(oracle, g, 0, part, memo=memo)
     assert outcome.found_in == "supernode"
-    # the supernode phase finishes (both components), later phases do not run
-    assert outcome.queries_used == 40
-    assert oracle.ledger.total == 40
+    # the supernode phase finishes (both components, 40 trials), later
+    # phases do not run; queries_used is the ledger spend, repeats excluded
+    assert oracle.ledger.total + memo.hits == 40
+    assert outcome.queries_used == oracle.ledger.total == len(memo.labels)
 
 
 def test_outcome_theta_reproduces_the_flips(setup):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from blackedge.attack import AttackConfig, attack_graph
+from blackedge.datasets import erdos_renyi
 from blackedge.defense import (
     DefendedOracle,
     LowRankConfig,
@@ -10,7 +12,7 @@ from blackedge.defense import (
     low_rank_reconstruction,
 )
 from blackedge.graph import Graph
-from blackedge.oracle import structural_oracle
+from blackedge.oracle import LabelMemo, structural_oracle
 
 from conftest import random_graph, reference_low_rank_filter
 
@@ -134,3 +136,47 @@ def test_defended_clone_is_independent():
     assert twin.ledger.snapshot()["qegc"] == 1
     assert oracle.ledger.snapshot() == {"cgs": 0, "binary_search": 0, "qegc": 0,
                                         "other": 1, "total": 1}
+
+
+def test_memo_keys_the_submitted_graph_and_keeps_the_defended_label():
+    cfg = LowRankConfig(gamma=0.25)
+    rng = np.random.default_rng(0)
+    g = random_graph(rng, 10)
+    filtered = low_rank_filter(g, cfg)
+    assert filtered.n_edges != g.n_edges
+    # label 1 for whichever of the two has more edges
+    inner = structural_oracle("edge_count", max(g.n_edges, filtered.n_edges))
+    defended = DefendedOracle(inner, cfg)
+    memo = LabelMemo()
+    label = memo.label(defended, g, "qegc")
+    assert label == inner.clone().classify(filtered) != inner.clone().classify(g)
+    assert memo.labels == {g.bits.tobytes(): label}  # keyed by the unfiltered graph
+    assert memo.label(defended, g, "qegc") == label  # answered from the memo
+    assert memo.hits == 1
+    assert defended.ledger.snapshot()["qegc"] == defended.ledger.total == 1
+
+
+class _RecordingDefended(DefendedOracle):
+    """Defended oracle that records each graph submitted to it, before filtering."""
+
+    def __init__(self, inner, cfg):
+        super().__init__(inner, cfg)
+        self.asked = []
+
+    def _classify(self, graph):
+        self.asked.append(graph.bits.tobytes())
+        return super()._classify(graph)
+
+
+def test_attack_on_a_defended_oracle_submits_each_graph_once():
+    g = erdos_renyi(10, 0.3, np.random.default_rng(0))
+    oracle = _RecordingDefended(structural_oracle("edge_count", g.n_edges + 4),
+                                LowRankConfig(gamma=0.75))
+    cfg = AttackConfig(budget=0.5, iterations=4, directions_per_step=10, seed=1)
+    res = attack_graph(oracle, g, 0, cfg)
+    assert res.success and res.memo_hits > 0
+    # distinct unfiltered graphs, plus the final re-verification of the candidate
+    assert len(oracle.asked) == res.queries["total"] == len(set(oracle.asked)) + 1
+    assert oracle.asked[-1] == res.adversarial_graph.bits.tobytes()
+    assert oracle.inner.clone().classify(
+        low_rank_filter(res.adversarial_graph, oracle.cfg)) == 1
