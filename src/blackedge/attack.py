@@ -94,6 +94,9 @@ class AttackResult:
     # submissions answered by the run's label memo; queries["total"] + memo_hits
     # is the number of graphs the run submitted
     memo_hits: int = 0
+    # graphs drawn but never submitted: coarse-search trials ordered after
+    # its success, or random-baseline draws after its success or the cap
+    skipped: int = 0
 
     @property
     def flips(self) -> int:
@@ -297,8 +300,10 @@ def sign_sgd_attack(
     signs, then a sign-SGD step.  The returned adversarial graph is the
     last accepted boundary point, so success only needs the budget check
     plus one final verification query.  If the query cap stops the run,
-    the last boundary point the binary search verified in this call is
-    returned instead, at no extra query, when it is within the budget.
+    the current candidate is returned instead, at no extra query, when
+    ``memo`` holds it as adversarial and it is within the budget: the
+    last boundary point, or the seed graph of ``theta0`` before the first
+    boundary search.  A seed the run never queried is not returned.
 
     Graphs already in ``memo`` (a fresh one when none is given) are not
     queried again; the final verification is always a counted query.
@@ -319,7 +324,6 @@ def sign_sgd_attack(
     grad_trace: list[float] = []
     lambda_hint = 1.0
     stagnant = 0
-    verified = False  # candidate was queried as adversarial by boundary_distance
 
     def result(success, adv_graph, reason=None):
         added, removed = flip_ledger(graph, adv_graph) if success else ([], [])
@@ -339,7 +343,9 @@ def sign_sgd_attack(
         )
 
     def query_capped(exc):
-        if verified and perturbation_rate(graph, candidate) <= cfg.budget:
+        label = memo.get(candidate)  # None if never queried; predicate(None) may hold
+        if label is not None and predicate(label) \
+                and perturbation_rate(graph, candidate) <= cfg.budget:
             return result(True, candidate)
         return result(False, graph, f"budget exhausted: {exc}")
 
@@ -350,7 +356,6 @@ def sign_sgd_attack(
             )
             lambda_hint = g_t
             candidate = apply_perturbation(graph, g_t * normalize(theta))
-            verified = True
             p_t = objective_p(theta, g_t)
             grad = estimate_gradient(
                 oracle, graph, y0, theta, p_t,
@@ -392,9 +397,10 @@ def attack_graph(
     """Full pipeline for one target: partition, coarse search, sign-SGD.
 
     ``cfg.max_queries`` becomes the cap of ``oracle.ledger``, which keeps
-    counting for the caller.  If the cap stops the coarse search after it
-    found an adversarial graph, that graph, which the search queried, is
-    returned at no extra query when it is within the budget.
+    counting for the caller.  The coarse search ends at its first success,
+    so a cap that stops it leaves no adversarial graph; a cap that stops
+    the descent before its first boundary search returns the seed (see
+    ``sign_sgd_attack``).
 
     One label memo serves the whole run and is dropped with it: each
     distinct graph costs one query, and ``memo_hits`` counts the repeats.
@@ -416,18 +422,6 @@ def attack_graph(
             memo=memo,
         )
     except (NoAdversarialFound, BudgetExhausted) as exc:
-        partial = exc.partial if isinstance(exc, BudgetExhausted) else None
-        if partial is not None:
-            adv = apply_perturbation(graph, partial.theta0)
-            rate = perturbation_rate(graph, adv)
-            if rate <= cfg.budget:
-                added, removed = flip_ledger(graph, adv)
-                return AttackResult(
-                    success=True, adversarial_graph=adv, added=added, removed=removed,
-                    rate=rate, queries=oracle.ledger.snapshot(),
-                    wall_time=time.perf_counter() - start, found_in=partial.found_in,
-                    memo_hits=memo.hits,
-                )
         return AttackResult(
             success=False,
             adversarial_graph=graph,
@@ -437,5 +431,6 @@ def attack_graph(
             memo_hits=memo.hits,
         )
     res = sign_sgd_attack(oracle, graph, y0, cfg, seed.theta0, seed.found_in, memo)
+    res.skipped = seed.skipped
     res.wall_time = time.perf_counter() - start
     return res

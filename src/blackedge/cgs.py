@@ -1,19 +1,23 @@
 """Coarse-grained initial search for a misclassifying perturbation seed.
 
 Components from the supernode / superlink decomposition are searched in
-phases; every trial flips a random fraction of a component's slots and
+phases; every trial flips a random fraction of a component's slots.  A
+phase draws all its trials first, then submits them in ascending flip
+order and stops at the first success, which is the phase's fewest-flip
+success: trials are drawn without regard to their labels, so a trial
+with at least as many flips cannot improve on it.  Each submitted trial
 costs one oracle query, unless the run's label memo already holds its
-graph.  Across the whole run the success with the fewest flipped slots
-is kept.
+graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
-from .errors import BudgetExhausted, NoAdversarialFound
+from .errors import NoAdversarialFound
 from .graph import Graph, apply_perturbation
 from .oracle import HardLabelOracle, LabelMemo
 from .partition import Partition, enumerate_components
@@ -25,6 +29,7 @@ class CgsOutcome:
     found_in: str  # "supernode" | "superlink" | "whole_graph"
     flips: int
     queries_used: int  # ledger spend: distinct graphs queried
+    skipped: int  # trials of the successful phase never submitted
 
 
 def coarse_grained_search(
@@ -41,18 +46,20 @@ def coarse_grained_search(
     """Find an initial direction whose perturbed graph changes the label.
 
     Per component with ``m`` slots and ``n_inc`` incident nodes,
-    ``trials_scale * n_inc`` trials are run, each flipping
+    ``trials_scale * n_inc`` trials are drawn, each flipping
     ``max(1, round(s * m))`` random slots for ``s ~ U[0, 1]``.  A phase
-    is always completed (the minimal-flip success is kept) but later
-    phases are skipped once any success exists.
+    (the consecutive components of one kind) is drawn in full, then
+    submitted in order of (flips, draw index); the first success is the
+    outcome and ends the search, so later phases are neither drawn nor
+    submitted.  The outcome is the first trial in draw order with the
+    fewest flips among the phase's successes.
 
     ``predicate`` decides what counts as adversarial; the default is any
     label other than ``y0``.  A trial whose graph is already in ``memo``
     (a fresh one when none is given) costs no query.
 
-    Raises ``NoAdversarialFound`` after all phases, or ``BudgetExhausted``
-    (with the best partial success in its payload) if the oracle budget
-    runs out mid-search.
+    Raises ``NoAdversarialFound`` after all phases.  ``BudgetExhausted``
+    from the oracle passes through; the search holds no success then.
     """
     if predicate is None:
         predicate = lambda label: label != y0
@@ -60,38 +67,22 @@ def coarse_grained_search(
         memo = LabelMemo()
     spent_before = oracle.ledger.total
     rng = np.random.default_rng(rng_seed)
-    components = enumerate_components(partition, strategy)
-
-    # updated after every trial, so the cap's payload holds any success
-    # found in a component it interrupts
-    best: CgsOutcome | None = None
+    d = graph.n_edge_slots
     trials = 0
-    current_phase = None
-    try:
-        for comp in components:
-            if comp.kind != current_phase:
-                if best is not None:
-                    break  # a success exists; later phases are larger spaces
-                current_phase = comp.kind
+    for kind, phase in groupby(enumerate_components(partition, strategy), lambda c: c.kind):
+        draws = []  # (flips, slots), in draw order
+        for comp in phase:
             m = comp.slots.size
             for _ in range(trials_scale * comp.n_incident):
-                s = rng.uniform(0.0, 1.0)
-                n_flip = max(1, round(s * m))
-                chosen = rng.choice(comp.slots, size=n_flip, replace=False)
-                theta = np.zeros(graph.n_edge_slots)
-                theta[chosen] = 1.0
-                label = memo.label(oracle, apply_perturbation(graph, theta), "cgs")
-                trials += 1
-                if predicate(label) and (best is None or n_flip < best.flips):
-                    best = CgsOutcome(theta, comp.kind, n_flip, 0)
-    except BudgetExhausted as exc:
-        if best is not None:
-            best.queries_used = oracle.ledger.total - spent_before
-        raise BudgetExhausted(str(exc), partial=best) from exc
-
-    if best is None:
-        raise NoAdversarialFound(
-            f"no adversarial graph after {trials} trials across all phases"
-        )
-    best.queries_used = oracle.ledger.total - spent_before
-    return best
+                n_flip = max(1, round(rng.uniform(0.0, 1.0) * m))
+                draws.append((n_flip, rng.choice(comp.slots, size=n_flip, replace=False)))
+        # sorted() is stable: among equal flips the earlier draw goes first
+        for rank, (n_flip, chosen) in enumerate(sorted(draws, key=lambda t: t[0])):
+            theta = np.zeros(d)
+            theta[chosen] = 1.0
+            label = memo.label(oracle, apply_perturbation(graph, theta), "cgs")
+            if predicate(label):
+                return CgsOutcome(theta, kind, n_flip, oracle.ledger.total - spent_before,
+                                  len(draws) - rank - 1)
+        trials += len(draws)
+    raise NoAdversarialFound(f"no adversarial graph after {trials} trials across all phases")

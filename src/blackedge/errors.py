@@ -26,15 +26,7 @@ class UnknownGraph(BlackedgeError):
 
 
 class BudgetExhausted(BlackedgeError):
-    """The query budget was hit; the attack must terminate.
-
-    ``partial`` optionally carries the best intermediate result found
-    before the budget ran out.
-    """
-
-    def __init__(self, message="query budget exhausted", partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """The query budget was hit; the attack must terminate."""
 
 
 class NoAdversarialFound(BlackedgeError):

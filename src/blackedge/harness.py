@@ -32,11 +32,15 @@ def random_attack(
     seed: int = 0,
     predicate=None,
 ) -> AttackResult:
-    """Matched-budget baseline: flip a random fraction of slots per query.
+    """Matched-budget baseline: flip a random fraction of slots per trial.
 
-    Each trial draws a perturbation ratio uniformly in (0, budget] and
-    flips that many random slots; the minimal-flip success across all
-    trials is returned.
+    ``query_budget`` trials are drawn first, each a perturbation ratio
+    uniform in (0, budget] and that many random slots.  They are then
+    queried in order of (flips, draw index) up to the first success,
+    which is the first trial in draw order with the fewest flips among
+    all successes: the draws ignore the labels, so a trial with at least
+    as many flips cannot improve on it.  Trials never queried are
+    reported as ``skipped``.
     """
     if predicate is None:
         predicate = lambda label: label != y0
@@ -44,12 +48,14 @@ def random_attack(
     rng = np.random.default_rng(seed)
     s = graph.n_edge_slots
     max_flips = max(1, int(np.floor(budget * s)))
-    best_graph = None
-    best_flips = None
+    draws = []  # (flips, slots), in draw order
     for _ in range(query_budget):
-        ratio = rng.uniform(0.0, budget)
-        n_flip = min(max(1, round(ratio * s)), max_flips)
-        chosen = rng.choice(s, size=n_flip, replace=False)
+        n_flip = min(max(1, round(rng.uniform(0.0, budget) * s)), max_flips)
+        draws.append((n_flip, rng.choice(s, size=n_flip, replace=False)))
+    best_graph = None
+    queried = 0
+    # sorted() is stable: among equal flips the earlier draw goes first
+    for _n_flip, chosen in sorted(draws, key=lambda t: t[0]):
         theta = np.zeros(s)
         theta[chosen] = 1.0
         candidate = apply_perturbation(graph, theta)
@@ -57,14 +63,17 @@ def random_attack(
             label = oracle.classify(candidate)
         except BudgetExhausted:
             break
-        if predicate(label) and (best_flips is None or n_flip < best_flips):
-            best_graph, best_flips = candidate, n_flip
+        queried += 1
+        if predicate(label):
+            best_graph = candidate
+            break
     wall = time.perf_counter() - start
+    skipped = query_budget - queried
     if best_graph is None:
         return AttackResult(
             success=False, adversarial_graph=graph,
             queries=oracle.ledger.snapshot(), wall_time=wall,
-            found_in="random", failure_reason="no random success",
+            found_in="random", failure_reason="no random success", skipped=skipped,
         )
     added, removed = flip_ledger(graph, best_graph)
     return AttackResult(
@@ -72,7 +81,7 @@ def random_attack(
         added=added, removed=removed,
         rate=perturbation_rate(graph, best_graph),
         queries=oracle.ledger.snapshot(), wall_time=wall,
-        found_in="random",
+        found_in="random", skipped=skipped,
     )
 
 
@@ -123,7 +132,7 @@ class ExperimentReport:
         buf = io.StringIO()
         fields = ["id", "success", "flips_added", "flips_removed", "rate",
                   "queries_total", "queries_cgs", "queries_binary_search",
-                  "queries_qegc", "found_in"]
+                  "queries_qegc", "memo_hits", "skipped", "found_in"]
         if include_time:
             fields.insert(-1, "time_s")
         writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
@@ -139,6 +148,8 @@ class ExperimentReport:
                 "queries_cgs": row["queries"].get("cgs", 0),
                 "queries_binary_search": row["queries"].get("binary_search", 0),
                 "queries_qegc": row["queries"].get("qegc", 0),
+                "memo_hits": row["memo_hits"],
+                "skipped": row["skipped"],
                 "found_in": row["found_in"] or "",
             }
             if include_time:
@@ -159,6 +170,7 @@ def _result_row(idx: int, res: AttackResult) -> dict:
         "rate": res.rate,
         "queries": res.queries,
         "memo_hits": res.memo_hits,
+        "skipped": res.skipped,
         "time_s": res.wall_time,
         "found_in": res.found_in,
         "gradient_norm_trace": res.gradient_norm_trace,

@@ -89,6 +89,10 @@ class LabelMemo:
             self.hits += 1
         return label
 
+    def get(self, graph: Graph) -> int | None:
+        """The memoised label of ``graph``, or None; never a query or a hit."""
+        return self.labels.get(graph.bits.tobytes())
+
 
 class FunctionOracle(HardLabelOracle):
     """Wrap an arbitrary pure function Graph -> int."""

@@ -7,12 +7,25 @@ the two is meaningful evidence of correctness.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from blackedge.attack import AttackResult
+from blackedge.cgs import CgsOutcome
 from blackedge.defense import low_rank_reconstruction
-from blackedge.errors import DegenerateTarget, ZeroVector
-from blackedge.graph import FLIP_THRESHOLD, Graph, edge_index_map
+from blackedge.errors import DegenerateTarget, NoAdversarialFound, ZeroVector
+from blackedge.graph import (
+    FLIP_THRESHOLD,
+    Graph,
+    apply_perturbation,
+    edge_index_map,
+    flip_ledger,
+    perturbation_rate,
+)
+from blackedge.oracle import LabelMemo
+from blackedge.partition import enumerate_components
 
 
 # -- independent GIN forward pass ----------------------------------------
@@ -108,6 +121,97 @@ def reference_low_rank_filter(graph: Graph, cfg) -> Graph:
     binary = (binary | binary.T).astype(np.uint8)
     np.fill_diagonal(binary, 0)
     return Graph.from_adjacency(binary, features=graph.features, label=graph.label)
+
+
+def reference_coarse_grained_search(oracle, graph, y0, partition, strategy="I",
+                                    trials_scale=5, rng_seed=0, predicate=None, memo=None):
+    """Coarse search that submits every trial of a phase in draw order and
+    keeps the first one with the fewest flips among the successes; the
+    library's flip-ordered search must return the same outcome."""
+    if predicate is None:
+        predicate = lambda label: label != y0
+    if memo is None:
+        memo = LabelMemo()
+    spent_before = oracle.ledger.total
+    rng = np.random.default_rng(rng_seed)
+    best = None
+    trials = 0
+    current_phase = None
+    for comp in enumerate_components(partition, strategy):
+        if comp.kind != current_phase:
+            if best is not None:
+                break
+            current_phase = comp.kind
+        m = comp.slots.size
+        for _ in range(trials_scale * comp.n_incident):
+            s = rng.uniform(0.0, 1.0)
+            n_flip = max(1, round(s * m))
+            chosen = rng.choice(comp.slots, size=n_flip, replace=False)
+            theta = np.zeros(graph.n_edge_slots)
+            theta[chosen] = 1.0
+            label = memo.label(oracle, apply_perturbation(graph, theta), "cgs")
+            trials += 1
+            if predicate(label) and (best is None or n_flip < best.flips):
+                best = CgsOutcome(theta, comp.kind, n_flip, 0, 0)
+    if best is None:
+        raise NoAdversarialFound(
+            f"no adversarial graph after {trials} trials across all phases"
+        )
+    best.queries_used = oracle.ledger.total - spent_before
+    return best
+
+
+def reference_random_attack(oracle, graph, y0, budget, query_budget, seed=0,
+                            predicate=None):
+    """Random baseline that queries every draw in draw order and keeps the
+    first one with the fewest flips among the successes."""
+    if predicate is None:
+        predicate = lambda label: label != y0
+    rng = np.random.default_rng(seed)
+    s = graph.n_edge_slots
+    max_flips = max(1, int(np.floor(budget * s)))
+    best_graph = None
+    best_flips = None
+    for _ in range(query_budget):
+        ratio = rng.uniform(0.0, budget)
+        n_flip = min(max(1, round(ratio * s)), max_flips)
+        chosen = rng.choice(s, size=n_flip, replace=False)
+        theta = np.zeros(s)
+        theta[chosen] = 1.0
+        candidate = apply_perturbation(graph, theta)
+        label = oracle.classify(candidate)
+        if predicate(label) and (best_flips is None or n_flip < best_flips):
+            best_graph, best_flips = candidate, n_flip
+    if best_graph is None:
+        return AttackResult(success=False, adversarial_graph=graph,
+                            queries=oracle.ledger.snapshot(), found_in="random",
+                            failure_reason="no random success")
+    added, removed = flip_ledger(graph, best_graph)
+    return AttackResult(success=True, adversarial_graph=best_graph,
+                        added=added, removed=removed,
+                        rate=perturbation_rate(graph, best_graph),
+                        queries=oracle.ledger.snapshot(), found_in="random")
+
+
+def search_label_cases(graph: Graph):
+    """(label function, clean label, target label) triples for checking a
+    search against its reference: monotone boundaries in both directions,
+    a pseudo-random 8-class labelling (untargeted and targeted) and a
+    constant label that nothing flips."""
+
+    def hashed(h):
+        return hashlib.blake2b(h.bits.tobytes(), digest_size=1).digest()[0] % 8
+
+    m = graph.n_edges
+    y_hash = hashed(graph)
+    cases = []
+    for k in (1, 3):
+        cases.append((lambda h, t=m + k: int(h.n_edges >= t), 0, None))
+        cases.append((lambda h, t=m - k + 1: int(h.n_edges >= t), 1, None))
+    cases.append((hashed, y_hash, None))
+    cases.append((hashed, y_hash, (y_hash + 1) % 8))
+    cases.append((lambda h: 0, 0, None))
+    return cases
 
 
 # -- exhaustive set-partition enumeration --------------------------------

@@ -252,9 +252,11 @@ def attack_suite():
         run_oracle = oracle.clone()
         run["random"] = random_attack(
             run_oracle, run["graph"], 0, budget=0.2,
-            # the graphs sign-SGD submitted, memo hits included: the baseline
-            # gets as many trials as before the memo
-            query_budget=run["result"].queries["total"] + run["result"].memo_hits,
+            # the graphs the attack drew, memo hits and skipped coarse-search
+            # trials included: the baseline gets as many trials as before
+            # the memo and the flip-ordered coarse search
+            query_budget=(run["result"].queries["total"] + run["result"].memo_hits
+                          + run["result"].skipped),
             seed=1000 + idx,
         )
     random_time = time.perf_counter() - t0

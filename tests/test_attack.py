@@ -16,10 +16,12 @@ from blackedge.attack import (
     sign_sgd_attack,
     solve_g_star,
 )
+from blackedge.cgs import coarse_grained_search
 from blackedge.datasets import erdos_renyi
 from blackedge.errors import ConfigError, DegenerateTarget, NoBoundary
 from blackedge.graph import Graph, apply_perturbation, normalize
 from blackedge.oracle import FunctionOracle, LabelMemo, TableOracle, structural_oracle
+from blackedge.partition import louvain
 
 from conftest import reference_normalize, reference_solve_g_star
 
@@ -406,31 +408,34 @@ def test_attack_respects_max_queries():
 def test_cap_in_the_coarse_search_keeps_its_first_success():
     g = _er_target()
     threshold = g.n_edges + 6
-    labels = []
-
-    def edge_count(graph):
-        labels.append(int(graph.n_edges >= threshold))
-        return labels[-1]
-
     cfg = AttackConfig(budget=0.5, iterations=3, directions_per_step=10, seed=1)
-    full = attack_graph(FunctionOracle(edge_count), g, 0, cfg)
-    first = labels.index(1) + 1  # queries up to the coarse search's first success
-    assert first < full.queries["cgs"]  # the cap stops the search mid-phase
+    full = attack_graph(structural_oracle("edge_count", threshold), g, 0, cfg)
+    spent = full.queries["cgs"]  # the coarse search ends at its first success
+    seed = coarse_grained_search(structural_oracle("edge_count", threshold), g, 0,
+                                 louvain(g, seed=cfg.seed), rng_seed=cfg.seed)
+    # a cap equal to the search's spend stops the descent before its first
+    # boundary search; the seed, queried by the search, comes from the memo
     oracle = structural_oracle("edge_count", threshold)
-    res = attack_graph(oracle, g, 0, replace(cfg, max_queries=first))
+    res = attack_graph(oracle, g, 0, replace(cfg, max_queries=spent))
     assert res.success and res.failure_reason is None
-    assert res.found_in == full.found_in
-    assert res.queries == {"cgs": first, "binary_search": 0, "qegc": 0, "other": 0,
-                           "total": first}  # no extra verification query
+    assert res.found_in == full.found_in == seed.found_in
+    assert np.array_equal(res.adversarial_graph.bits, apply_perturbation(g, seed.theta0).bits)
+    assert res.queries == {"cgs": spent, "binary_search": 0, "qegc": 0, "other": 0,
+                           "total": spent}  # no extra verification query
     assert res.queries == oracle.ledger.snapshot()
     assert res.rate <= cfg.budget and res.p_trace == []
-    assert res.flips == len(res.added) + len(res.removed) > 0
+    assert res.flips == seed.flips > 0
     assert oracle.clone().classify(res.adversarial_graph) == 1
     # the same cap with a budget below the seed's rate is a failure
     tight = attack_graph(structural_oracle("edge_count", threshold), g, 0,
-                         replace(cfg, max_queries=first, budget=res.rate / 2))
+                         replace(cfg, max_queries=spent, budget=res.rate / 2))
     assert not tight.success and tight.adversarial_graph is g
-    assert tight.failure_reason.startswith("initial search failed")
+    assert tight.failure_reason.startswith("budget exhausted")
+    # one query less stops the search before its success: nothing to keep
+    short = attack_graph(structural_oracle("edge_count", threshold), g, 0,
+                         replace(cfg, max_queries=spent - 1))
+    assert not short.success and short.adversarial_graph is g
+    assert short.failure_reason.startswith("initial search failed")
 
 
 def test_capped_run_keeps_the_verified_boundary_graph():

@@ -1,14 +1,19 @@
 """Coarse-grained initial search over the phased components."""
 
+import re
+
 import numpy as np
 import pytest
 
+from blackedge.attack import AttackConfig
 from blackedge.cgs import coarse_grained_search
-from blackedge.datasets import barbell
+from blackedge.datasets import barbell, erdos_renyi
 from blackedge.errors import BudgetExhausted, NoAdversarialFound
 from blackedge.graph import apply_perturbation
 from blackedge.oracle import FunctionOracle, LabelMemo, structural_oracle
 from blackedge.partition import louvain
+
+from conftest import reference_coarse_grained_search, search_label_cases
 
 
 @pytest.fixture
@@ -35,10 +40,12 @@ def test_success_skips_later_phases(setup):
     memo = LabelMemo()
     outcome = coarse_grained_search(oracle, g, 0, part, memo=memo)
     assert outcome.found_in == "supernode"
-    # the supernode phase finishes (both components, 40 trials), later
-    # phases do not run; queries_used is the ledger spend, repeats excluded
-    assert oracle.ledger.total + memo.hits == 40
-    assert outcome.queries_used == oracle.ledger.total == len(memo.labels)
+    # the supernode phase is drawn in full (both components, 40 trials);
+    # its fewest-flip trial is submitted first and succeeds, the other 39
+    # are skipped, and later phases are never drawn
+    assert oracle.ledger.total + memo.hits + outcome.skipped == 40
+    assert outcome.skipped == 39
+    assert outcome.queries_used == oracle.ledger.total == len(memo.labels) == 1
 
 
 def test_outcome_theta_reproduces_the_flips(setup):
@@ -69,16 +76,17 @@ def test_deterministic_given_seed(setup):
     assert a.flips == b.flips and a.found_in == b.found_in
 
 
-def test_budget_exhaustion_reports_exact_spend_and_partial(setup):
+def test_budget_exhaustion_reports_exact_spend(setup):
     g, part = setup
-    oracle = FunctionOracle(lambda _: 1)
+    oracle = FunctionOracle(lambda _: 0)  # never adversarial
     oracle.ledger.max_queries = 25
-    with pytest.raises(BudgetExhausted) as exc_info:
+    with pytest.raises(BudgetExhausted):
         coarse_grained_search(oracle, g, 0, part)
     assert oracle.ledger.total == 25
-    partial = exc_info.value.partial
-    assert partial is not None  # a success existed before the cap
-    assert partial.queries_used == 25
+    # a success ends the search, so a cap never stops it holding one
+    oracle = FunctionOracle(lambda _: 1)
+    oracle.ledger.max_queries = 1
+    assert coarse_grained_search(oracle, g, 0, part).queries_used == 1
 
 
 def test_custom_predicate_targets_a_label():
@@ -95,6 +103,43 @@ def test_custom_predicate_targets_a_label():
 def test_strategy_three_searches_whole_graph_only(setup):
     g, part = setup
     oracle = FunctionOracle(lambda _: 1)
-    outcome = coarse_grained_search(oracle, g, 0, part, strategy="III")
+    memo = LabelMemo()
+    outcome = coarse_grained_search(oracle, g, 0, part, strategy="III", memo=memo)
     assert outcome.found_in == "whole_graph"
-    assert oracle.ledger.total == 40  # 5 trials x 8 incident nodes
+    # 5 trials x 8 incident nodes, drawn; only the first in flip order is submitted
+    assert oracle.ledger.total + memo.hits + outcome.skipped == 40
+    assert oracle.ledger.total == 1
+
+
+@pytest.mark.parametrize("strategy", ["I", "II", "III"])
+@pytest.mark.parametrize("trials_scale", [1, 5])
+def test_flip_order_search_equals_the_draw_order_reference(strategy, trials_scale):
+    """Same outcome as submitting every trial in draw order, never more queries."""
+    found = failed = 0
+    for seed in range(12):
+        g = erdos_renyi(10 + seed % 4, 0.3, np.random.default_rng(seed))
+        part = louvain(g, seed=seed)
+        for label_fn, y0, target in search_label_cases(g):
+            predicate = AttackConfig(target_label=target).predicate(y0)
+            args = (g, y0, part, strategy, trials_scale, seed, predicate)
+            ref_oracle, ref_memo = FunctionOracle(label_fn), LabelMemo()
+            oracle, memo = FunctionOracle(label_fn), LabelMemo()
+            try:
+                expected = reference_coarse_grained_search(ref_oracle, *args, ref_memo)
+            except NoAdversarialFound as exc:
+                with pytest.raises(NoAdversarialFound, match=re.escape(str(exc))):
+                    coarse_grained_search(oracle, *args, memo)
+                # every trial is submitted when none succeeds
+                assert oracle.ledger.snapshot() == ref_oracle.ledger.snapshot()
+                assert memo.hits == ref_memo.hits
+                failed += 1
+                continue
+            outcome = coarse_grained_search(oracle, *args, memo)
+            assert np.array_equal(outcome.theta0, expected.theta0)
+            assert (outcome.flips, outcome.found_in) == (expected.flips, expected.found_in)
+            assert outcome.queries_used == oracle.ledger.total <= ref_oracle.ledger.total
+            # each trial the reference submitted is submitted or skipped
+            assert oracle.ledger.total + memo.hits + outcome.skipped == \
+                ref_oracle.ledger.total + ref_memo.hits
+            found += 1
+    assert found and failed

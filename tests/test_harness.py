@@ -1,12 +1,13 @@
 """Metrics, the random baseline, experiment runs and sweeps."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from blackedge.attack import AttackConfig, AttackResult
-from blackedge.datasets import generate_synthetic
+from blackedge.datasets import erdos_renyi, generate_synthetic
 from blackedge.graph import Graph
 from blackedge.harness import (
     aggregate_metrics,
@@ -17,7 +18,9 @@ from blackedge.harness import (
     run_experiment,
     select_targets,
 )
-from blackedge.oracle import structural_oracle
+from blackedge.oracle import FunctionOracle, structural_oracle
+
+from conftest import reference_random_attack, search_label_cases
 
 
 def _result(success, flips=0, queries=0, wall=1.0):
@@ -62,7 +65,8 @@ def test_random_attack_respects_flip_cap_and_query_budget():
     g = generate_synthetic("erdos_renyi", 1, seed=0, n=12, p=0.3).graphs[0]
     oracle = structural_oracle("edge_count", g.n_edges + 2)
     res = random_attack(oracle, g, 0, budget=0.2, query_budget=300, seed=4)
-    assert oracle.ledger.total == 300
+    # draws after the first success in flip order are never queried
+    assert oracle.ledger.total + res.skipped == 300
     assert res.found_in == "random"
     if res.success:
         assert res.flips <= int(0.2 * g.n_edge_slots)
@@ -85,6 +89,32 @@ def test_random_attack_stops_at_oracle_budget():
     res = random_attack(oracle, g, 0, budget=0.5, query_budget=500, seed=0)
     assert not res.success
     assert oracle.ledger.total == 50
+
+
+@pytest.mark.parametrize("budget, query_budget", [(0.1, 40), (0.2, 150), (0.5, 100)])
+def test_flip_order_random_attack_equals_the_draw_order_reference(budget, query_budget):
+    """Same outcome as querying every draw in draw order, never more queries."""
+    found = failed = 0
+    for seed in range(10):
+        g = erdos_renyi(10 + seed % 4, 0.3, np.random.default_rng(seed))
+        for label_fn, y0, target in search_label_cases(g):
+            predicate = AttackConfig(target_label=target).predicate(y0)
+            ref = reference_random_attack(FunctionOracle(label_fn), g, y0, budget,
+                                          query_budget, seed, predicate)
+            res = random_attack(FunctionOracle(label_fn), g, y0, budget, query_budget,
+                                seed, predicate)
+            assert res.success == ref.success
+            assert np.array_equal(res.adversarial_graph.bits, ref.adversarial_graph.bits)
+            assert (res.added, res.removed, res.rate, res.found_in, res.failure_reason) == \
+                (ref.added, ref.removed, ref.rate, ref.found_in, ref.failure_reason)
+            assert res.queries["total"] + res.skipped == query_budget
+            if res.success:
+                assert res.queries["total"] <= ref.queries["total"]
+                found += 1
+            else:  # every draw is queried when none succeeds
+                assert res.queries == ref.queries
+                failed += 1
+    assert found and failed
 
 
 # -- experiment runner ---------------------------------------------------
@@ -131,7 +161,7 @@ def test_run_experiment_random_method(small_suite):
     report = run_experiment(oracle, graphs, cfg, method="random",
                             random_query_budget=100)
     assert all(row["found_in"] == "random" for row in report.per_graph)
-    assert all(row["queries"]["total"] == 100 for row in report.per_graph)
+    assert all(row["queries"]["total"] + row["skipped"] == 100 for row in report.per_graph)
 
 
 def test_run_experiment_rejects_bad_method(small_suite):
@@ -168,7 +198,11 @@ def test_report_json_and_csv(small_suite, tmp_path):
     header = csv_text.splitlines()[0]
     assert header == ("id,success,flips_added,flips_removed,rate,"
                       "queries_total,queries_cgs,queries_binary_search,"
-                      "queries_qegc,found_in")
+                      "queries_qegc,memo_hits,skipped,found_in")
+    # graphs submitted and drawn are recoverable from the CSV alone
+    for out, row in zip(csv.DictReader(csv_text.splitlines()), report.per_graph):
+        assert int(out["memo_hits"]) == row["memo_hits"]
+        assert int(out["skipped"]) == row["skipped"]
     # byte-stable without the timing column
     assert report.to_csv(include_time=False) == csv_text
 
