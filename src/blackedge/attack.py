@@ -10,6 +10,7 @@ already queried is answered from the run's label memo at no query.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -183,20 +184,34 @@ def solve_g_star(theta_new, p_old: float) -> float:
     running slope.  That running sum can differ from the clipped mass in
     the last bits, so the index is then moved until the clipped mass
     itself brackets ``p_old``; the result does not depend on the rounding
-    of the running sum.
+    of the running sum.  Each array is filled in place in one buffer, with
+    the same operations in the same order as building it by parts.
     """
     theta_norm = normalize(theta_new)
     positive = theta_norm[theta_norm > 0]
-    p_max = float(positive.size)  # each component's contribution caps at 1
+    k = positive.size
+    p_max = float(k)  # each component's contribution caps at 1
     if not 0.0 < p_old < p_max:  # also rejects NaN and an empty ``positive``
         raise DegenerateTarget(
             f"target objective {p_old} outside the invertible range (0, {p_max})"
         )
-    breaks = np.concatenate([FLIP_THRESHOLD / positive, (FLIP_THRESHOLD + 1.0) / positive])
+    # breakpoints where each component turns its slope on, then off
+    breaks = np.empty(2 * k)
+    np.divide(FLIP_THRESHOLD, positive, out=breaks[:k])
+    np.divide(FLIP_THRESHOLD + 1.0, positive, out=breaks[k:])
     order = np.argsort(breaks)
     events = breaks[order]
-    slope = np.cumsum(np.concatenate([positive, -positive])[order])
-    p_approx = np.concatenate([[0.0], np.cumsum(slope[:-1] * np.diff(events))])
+    signed = np.empty(2 * k)  # the slope change at each breakpoint
+    signed[:k] = positive
+    np.negative(positive, out=signed[k:])
+    slope = signed[order]
+    np.cumsum(slope, out=slope)
+    p_approx = np.empty(2 * k)
+    p_approx[0] = 0.0
+    rest = p_approx[1:]
+    np.subtract(events[1:], events[:-1], out=rest)
+    np.multiply(slope[:-1], rest, out=rest)
+    np.cumsum(rest, out=rest)
     p_at = lambda g: _clipped_mass(g * positive)
     idx = int(np.searchsorted(p_approx, p_old, side="left"))
     # p0 and p1 keep the last masses evaluated at events[idx - 1] and events[idx]
@@ -265,13 +280,22 @@ def estimate_gradient(
     Each probe direction costs one query, none if its graph is already in
     ``memo`` (without one, every probe is a query); degenerate probes are
     re-drawn up to 3 times, then skipped (contributing zero).
+
+    When ``p_t`` is not positive (or NaN), ``solve_g_star`` rejects every
+    probe whatever its direction, so all 4 draws of every probe are made
+    at once and the step is zero, without a call per draw.
     """
     d = np.asarray(theta).shape[0]
-    grad = np.zeros(d)
+    if not p_t > 0.0:
+        # standard_normal((k, d)) consumes the stream of k draws of size d
+        rng.standard_normal((4 * q_directions, d))
+        return np.zeros(d)
+    signs = []
+    dirs = []
     for _ in range(q_directions):
         for _attempt in range(4):
             u = rng.standard_normal(d)
-            norm = np.linalg.norm(u)
+            norm = math.sqrt(u.dot(u))  # what np.linalg.norm computes
             if norm == 0.0:
                 continue
             u = u / norm
@@ -279,9 +303,13 @@ def estimate_gradient(
                 s = qegc_sign(oracle, graph, y0, p_t, theta + mu * u, predicate, memo)
             except (DegenerateTarget, ZeroVector):
                 continue
-            grad += s * np.sign(u)
+            signs.append(s)
+            dirs.append(u)
             break
-    return grad / q_directions
+    if not signs:
+        return np.zeros(d)
+    # sums of +-1 terms are exact in any order
+    return (np.array(signs, dtype=float) @ np.sign(dirs)) / q_directions
 
 
 def sign_sgd_attack(

@@ -20,7 +20,7 @@ from .attack import AttackConfig, AttackResult, attack_graph
 from .defense import DefendedOracle, LowRankConfig
 from .errors import BudgetExhausted, ConfigError
 from .graph import Graph, apply_perturbation, flip_ledger, perturbation_rate
-from .oracle import HardLabelOracle
+from .oracle import HardLabelOracle, LabelMemo
 
 
 def random_attack(
@@ -39,8 +39,10 @@ def random_attack(
     queried in order of (flips, draw index) up to the first success,
     which is the first trial in draw order with the fewest flips among
     all successes: the draws ignore the labels, so a trial with at least
-    as many flips cannot improve on it.  Trials never queried are
-    reported as ``skipped``.
+    as many flips cannot improve on it.  A trial that repeats an earlier
+    graph is answered from a per-call label memo and counted in
+    ``memo_hits``, so ``total + memo_hits + skipped == query_budget``;
+    trials never submitted are reported as ``skipped``.
     """
     if predicate is None:
         predicate = lambda label: label != y0
@@ -53,27 +55,29 @@ def random_attack(
         n_flip = min(max(1, round(rng.uniform(0.0, budget) * s)), max_flips)
         draws.append((n_flip, rng.choice(s, size=n_flip, replace=False)))
     best_graph = None
-    queried = 0
+    memo = LabelMemo()
+    submitted = 0
     # sorted() is stable: among equal flips the earlier draw goes first
     for _n_flip, chosen in sorted(draws, key=lambda t: t[0]):
         theta = np.zeros(s)
         theta[chosen] = 1.0
         candidate = apply_perturbation(graph, theta)
         try:
-            label = oracle.classify(candidate)
+            label = memo.label(oracle, candidate, "other")
         except BudgetExhausted:
             break
-        queried += 1
+        submitted += 1
         if predicate(label):
             best_graph = candidate
             break
     wall = time.perf_counter() - start
-    skipped = query_budget - queried
+    skipped = query_budget - submitted
     if best_graph is None:
         return AttackResult(
             success=False, adversarial_graph=graph,
             queries=oracle.ledger.snapshot(), wall_time=wall,
-            found_in="random", failure_reason="no random success", skipped=skipped,
+            found_in="random", failure_reason="no random success",
+            memo_hits=memo.hits, skipped=skipped,
         )
     added, removed = flip_ledger(graph, best_graph)
     return AttackResult(
@@ -81,7 +85,7 @@ def random_attack(
         added=added, removed=removed,
         rate=perturbation_rate(graph, best_graph),
         queries=oracle.ledger.snapshot(), wall_time=wall,
-        found_in="random", skipped=skipped,
+        found_in="random", memo_hits=memo.hits, skipped=skipped,
     )
 
 

@@ -66,27 +66,35 @@ def _one_level(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
     Ties between equal-gain target communities break to the lowest
     community id, so runs are reproducible given the visit order.
+
+    The sweep runs on Python floats over per-node neighbour lists; the
+    sums and comparisons are the float64 operations of a loop over the
+    matrix rows, in the same order.
     """
     n = a.shape[0]
-    m2 = a.sum()
-    degrees = a.sum(axis=1)
-    community = np.arange(n)
-    tot = degrees.copy()  # total degree per community
+    m2 = float(a.sum())
+    degrees = a.sum(axis=1).tolist()
+    community = list(range(n))
+    tot = list(degrees)  # total degree per community
+    # (neighbour, weight) in ascending neighbour order, self excluded
+    neighbours = []
+    for i in range(n):
+        js = np.flatnonzero(a[i])
+        js = js[js != i]
+        neighbours.append(list(zip(js.tolist(), a[i, js].tolist())))
 
-    order = rng.permutation(n)
+    order = rng.permutation(n).tolist()
     improved = True
     while improved:
         improved = False
         for i in order:
             ci = community[i]
             ki = degrees[i]
-            # weights from i to each neighboring community (self excluded)
+            # weights from i to each neighboring community
             links = {}
-            for j in np.flatnonzero(a[i]):
-                if j == i:
-                    continue
+            for j, w in neighbours[i]:
                 cj = community[j]
-                links[cj] = links.get(cj, 0.0) + a[i, j]
+                links[cj] = links.get(cj, 0.0) + w
             tot[ci] -= ki
             # gain of joining community c (up to a factor 2/m2 shared by
             # all candidates): k_{i,c} - tot_c * k_i / m2
@@ -101,7 +109,7 @@ def _one_level(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
             tot[best_c] += ki
             if best_c != ci:
                 improved = True
-    return community
+    return np.array(community, dtype=np.int64)
 
 
 def _relabel(assignment: np.ndarray) -> tuple[np.ndarray, int]:

@@ -12,7 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from blackedge.attack import AttackResult
+from blackedge.attack import AttackResult, qegc_sign
 from blackedge.cgs import CgsOutcome
 from blackedge.defense import low_rank_reconstruction
 from blackedge.errors import DegenerateTarget, NoAdversarialFound, ZeroVector
@@ -100,6 +100,29 @@ def reference_solve_g_star(theta_new, p_old: float) -> float:
     if p1 == p0:
         return float(g0)
     return float(g0 + (p_old - p0) * (g1 - g0) / (p1 - p0))
+
+
+def reference_estimate_gradient(oracle, graph, y0, theta, p_t, q_directions, mu, rng,
+                                predicate=None, memo=None):
+    """Gradient step that calls ``qegc_sign`` for every draw and sums the
+    signs probe by probe; the library's step must equal it exactly, in the
+    result, the queries, the memo hits and the random stream consumed."""
+    d = np.asarray(theta).shape[0]
+    grad = np.zeros(d)
+    for _ in range(q_directions):
+        for _attempt in range(4):
+            u = rng.standard_normal(d)
+            norm = np.linalg.norm(u)
+            if norm == 0.0:
+                continue
+            u = u / norm
+            try:
+                s = qegc_sign(oracle, graph, y0, p_t, theta + mu * u, predicate, memo)
+            except (DegenerateTarget, ZeroVector):
+                continue
+            grad += s * np.sign(u)
+            break
+    return grad / q_directions
 
 
 def reference_flip_ledger(a: Graph, b: Graph):
@@ -212,6 +235,43 @@ def search_label_cases(graph: Graph):
     cases.append((hashed, y_hash, (y_hash + 1) % 8))
     cases.append((lambda h: 0, 0, None))
     return cases
+
+
+def reference_one_level(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One Louvain phase over the dense matrix with numpy scalars; the
+    library's list-based sweep must return the same communities."""
+    n = a.shape[0]
+    m2 = a.sum()
+    degrees = a.sum(axis=1)
+    community = np.arange(n)
+    tot = degrees.copy()
+
+    order = rng.permutation(n)
+    improved = True
+    while improved:
+        improved = False
+        for i in order:
+            ci = community[i]
+            ki = degrees[i]
+            links = {}
+            for j in np.flatnonzero(a[i]):
+                if j == i:
+                    continue
+                cj = community[j]
+                links[cj] = links.get(cj, 0.0) + a[i, j]
+            tot[ci] -= ki
+            base = links.get(ci, 0.0) - tot[ci] * ki / m2
+            best_c, best_gain = ci, 0.0
+            for cj in sorted(links):
+                delta = (links[cj] - tot[cj] * ki / m2) - base
+                if delta > best_gain + 1e-15:
+                    best_gain = delta
+                    best_c = cj
+            community[i] = best_c
+            tot[best_c] += ki
+            if best_c != ci:
+                improved = True
+    return community
 
 
 # -- exhaustive set-partition enumeration --------------------------------

@@ -18,12 +18,16 @@ from blackedge.attack import (
 )
 from blackedge.cgs import coarse_grained_search
 from blackedge.datasets import erdos_renyi
-from blackedge.errors import ConfigError, DegenerateTarget, NoBoundary
+from blackedge.errors import BudgetExhausted, ConfigError, DegenerateTarget, NoBoundary
 from blackedge.graph import Graph, apply_perturbation, normalize
 from blackedge.oracle import FunctionOracle, LabelMemo, TableOracle, structural_oracle
 from blackedge.partition import louvain
 
-from conftest import reference_normalize, reference_solve_g_star
+from conftest import (
+    reference_estimate_gradient,
+    reference_normalize,
+    reference_solve_g_star,
+)
 
 
 # -- boundary distance ---------------------------------------------------
@@ -353,6 +357,60 @@ def test_estimate_gradient_antisymmetry():
     )
     assert np.allclose(grad_neg, -grad_pos)
     assert np.all(np.abs(grad_neg) <= 1.0)
+
+
+def _gradient_step(step, graph, theta, p_t, q, seed, use_memo, cap=None):
+    """One gradient step and everything it leaves behind: the gradient (or
+    the cap's message), the ledger, the memo hits and the generator state."""
+    oracle = structural_oracle("edge_count", graph.n_edges + 1)
+    oracle.ledger.max_queries = cap
+    memo = LabelMemo() if use_memo else None
+    rng = np.random.default_rng(seed)
+    try:
+        out = step(oracle, graph, 0, theta, p_t, q, 0.1, rng, None, memo)
+    except BudgetExhausted as exc:
+        out = str(exc)
+    return out, oracle.ledger.snapshot(), memo and memo.hits, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("q", [1, 10, 25])
+@pytest.mark.parametrize("p_kind", ["zero", "negative zero", "nan", "tiny", "small", "large"])
+def test_estimate_gradient_equals_the_reference(monkeypatch, p_kind, q):
+    calls = []
+    monkeypatch.setattr(attack, "qegc_sign",
+                        lambda *args: calls.append(1) or qegc_sign(*args))
+    capped = 0
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        graph = erdos_renyi(6 if seed % 2 else 12, 0.4, rng)
+        theta = normalize(rng.standard_normal(graph.n_edge_slots))
+        p_t = {"zero": 0.0, "negative zero": -0.0, "nan": float("nan"),
+               "tiny": 5e-324, "small": 0.05,
+               # near the count of positive components: many probes degenerate
+               "large": np.count_nonzero(theta > 0) - 0.3}[p_kind]
+        for use_memo in (False, True):
+            want = _gradient_step(reference_estimate_gradient, graph, theta, p_t, q,
+                                  seed, use_memo)
+            caps = [None]
+            if want[1]["total"] >= 2:
+                caps.append(want[1]["total"] // 2)  # the cap hits mid-step
+            for cap in caps:
+                if cap is not None:
+                    want = _gradient_step(reference_estimate_gradient, graph, theta,
+                                          p_t, q, seed, use_memo, cap)
+                    assert isinstance(want[0], str)
+                    capped += 1
+                got = _gradient_step(estimate_gradient, graph, theta, p_t, q, seed,
+                                     use_memo, cap)
+                if isinstance(want[0], str):
+                    assert got[0] == want[0]
+                else:
+                    assert np.array_equal(got[0], want[0])
+                assert got[1:] == want[1:]
+    if not p_t > 0.0:  # an all-degenerate step calls no probe
+        assert calls == []
+    elif q > 1:
+        assert capped
 
 
 # -- sign-SGD loop -------------------------------------------------------

@@ -65,8 +65,9 @@ def test_random_attack_respects_flip_cap_and_query_budget():
     g = generate_synthetic("erdos_renyi", 1, seed=0, n=12, p=0.3).graphs[0]
     oracle = structural_oracle("edge_count", g.n_edges + 2)
     res = random_attack(oracle, g, 0, budget=0.2, query_budget=300, seed=4)
-    # draws after the first success in flip order are never queried
-    assert oracle.ledger.total + res.skipped == 300
+    # draws after the first success in flip order are never submitted, and a
+    # draw that repeats an earlier graph is answered by the memo
+    assert oracle.ledger.total + res.memo_hits + res.skipped == 300
     assert res.found_in == "random"
     if res.success:
         assert res.flips <= int(0.2 * g.n_edge_slots)
@@ -94,7 +95,7 @@ def test_random_attack_stops_at_oracle_budget():
 @pytest.mark.parametrize("budget, query_budget", [(0.1, 40), (0.2, 150), (0.5, 100)])
 def test_flip_order_random_attack_equals_the_draw_order_reference(budget, query_budget):
     """Same outcome as querying every draw in draw order, never more queries."""
-    found = failed = 0
+    found = failed = repeats = 0
     for seed in range(10):
         g = erdos_renyi(10 + seed % 4, 0.3, np.random.default_rng(seed))
         for label_fn, y0, target in search_label_cases(g):
@@ -107,14 +108,16 @@ def test_flip_order_random_attack_equals_the_draw_order_reference(budget, query_
             assert np.array_equal(res.adversarial_graph.bits, ref.adversarial_graph.bits)
             assert (res.added, res.removed, res.rate, res.found_in, res.failure_reason) == \
                 (ref.added, ref.removed, ref.rate, ref.found_in, ref.failure_reason)
-            assert res.queries["total"] + res.skipped == query_budget
+            assert res.queries["total"] + res.memo_hits + res.skipped == query_budget
             if res.success:
                 assert res.queries["total"] <= ref.queries["total"]
                 found += 1
-            else:  # every draw is queried when none succeeds
-                assert res.queries == ref.queries
+            else:  # every draw is submitted when none succeeds
+                assert res.queries["total"] + res.memo_hits == ref.queries["total"]
+                assert res.queries["other"] == res.queries["total"]
                 failed += 1
-    assert found and failed
+            repeats += res.memo_hits
+    assert found and failed and repeats
 
 
 # -- experiment runner ---------------------------------------------------
@@ -161,7 +164,8 @@ def test_run_experiment_random_method(small_suite):
     report = run_experiment(oracle, graphs, cfg, method="random",
                             random_query_budget=100)
     assert all(row["found_in"] == "random" for row in report.per_graph)
-    assert all(row["queries"]["total"] + row["skipped"] == 100 for row in report.per_graph)
+    assert all(row["queries"]["total"] + row["memo_hits"] + row["skipped"] == 100
+               for row in report.per_graph)
 
 
 def test_run_experiment_rejects_bad_method(small_suite):

@@ -1,8 +1,11 @@
 """Community detection, search components and search-space accounting."""
 
+import copy
+
 import numpy as np
 import pytest
 
+from blackedge import partition
 from blackedge.datasets import barbell
 from blackedge.graph import Graph, n_slots
 from blackedge.partition import (
@@ -13,7 +16,7 @@ from blackedge.partition import (
     search_space_report,
 )
 
-from conftest import reference_modularity
+from conftest import reference_modularity, reference_one_level
 
 
 # -- modularity ----------------------------------------------------------
@@ -90,6 +93,32 @@ def test_louvain_deterministic_given_seed():
         a = louvain(g, seed=11)
         b = louvain(g, seed=11)
         assert a.assignment.tolist() == b.assignment.tolist()
+
+
+def test_one_level_equals_the_reference_at_every_level(monkeypatch):
+    """Every Louvain level, contracted and self-looped ones included, gives
+    the reference's communities and leaves the generator in its state."""
+    fast = partition._one_level
+    levels = []
+
+    def checked(a, rng):
+        ref_rng = copy.deepcopy(rng)
+        got = fast(a, rng)
+        want = reference_one_level(a.copy(), ref_rng)
+        assert got.tolist() == want.tolist()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        levels.append(bool(a.diagonal().any()))
+        return got
+
+    monkeypatch.setattr(partition, "_one_level", checked)
+    rng = np.random.default_rng(12)
+    for n in (12, 20, 30):
+        for _ in range(8):
+            g = Graph(n, (rng.random(n_slots(n)) < rng.uniform(0.05, 0.5)).astype(np.uint8))
+            for seed in range(5):
+                louvain(g, seed=seed)
+    assert sum(levels) >= 50  # contracted levels carry self-loops
+    assert len(levels) > sum(levels)
 
 
 def test_partition_validation():
