@@ -389,24 +389,16 @@ def test_estimate_gradient_equals_the_reference(monkeypatch, p_kind, q):
                # near the count of positive components: many probes degenerate
                "large": np.count_nonzero(theta > 0) - 0.3}[p_kind]
         for use_memo in (False, True):
-            want = _gradient_step(reference_estimate_gradient, graph, theta, p_t, q,
-                                  seed, use_memo)
-            caps = [None]
-            if want[1]["total"] >= 2:
-                caps.append(want[1]["total"] // 2)  # the cap hits mid-step
-            for cap in caps:
-                if cap is not None:
-                    want = _gradient_step(reference_estimate_gradient, graph, theta,
-                                          p_t, q, seed, use_memo, cap)
-                    assert isinstance(want[0], str)
-                    capped += 1
-                got = _gradient_step(estimate_gradient, graph, theta, p_t, q, seed,
-                                     use_memo, cap)
-                if isinstance(want[0], str):
-                    assert got[0] == want[0]
-                else:
-                    assert np.array_equal(got[0], want[0])
+            args = (graph, theta, p_t, q, seed, use_memo)
+            free = _gradient_step(reference_estimate_gradient, *args)
+            spent = free[1]["total"]
+            for cap in [None] + ([spent // 2] if spent >= 2 else []):  # mid-step cap
+                want = free if cap is None else \
+                    _gradient_step(reference_estimate_gradient, *args, cap)
+                got = _gradient_step(estimate_gradient, *args, cap)
+                assert np.array_equal(got[0], want[0])  # the gradient or the message
                 assert got[1:] == want[1:]
+                capped += isinstance(want[0], str)
     if not p_t > 0.0:  # an all-degenerate step calls no probe
         assert calls == []
     elif q > 1:
