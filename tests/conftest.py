@@ -216,15 +216,17 @@ def reference_random_attack(oracle, graph, y0, budget, query_budget, seed=0,
                         queries=oracle.ledger.snapshot(), found_in="random")
 
 
+def hashed_label(graph: Graph) -> int:
+    """A pseudo-random 8-class labelling: no structure for a search to follow."""
+    return hashlib.blake2b(graph.bits.tobytes(), digest_size=1).digest()[0] % 8
+
+
 def search_label_cases(graph: Graph):
     """(label function, clean label, target label) triples for checking a
     search against its reference: monotone boundaries in both directions,
     a pseudo-random 8-class labelling (untargeted and targeted) and a
     constant label that nothing flips."""
-
-    def hashed(h):
-        return hashlib.blake2b(h.bits.tobytes(), digest_size=1).digest()[0] % 8
-
+    hashed = hashed_label
     m = graph.n_edges
     y_hash = hashed(graph)
     cases = []

@@ -1,0 +1,116 @@
+"""Seeded end-to-end outcomes, pinned to recorded values.
+
+``run_experiment`` attacks a few small seeded graphs under three label
+rules: edge count, and a hashed 8-class labelling, untargeted and
+targeted.  Each rule is attacked by sign-SGD and by the random baseline,
+each uncapped and under a query cap.  Every run must reproduce the values
+recorded in ``seeded_outcomes.json``: success, the adversarial graph's
+bits, the edges added and removed, the rate, the per-phase queries, memo
+hits, skipped draws, where the seed was found, why a run failed, and both
+traces, float for float.
+
+A change that keeps behaviour leaves the recording as it is.  A change
+meant to alter outcomes re-records it with
+``PYTHONPATH=src python tests/test_seeded_outcomes.py`` and says why.
+No GIN here: its float matmuls depend on the BLAS build.
+"""
+
+import json
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+from blackedge import harness
+from blackedge.attack import AttackConfig
+from blackedge.datasets import erdos_renyi
+from blackedge.oracle import FunctionOracle, structural_oracle
+
+from conftest import hashed_label
+
+EXPECTED = Path(__file__).with_name("seeded_outcomes.json")
+
+GRAPHS = [erdos_renyi(n, 0.2, np.random.default_rng(100 + n)) for n in range(10, 21, 2)]
+EDGE_THRESHOLD = 20  # below and above the graphs' edge counts: both directions
+ORACLES = {
+    "edge_count": lambda: structural_oracle("edge_count", EDGE_THRESHOLD),
+    "hashed": lambda: FunctionOracle(hashed_label),
+}
+RULES = [("edge_count", None), ("hashed", None), ("hashed", 3)]  # (oracle, target label)
+CFG = AttackConfig(budget=0.2, iterations=12, directions_per_step=10, seed=1)
+RANDOM_QUERY_BUDGET = 300
+CAP = 150
+
+
+def _index(graph) -> int:
+    return next(i for i, g in enumerate(GRAPHS) if g is graph)
+
+
+def _outcome(idx, res) -> dict:
+    return {
+        "id": idx,
+        "success": res.success,
+        "bits": np.packbits(res.adversarial_graph.bits).tobytes().hex(),
+        "added": [list(e) for e in res.added],
+        "removed": [list(e) for e in res.removed],
+        "rate": res.rate,
+        "queries": res.queries,
+        "memo_hits": res.memo_hits,
+        "skipped": res.skipped,
+        "found_in": res.found_in,
+        "failure_reason": res.failure_reason,
+        "p_trace": res.p_trace,
+        "gradient_norm_trace": res.gradient_norm_trace,
+    }
+
+
+def collect() -> dict:
+    """Every run's outcome, keyed by oracle, target, method and cap."""
+    outcomes = {}
+    attack_graph, random_attack = harness.attack_graph, harness.random_attack
+    try:
+        for oracle_name, target in RULES:
+            for method in ("signsgd", "random"):
+                for cap in (None, CAP):
+                    runs = []
+
+                    def recording(attack):
+                        def run(oracle, graph, *args, **kwargs):
+                            res = attack(oracle, graph, *args, **kwargs)
+                            runs.append(_outcome(_index(graph), res))
+                            return res
+                        return run
+
+                    harness.attack_graph = recording(attack_graph)
+                    harness.random_attack = recording(random_attack)
+                    cfg = replace(CFG, target_label=target, max_queries=cap)
+                    harness.run_experiment(ORACLES[oracle_name](), GRAPHS, cfg, method,
+                                           random_query_budget=RANDOM_QUERY_BUDGET)
+                    outcomes[f"{oracle_name}/{target}/{method}/{cap}"] = runs
+    finally:
+        harness.attack_graph, harness.random_attack = attack_graph, random_attack
+    return outcomes
+
+
+def test_seeded_outcomes_match_the_recording():
+    # through JSON, so the comparison sees exactly what the recording holds
+    got = json.loads(json.dumps(collect()))
+    expected = json.loads(EXPECTED.read_text())
+    assert got.keys() == expected.keys()
+    for key in expected:
+        assert len(got[key]) == len(expected[key]), key
+        for run, want in zip(got[key], expected[key]):
+            assert run == want, f"{key}, graph {want['id']}"
+
+
+def test_the_recording_covers_each_exit():
+    runs = [run for rows in json.loads(EXPECTED.read_text()).values() for run in rows]
+    reasons = {(run["failure_reason"] or "success").split(":")[0] for run in runs}
+    assert {"success", "initial search failed", "no boundary", "budget exhausted",
+            "no random success"} <= reasons
+    assert any(run["memo_hits"] for run in runs)
+    assert any(run["skipped"] for run in runs)
+
+
+if __name__ == "__main__":
+    EXPECTED.write_text(json.dumps(collect(), indent=1) + "\n")
