@@ -4,8 +4,9 @@ The continuous relaxation scores a search direction by the distance from
 the target graph to the decision boundary along it.  The objective is
 the clipped mass of the boundary vector above the flip threshold; its
 gradient signs are obtained with one oracle query per probe direction
-and averaged into a sign-SGD update.  Within one attack run, a graph
-already queried is answered from the run's label memo at no query.
+and averaged into a sign-SGD update.  Every step asks the run's label
+memo whether a graph is adversarial; a graph already queried in the run
+is answered there at no query.
 """
 
 from __future__ import annotations
@@ -103,16 +104,36 @@ class AttackResult:
     def flips(self) -> int:
         return len(self.added) + len(self.removed)
 
+    @classmethod
+    def of_run(cls, memo: LabelMemo, graph: Graph, adversarial: Graph | None,
+               start: float, **fields) -> "AttackResult":
+        """The result of a run on ``graph`` that began at ``start``: a success
+        iff ``adversarial`` is a graph.  Queries and memo hits are read from
+        ``memo``; ``fields`` sets the rest."""
+        if adversarial is None:
+            added, removed, rate = [], [], 0.0
+        else:
+            added, removed = flip_ledger(graph, adversarial)
+            rate = perturbation_rate(graph, adversarial)
+        return cls(
+            success=adversarial is not None,
+            adversarial_graph=graph if adversarial is None else adversarial,
+            added=added,
+            removed=removed,
+            rate=rate,
+            queries=memo.oracle.ledger.snapshot(),
+            wall_time=time.perf_counter() - start,
+            memo_hits=memo.hits,
+            **fields,
+        )
+
 
 def boundary_distance(
-    oracle: HardLabelOracle,
+    memo: LabelMemo,
     graph: Graph,
-    y0: int,
     theta,
     epsilon: float = 1e-3,
     lambda_hint: float = 1.0,
-    predicate=None,
-    memo: LabelMemo | None = None,
 ) -> float:
     """Minimal scale (within ``epsilon``) at which the direction crosses
     the decision boundary.
@@ -121,12 +142,8 @@ def boundary_distance(
     capped at the saturation scale beyond which every positive component
     already exceeds the flip threshold; no label change by then means no
     boundary exists along this direction.  Every probe is one query unless
-    ``memo`` (a fresh one when none is given) already holds its graph.
+    ``memo`` already holds its graph.
     """
-    if predicate is None:
-        predicate = lambda label: label != y0
-    if memo is None:
-        memo = LabelMemo()
     theta_norm = normalize(theta)
     positive = theta_norm[theta_norm > 0]
     if positive.size == 0:
@@ -135,8 +152,7 @@ def boundary_distance(
     cap = max(np.sqrt(theta_norm.size), saturation) * (1.0 + 1e-9)
 
     def adversarial(lam: float) -> bool:
-        label = memo.label(oracle, apply_perturbation(graph, lam * theta_norm), "binary_search")
-        return predicate(label)
+        return memo.adversarial(apply_perturbation(graph, lam * theta_norm), "binary_search")
 
     hi = min(max(lambda_hint, epsilon), cap)
     while not adversarial(hi):
@@ -236,15 +252,7 @@ def solve_g_star(theta_new, p_old: float) -> float:
     return float(g0 + (p_old - p0) * (g1 - g0) / (p1 - p0))
 
 
-def qegc_sign(
-    oracle: HardLabelOracle,
-    graph: Graph,
-    y0: int,
-    p_old: float,
-    theta_new,
-    predicate=None,
-    memo: LabelMemo | None = None,
-) -> int:
+def qegc_sign(memo: LabelMemo, graph: Graph, p_old: float, theta_new) -> int:
     """Sign of the objective change toward a new direction, in one query.
 
     The scale whose objective equals ``p_old`` along the new direction is
@@ -252,34 +260,26 @@ def qegc_sign(
     boundary moved closer (sign -1), otherwise it moved away (sign +1).
     A probe graph already in ``memo`` costs no query.
     """
-    if predicate is None:
-        predicate = lambda label: label != y0
-    if memo is None:
-        memo = LabelMemo()
     theta_norm = normalize(theta_new)
     g_star = solve_g_star(theta_norm, p_old)
     probe = apply_perturbation(graph, g_star * theta_norm)
-    label = memo.label(oracle, probe, "qegc")
-    return -1 if predicate(label) else +1
+    return -1 if memo.adversarial(probe, "qegc") else +1
 
 
 def estimate_gradient(
-    oracle: HardLabelOracle,
+    memo: LabelMemo,
     graph: Graph,
-    y0: int,
     theta,
     p_t: float,
     q_directions: int,
     mu: float,
     rng: np.random.Generator,
-    predicate=None,
-    memo: LabelMemo | None = None,
 ) -> np.ndarray:
     """Average of elementwise gradient signs over random probe directions.
 
     Each probe direction costs one query, none if its graph is already in
-    ``memo`` (without one, every probe is a query); degenerate probes are
-    re-drawn up to 3 times, then skipped (contributing zero).
+    ``memo``; degenerate probes are re-drawn up to 3 times, then skipped
+    (contributing zero).
 
     When ``p_t`` is not positive (or NaN), ``solve_g_star`` rejects every
     probe whatever its direction, so all 4 draws of every probe are made
@@ -300,7 +300,7 @@ def estimate_gradient(
                 continue
             u = u / norm
             try:
-                s = qegc_sign(oracle, graph, y0, p_t, theta + mu * u, predicate, memo)
+                s = qegc_sign(memo, graph, p_t, theta + mu * u)
             except (DegenerateTarget, ZeroVector):
                 continue
             signs.append(s)
@@ -313,13 +313,11 @@ def estimate_gradient(
 
 
 def sign_sgd_attack(
-    oracle: HardLabelOracle,
+    memo: LabelMemo,
     graph: Graph,
-    y0: int,
     cfg: AttackConfig,
     theta0: np.ndarray,
     found_in: str | None = None,
-    memo: LabelMemo | None = None,
 ) -> AttackResult:
     """Descend the boundary objective from an adversarial seed direction.
 
@@ -328,19 +326,16 @@ def sign_sgd_attack(
     signs, then a sign-SGD step.  The returned adversarial graph is the
     last accepted boundary point, so success only needs the budget check
     plus one final verification query.  If the query cap stops the run,
-    the current candidate is returned instead, at no extra query, when
-    ``memo`` holds it as adversarial and it is within the budget: the
-    last boundary point, or the seed graph of ``theta0`` before the first
-    boundary search.  A seed the run never queried is not returned.
+    the current candidate is returned instead, at no extra query, when a
+    query of the run found it adversarial (``memo.verified``) and it is
+    within the budget: the last boundary point, or the seed graph of
+    ``theta0`` before the first boundary search.  A seed the run never queried is not returned.
 
-    Graphs already in ``memo`` (a fresh one when none is given) are not
-    queried again; the final verification is always a counted query.
+    Graphs already in ``memo`` are not queried again; the final
+    verification is always a counted query of ``memo.oracle``.
     """
     start = time.perf_counter()
-    if memo is None:
-        memo = LabelMemo()
     d = graph.n_edge_slots
-    predicate = cfg.predicate(y0)
     eta = cfg.learning_rate if cfg.learning_rate is not None else 1.0 / np.sqrt(d)
     rng = np.random.default_rng(cfg.seed)
 
@@ -353,41 +348,24 @@ def sign_sgd_attack(
     lambda_hint = 1.0
     stagnant = 0
 
-    def result(success, adv_graph, reason=None):
-        added, removed = flip_ledger(graph, adv_graph) if success else ([], [])
-        return AttackResult(
-            success=success,
-            adversarial_graph=adv_graph if success else graph,
-            added=added,
-            removed=removed,
-            rate=perturbation_rate(graph, adv_graph) if success else 0.0,
-            queries=oracle.ledger.snapshot(),
-            wall_time=time.perf_counter() - start,
-            gradient_norm_trace=grad_trace,
-            p_trace=p_trace,
-            found_in=found_in,
-            failure_reason=reason,
-            memo_hits=memo.hits,
-        )
+    def result(adversarial, reason=None):
+        return AttackResult.of_run(memo, graph, adversarial, start,
+                                   gradient_norm_trace=grad_trace, p_trace=p_trace,
+                                   found_in=found_in, failure_reason=reason)
 
     def query_capped(exc):
-        label = memo.get(candidate)  # None if never queried; predicate(None) may hold
-        if label is not None and predicate(label) \
-                and perturbation_rate(graph, candidate) <= cfg.budget:
-            return result(True, candidate)
-        return result(False, graph, f"budget exhausted: {exc}")
+        if memo.verified(candidate) and perturbation_rate(graph, candidate) <= cfg.budget:
+            return result(candidate)
+        return result(None, f"budget exhausted: {exc}")
 
     try:
         for _t in range(cfg.iterations):
-            g_t = boundary_distance(
-                oracle, graph, y0, theta, cfg.epsilon, lambda_hint, predicate, memo
-            )
+            g_t = boundary_distance(memo, graph, theta, cfg.epsilon, lambda_hint)
             lambda_hint = g_t
             candidate = apply_perturbation(graph, g_t * normalize(theta))
             p_t = objective_p(theta, g_t)
             grad = estimate_gradient(
-                oracle, graph, y0, theta, p_t,
-                cfg.directions_per_step, cfg.smoothing, rng, predicate, memo,
+                memo, graph, theta, p_t, cfg.directions_per_step, cfg.smoothing, rng
             )
             p_trace.append(p_t)
             grad_trace.append(float(np.linalg.norm(grad)))
@@ -399,21 +377,21 @@ def sign_sgd_attack(
             else:
                 stagnant = 0
     except NoBoundary as exc:
-        return result(False, graph, f"no boundary: {exc}")
+        return result(None, f"no boundary: {exc}")
     except BudgetExhausted as exc:
         return query_capped(exc)
 
     rate = perturbation_rate(graph, candidate)
     try:
         # a counted re-verification, never answered from the memo
-        final_label = oracle.classify(candidate)
+        final_label = memo.oracle.classify(candidate)
     except BudgetExhausted as exc:
         return query_capped(exc)
-    if predicate(final_label) and rate <= cfg.budget:
-        return result(True, candidate)
+    if memo.predicate(final_label) and rate <= cfg.budget:
+        return result(candidate)
     reason = "perturbation rate exceeds budget" if rate > cfg.budget else \
         "final candidate not misclassified"
-    return result(False, graph, reason)
+    return result(None, reason)
 
 
 def attack_graph(
@@ -430,35 +408,24 @@ def attack_graph(
     the descent before its first boundary search returns the seed (see
     ``sign_sgd_attack``).
 
-    One label memo serves the whole run and is dropped with it: each
-    distinct graph costs one query, and ``memo_hits`` counts the repeats.
+    One label memo, bound to ``oracle`` and the run's predicate, answers
+    every step of the run and is dropped with it: each distinct graph
+    costs one query, and ``memo_hits`` counts the repeats.
     """
     from .cgs import coarse_grained_search
     from .partition import louvain
 
     start = time.perf_counter()
     oracle.ledger.max_queries = cfg.max_queries
-    memo = LabelMemo()
+    memo = LabelMemo(oracle, cfg.predicate(y0))
     partition = louvain(graph, seed=cfg.seed)
     try:
-        seed = coarse_grained_search(
-            oracle, graph, y0, partition,
-            strategy=cfg.strategy,
-            trials_scale=cfg.trials_scale,
-            rng_seed=cfg.seed,
-            predicate=cfg.predicate(y0),
-            memo=memo,
-        )
+        seed = coarse_grained_search(memo, graph, partition, cfg.strategy,
+                                     cfg.trials_scale, cfg.seed)
     except (NoAdversarialFound, BudgetExhausted) as exc:
-        return AttackResult(
-            success=False,
-            adversarial_graph=graph,
-            queries=oracle.ledger.snapshot(),
-            wall_time=time.perf_counter() - start,
-            failure_reason=f"initial search failed: {exc}",
-            memo_hits=memo.hits,
-        )
-    res = sign_sgd_attack(oracle, graph, y0, cfg, seed.theta0, seed.found_in, memo)
+        return AttackResult.of_run(memo, graph, None, start,
+                                   failure_reason=f"initial search failed: {exc}")
+    res = sign_sgd_attack(memo, graph, cfg, seed.theta0, seed.found_in)
     res.skipped = seed.skipped
     res.wall_time = time.perf_counter() - start
     return res

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NoAdversarialFound
 from .graph import Graph, apply_perturbation
-from .oracle import HardLabelOracle, LabelMemo
+from .oracle import LabelMemo
 from .partition import Partition, enumerate_components
 
 
@@ -28,20 +28,16 @@ class CgsOutcome:
     theta0: np.ndarray  # 1.0 on flipped slots, 0 elsewhere
     found_in: str  # "supernode" | "superlink" | "whole_graph"
     flips: int
-    queries_used: int  # ledger spend: distinct graphs queried
     skipped: int  # trials of the successful phase never submitted
 
 
 def coarse_grained_search(
-    oracle: HardLabelOracle,
+    memo: LabelMemo,
     graph: Graph,
-    y0: int,
     partition: Partition,
     strategy: str = "I",
     trials_scale: int = 5,
     rng_seed: int = 0,
-    predicate=None,
-    memo: LabelMemo | None = None,
 ) -> CgsOutcome:
     """Find an initial direction whose perturbed graph changes the label.
 
@@ -54,18 +50,12 @@ def coarse_grained_search(
     submitted.  The outcome is the first trial in draw order with the
     fewest flips among the phase's successes.
 
-    ``predicate`` decides what counts as adversarial; the default is any
-    label other than ``y0``.  A trial whose graph is already in ``memo``
-    (a fresh one when none is given) costs no query.
+    ``memo`` decides what counts as adversarial; a trial whose graph it
+    already holds costs no query.
 
     Raises ``NoAdversarialFound`` after all phases.  ``BudgetExhausted``
     from the oracle passes through; the search holds no success then.
     """
-    if predicate is None:
-        predicate = lambda label: label != y0
-    if memo is None:
-        memo = LabelMemo()
-    spent_before = oracle.ledger.total
     rng = np.random.default_rng(rng_seed)
     d = graph.n_edge_slots
     trials = 0
@@ -80,9 +70,7 @@ def coarse_grained_search(
         for rank, (n_flip, chosen) in enumerate(sorted(draws, key=lambda t: t[0])):
             theta = np.zeros(d)
             theta[chosen] = 1.0
-            label = memo.label(oracle, apply_perturbation(graph, theta), "cgs")
-            if predicate(label):
-                return CgsOutcome(theta, kind, n_flip, oracle.ledger.total - spent_before,
-                                  len(draws) - rank - 1)
+            if memo.adversarial(apply_perturbation(graph, theta), "cgs"):
+                return CgsOutcome(theta, kind, n_flip, len(draws) - rank - 1)
         trials += len(draws)
     raise NoAdversarialFound(f"no adversarial graph after {trials} trials across all phases")

@@ -8,7 +8,7 @@ bundles for desk-scale experiments.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

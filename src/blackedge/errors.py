@@ -17,10 +17,6 @@ class ShapeMismatch(BlackedgeError):
     """Model weight matrices do not chain to the expected shapes."""
 
 
-class MissingFeatures(BlackedgeError):
-    """A graph lacks node features required by the classifier."""
-
-
 class UnknownGraph(BlackedgeError):
     """A lookup oracle was queried with a graph outside its table."""
 

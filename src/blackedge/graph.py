@@ -9,7 +9,7 @@ at or above the flip threshold toggles the corresponding edge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -45,14 +45,6 @@ class EdgeIndexMap:
             raise DimensionMismatch(f"pair ({i}, {j}) outside graph of {self.n_nodes} nodes")
         n = self.n_nodes
         return i * n - i * (i + 1) // 2 + (j - i - 1)
-
-    def unflatten(self, k: int) -> tuple[int, int]:
-        if not 0 <= k < self.n_slots:
-            raise DimensionMismatch(f"slot {k} outside 0..{self.n_slots - 1}")
-        return int(self.rows[k]), int(self.cols[k])
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(int(i), int(j)) for i, j in zip(self.rows, self.cols)]
 
 
 @lru_cache(maxsize=256)

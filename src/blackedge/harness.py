@@ -19,7 +19,7 @@ import numpy as np
 from .attack import AttackConfig, AttackResult, attack_graph
 from .defense import DefendedOracle, LowRankConfig
 from .errors import BudgetExhausted, ConfigError
-from .graph import Graph, apply_perturbation, flip_ledger, perturbation_rate
+from .graph import Graph, apply_perturbation
 from .oracle import HardLabelOracle, LabelMemo
 
 
@@ -40,7 +40,8 @@ def random_attack(
     which is the first trial in draw order with the fewest flips among
     all successes: the draws ignore the labels, so a trial with at least
     as many flips cannot improve on it.  A trial that repeats an earlier
-    graph is answered from a per-call label memo and counted in
+    graph is answered from the call's label memo, bound to ``oracle`` and
+    ``predicate`` (by default any label but ``y0``), and counted in
     ``memo_hits``, so ``total + memo_hits + skipped == query_budget``;
     trials never submitted are reported as ``skipped``.
     """
@@ -55,7 +56,7 @@ def random_attack(
         n_flip = min(max(1, round(rng.uniform(0.0, budget) * s)), max_flips)
         draws.append((n_flip, rng.choice(s, size=n_flip, replace=False)))
     best_graph = None
-    memo = LabelMemo()
+    memo = LabelMemo(oracle, predicate)
     submitted = 0
     # sorted() is stable: among equal flips the earlier draw goes first
     for _n_flip, chosen in sorted(draws, key=lambda t: t[0]):
@@ -63,29 +64,17 @@ def random_attack(
         theta[chosen] = 1.0
         candidate = apply_perturbation(graph, theta)
         try:
-            label = memo.label(oracle, candidate, "other")
+            hit = memo.adversarial(candidate, "other")
         except BudgetExhausted:
             break
         submitted += 1
-        if predicate(label):
+        if hit:
             best_graph = candidate
             break
-    wall = time.perf_counter() - start
-    skipped = query_budget - submitted
-    if best_graph is None:
-        return AttackResult(
-            success=False, adversarial_graph=graph,
-            queries=oracle.ledger.snapshot(), wall_time=wall,
-            found_in="random", failure_reason="no random success",
-            memo_hits=memo.hits, skipped=skipped,
-        )
-    added, removed = flip_ledger(graph, best_graph)
-    return AttackResult(
-        success=True, adversarial_graph=best_graph,
-        added=added, removed=removed,
-        rate=perturbation_rate(graph, best_graph),
-        queries=oracle.ledger.snapshot(), wall_time=wall,
-        found_in="random", memo_hits=memo.hits, skipped=skipped,
+    return AttackResult.of_run(
+        memo, graph, best_graph, start, found_in="random",
+        failure_reason="no random success" if best_graph is None else None,
+        skipped=query_budget - submitted,
     )
 
 

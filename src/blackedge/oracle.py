@@ -64,34 +64,38 @@ class HardLabelOracle:
 
 
 class LabelMemo:
-    """Labels of the graphs one attack run has already queried.
+    """The adversarial verdicts of one attack run.
 
-    Oracles are deterministic, so a graph submitted again is answered from
-    here without a query; ``hits`` counts those answers.  Keyed by the
-    edge bits alone: one run keeps the node count fixed.  Kept per run,
-    never on an oracle or ledger (a ``DefendedOracle`` shares its inner
-    oracle's ledger).
+    Binds the run's oracle and its predicate on labels (what counts as
+    adversarial).  Oracles are deterministic, so a graph submitted again
+    is answered from the labels held here without a query; ``hits``
+    counts those answers.  Keyed by the edge bits alone: one run keeps the
+    node count fixed.  Kept per run, never on an oracle or ledger (a
+    ``DefendedOracle`` shares its inner oracle's ledger).
     """
 
-    __slots__ = ("labels", "hits")
+    __slots__ = ("oracle", "predicate", "labels", "hits")
 
-    def __init__(self):
+    def __init__(self, oracle: HardLabelOracle, predicate):
+        self.oracle = oracle
+        self.predicate = predicate
         self.labels: dict[bytes, int] = {}
         self.hits = 0
 
-    def label(self, oracle: HardLabelOracle, graph: Graph, phase: str) -> int:
-        """The memoised label of ``graph``, else ``oracle.classify(graph, phase)``."""
+    def adversarial(self, graph: Graph, phase: str) -> bool:
+        """Whether ``graph`` is adversarial: a query in ``phase`` unless memoised."""
         key = graph.bits.tobytes()
         label = self.labels.get(key)
         if label is None:
-            label = self.labels[key] = oracle.classify(graph, phase)
+            label = self.labels[key] = self.oracle.classify(graph, phase)
         else:
             self.hits += 1
-        return label
+        return self.predicate(label)
 
-    def get(self, graph: Graph) -> int | None:
-        """The memoised label of ``graph``, or None; never a query or a hit."""
-        return self.labels.get(graph.bits.tobytes())
+    def verified(self, graph: Graph) -> bool:
+        """Whether a query found ``graph`` adversarial; never a query or a hit."""
+        label = self.labels.get(graph.bits.tobytes())
+        return label is not None and self.predicate(label)
 
 
 class FunctionOracle(HardLabelOracle):

@@ -39,9 +39,6 @@ class Partition:
     def cluster_sizes(self) -> np.ndarray:
         return np.bincount(self.assignment, minlength=self.n_clusters)
 
-    def members(self, cluster: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment == cluster)
-
 
 def modularity(graph: Graph, assignment) -> float:
     """Classic Newman modularity of a node partition (resolution 1)."""
@@ -133,11 +130,12 @@ def louvain(graph: Graph, seed: int = 0) -> Partition:
         return Partition(np.arange(n), n)
 
     rng = np.random.default_rng(seed)
-    a = graph.adjacency.astype(float)
+    dense = graph.adjacency.astype(float)
+    a = dense  # the current level's (contracted) matrix
     # node_groups[i] = original nodes merged into current node i
     node_groups = [[v] for v in range(n)]
     assignment = np.arange(n)
-    q = _modularity_matrix(graph.adjacency.astype(float), assignment)
+    q = _modularity_matrix(dense, assignment)
 
     while True:
         level = _one_level(a, rng)
@@ -149,7 +147,7 @@ def louvain(graph: Graph, seed: int = 0) -> Partition:
         candidate = np.empty(n, dtype=np.int64)
         for c, group in enumerate(new_groups):
             candidate[group] = c
-        new_q = _modularity_matrix(graph.adjacency.astype(float), candidate)
+        new_q = _modularity_matrix(dense, candidate)
         if new_q - q < MODULARITY_TOL:
             break
         q = new_q

@@ -63,6 +63,14 @@ def reference_gin_logits(weights, graph: Graph) -> np.ndarray:
     return logits
 
 
+# -- label memos -----------------------------------------------------------
+
+
+def untargeted_memo(oracle, y0=0) -> LabelMemo:
+    """A fresh run memo on ``oracle`` for which any label but ``y0`` is adversarial."""
+    return LabelMemo(oracle, lambda label: label != y0)
+
+
 # -- reference kernels: the first implementations, kept for exact checks
 
 
@@ -102,8 +110,7 @@ def reference_solve_g_star(theta_new, p_old: float) -> float:
     return float(g0 + (p_old - p0) * (g1 - g0) / (p1 - p0))
 
 
-def reference_estimate_gradient(oracle, graph, y0, theta, p_t, q_directions, mu, rng,
-                                predicate=None, memo=None):
+def reference_estimate_gradient(memo, graph, theta, p_t, q_directions, mu, rng):
     """Gradient step that calls ``qegc_sign`` for every draw and sums the
     signs probe by probe; the library's step must equal it exactly, in the
     result, the queries, the memo hits and the random stream consumed."""
@@ -117,7 +124,7 @@ def reference_estimate_gradient(oracle, graph, y0, theta, p_t, q_directions, mu,
                 continue
             u = u / norm
             try:
-                s = qegc_sign(oracle, graph, y0, p_t, theta + mu * u, predicate, memo)
+                s = qegc_sign(memo, graph, p_t, theta + mu * u)
             except (DegenerateTarget, ZeroVector):
                 continue
             grad += s * np.sign(u)
@@ -146,16 +153,11 @@ def reference_low_rank_filter(graph: Graph, cfg) -> Graph:
     return Graph.from_adjacency(binary, features=graph.features, label=graph.label)
 
 
-def reference_coarse_grained_search(oracle, graph, y0, partition, strategy="I",
-                                    trials_scale=5, rng_seed=0, predicate=None, memo=None):
+def reference_coarse_grained_search(memo, graph, partition, strategy="I",
+                                    trials_scale=5, rng_seed=0):
     """Coarse search that submits every trial of a phase in draw order and
     keeps the first one with the fewest flips among the successes; the
     library's flip-ordered search must return the same outcome."""
-    if predicate is None:
-        predicate = lambda label: label != y0
-    if memo is None:
-        memo = LabelMemo()
-    spent_before = oracle.ledger.total
     rng = np.random.default_rng(rng_seed)
     best = None
     trials = 0
@@ -172,15 +174,14 @@ def reference_coarse_grained_search(oracle, graph, y0, partition, strategy="I",
             chosen = rng.choice(comp.slots, size=n_flip, replace=False)
             theta = np.zeros(graph.n_edge_slots)
             theta[chosen] = 1.0
-            label = memo.label(oracle, apply_perturbation(graph, theta), "cgs")
+            adversarial = memo.adversarial(apply_perturbation(graph, theta), "cgs")
             trials += 1
-            if predicate(label) and (best is None or n_flip < best.flips):
-                best = CgsOutcome(theta, comp.kind, n_flip, 0, 0)
+            if adversarial and (best is None or n_flip < best.flips):
+                best = CgsOutcome(theta, comp.kind, n_flip, 0)
     if best is None:
         raise NoAdversarialFound(
             f"no adversarial graph after {trials} trials across all phases"
         )
-    best.queries_used = oracle.ledger.total - spent_before
     return best
 
 
@@ -226,15 +227,14 @@ def search_label_cases(graph: Graph):
     search against its reference: monotone boundaries in both directions,
     a pseudo-random 8-class labelling (untargeted and targeted) and a
     constant label that nothing flips."""
-    hashed = hashed_label
     m = graph.n_edges
-    y_hash = hashed(graph)
+    y_hash = hashed_label(graph)
     cases = []
     for k in (1, 3):
         cases.append((lambda h, t=m + k: int(h.n_edges >= t), 0, None))
         cases.append((lambda h, t=m - k + 1: int(h.n_edges >= t), 1, None))
-    cases.append((hashed, y_hash, None))
-    cases.append((hashed, y_hash, (y_hash + 1) % 8))
+    cases.append((hashed_label, y_hash, None))
+    cases.append((hashed_label, y_hash, (y_hash + 1) % 8))
     cases.append((lambda h: 0, 0, None))
     return cases
 

@@ -31,7 +31,7 @@ from blackedge.harness import clean_accuracy, defense_sweep, random_attack, rows
 from blackedge.oracle import TableOracle, structural_oracle
 from blackedge.partition import Partition, louvain, modularity, search_space_report
 
-from conftest import set_partitions
+from conftest import set_partitions, untargeted_memo
 
 
 @contextmanager
@@ -99,8 +99,10 @@ def test_criterion_2_objective_monotonicity():
 
 
 def _brute_force_sign(oracle_factory, graph, y0, theta_old, theta_new):
-    g_old = boundary_distance(oracle_factory(), graph, y0, theta_old, epsilon=1e-4)
-    g_new = boundary_distance(oracle_factory(), graph, y0, theta_new, epsilon=1e-4)
+    g_old = boundary_distance(untargeted_memo(oracle_factory(), y0), graph, theta_old,
+                              epsilon=1e-4)
+    g_new = boundary_distance(untargeted_memo(oracle_factory(), y0), graph, theta_new,
+                              epsilon=1e-4)
     p_old = objective_p(theta_old, g_old)
     p_new = objective_p(theta_new, g_new)
     return (-1 if p_new < p_old else +1), p_old, p_new
@@ -123,7 +125,7 @@ def test_criterion_3_one_query_sign_equivalence():
                         table.clone, graph, 0, theta_old, theta_new
                     )
                     probe = table.clone()
-                    got = qegc_sign(probe, graph, 0, p_old, theta_new)
+                    got = qegc_sign(untargeted_memo(probe), graph, p_old, theta_new)
                 except DegenerateTarget:
                     continue
                 assert probe.ledger.total == 1  # exactly one query

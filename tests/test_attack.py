@@ -27,6 +27,7 @@ from conftest import (
     reference_estimate_gradient,
     reference_normalize,
     reference_solve_g_star,
+    untargeted_memo,
 )
 
 
@@ -39,7 +40,7 @@ def test_boundary_distance_uniform_direction():
     oracle = structural_oracle("edge_count", 3)
     g = Graph.empty(5)
     eps = 1e-3
-    dist = boundary_distance(oracle, g, 0, np.ones(10), epsilon=eps)
+    dist = boundary_distance(untargeted_memo(oracle), g, np.ones(10), epsilon=eps)
     true = 0.5 * np.sqrt(10)
     assert true <= dist <= true + eps
 
@@ -50,7 +51,7 @@ def test_boundary_distance_graded_direction():
     g = Graph.empty(4)
     theta = np.array([1.0, 0.9, 0.8, 0.7, 0.6, 0.5])
     eps = 1e-4
-    dist = boundary_distance(oracle, g, 0, theta, epsilon=eps)
+    dist = boundary_distance(untargeted_memo(oracle), g, theta, epsilon=eps)
     crossing = np.sort(0.5 * np.linalg.norm(theta) / theta)
     true = crossing[1]  # second slot to flip
     assert true <= dist <= true + eps
@@ -58,7 +59,7 @@ def test_boundary_distance_graded_direction():
 
 def test_boundary_distance_counts_queries_in_phase():
     oracle = structural_oracle("edge_count", 3)
-    boundary_distance(oracle, Graph.empty(5), 0, np.ones(10))
+    boundary_distance(untargeted_memo(oracle), Graph.empty(5), np.ones(10))
     snap = oracle.ledger.snapshot()
     assert snap["binary_search"] == snap["total"] > 0
 
@@ -66,13 +67,13 @@ def test_boundary_distance_counts_queries_in_phase():
 def test_boundary_distance_no_label_change_raises():
     oracle = FunctionOracle(lambda _: 0)
     with pytest.raises(NoBoundary):
-        boundary_distance(oracle, Graph.empty(5), 0, np.ones(10))
+        boundary_distance(untargeted_memo(oracle), Graph.empty(5), np.ones(10))
 
 
 def test_boundary_distance_needs_a_positive_component():
     oracle = structural_oracle("edge_count", 1)
     with pytest.raises(NoBoundary):
-        boundary_distance(oracle, Graph.empty(5), 0, -np.ones(10))
+        boundary_distance(untargeted_memo(oracle), Graph.empty(5), -np.ones(10))
 
 
 def test_boundary_distance_beyond_sqrt_d():
@@ -81,7 +82,7 @@ def test_boundary_distance_beyond_sqrt_d():
     oracle = structural_oracle("edge_count", 2)
     g = Graph.empty(4)
     theta = np.array([1.0, 0.01, 0.0, 0.0, 0.0, 0.0])
-    dist = boundary_distance(oracle, g, 0, theta, epsilon=1e-3)
+    dist = boundary_distance(untargeted_memo(oracle), g, theta, epsilon=1e-3)
     theta_n = normalize(theta)
     true = 0.5 / theta_n[1]  # second edge appears only here
     assert true <= dist <= true + 1e-3
@@ -291,8 +292,8 @@ def test_solve_g_star_above_the_saturation_plateau():
 
 def _brute_force_sign(make_oracle, graph, y0, theta_old, theta_new):
     """Two independent binary searches instead of the one-query shortcut."""
-    g_old = boundary_distance(make_oracle(), graph, y0, theta_old, epsilon=1e-4)
-    g_new = boundary_distance(make_oracle(), graph, y0, theta_new, epsilon=1e-4)
+    g_old = boundary_distance(untargeted_memo(make_oracle(), y0), graph, theta_old, epsilon=1e-4)
+    g_new = boundary_distance(untargeted_memo(make_oracle(), y0), graph, theta_new, epsilon=1e-4)
     p_old = objective_p(theta_old, g_old)
     p_new = objective_p(theta_new, g_new)
     return (-1 if p_new < p_old else +1), p_old, p_new
@@ -311,7 +312,7 @@ def test_qegc_sign_matches_brute_force_on_exhaustive_oracle():
             table.clone, graph, 0, theta_old, theta_new
         )
         probe = table.clone()
-        got = qegc_sign(probe, graph, 0, p_old, theta_new)
+        got = qegc_sign(untargeted_memo(probe), graph, p_old, theta_new)
         assert probe.ledger.snapshot() == {
             "cgs": 0, "binary_search": 0, "qegc": 1, "other": 0, "total": 1
         }
@@ -327,7 +328,7 @@ def test_qegc_sign_direction_of_the_inequality():
     # already misclassified, so the objective decreased
     oracle = structural_oracle("edge_count", 1)
     graph = Graph.empty(3)
-    assert qegc_sign(oracle, graph, 0, 0.4, np.array([1.0, 1.0, 0.1])) == -1
+    assert qegc_sign(untargeted_memo(oracle), graph, 0.4, np.array([1.0, 1.0, 0.1])) == -1
 
 
 # -- gradient estimation -------------------------------------------------
@@ -337,10 +338,11 @@ def test_estimate_gradient_costs_one_query_per_direction():
     oracle = structural_oracle("edge_count", 2)
     graph = Graph.empty(4)
     theta = np.ones(6)
-    estimate_gradient(oracle, graph, 0, theta, 0.7, 25, 0.1,
-                      np.random.default_rng(0))
-    assert oracle.ledger.snapshot()["qegc"] == 25
-    assert oracle.ledger.total == 25
+    memo = untargeted_memo(oracle)
+    estimate_gradient(memo, graph, theta, 0.7, 25, 0.1, np.random.default_rng(0))
+    # a direction whose probe graph repeats an earlier one is a memo hit
+    assert oracle.ledger.snapshot()["qegc"] == oracle.ledger.total
+    assert oracle.ledger.total + memo.hits == 25
 
 
 def test_estimate_gradient_antisymmetry():
@@ -348,29 +350,29 @@ def test_estimate_gradient_antisymmetry():
     graph = Graph.empty(4)
     theta = np.ones(6)
     grad_neg = estimate_gradient(
-        FunctionOracle(lambda _: 1), graph, 0, theta, 0.7, 30, 0.1,
+        untargeted_memo(FunctionOracle(lambda _: 1)), graph, theta, 0.7, 30, 0.1,
         np.random.default_rng(3),
     )
     grad_pos = estimate_gradient(
-        FunctionOracle(lambda _: 0), graph, 0, theta, 0.7, 30, 0.1,
+        untargeted_memo(FunctionOracle(lambda _: 0)), graph, theta, 0.7, 30, 0.1,
         np.random.default_rng(3),
     )
     assert np.allclose(grad_neg, -grad_pos)
     assert np.all(np.abs(grad_neg) <= 1.0)
 
 
-def _gradient_step(step, graph, theta, p_t, q, seed, use_memo, cap=None):
+def _gradient_step(step, graph, theta, p_t, q, seed, cap=None):
     """One gradient step and everything it leaves behind: the gradient (or
     the cap's message), the ledger, the memo hits and the generator state."""
     oracle = structural_oracle("edge_count", graph.n_edges + 1)
     oracle.ledger.max_queries = cap
-    memo = LabelMemo() if use_memo else None
+    memo = untargeted_memo(oracle)
     rng = np.random.default_rng(seed)
     try:
-        out = step(oracle, graph, 0, theta, p_t, q, 0.1, rng, None, memo)
+        out = step(memo, graph, theta, p_t, q, 0.1, rng)
     except BudgetExhausted as exc:
         out = str(exc)
-    return out, oracle.ledger.snapshot(), memo and memo.hits, rng.bit_generator.state
+    return out, oracle.ledger.snapshot(), memo.hits, rng.bit_generator.state
 
 
 @pytest.mark.parametrize("q", [1, 10, 25])
@@ -388,17 +390,16 @@ def test_estimate_gradient_equals_the_reference(monkeypatch, p_kind, q):
                "tiny": 5e-324, "small": 0.05,
                # near the count of positive components: many probes degenerate
                "large": np.count_nonzero(theta > 0) - 0.3}[p_kind]
-        for use_memo in (False, True):
-            args = (graph, theta, p_t, q, seed, use_memo)
-            free = _gradient_step(reference_estimate_gradient, *args)
-            spent = free[1]["total"]
-            for cap in [None] + ([spent // 2] if spent >= 2 else []):  # mid-step cap
-                want = free if cap is None else \
-                    _gradient_step(reference_estimate_gradient, *args, cap)
-                got = _gradient_step(estimate_gradient, *args, cap)
-                assert np.array_equal(got[0], want[0])  # the gradient or the message
-                assert got[1:] == want[1:]
-                capped += isinstance(want[0], str)
+        args = (graph, theta, p_t, q, seed)
+        free = _gradient_step(reference_estimate_gradient, *args)
+        spent = free[1]["total"]
+        for cap in [None] + ([spent // 2] if spent >= 2 else []):  # mid-step cap
+            want = free if cap is None else \
+                _gradient_step(reference_estimate_gradient, *args, cap)
+            got = _gradient_step(estimate_gradient, *args, cap)
+            assert np.array_equal(got[0], want[0])  # the gradient or the message
+            assert got[1:] == want[1:]
+            capped += isinstance(want[0], str)
     if not p_t > 0.0:  # an all-degenerate step calls no probe
         assert calls == []
     elif q > 1:
@@ -461,8 +462,8 @@ def test_cap_in_the_coarse_search_keeps_its_first_success():
     cfg = AttackConfig(budget=0.5, iterations=3, directions_per_step=10, seed=1)
     full = attack_graph(structural_oracle("edge_count", threshold), g, 0, cfg)
     spent = full.queries["cgs"]  # the coarse search ends at its first success
-    seed = coarse_grained_search(structural_oracle("edge_count", threshold), g, 0,
-                                 louvain(g, seed=cfg.seed), rng_seed=cfg.seed)
+    seed = coarse_grained_search(untargeted_memo(structural_oracle("edge_count", threshold)),
+                                 g, louvain(g, seed=cfg.seed), rng_seed=cfg.seed)
     # a cap equal to the search's spend stops the descent before its first
     # boundary search; the seed, queried by the search, comes from the memo
     oracle = structural_oracle("edge_count", threshold)
@@ -532,13 +533,13 @@ def _recording_oracle(threshold):
 
 def test_each_distinct_graph_costs_one_query(monkeypatch):
     submitted = []
-    memo_label = LabelMemo.label
+    memo_adversarial = LabelMemo.adversarial
 
-    def counting(self, oracle, graph, phase):
+    def counting(self, graph, phase):
         submitted.append(graph.bits.tobytes())
-        return memo_label(self, oracle, graph, phase)
+        return memo_adversarial(self, graph, phase)
 
-    monkeypatch.setattr(LabelMemo, "label", counting)
+    monkeypatch.setattr(LabelMemo, "adversarial", counting)
     g = _er_target()
     oracle, asked = _recording_oracle(g.n_edges + 6)
     cfg = AttackConfig(budget=0.5, iterations=8, directions_per_step=20, seed=1)
@@ -582,7 +583,7 @@ def test_capped_run_never_returns_an_unverified_seed():
         oracle.ledger.max_queries = 1
         oracle.classify(g)  # the cap is already spent
         cfg = AttackConfig(budget=0.5, iterations=iterations, directions_per_step=10)
-        res = sign_sgd_attack(oracle, g, 0, cfg, theta0)
+        res = sign_sgd_attack(untargeted_memo(oracle), g, cfg, theta0)
         assert not res.success
         assert res.failure_reason.startswith("budget exhausted")
 
@@ -632,6 +633,6 @@ def test_sign_sgd_uses_seed_direction():
     theta0 = np.zeros(g.n_edge_slots)
     theta0[np.flatnonzero(g.bits == 0)[:5]] = 1.0  # five empty slots
     cfg = AttackConfig(budget=0.5, iterations=3, directions_per_step=10, seed=0)
-    res = sign_sgd_attack(oracle, g, 0, cfg, theta0, found_in="manual")
+    res = sign_sgd_attack(untargeted_memo(oracle), g, cfg, theta0, found_in="manual")
     assert res.found_in == "manual"
     assert res.success

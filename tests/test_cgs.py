@@ -13,7 +13,7 @@ from blackedge.graph import apply_perturbation
 from blackedge.oracle import FunctionOracle, LabelMemo, structural_oracle
 from blackedge.partition import louvain
 
-from conftest import reference_coarse_grained_search, search_label_cases
+from conftest import reference_coarse_grained_search, search_label_cases, untargeted_memo
 
 
 @pytest.fixture
@@ -25,9 +25,9 @@ def setup():
 def test_no_success_exhausts_every_phase(setup):
     g, part = setup
     oracle = FunctionOracle(lambda _: 0)  # never adversarial
-    memo = LabelMemo()
+    memo = untargeted_memo(oracle)
     with pytest.raises(NoAdversarialFound, match="after 120 trials"):
-        coarse_grained_search(oracle, g, 0, part, memo=memo)
+        coarse_grained_search(memo, g, part)
     # components carry 4+4+8+8 incident nodes, 5 trials each per node; a
     # trial repeating an earlier graph is answered by the memo
     assert oracle.ledger.total + memo.hits == 120
@@ -37,21 +37,21 @@ def test_no_success_exhausts_every_phase(setup):
 def test_success_skips_later_phases(setup):
     g, part = setup
     oracle = FunctionOracle(lambda _: 1)  # everything is adversarial
-    memo = LabelMemo()
-    outcome = coarse_grained_search(oracle, g, 0, part, memo=memo)
+    memo = untargeted_memo(oracle)
+    outcome = coarse_grained_search(memo, g, part)
     assert outcome.found_in == "supernode"
     # the supernode phase is drawn in full (both components, 40 trials);
     # its fewest-flip trial is submitted first and succeeds, the other 39
     # are skipped, and later phases are never drawn
     assert oracle.ledger.total + memo.hits + outcome.skipped == 40
     assert outcome.skipped == 39
-    assert outcome.queries_used == oracle.ledger.total == len(memo.labels) == 1
+    assert oracle.ledger.total == len(memo.labels) == 1
 
 
 def test_outcome_theta_reproduces_the_flips(setup):
     g, part = setup
     oracle = FunctionOracle(lambda _: 1)
-    outcome = coarse_grained_search(oracle, g, 0, part)
+    outcome = coarse_grained_search(untargeted_memo(oracle), g, part)
     perturbed = apply_perturbation(g, outcome.theta0)
     assert int(np.count_nonzero(perturbed.bits ^ g.bits)) == outcome.flips
     assert set(np.flatnonzero(outcome.theta0 >= 0.5).tolist()) <= set(range(28))
@@ -64,14 +64,14 @@ def test_minimal_flip_success_is_kept(setup):
     oracle = FunctionOracle(
         lambda h: int(np.count_nonzero(h.bits ^ g.bits) >= 1)
     )
-    outcome = coarse_grained_search(oracle, g, 0, part, rng_seed=1)
+    outcome = coarse_grained_search(untargeted_memo(oracle), g, part, rng_seed=1)
     assert outcome.flips == 1
 
 
 def test_deterministic_given_seed(setup):
     g, part = setup
-    a = coarse_grained_search(FunctionOracle(lambda _: 1), g, 0, part, rng_seed=5)
-    b = coarse_grained_search(FunctionOracle(lambda _: 1), g, 0, part, rng_seed=5)
+    a = coarse_grained_search(untargeted_memo(FunctionOracle(lambda _: 1)), g, part, rng_seed=5)
+    b = coarse_grained_search(untargeted_memo(FunctionOracle(lambda _: 1)), g, part, rng_seed=5)
     assert np.array_equal(a.theta0, b.theta0)
     assert a.flips == b.flips and a.found_in == b.found_in
 
@@ -81,21 +81,20 @@ def test_budget_exhaustion_reports_exact_spend(setup):
     oracle = FunctionOracle(lambda _: 0)  # never adversarial
     oracle.ledger.max_queries = 25
     with pytest.raises(BudgetExhausted):
-        coarse_grained_search(oracle, g, 0, part)
+        coarse_grained_search(untargeted_memo(oracle), g, part)
     assert oracle.ledger.total == 25
     # a success ends the search, so a cap never stops it holding one
     oracle = FunctionOracle(lambda _: 1)
     oracle.ledger.max_queries = 1
-    assert coarse_grained_search(oracle, g, 0, part).queries_used == 1
+    coarse_grained_search(untargeted_memo(oracle), g, part)
+    assert oracle.ledger.total == 1
 
 
 def test_custom_predicate_targets_a_label():
     g = barbell(4)
     part = louvain(g, seed=0)
     oracle = structural_oracle("edge_count", 10)  # 13 edges -> label 1
-    outcome = coarse_grained_search(
-        oracle, g, 1, part, predicate=lambda label: label == 0
-    )
+    outcome = coarse_grained_search(LabelMemo(oracle, lambda label: label == 0), g, part)
     perturbed = apply_perturbation(g, outcome.theta0)
     assert perturbed.n_edges < 10
 
@@ -103,8 +102,8 @@ def test_custom_predicate_targets_a_label():
 def test_strategy_three_searches_whole_graph_only(setup):
     g, part = setup
     oracle = FunctionOracle(lambda _: 1)
-    memo = LabelMemo()
-    outcome = coarse_grained_search(oracle, g, 0, part, strategy="III", memo=memo)
+    memo = untargeted_memo(oracle)
+    outcome = coarse_grained_search(memo, g, part, strategy="III")
     assert outcome.found_in == "whole_graph"
     # 5 trials x 8 incident nodes, drawn; only the first in flip order is submitted
     assert oracle.ledger.total + memo.hits + outcome.skipped == 40
@@ -121,23 +120,23 @@ def test_flip_order_search_equals_the_draw_order_reference(strategy, trials_scal
         part = louvain(g, seed=seed)
         for label_fn, y0, target in search_label_cases(g):
             predicate = AttackConfig(target_label=target).predicate(y0)
-            args = (g, y0, part, strategy, trials_scale, seed, predicate)
-            ref_oracle, ref_memo = FunctionOracle(label_fn), LabelMemo()
-            oracle, memo = FunctionOracle(label_fn), LabelMemo()
+            args = (g, part, strategy, trials_scale, seed)
+            ref_oracle, oracle = FunctionOracle(label_fn), FunctionOracle(label_fn)
+            ref_memo, memo = LabelMemo(ref_oracle, predicate), LabelMemo(oracle, predicate)
             try:
-                expected = reference_coarse_grained_search(ref_oracle, *args, ref_memo)
+                expected = reference_coarse_grained_search(ref_memo, *args)
             except NoAdversarialFound as exc:
                 with pytest.raises(NoAdversarialFound, match=re.escape(str(exc))):
-                    coarse_grained_search(oracle, *args, memo)
+                    coarse_grained_search(memo, *args)
                 # every trial is submitted when none succeeds
                 assert oracle.ledger.snapshot() == ref_oracle.ledger.snapshot()
                 assert memo.hits == ref_memo.hits
                 failed += 1
                 continue
-            outcome = coarse_grained_search(oracle, *args, memo)
+            outcome = coarse_grained_search(memo, *args)
             assert np.array_equal(outcome.theta0, expected.theta0)
             assert (outcome.flips, outcome.found_in) == (expected.flips, expected.found_in)
-            assert outcome.queries_used == oracle.ledger.total <= ref_oracle.ledger.total
+            assert oracle.ledger.total <= ref_oracle.ledger.total
             # each trial the reference submitted is submitted or skipped
             assert oracle.ledger.total + memo.hits + outcome.skipped == \
                 ref_oracle.ledger.total + ref_memo.hits

@@ -147,11 +147,12 @@ def test_memo_keys_the_submitted_graph_and_keeps_the_defended_label():
     # label 1 for whichever of the two has more edges
     inner = structural_oracle("edge_count", max(g.n_edges, filtered.n_edges))
     defended = DefendedOracle(inner, cfg)
-    memo = LabelMemo()
-    label = memo.label(defended, g, "qegc")
-    assert label == inner.clone().classify(filtered) != inner.clone().classify(g)
+    memo = LabelMemo(defended, lambda label: label == 1)
+    label = inner.clone().classify(filtered)
+    assert label != inner.clone().classify(g)
+    assert memo.adversarial(g, "qegc") == (label == 1)
     assert memo.labels == {g.bits.tobytes(): label}  # keyed by the unfiltered graph
-    assert memo.label(defended, g, "qegc") == label  # answered from the memo
+    assert memo.adversarial(g, "qegc") == (label == 1)  # answered from the memo
     assert memo.hits == 1
     assert defended.ledger.snapshot()["qegc"] == defended.ledger.total == 1
 

@@ -25,9 +25,11 @@ from conftest import reference_flip_ledger, reference_normalize
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_flatten_unflatten_round_trip(n):
+    # slot k holds the k-th pair of np.triu_indices, and flatten maps it back
     em = EdgeIndexMap(n)
-    for k in range(em.n_slots):
-        i, j = em.unflatten(k)
+    rows, cols = np.triu_indices(n, k=1)
+    assert rows.size == em.n_slots
+    for k, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
         assert em.flatten(i, j) == k
         assert em.flatten(j, i) == k  # order-insensitive
 
@@ -35,7 +37,7 @@ def test_flatten_unflatten_round_trip(n):
 def test_slot_order_matches_numpy_triu():
     em = EdgeIndexMap(6)
     rows, cols = np.triu_indices(6, k=1)
-    assert em.pairs() == list(zip(rows.tolist(), cols.tolist()))
+    assert np.array_equal(em.rows, rows) and np.array_equal(em.cols, cols)
 
 
 def test_flatten_rejects_bad_pairs():
@@ -44,8 +46,6 @@ def test_flatten_rejects_bad_pairs():
         em.flatten(2, 2)
     with pytest.raises(DimensionMismatch):
         em.flatten(0, 4)
-    with pytest.raises(DimensionMismatch):
-        em.unflatten(6)
 
 
 def test_edge_index_map_is_cached():
