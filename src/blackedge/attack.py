@@ -34,6 +34,7 @@ from .graph import (
     perturbation_rate,
 )
 from .oracle import HardLabelOracle, LabelMemo
+from .partition import STRATEGIES
 
 
 @dataclass
@@ -72,6 +73,17 @@ class AttackConfig:
             raise ConfigError(f"iterations must be non-negative, got {self.iterations}")
         if self.max_queries is not None and self.max_queries < 1:
             raise ConfigError(f"max_queries must be at least 1, got {self.max_queries}")
+        # a probe radius or step that is not positive and finite leaves the
+        # direction where it is, or moves it up the objective
+        if not 0.0 < self.smoothing < math.inf:
+            raise ConfigError(f"smoothing must be positive and finite, got {self.smoothing}")
+        if self.learning_rate is not None and not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if self.strategy not in STRATEGIES:
+            raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
+        if self.trials_scale < 1:
+            raise ConfigError(f"trials_scale must be at least 1, got {self.trials_scale}")
 
     def predicate(self, y0: int):
         if self.target_label is None:
@@ -187,6 +199,84 @@ def objective_p(theta, g: float) -> float:
     return _clipped_mass(g * normalize(theta))
 
 
+# solve_g_star walks the breakpoints of at most this many of the largest
+# components; a target further out sorts all the breakpoints instead.
+WALK_COMPONENTS = 32
+_TURN_ON_OFF = np.array([[FLIP_THRESHOLD], [FLIP_THRESHOLD + 1.0]])
+_SLOPE_SIGN = np.array([[1.0], [-1.0]])
+
+
+def _walk_breakpoints(desc: np.ndarray, p_old: float):
+    """The breakpoints in ascending order up to the first whose running mass
+    reaches ``p_old``, and its index; None if ``p_old`` lies beyond the
+    turn-on of the j-th largest component, j = ``WALK_COMPONENTS``.
+
+    ``desc`` holds the positive components in descending order.  A
+    component ``s`` turns its slope on at ``FLIP_THRESHOLD / s`` and off at
+    ``(FLIP_THRESHOLD + 1) / s``.  Up to the turn-on of the j-th largest,
+    only the j largest have breakpoints, and each adds at most 1 to the
+    mass.  The walk merges their turn-ons and turn-offs, turn-on first on a
+    tie, and keeps the running mass: the slope times each segment's length,
+    summed along the walk.  Where that falls short of the clipped mass by
+    rounding, the walk ends at the j-th turn-on.
+    """
+    j = WALK_COMPONENTS
+    if p_old > j:
+        return None
+    k = desc.size
+    if k > j:
+        # the mass at the j-th turn-on g = T / s_j, as the sum over the j
+        # largest of min(g * s - T, 1) = g * min(s, (T + 1) / g) - T
+        s_j = float(desc[j - 1])
+        g_j = FLIP_THRESHOLD / s_j
+        capped = np.add.reduce(np.minimum(desc[:j], (FLIP_THRESHOLD + 1.0) / g_j))
+        if p_old > g_j * float(capped) - FLIP_THRESHOLD * j:
+            return None
+    comps = desc[:j].tolist()
+    n = len(comps)
+    on = off = 0
+    g_on = FLIP_THRESHOLD / comps[0]
+    g_off = (FLIP_THRESHOLD + 1.0) / comps[0]
+    events = []
+    g, slope, mass = g_on, 0.0, 0.0
+    while True:
+        if on < n and g_on <= g_off:
+            mass += slope * (g_on - g)
+            g = g_on
+            slope += comps[on]
+            on += 1
+            if on < n:
+                g_on = FLIP_THRESHOLD / comps[on]
+        else:
+            mass += slope * (g_off - g)
+            g = g_off
+            slope -= comps[off]
+            off += 1
+            if off < n:
+                g_off = (FLIP_THRESHOLD + 1.0) / comps[off]
+        events.append(g)
+        # past the last turn-on of ``comps``, smaller components break too
+        if mass >= p_old or off == n or (on == n and n < k):
+            return events, len(events) - 1
+
+
+def _sorted_breakpoints(desc: np.ndarray, p_old: float):
+    """All breakpoints, sorted, and the index of the first whose running mass
+    reaches ``p_old``; ``desc`` holds the positive components in descending
+    order."""
+    # the turn-ons, then the turn-offs: two ascending runs, which the stable
+    # sort merges, turn-ons first on a tie
+    breaks = np.divide(_TURN_ON_OFF, desc).ravel()
+    order = np.argsort(breaks, kind="stable")
+    events = breaks[order]
+    slope = np.multiply(_SLOPE_SIGN, desc).ravel()[order]  # the change at each breakpoint
+    np.cumsum(slope, out=slope)
+    mass = events[1:] - events[:-1]
+    np.multiply(slope[:-1], mass, out=mass)
+    np.cumsum(mass, out=mass)  # the running mass at events[1:]; it is 0 at events[0]
+    return events, 1 + int(np.searchsorted(mass, p_old, side="left"))
+
+
 def solve_g_star(theta_new, p_old: float) -> float:
     """Invert the objective along a new direction: the unique scale whose
     boundary vector has clipped mass ``p_old``.
@@ -196,12 +286,15 @@ def solve_g_star(theta_new, p_old: float) -> float:
     threshold (slope turns on) or its clip cap (slope turns off); the
     containing segment is inverted analytically.  Zero queries.
 
-    The segment is located in O(d log d) from the sorted breakpoints and a
-    running slope.  That running sum can differ from the clipped mass in
-    the last bits, so the index is then moved until the clipped mass
-    itself brackets ``p_old``; the result does not depend on the rounding
-    of the running sum.  Each array is filled in place in one buffer, with
-    the same operations in the same order as building it by parts.
+    The segment is located from a running slope over the breakpoints in
+    ascending order.  The attack's targets are small, so the breakpoints of
+    the largest components are walked one by one until the running mass
+    reaches ``p_old``; a target beyond the turn-on of the
+    ``WALK_COMPONENTS``-th largest sorts all the breakpoints instead.  The
+    running mass can differ from the clipped mass in the last bits, so the
+    index is then moved until the clipped mass itself brackets ``p_old``;
+    the result does not depend on the rounding of the running mass, nor on
+    how the segment was located.
     """
     theta_norm = normalize(theta_new)
     positive = theta_norm[theta_norm > 0]
@@ -211,32 +304,21 @@ def solve_g_star(theta_new, p_old: float) -> float:
         raise DegenerateTarget(
             f"target objective {p_old} outside the invertible range (0, {p_max})"
         )
-    # breakpoints where each component turns its slope on, then off
-    breaks = np.empty(2 * k)
-    np.divide(FLIP_THRESHOLD, positive, out=breaks[:k])
-    np.divide(FLIP_THRESHOLD + 1.0, positive, out=breaks[k:])
-    order = np.argsort(breaks)
-    events = breaks[order]
-    signed = np.empty(2 * k)  # the slope change at each breakpoint
-    signed[:k] = positive
-    np.negative(positive, out=signed[k:])
-    slope = signed[order]
-    np.cumsum(slope, out=slope)
-    p_approx = np.empty(2 * k)
-    p_approx[0] = 0.0
-    rest = p_approx[1:]
-    np.subtract(events[1:], events[:-1], out=rest)
-    np.multiply(slope[:-1], rest, out=rest)
-    np.cumsum(rest, out=rest)
+    desc = np.sort(positive)[::-1]
+    located = _walk_breakpoints(desc, p_old)
+    if located is None:
+        located = _sorted_breakpoints(desc, p_old)
+    events, idx = located
     p_at = lambda g: _clipped_mass(g * positive)
-    idx = int(np.searchsorted(p_approx, p_old, side="left"))
     # p0 and p1 keep the last masses evaluated at events[idx - 1] and events[idx]
     while idx > 0:
         p0 = p_at(events[idx - 1])
         if p0 < p_old:
             break
         idx -= 1
-    while idx < events.size:
+    while idx < 2 * k:
+        if idx == len(events):  # a walk's events end where it stopped
+            events, _ = _sorted_breakpoints(desc, p_old)
         p1 = p_at(events[idx])
         if p1 >= p_old:
             break
@@ -246,7 +328,7 @@ def solve_g_star(theta_new, p_old: float) -> float:
     if idx == 0:
         # p_old <= p(first breakpoint) = 0, excluded above
         raise DegenerateTarget("objective target below the first breakpoint")
-    if idx == events.size:
+    if idx == 2 * k:
         raise DegenerateTarget("objective target above the saturation plateau")
     g0, g1 = events[idx - 1], events[idx]
     return float(g0 + (p_old - p0) * (g1 - g0) / (p1 - p0))

@@ -14,6 +14,7 @@ from .errors import ConfigError
 from .gin import GinOracle, GinWeights
 from .harness import defense_sweep, budget_sweep, rows_to_csv, run_experiment
 from .oracle import structural_oracle
+from .partition import STRATEGIES
 
 
 def _parse_dataset(spec: str, name: str | None) -> DatasetBundle:
@@ -93,7 +94,7 @@ def main():
 @name_option
 @oracle_option
 @click.option("--budget", type=float, default=0.2, show_default=True)
-@click.option("--strategy", type=click.Choice(["I", "II", "III"]), default="I",
+@click.option("--strategy", type=click.Choice(STRATEGIES), default="I",
               show_default=True)
 @click.option("--Q", "q_directions", type=int, default=100, show_default=True,
               help="probe directions per iteration")

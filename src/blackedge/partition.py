@@ -15,6 +15,7 @@ import numpy as np
 from .graph import Graph, edge_index_map, n_slots
 
 MODULARITY_TOL = 1e-7
+STRATEGIES = ("I", "II", "III")
 
 
 @dataclass(frozen=True)
@@ -47,14 +48,22 @@ def modularity(graph: Graph, assignment) -> float:
 
 
 def _modularity_matrix(a: np.ndarray, assignment: np.ndarray) -> float:
+    """Modularity of ``assignment`` on the 0/1 matrix ``a``.
+
+    Each community's internal and degree sums come from one indicator
+    matrix; they are sums of integers, exact in any order.  The terms are
+    added in ascending community id, as scalars.
+    """
     m2 = a.sum()
     if m2 == 0:
         return 0.0
     degrees = a.sum(axis=1)
+    indicator = (assignment[:, None] == np.unique(assignment)).astype(float)
+    internal = ((a @ indicator) * indicator).sum(axis=0)
+    degree_sums = degrees @ indicator
     q = 0.0
-    for c in np.unique(assignment):
-        idx = assignment == c
-        q += a[np.ix_(idx, idx)].sum() / m2 - (degrees[idx].sum() / m2) ** 2
+    for inside, degree in zip(internal, degree_sums):
+        q += inside / m2 - (degree / m2) ** 2
     return float(q)
 
 
@@ -208,7 +217,7 @@ def enumerate_components(partition: Partition, strategy: str = "I") -> list[Supe
     ascending slot count (id order on ties); empty components are
     dropped.
     """
-    if strategy not in ("I", "II", "III"):
+    if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be I, II or III, got {strategy!r}")
 
     n = partition.n_nodes

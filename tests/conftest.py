@@ -1,323 +1,9 @@
-"""Shared fixtures and independent reference implementations.
+"""Shared pytest fixtures; reference implementations and test data are in
+``helpers.py``."""
 
-Reference code here is deliberately written in a different style from the
-library (explicit loops, no shared helpers) so that agreement between
-the two is meaningful evidence of correctness.
-"""
-
-from __future__ import annotations
-
-import hashlib
-
-import numpy as np
 import pytest
 
-from blackedge.attack import AttackResult, qegc_sign
-from blackedge.cgs import CgsOutcome
-from blackedge.defense import low_rank_reconstruction
-from blackedge.errors import DegenerateTarget, NoAdversarialFound, ZeroVector
-from blackedge.graph import (
-    FLIP_THRESHOLD,
-    Graph,
-    apply_perturbation,
-    edge_index_map,
-    flip_ledger,
-    perturbation_rate,
-)
-from blackedge.oracle import LabelMemo
-from blackedge.partition import enumerate_components
-
-
-# -- independent GIN forward pass ----------------------------------------
-
-
-def reference_gin_logits(weights, graph: Graph) -> np.ndarray:
-    """Per-node loop implementation of the message-passing forward pass."""
-    n = graph.n_nodes
-    adj = graph.adjacency
-    neighbors = [[u for u in range(n) if adj[v, u]] for v in range(n)]
-    if graph.features is not None:
-        h = [np.array(graph.features[v], dtype=float) for v in range(n)]
-    else:
-        h = [np.ones(weights.feature_dim) for _ in range(n)]
-
-    pooled = np.zeros_like(h[0])
-    for v in range(n):
-        pooled = pooled + h[v]
-    logits = weights.readout[0].weight @ pooled + weights.readout[0].bias
-
-    for k, layer in enumerate(weights.layers):
-        new_h = []
-        for v in range(n):
-            agg = (1.0 + layer.epsilon) * h[v]
-            for u in neighbors[v]:
-                agg = agg + h[u]
-            out = layer.weight @ agg + layer.bias
-            new_h.append(np.where(out > 0.0, out, 0.0))
-        h = new_h
-        pooled = np.zeros_like(h[0])
-        for v in range(n):
-            pooled = pooled + h[v]
-        head = weights.readout[k + 1]
-        logits = logits + head.weight @ pooled + head.bias
-    return logits
-
-
-# -- label memos -----------------------------------------------------------
-
-
-def untargeted_memo(oracle, y0=0) -> LabelMemo:
-    """A fresh run memo on ``oracle`` for which any label but ``y0`` is adversarial."""
-    return LabelMemo(oracle, lambda label: label != y0)
-
-
-# -- reference kernels: the first implementations, kept for exact checks
-
-
-def reference_normalize(theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    norm = float(np.linalg.norm(theta))
-    if norm == 0.0:
-        raise ZeroVector("cannot normalize an all-zero direction")
-    return theta / norm
-
-
-def reference_solve_g_star(theta_new, p_old: float) -> float:
-    """Objective inversion that evaluates the clipped mass at every
-    breakpoint (O(d^2)); the library's fast version must equal it exactly."""
-    theta_norm = reference_normalize(theta_new)
-    positive = theta_norm[theta_norm > 0]
-    p_max = float(positive.size)
-    if positive.size == 0 or p_old <= 0.0 or p_old >= p_max:
-        raise DegenerateTarget(
-            f"target objective {p_old} outside the invertible range (0, {p_max})"
-        )
-    events = np.unique(
-        np.concatenate([FLIP_THRESHOLD / positive, (FLIP_THRESHOLD + 1.0) / positive])
-    )
-    p_at = np.array(
-        [np.clip(g * positive - FLIP_THRESHOLD, 0.0, 1.0).sum() for g in events]
-    )
-    idx = int(np.searchsorted(p_at, p_old, side="left"))
-    if idx == 0:
-        raise DegenerateTarget("objective target below the first breakpoint")
-    if idx == len(events):
-        raise DegenerateTarget("objective target above the saturation plateau")
-    g0, g1 = events[idx - 1], events[idx]
-    p0, p1 = p_at[idx - 1], p_at[idx]
-    if p1 == p0:
-        return float(g0)
-    return float(g0 + (p_old - p0) * (g1 - g0) / (p1 - p0))
-
-
-def reference_estimate_gradient(memo, graph, theta, p_t, q_directions, mu, rng):
-    """Gradient step that calls ``qegc_sign`` for every draw and sums the
-    signs probe by probe; the library's step must equal it exactly, in the
-    result, the queries, the memo hits and the random stream consumed."""
-    d = np.asarray(theta).shape[0]
-    grad = np.zeros(d)
-    for _ in range(q_directions):
-        for _attempt in range(4):
-            u = rng.standard_normal(d)
-            norm = np.linalg.norm(u)
-            if norm == 0.0:
-                continue
-            u = u / norm
-            try:
-                s = qegc_sign(memo, graph, p_t, theta + mu * u)
-            except (DegenerateTarget, ZeroVector):
-                continue
-            grad += s * np.sign(u)
-            break
-    return grad / q_directions
-
-
-def reference_flip_ledger(a: Graph, b: Graph):
-    """Edges added and removed from ``a`` to ``b``, one slot at a time."""
-    em = edge_index_map(a.n_nodes)
-    added, removed = [], []
-    for k in range(a.n_edge_slots):
-        if a.bits[k] != b.bits[k]:
-            pair = (int(em.rows[k]), int(em.cols[k]))
-            (added if b.bits[k] else removed).append(pair)
-    return added, removed
-
-
-def reference_low_rank_filter(graph: Graph, cfg) -> Graph:
-    """Low-rank filter through the dense matrix and ``Graph.from_adjacency``;
-    the library's version, which reads the slots directly, must equal it."""
-    approx = low_rank_reconstruction(graph, cfg)
-    binary = (approx >= cfg.binarize_threshold)
-    binary = (binary | binary.T).astype(np.uint8)
-    np.fill_diagonal(binary, 0)
-    return Graph.from_adjacency(binary, features=graph.features, label=graph.label)
-
-
-def reference_coarse_grained_search(memo, graph, partition, strategy="I",
-                                    trials_scale=5, rng_seed=0):
-    """Coarse search that submits every trial of a phase in draw order and
-    keeps the first one with the fewest flips among the successes; the
-    library's flip-ordered search must return the same outcome."""
-    rng = np.random.default_rng(rng_seed)
-    best = None
-    trials = 0
-    current_phase = None
-    for comp in enumerate_components(partition, strategy):
-        if comp.kind != current_phase:
-            if best is not None:
-                break
-            current_phase = comp.kind
-        m = comp.slots.size
-        for _ in range(trials_scale * comp.n_incident):
-            s = rng.uniform(0.0, 1.0)
-            n_flip = max(1, round(s * m))
-            chosen = rng.choice(comp.slots, size=n_flip, replace=False)
-            theta = np.zeros(graph.n_edge_slots)
-            theta[chosen] = 1.0
-            adversarial = memo.adversarial(apply_perturbation(graph, theta), "cgs")
-            trials += 1
-            if adversarial and (best is None or n_flip < best.flips):
-                best = CgsOutcome(theta, comp.kind, n_flip, 0)
-    if best is None:
-        raise NoAdversarialFound(
-            f"no adversarial graph after {trials} trials across all phases"
-        )
-    return best
-
-
-def reference_random_attack(oracle, graph, y0, budget, query_budget, seed=0,
-                            predicate=None):
-    """Random baseline that queries every draw in draw order and keeps the
-    first one with the fewest flips among the successes."""
-    if predicate is None:
-        predicate = lambda label: label != y0
-    rng = np.random.default_rng(seed)
-    s = graph.n_edge_slots
-    max_flips = max(1, int(np.floor(budget * s)))
-    best_graph = None
-    best_flips = None
-    for _ in range(query_budget):
-        ratio = rng.uniform(0.0, budget)
-        n_flip = min(max(1, round(ratio * s)), max_flips)
-        chosen = rng.choice(s, size=n_flip, replace=False)
-        theta = np.zeros(s)
-        theta[chosen] = 1.0
-        candidate = apply_perturbation(graph, theta)
-        label = oracle.classify(candidate)
-        if predicate(label) and (best_flips is None or n_flip < best_flips):
-            best_graph, best_flips = candidate, n_flip
-    if best_graph is None:
-        return AttackResult(success=False, adversarial_graph=graph,
-                            queries=oracle.ledger.snapshot(), found_in="random",
-                            failure_reason="no random success")
-    added, removed = flip_ledger(graph, best_graph)
-    return AttackResult(success=True, adversarial_graph=best_graph,
-                        added=added, removed=removed,
-                        rate=perturbation_rate(graph, best_graph),
-                        queries=oracle.ledger.snapshot(), found_in="random")
-
-
-def hashed_label(graph: Graph) -> int:
-    """A pseudo-random 8-class labelling: no structure for a search to follow."""
-    return hashlib.blake2b(graph.bits.tobytes(), digest_size=1).digest()[0] % 8
-
-
-def search_label_cases(graph: Graph):
-    """(label function, clean label, target label) triples for checking a
-    search against its reference: monotone boundaries in both directions,
-    a pseudo-random 8-class labelling (untargeted and targeted) and a
-    constant label that nothing flips."""
-    m = graph.n_edges
-    y_hash = hashed_label(graph)
-    cases = []
-    for k in (1, 3):
-        cases.append((lambda h, t=m + k: int(h.n_edges >= t), 0, None))
-        cases.append((lambda h, t=m - k + 1: int(h.n_edges >= t), 1, None))
-    cases.append((hashed_label, y_hash, None))
-    cases.append((hashed_label, y_hash, (y_hash + 1) % 8))
-    cases.append((lambda h: 0, 0, None))
-    return cases
-
-
-def reference_one_level(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One Louvain phase over the dense matrix with numpy scalars; the
-    library's list-based sweep must return the same communities."""
-    n = a.shape[0]
-    m2 = a.sum()
-    degrees = a.sum(axis=1)
-    community = np.arange(n)
-    tot = degrees.copy()
-
-    order = rng.permutation(n)
-    improved = True
-    while improved:
-        improved = False
-        for i in order:
-            ci = community[i]
-            ki = degrees[i]
-            links = {}
-            for j in np.flatnonzero(a[i]):
-                if j == i:
-                    continue
-                cj = community[j]
-                links[cj] = links.get(cj, 0.0) + a[i, j]
-            tot[ci] -= ki
-            base = links.get(ci, 0.0) - tot[ci] * ki / m2
-            best_c, best_gain = ci, 0.0
-            for cj in sorted(links):
-                delta = (links[cj] - tot[cj] * ki / m2) - base
-                if delta > best_gain + 1e-15:
-                    best_gain = delta
-                    best_c = cj
-            community[i] = best_c
-            tot[best_c] += ki
-            if best_c != ci:
-                improved = True
-    return community
-
-
-# -- exhaustive set-partition enumeration --------------------------------
-
-
-def set_partitions(n: int):
-    """Every partition of {0..n-1} as an assignment array."""
-
-    def rec(node, assignment, n_used):
-        if node == n:
-            yield np.array(assignment, dtype=np.int64)
-            return
-        for c in range(n_used):
-            yield from rec(node + 1, assignment + [c], n_used)
-        yield from rec(node + 1, assignment + [n_used], n_used + 1)
-
-    yield from rec(0, [], 0)
-
-
-def reference_modularity(graph: Graph, assignment) -> float:
-    """Direct double sum over node pairs of the modularity definition."""
-    a = graph.adjacency.astype(float)
-    m2 = a.sum()
-    if m2 == 0:
-        return 0.0
-    deg = a.sum(axis=1)
-    q = 0.0
-    for i in range(graph.n_nodes):
-        for j in range(graph.n_nodes):
-            if assignment[i] == assignment[j]:
-                q += a[i, j] - deg[i] * deg[j] / m2
-    return q / m2
-
-
-# -- tiny TU-format fixture ----------------------------------------------
-
-
-TU_FIXTURE = {
-    # graph 1: triangle on nodes 1,2,3; graph 2: path 4-5-6
-    "A.txt": "1, 2\n2, 1\n1, 3\n3, 1\n2, 3\n3, 2\n4, 5\n5, 4\n5, 6\n6, 5\n",
-    "graph_indicator.txt": "1\n1\n1\n2\n2\n2\n",
-    "graph_labels.txt": "1\n-1\n",
-    "node_labels.txt": "0\n0\n1\n1\n2\n2\n",
-}
+from helpers import TU_FIXTURE
 
 
 @pytest.fixture
@@ -326,11 +12,3 @@ def tu_dir(tmp_path):
     for suffix, text in TU_FIXTURE.items():
         (tmp_path / f"TINY_{suffix}").write_text(text)
     return tmp_path
-
-
-# -- random graph sampling -----------------------------------------------
-
-
-def random_graph(rng: np.random.Generator, n: int) -> Graph:
-    bits = (rng.random(n * (n - 1) // 2) < rng.uniform(0.1, 0.9)).astype(np.uint8)
-    return Graph(n, bits)

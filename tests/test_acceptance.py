@@ -31,7 +31,7 @@ from blackedge.harness import clean_accuracy, defense_sweep, random_attack, rows
 from blackedge.oracle import TableOracle, structural_oracle
 from blackedge.partition import Partition, louvain, modularity, search_space_report
 
-from conftest import set_partitions, untargeted_memo
+from helpers import set_partitions, untargeted_memo
 
 
 @contextmanager

@@ -23,7 +23,7 @@ from blackedge.graph import Graph, apply_perturbation, normalize
 from blackedge.oracle import FunctionOracle, LabelMemo, TableOracle, structural_oracle
 from blackedge.partition import louvain
 
-from conftest import (
+from helpers import (
     reference_estimate_gradient,
     reference_normalize,
     reference_solve_g_star,
@@ -285,6 +285,153 @@ def test_solve_g_star_above_the_saturation_plateau():
                 solve_g_star(theta, p_old)
             hits += 1
     assert hits > 0
+
+
+# -- the breakpoint walk ------------------------------------------------
+
+# target objectives as fractions of the positive count: walks that stop
+# after a few breakpoints, targets beyond the walk, and targets above
+# ``attack.WALK_COMPONENTS``
+WALK_GRID_FRACTIONS = (0.001, 0.003, 0.01, 0.03, 0.05, 0.1, 0.14, 0.3, 0.5, 0.95)
+
+
+def _walk_grid_directions(rng, d):
+    """Probe-like directions of dimension d, then two with tied breakpoints
+    at scale: few distinct magnitudes, and 1 and 3, where one component's
+    turn-on ties another's turn-off."""
+    seed = np.zeros(d)
+    seed[rng.choice(d, int(rng.integers(3, min(d, 30))), replace=False)] = 1.0
+    return [rng.standard_normal(d),
+            normalize(seed) + 0.1 * normalize(rng.standard_normal(d)),
+            rng.choice([-0.4, 0.25, 0.5, 0.75, 1.0], size=d),
+            rng.choice([-1.0, 1.0, 3.0], size=d)]
+
+
+def _located_by_walk(monkeypatch):
+    """Record, per solve, whether the breakpoint walk located the segment."""
+    walk = attack._walk_breakpoints
+    log = []
+
+    def recording(desc, p_old):
+        located = walk(desc, p_old)
+        log.append(located is not None)
+        return located
+
+    monkeypatch.setattr(attack, "_walk_breakpoints", recording)
+    return log
+
+
+@pytest.mark.parametrize("d, n_directions, on_breakpoints", [
+    (190, 24, 3),
+    (780, 4, 2),
+    (3160, 1, 0),
+])
+def test_solve_g_star_equals_reference_on_the_walk_grid(monkeypatch, d, n_directions,
+                                                       on_breakpoints):
+    rng = np.random.default_rng(d)
+    log = _located_by_walk(monkeypatch)
+    walked = beyond_walk = above_bound = 0
+    for _ in range(n_directions):
+        directions = _walk_grid_directions(rng, d)
+        if d == 3160:
+            directions = directions[:2]  # the reference is O(d^2)
+        for theta in directions:
+            k = int((theta > 0).sum())
+            targets = [f * k for f in WALK_GRID_FRACTIONS]
+            if on_breakpoints:
+                # exactly on a breakpoint's mass: early in a walk, near its
+                # end, and anywhere
+                masses = sorted(_breakpoint_masses(theta))
+                j2 = 2 * attack.WALK_COMPONENTS
+                targets += [masses[3], masses[j2 - 1], masses[j2]]
+                targets += list(rng.choice(masses, size=on_breakpoints))
+            for p_old in targets:
+                log.clear()
+                _same_as_reference(theta, p_old)
+                if log == [False]:
+                    if p_old > attack.WALK_COMPONENTS:
+                        above_bound += 1
+                    else:
+                        beyond_walk += 1
+                walked += log == [True]
+    assert walked > 0 and beyond_walk > 0 and above_bound > 0
+
+
+def test_solve_g_star_walk_evaluates_two_masses(monkeypatch):
+    # Away from breakpoint masses and ties, the walk and the sorted
+    # breakpoints both locate the segment itself: two clipped masses.
+    log = _located_by_walk(monkeypatch)
+    counts = []
+    clipped_mass = attack._clipped_mass
+
+    def counting(ghat):
+        counts[-1] += 1
+        return clipped_mass(ghat)
+
+    monkeypatch.setattr(attack, "_clipped_mass", counting)
+    rng = np.random.default_rng(12)
+    for d in (190, 190, 190, 190, 780):
+        for theta in _walk_grid_directions(rng, d)[:2]:
+            k = int((theta > 0).sum())
+            for p_old in [f * k for f in WALK_GRID_FRACTIONS] + [0.27, 0.92, 2.4, 5.6]:
+                counts.append(0)
+                solve_g_star(theta, p_old)
+    assert counts == [2] * len(counts)
+    assert log.count(True) > 40 and log.count(False) > 20
+
+
+def _clipped_mass_at(positive, g):
+    return float(np.clip(g * positive - 0.5, 0.0, 1.0).sum())
+
+
+def test_walk_stops_at_the_first_breakpoint_reaching_the_target():
+    rng = np.random.default_rng(13)
+    j = attack.WALK_COMPONENTS
+    beyond = 0
+    for d in (12, 40, 190, 780):
+        for theta in _walk_grid_directions(rng, d):
+            theta_norm = normalize(theta)
+            positive = theta_norm[theta_norm > 0]
+            desc = np.sort(positive)[::-1]
+            events, _ = attack._sorted_breakpoints(desc, 1.0)
+            for p_old in rng.uniform(0.0, 1.0, size=20) * min(j, positive.size):
+                located = attack._walk_breakpoints(desc, p_old)
+                if located is None:
+                    # beyond the j-th largest component's turn-on
+                    assert positive.size > j
+                    assert _clipped_mass_at(positive, 0.5 / desc[j - 1]) < p_old + 1e-9
+                    beyond += 1
+                    continue
+                walk, idx = located
+                assert idx == len(walk) - 1 and len(walk) <= 2 * j
+                assert walk == events[:len(walk)].tolist()  # the smallest breakpoints
+                reached = _clipped_mass_at(positive, walk[idx]) >= p_old - 1e-9
+                assert reached or idx == 2 * positive.size - 1 or \
+                    walk[idx] == 0.5 / desc[j - 1]  # the walk's last turn-on
+                if idx > 0:
+                    assert _clipped_mass_at(positive, walk[idx - 1]) < p_old + 1e-9
+    assert beyond > 0
+
+
+def test_solve_g_star_is_exact_from_any_walk_prefix(monkeypatch):
+    # Whatever prefix of the breakpoints the walk returns, the bracket
+    # correction extends it with the sorted breakpoints and stays exact.
+    walk = attack._walk_breakpoints
+    rng = np.random.default_rng(14)
+    thetas = [theta for d in (12, 60, 190) for theta in _walk_grid_directions(rng, d)[:2]]
+    for back in (0, 1, 3, 50):
+        def truncated(desc, p_old, back=back):
+            located = walk(desc, p_old)
+            if located is None:
+                return None
+            keep = max(1, located[1] + 1 - back)
+            return located[0][:keep], keep - 1
+
+        monkeypatch.setattr(attack, "_walk_breakpoints", truncated)
+        for theta in thetas:
+            k = int((theta > 0).sum())
+            for p_old in (0.1, 0.9, 2.5, min(6.0, 0.5 * k)):
+                _same_as_reference(theta, p_old)
 
 
 # -- one-query sign probes -----------------------------------------------
@@ -597,6 +744,16 @@ def test_capped_run_never_returns_an_unverified_seed():
     ("budget", 1.5),
     ("iterations", -1),
     ("max_queries", 0),
+    ("strategy", "IV"),
+    ("trials_scale", 0),
+    ("smoothing", -0.1),
+    ("smoothing", 0.0),
+    ("smoothing", float("nan")),
+    ("smoothing", float("inf")),
+    ("learning_rate", -0.5),
+    ("learning_rate", 0.0),
+    ("learning_rate", float("nan")),
+    ("learning_rate", float("inf")),
 ])
 def test_invalid_config_rejected(field, value):
     with pytest.raises(ConfigError):
@@ -605,6 +762,7 @@ def test_invalid_config_rejected(field, value):
 
 def test_edge_of_range_configs_are_valid():
     AttackConfig(iterations=0, budget=1.0, directions_per_step=1, max_queries=1)
+    AttackConfig(strategy="III", trials_scale=1, smoothing=1e-12, learning_rate=1e-12)
 
 
 def test_attack_deterministic_given_seed():

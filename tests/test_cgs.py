@@ -13,7 +13,7 @@ from blackedge.graph import apply_perturbation
 from blackedge.oracle import FunctionOracle, LabelMemo, structural_oracle
 from blackedge.partition import louvain
 
-from conftest import reference_coarse_grained_search, search_label_cases, untargeted_memo
+from helpers import reference_coarse_grained_search, search_label_cases, untargeted_memo
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from blackedge.datasets import (
 )
 from blackedge.errors import DanglingNode, InvalidParams, ParseError
 
-from conftest import TU_FIXTURE
+from helpers import TU_FIXTURE
 
 
 # -- TU format -----------------------------------------------------------

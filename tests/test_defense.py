@@ -14,7 +14,7 @@ from blackedge.defense import (
 from blackedge.graph import Graph
 from blackedge.oracle import LabelMemo, structural_oracle
 
-from conftest import random_graph, reference_low_rank_filter
+from helpers import random_graph, reference_low_rank_filter
 
 
 def test_gamma_one_is_identity():

@@ -7,7 +7,7 @@ from blackedge.errors import ShapeMismatch
 from blackedge.gin import Dense, GinLayer, GinOracle, GinWeights, gin_forward
 from blackedge.graph import Graph
 
-from conftest import random_graph, reference_gin_logits
+from helpers import random_graph, reference_gin_logits
 
 
 def test_forward_matches_reference_on_random_inputs():

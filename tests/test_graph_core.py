@@ -17,7 +17,7 @@ from blackedge.graph import (
     perturbation_rate,
 )
 
-from conftest import reference_flip_ledger, reference_normalize
+from helpers import reference_flip_ledger, reference_normalize
 
 
 # -- slot indexing -------------------------------------------------------

@@ -20,7 +20,7 @@ from blackedge.harness import (
 )
 from blackedge.oracle import FunctionOracle, structural_oracle
 
-from conftest import reference_random_attack, search_label_cases
+from helpers import reference_random_attack, search_label_cases
 
 
 def _result(success, flips=0, queries=0, wall=1.0):

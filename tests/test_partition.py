@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blackedge import partition
-from blackedge.datasets import barbell
+from blackedge.datasets import barbell, generate_synthetic
 from blackedge.graph import Graph, n_slots
 from blackedge.partition import (
     Partition,
@@ -16,7 +16,12 @@ from blackedge.partition import (
     search_space_report,
 )
 
-from conftest import reference_modularity, reference_one_level
+from helpers import (
+    random_graph,
+    reference_modularity,
+    reference_modularity_matrix,
+    reference_one_level,
+)
 
 
 # -- modularity ----------------------------------------------------------
@@ -32,6 +37,18 @@ def test_modularity_matches_reference():
         assert modularity(g, assignment) == pytest.approx(
             reference_modularity(g, assignment)
         )
+
+
+def test_modularity_matrix_equals_the_reference():
+    rng = np.random.default_rng(8)
+    for case in range(300):
+        n = int(rng.integers(1, 41))
+        a = random_graph(rng, n).adjacency.astype(float)
+        assignment = rng.integers(0, int(rng.integers(1, n + 1)), size=n)
+        if case % 3 == 0:
+            assignment = 7 * assignment + 3  # ids need not be contiguous
+        assert partition._modularity_matrix(a, assignment) == \
+            reference_modularity_matrix(a, assignment)
 
 
 def test_modularity_of_barbell_clique_split():
@@ -119,6 +136,16 @@ def test_one_level_equals_the_reference_at_every_level(monkeypatch):
                 louvain(g, seed=seed)
     assert sum(self_looped) >= 50  # contracted levels carry self-loops
     assert not all(self_looped)
+
+
+def test_louvain_partitions_equal_those_of_the_reference_modularity(monkeypatch):
+    graphs = generate_synthetic("erdos_renyi", 32, seed=5, n=20, p=0.2).graphs
+    graphs += [random_graph(np.random.default_rng(n), n) for n in (12, 30, 40)]
+    seeds = (0, 1, 2)
+    got = [louvain(g, seed=s).assignment for g in graphs for s in seeds]
+    monkeypatch.setattr(partition, "_modularity_matrix", reference_modularity_matrix)
+    expected = [louvain(g, seed=s).assignment for g in graphs for s in seeds]
+    assert all(np.array_equal(x, y) for x, y in zip(got, expected))
 
 
 def test_partition_validation():

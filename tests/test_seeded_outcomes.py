@@ -26,7 +26,7 @@ from blackedge.attack import AttackConfig
 from blackedge.datasets import erdos_renyi
 from blackedge.oracle import FunctionOracle, structural_oracle
 
-from conftest import hashed_label
+from helpers import hashed_label
 
 EXPECTED = Path(__file__).with_name("seeded_outcomes.json")
 
