@@ -310,20 +310,29 @@ def solve_g_star(theta_new, p_old: float) -> float:
         located = _sorted_breakpoints(desc, p_old)
     events, idx = located
     p_at = lambda g: _clipped_mass(g * positive)
-    # p0 and p1 keep the last masses evaluated at events[idx - 1] and events[idx]
+    # p0 and p1 keep the last masses evaluated at events[idx - 1] and events[idx];
+    # equal breakpoints have equal masses, so each move skips a run of them
     while idx > 0:
-        p0 = p_at(events[idx - 1])
+        g = events[idx - 1]
+        p0 = p_at(g)
         if p0 < p_old:
             break
         idx -= 1
+        while idx > 0 and events[idx - 1] == g:
+            idx -= 1
     while idx < 2 * k:
-        if idx == len(events):  # a walk's events end where it stopped
-            events, _ = _sorted_breakpoints(desc, p_old)
-        p1 = p_at(events[idx])
+        g = events[idx]
+        p1 = p_at(g)
         if p1 >= p_old:
             break
         p0 = p1
         idx += 1
+        while idx < 2 * k:
+            if idx == len(events):  # a walk's events end where it stopped
+                events, _ = _sorted_breakpoints(desc, p_old)
+            if events[idx] != g:
+                break
+            idx += 1
     # now p0 = p(events[idx - 1]) < p_old <= p(events[idx]) = p1
     if idx == 0:
         # p_old <= p(first breakpoint) = 0, excluded above

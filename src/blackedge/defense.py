@@ -7,10 +7,12 @@ them at some cost in clean accuracy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .graph import Graph, edge_index_map
 from .oracle import HardLabelOracle
 
@@ -23,8 +25,12 @@ class LowRankConfig:
     binarize_threshold: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
+        if not 0.0 < self.gamma <= 1.0:  # also rejects NaN
+            raise ConfigError(f"gamma must be in (0, 1], got {self.gamma}")
+        # a NaN threshold keeps no entry: every graph would filter to empty
+        if not math.isfinite(self.binarize_threshold):
+            raise ConfigError(
+                f"binarize_threshold must be finite, got {self.binarize_threshold}")
 
     def rank(self, n_nodes: int) -> int:
         return max(1, round(self.gamma * n_nodes))
@@ -37,11 +43,11 @@ def low_rank_reconstruction(graph: Graph, cfg: LowRankConfig) -> np.ndarray:
     eigenvalues and the truncated SVD reduces to keeping the largest-
     magnitude eigenpairs.
     """
-    a = graph.adjacency.astype(float)
-    eigvals, eigvecs = np.linalg.eigh(a)
+    eigvals, eigvecs = np.linalg.eigh(graph.adjacency)
     order = np.argsort(-np.abs(eigvals))
     keep = order[: cfg.rank(graph.n_nodes)]
-    return (eigvecs[:, keep] * eigvals[keep]) @ eigvecs[:, keep].T
+    vk = eigvecs[:, keep]
+    return (vk * eigvals[keep]) @ vk.T
 
 
 def low_rank_filter(graph: Graph, cfg: LowRankConfig) -> Graph:
@@ -50,10 +56,10 @@ def low_rank_filter(graph: Graph, cfg: LowRankConfig) -> Graph:
     A slot is an edge when its entry or the mirrored one (rounding can break
     symmetry) reaches the binarize threshold; features and label are shared.
     """
-    keep = low_rank_reconstruction(graph, cfg) >= cfg.binarize_threshold
+    keep = (low_rank_reconstruction(graph, cfg) >= cfg.binarize_threshold).ravel()
     em = edge_index_map(graph.n_nodes)
     # the OR of two bool vectors is 0/1 by construction
-    return graph._with_valid_bits((keep[em.rows, em.cols] | keep[em.cols, em.rows]).view(np.uint8))
+    return graph._with_valid_bits((keep.take(em.upper) | keep.take(em.lower)).view(np.uint8))
 
 
 class DefendedOracle(HardLabelOracle):

@@ -145,7 +145,7 @@ def gin_forward(weights: GinWeights, graph: Graph) -> int:
     else:
         h = np.ones((graph.n_nodes, weights.feature_dim), dtype=float)
 
-    a = graph.adjacency.astype(float)
+    a = graph.adjacency
     logits = weights.readout[0].weight @ h.sum(axis=0) + weights.readout[0].bias
     for layer, head in zip(weights.layers, weights.readout[1:]):
         h = (1.0 + layer.epsilon) * h + a @ h

@@ -28,13 +28,21 @@ class EdgeIndexMap:
     """Bijection between node pairs ``(i, j)``, ``j > i``, and flat slots.
 
     Slots are ordered row-major over the strict upper triangle, matching
-    ``np.triu_indices(n, k=1)``.
+    ``np.triu_indices(n, k=1)``.  ``upper`` and ``lower`` hold each slot's
+    flat index into the ``n x n`` matrix, at ``(i, j)`` and at ``(j, i)``;
+    ``gather`` holds each matrix entry's slot, and ``n_slots`` on the
+    diagonal.
     """
 
     def __init__(self, n_nodes: int):
         self.n_nodes = n_nodes
         self.n_slots = n_slots(n_nodes)
         self.rows, self.cols = np.triu_indices(n_nodes, k=1)
+        self.upper = self.rows * n_nodes + self.cols
+        self.lower = self.cols * n_nodes + self.rows
+        gather = np.full(n_nodes * n_nodes, self.n_slots, dtype=np.intp)
+        gather[self.upper] = gather[self.lower] = np.arange(self.n_slots)
+        self.gather = gather.reshape(n_nodes, n_nodes)
 
     def flatten(self, i: int, j: int) -> int:
         if i == j:
@@ -57,8 +65,10 @@ class Graph:
     """Immutable undirected simple graph.
 
     ``bits`` holds the upper-triangular adjacency (uint8, one entry per
-    slot); the full symmetric matrix is derived on demand.  ``features``
-    is an optional ``n x l`` real matrix, never perturbed.
+    slot).  ``adjacency`` builds the full symmetric matrix on each call, as
+    a float64 0/1 matrix gathered from the bits at indices cached per node
+    count.  ``features`` is an optional ``n x l`` real matrix, never
+    perturbed.
     """
 
     n_nodes: int
@@ -130,10 +140,9 @@ class Graph:
     @property
     def adjacency(self) -> np.ndarray:
         em = edge_index_map(self.n_nodes)
-        a = np.zeros((self.n_nodes, self.n_nodes), dtype=np.uint8)
-        a[em.rows, em.cols] = self.bits
-        a[em.cols, em.rows] = self.bits
-        return a
+        padded = np.zeros(em.n_slots + 1)  # the trailing 0 fills the diagonal
+        padded[:-1] = self.bits
+        return padded[em.gather]
 
     def edges(self) -> list[tuple[int, int]]:
         em = edge_index_map(self.n_nodes)

@@ -43,8 +43,7 @@ class Partition:
 
 def modularity(graph: Graph, assignment) -> float:
     """Classic Newman modularity of a node partition (resolution 1)."""
-    a = graph.adjacency.astype(float)
-    return _modularity_matrix(a, np.asarray(assignment, dtype=np.int64))
+    return _modularity_matrix(graph.adjacency, np.asarray(assignment, dtype=np.int64))
 
 
 def _modularity_matrix(a: np.ndarray, assignment: np.ndarray) -> float:
@@ -139,7 +138,7 @@ def louvain(graph: Graph, seed: int = 0) -> Partition:
         return Partition(np.arange(n), n)
 
     rng = np.random.default_rng(seed)
-    dense = graph.adjacency.astype(float)
+    dense = graph.adjacency
     a = dense  # the current level's (contracted) matrix
     # node_groups[i] = original nodes merged into current node i
     node_groups = [[v] for v in range(n)]

@@ -9,12 +9,14 @@ here (``from helpers import ...``); pytest fixtures live in ``conftest.py``.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from blackedge.attack import AttackResult, qegc_sign
 from blackedge.cgs import CgsOutcome
-from blackedge.defense import low_rank_reconstruction
 from blackedge.errors import DegenerateTarget, NoAdversarialFound, ZeroVector
 from blackedge.graph import (
     FLIP_THRESHOLD,
@@ -34,7 +36,7 @@ from blackedge.partition import enumerate_components
 def reference_gin_logits(weights, graph: Graph) -> np.ndarray:
     """Per-node loop implementation of the message-passing forward pass."""
     n = graph.n_nodes
-    adj = graph.adjacency
+    adj = reference_adjacency(graph)
     neighbors = [[u for u in range(n) if adj[v, u]] for v in range(n)]
     if graph.features is not None:
         h = [np.array(graph.features[v], dtype=float) for v in range(n)]
@@ -72,6 +74,16 @@ def untargeted_memo(oracle, y0=0) -> LabelMemo:
 
 
 # -- reference kernels: the first implementations, kept for exact checks
+
+
+def reference_adjacency(graph: Graph) -> np.ndarray:
+    """The dense matrix as a ``uint8`` fill at both triangles, cast to
+    float; ``Graph.adjacency`` must equal it."""
+    em = edge_index_map(graph.n_nodes)
+    a = np.zeros((graph.n_nodes, graph.n_nodes), dtype=np.uint8)
+    a[em.rows, em.cols] = graph.bits
+    a[em.cols, em.rows] = graph.bits
+    return a.astype(float)
 
 
 def reference_normalize(theta) -> np.ndarray:
@@ -143,10 +155,19 @@ def reference_flip_ledger(a: Graph, b: Graph):
     return added, removed
 
 
+def reference_low_rank_reconstruction(graph: Graph, cfg) -> np.ndarray:
+    """Truncated-spectrum matrix from the reference adjacency, gathering the
+    kept eigenvectors twice; the library's must have the same bits."""
+    eigvals, eigvecs = np.linalg.eigh(reference_adjacency(graph))
+    order = np.argsort(-np.abs(eigvals))
+    keep = order[: cfg.rank(graph.n_nodes)]
+    return (eigvecs[:, keep] * eigvals[keep]) @ eigvecs[:, keep].T
+
+
 def reference_low_rank_filter(graph: Graph, cfg) -> Graph:
     """Low-rank filter through the dense matrix and ``Graph.from_adjacency``;
     the library's version, which reads the slots directly, must equal it."""
-    approx = low_rank_reconstruction(graph, cfg)
+    approx = reference_low_rank_reconstruction(graph, cfg)
     binary = (approx >= cfg.binarize_threshold)
     binary = (binary | binary.T).astype(np.uint8)
     np.fill_diagonal(binary, 0)
@@ -309,7 +330,7 @@ def set_partitions(n: int):
 
 def reference_modularity(graph: Graph, assignment) -> float:
     """Direct double sum over node pairs of the modularity definition."""
-    a = graph.adjacency.astype(float)
+    a = reference_adjacency(graph)
     m2 = a.sum()
     if m2 == 0:
         return 0.0
@@ -332,6 +353,19 @@ TU_FIXTURE = {
     "graph_labels.txt": "1\n-1\n",
     "node_labels.txt": "0\n0\n1\n1\n2\n2\n",
 }
+
+
+# -- the benchmark's modules ---------------------------------------------
+
+
+def perfbench_module(name: str):
+    """``perfbench/<name>.py``, loaded by path: ``perfbench`` is no package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 # -- random graph sampling -----------------------------------------------

@@ -380,6 +380,34 @@ def test_solve_g_star_walk_evaluates_two_masses(monkeypatch):
     assert log.count(True) > 40 and log.count(False) > 20
 
 
+def test_bracket_correction_skips_tied_breakpoints(monkeypatch):
+    # The clipped mass at the 45 tied turn-ons of the smallest components is
+    # exactly the target, 7.5, and the sorted running mass can round below
+    # it there, so the located index lies past the whole tie.  Stepping back
+    # one breakpoint at a time evaluated the same mass once per tied
+    # breakpoint, 47 evaluations in all.
+    counts = []
+    clipped_mass = attack._clipped_mass
+
+    def counting(ghat):
+        counts[-1] += 1
+        return clipped_mass(ghat)
+
+    monkeypatch.setattr(attack, "_clipped_mass", counting)
+    magnitudes = np.concatenate([np.ones(45), np.full(3, 2.0), np.full(6, 5.0),
+                                 np.full(136, -1.0)])
+    past_the_tie = 0
+    for seed in range(30):
+        theta = np.random.default_rng(seed).permutation(magnitudes)
+        positive = normalize(theta)[theta > 0]
+        events, idx = attack._sorted_breakpoints(np.sort(positive)[::-1], 7.5)
+        past_the_tie += events[idx - 1] == events[idx - 45]
+        counts.append(0)
+        assert solve_g_star(theta, 7.5) == reference_solve_g_star(theta, 7.5)
+    assert past_the_tie > 0
+    assert max(counts) <= 3
+
+
 def _clipped_mass_at(positive, g):
     return float(np.clip(g * positive - 0.5, 0.0, 1.0).sum())
 

@@ -11,10 +11,18 @@ from blackedge.defense import (
     low_rank_filter,
     low_rank_reconstruction,
 )
-from blackedge.graph import Graph
+from blackedge.errors import ConfigError
+from blackedge.gin import GinOracle, gin_forward
+from blackedge.graph import Graph, apply_perturbation
 from blackedge.oracle import LabelMemo, structural_oracle
 
-from helpers import random_graph, reference_low_rank_filter
+from helpers import (
+    perfbench_module,
+    random_graph,
+    reference_adjacency,
+    reference_low_rank_filter,
+    reference_low_rank_reconstruction,
+)
 
 
 def test_gamma_one_is_identity():
@@ -42,7 +50,7 @@ def test_reconstruction_matches_svd_truncation():
     while checked < 20:
         g = random_graph(rng, 8)
         cfg = LowRankConfig(gamma=0.5)
-        u, s, vt = np.linalg.svd(g.adjacency.astype(float))
+        u, s, vt = np.linalg.svd(g.adjacency)
         k = cfg.rank(8)
         if s[k - 1] - s[k] < 1e-8:
             continue  # truncation is not unique when singular values tie
@@ -68,6 +76,31 @@ def test_filter_equals_reference_exactly():
     # rounding breaks the symmetry of a few reconstructions; in some the
     # lower-triangle entry alone reaches the threshold
     assert asymmetric >= 3 and mirror_only >= 1
+
+
+def test_defended_path_equals_the_reference_on_the_workload_graphs(monkeypatch):
+    # The benchmark's graphs, randomly perturbed: GIN labels, reconstructed
+    # matrices, filter bits and defended labels from the float adjacency, and
+    # from the uint8 fill plus cast with the reference filter.
+    workloads = perfbench_module("workloads")
+    graphs = workloads.evaluation_set()
+    weights = workloads.balanced_gin(graphs)
+    cfg = workloads.DEFENSE
+    defended = DefendedOracle(GinOracle(weights), cfg)
+    rng = np.random.default_rng(17)
+    perturbed = [apply_perturbation(g, rng.random(g.n_edge_slots) < rng.uniform(0.0, 0.2))
+                 for g in graphs for _ in range(5)]
+    ours = [(gin_forward(weights, g), low_rank_reconstruction(g, cfg).tobytes(),
+             low_rank_filter(g, cfg).bits.tobytes(), defended.classify(g)) for g in perturbed]
+    monkeypatch.setattr(Graph, "adjacency", property(reference_adjacency))
+    reference = []
+    for g in perturbed:
+        filtered = reference_low_rank_filter(g, cfg)
+        reference.append((gin_forward(weights, g),
+                          reference_low_rank_reconstruction(g, cfg).tobytes(),
+                          filtered.bits.tobytes(), gin_forward(weights, filtered)))
+    assert ours == reference
+    assert {row[0] for row in ours} == {row[-1] for row in ours} == {0, 1}
 
 
 def test_filter_output_is_a_valid_graph():
@@ -97,10 +130,15 @@ def test_rank_rounds_and_clamps():
 
 
 def test_gamma_validation():
-    with pytest.raises(ValueError):
-        LowRankConfig(gamma=0.0)
-    with pytest.raises(ValueError):
-        LowRankConfig(gamma=1.2)
+    for gamma in (0.0, -0.5, 1.2, np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            LowRankConfig(gamma=gamma)
+    # a NaN threshold would filter every graph to the empty one
+    for threshold in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigError):
+            LowRankConfig(binarize_threshold=threshold)
+    LowRankConfig(gamma=1.0, binarize_threshold=-2.0)
+    LowRankConfig(gamma=1e-9, binarize_threshold=3.0)
 
 
 def test_defended_oracle_costs_one_query_and_shares_ledger():

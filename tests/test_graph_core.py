@@ -17,7 +17,12 @@ from blackedge.graph import (
     perturbation_rate,
 )
 
-from helpers import reference_flip_ledger, reference_normalize
+from helpers import (
+    random_graph,
+    reference_adjacency,
+    reference_flip_ledger,
+    reference_normalize,
+)
 
 
 # -- slot indexing -------------------------------------------------------
@@ -53,6 +58,18 @@ def test_edge_index_map_is_cached():
 
 
 # -- Graph construction and views ----------------------------------------
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 20, 80])
+def test_adjacency_equals_the_reference(n):
+    rng = np.random.default_rng(n)
+    graphs = [Graph.empty(n), Graph.complete(n)] + [random_graph(rng, n) for _ in range(5)]
+    for g in graphs:
+        a = g.adjacency
+        assert a.dtype == np.float64 and a.flags.c_contiguous
+        assert np.array_equal(a, reference_adjacency(g))
+        a[...] = 7.0  # each call builds its own matrix
+        assert np.array_equal(g.adjacency, reference_adjacency(g))
 
 
 def test_from_adjacency_round_trip():

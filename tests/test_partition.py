@@ -17,10 +17,13 @@ from blackedge.partition import (
 )
 
 from helpers import (
+    perfbench_module,
     random_graph,
+    reference_adjacency,
     reference_modularity,
     reference_modularity_matrix,
     reference_one_level,
+    set_partitions,
 )
 
 
@@ -43,7 +46,7 @@ def test_modularity_matrix_equals_the_reference():
     rng = np.random.default_rng(8)
     for case in range(300):
         n = int(rng.integers(1, 41))
-        a = random_graph(rng, n).adjacency.astype(float)
+        a = random_graph(rng, n).adjacency
         assignment = rng.integers(0, int(rng.integers(1, n + 1)), size=n)
         if case % 3 == 0:
             assignment = 7 * assignment + 3  # ids need not be contiguous
@@ -146,6 +149,21 @@ def test_louvain_partitions_equal_those_of_the_reference_modularity(monkeypatch)
     monkeypatch.setattr(partition, "_modularity_matrix", reference_modularity_matrix)
     expected = [louvain(g, seed=s).assignment for g in graphs for s in seeds]
     assert all(np.array_equal(x, y) for x, y in zip(got, expected))
+
+
+def test_louvain_and_modularity_equal_those_of_the_reference_adjacency(monkeypatch):
+    # criterion 6's graphs (modularity of every partition of the barbell),
+    # and the benchmark's graphs at three seeds
+    barbell_assignments = list(set_partitions(8))
+    graphs = [barbell(4), Graph.complete(5)] + perfbench_module("workloads").evaluation_set()
+
+    def outputs():
+        q = [modularity(barbell(4), x) for x in barbell_assignments]
+        return q, [louvain(g, seed=s).assignment.tolist() for g in graphs for s in (0, 1, 2)]
+
+    ours = outputs()
+    monkeypatch.setattr(Graph, "adjacency", property(reference_adjacency))
+    assert ours == outputs()
 
 
 def test_partition_validation():

@@ -2,13 +2,10 @@
 
 It replaces each traced function at ``vars(owner)[attr]``, so a renamed
 or inherited function breaks the benchmark, not the program.  These
-checks keep that contract visible to the tier-1 suite, which does not
-collect ``perfbench/``.
+checks keep that contract visible next to the program's own tests.
 """
 
-import importlib.util
 import inspect
-from pathlib import Path
 
 import numpy as np
 
@@ -19,10 +16,9 @@ from blackedge.defense import DefendedOracle, LowRankConfig
 from blackedge.gin import GinOracle, GinWeights
 from blackedge.oracle import PHASES, structural_oracle
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-_spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-tracing = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracing)
+from helpers import perfbench_module
+
+tracing = perfbench_module("tracing")
 
 
 def test_every_traced_name_is_defined_on_its_owner():
