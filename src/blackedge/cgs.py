@@ -2,12 +2,14 @@
 
 Components from the supernode / superlink decomposition are searched in
 phases; every trial flips a random fraction of a component's slots.  A
-phase draws all its trials first, then submits them in ascending flip
-order and stops at the first success, which is the phase's fewest-flip
-success: trials are drawn without regard to their labels, so a trial
-with at least as many flips cannot improve on it.  Each submitted trial
-costs one oracle query, unless the run's label memo already holds its
-graph.
+phase draws the flip counts of all its trials first, one generator call
+per component, then submits the trials in ascending flip order and
+stops at the first success, which is the phase's fewest-flip success:
+flip counts are drawn without regard to labels, so a trial with at
+least as many flips cannot improve on it.  A trial's slots are drawn
+only when it is submitted, so a trial that is never submitted costs no
+slot draw.  Each submitted trial costs one oracle query, unless the run's
+label memo already holds its graph.
 """
 
 from __future__ import annotations
@@ -43,12 +45,15 @@ def coarse_grained_search(
 
     Per component with ``m`` slots and ``n_inc`` incident nodes,
     ``trials_scale * n_inc`` trials are drawn, each flipping
-    ``max(1, round(s * m))`` random slots for ``s ~ U[0, 1]``.  A phase
-    (the consecutive components of one kind) is drawn in full, then
-    submitted in order of (flips, draw index); the first success is the
-    outcome and ends the search, so later phases are neither drawn nor
-    submitted.  The outcome is the first trial in draw order with the
-    fewest flips among the phase's successes.
+    ``max(1, round(s * m))`` slots for ``s ~ U[0, 1]``; a component's
+    flip counts come from one draw of its ``s``.  A phase (the
+    consecutive components of one kind) draws all its flip counts, then
+    submits its trials in order of (flips, draw index), drawing each
+    trial's slots as a uniform subset of its component's when it is
+    submitted.  The first success is the outcome and ends the search, so
+    later phases are neither drawn nor submitted.  The outcome is the
+    first trial in draw order with the fewest flips among the phase's
+    successes.
 
     ``memo`` decides what counts as adversarial; a trial whose graph it
     already holds costs no query.
@@ -60,16 +65,16 @@ def coarse_grained_search(
     d = graph.n_edge_slots
     trials = 0
     for kind, phase in groupby(enumerate_components(partition, strategy), lambda c: c.kind):
-        draws = []  # (flips, slots), in draw order
+        draws = []  # (flips, component slots), in draw order
         for comp in phase:
-            m = comp.slots.size
-            for _ in range(trials_scale * comp.n_incident):
-                n_flip = max(1, round(rng.uniform(0.0, 1.0) * m))
-                draws.append((n_flip, rng.choice(comp.slots, size=n_flip, replace=False)))
+            # np.rint rounds half to even, as round() does
+            s = rng.uniform(0.0, 1.0, trials_scale * comp.n_incident)
+            flips = np.maximum(np.rint(s * comp.slots.size), 1).astype(int).tolist()
+            draws.extend((n_flip, comp.slots) for n_flip in flips)
         # sorted() is stable: among equal flips the earlier draw goes first
-        for rank, (n_flip, chosen) in enumerate(sorted(draws, key=lambda t: t[0])):
+        for rank, (n_flip, slots) in enumerate(sorted(draws, key=lambda t: t[0])):
             theta = np.zeros(d)
-            theta[chosen] = 1.0
+            theta[rng.permutation(slots)[:n_flip]] = 1.0
             if memo.adversarial(apply_perturbation(graph, theta), "cgs"):
                 return CgsOutcome(theta, kind, n_flip, len(draws) - rank - 1)
         trials += len(draws)

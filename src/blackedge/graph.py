@@ -178,19 +178,14 @@ class Graph:
 # -- perturbation algebra ------------------------------------------------
 
 
-def _check_dim(graph: Graph, theta: np.ndarray) -> np.ndarray:
+def apply_perturbation(graph: Graph, theta, threshold: float = FLIP_THRESHOLD) -> Graph:
+    """Flip every edge slot whose perturbation weight reaches ``threshold``."""
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (graph.n_edge_slots,):
+    if theta.shape != graph.bits.shape:
         raise DimensionMismatch(
             f"perturbation has {theta.shape} entries, graph has "
             f"{graph.n_edge_slots} slots"
         )
-    return theta
-
-
-def apply_perturbation(graph: Graph, theta, threshold: float = FLIP_THRESHOLD) -> Graph:
-    """Flip every edge slot whose perturbation weight reaches ``threshold``."""
-    theta = _check_dim(graph, theta)
     # the XOR of two 0/1 uint8 vectors of one shape is one too
     return graph._with_valid_bits(graph.bits ^ (theta >= threshold).view(np.uint8))
 

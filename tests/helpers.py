@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import sys
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -178,32 +179,35 @@ def reference_coarse_grained_search(memo, graph, partition, strategy="I",
                                     trials_scale=5, rng_seed=0):
     """Coarse search that submits every trial of a phase in draw order and
     keeps the first one with the fewest flips among the successes; the
-    library's flip-ordered search must return the same outcome."""
+    library's flip-ordered search must return the same outcome.
+
+    It draws as the library does: a phase's flip counts one component at a
+    time, then every trial's slots in flip order; only the submission
+    order differs."""
     rng = np.random.default_rng(rng_seed)
-    best = None
     trials = 0
-    current_phase = None
-    for comp in enumerate_components(partition, strategy):
-        if comp.kind != current_phase:
-            if best is not None:
-                break
-            current_phase = comp.kind
-        m = comp.slots.size
-        for _ in range(trials_scale * comp.n_incident):
-            s = rng.uniform(0.0, 1.0)
-            n_flip = max(1, round(s * m))
-            chosen = rng.choice(comp.slots, size=n_flip, replace=False)
+    for kind, phase in groupby(enumerate_components(partition, strategy), lambda c: c.kind):
+        draws = []  # (flips, component slots), in draw order
+        for comp in phase:
+            s = rng.uniform(0.0, 1.0, trials_scale * comp.n_incident)
+            draws.extend((max(1, round(u * comp.slots.size)), comp.slots) for u in s)
+        chosen = [None] * len(draws)
+        for i in sorted(range(len(draws)), key=lambda i: draws[i][0]):
+            n_flip, slots = draws[i]
+            chosen[i] = rng.permutation(slots)[:n_flip]
+        best = None
+        for (n_flip, _), flipped in zip(draws, chosen):
             theta = np.zeros(graph.n_edge_slots)
-            theta[chosen] = 1.0
+            theta[flipped] = 1.0
             adversarial = memo.adversarial(apply_perturbation(graph, theta), "cgs")
-            trials += 1
             if adversarial and (best is None or n_flip < best.flips):
-                best = CgsOutcome(theta, comp.kind, n_flip, 0)
-    if best is None:
-        raise NoAdversarialFound(
-            f"no adversarial graph after {trials} trials across all phases"
-        )
-    return best
+                best = CgsOutcome(theta, kind, n_flip, 0)
+        if best is not None:
+            return best
+        trials += len(draws)
+    raise NoAdversarialFound(
+        f"no adversarial graph after {trials} trials across all phases"
+    )
 
 
 def reference_random_attack(oracle, graph, y0, budget, query_budget, seed=0,

@@ -1,17 +1,19 @@
 """Coarse-grained initial search over the phased components."""
 
 import re
+from itertools import groupby
 
 import numpy as np
 import pytest
 
+from blackedge import cgs
 from blackedge.attack import AttackConfig
 from blackedge.cgs import coarse_grained_search
 from blackedge.datasets import barbell, erdos_renyi
 from blackedge.errors import BudgetExhausted, NoAdversarialFound
 from blackedge.graph import apply_perturbation
 from blackedge.oracle import FunctionOracle, LabelMemo, structural_oracle
-from blackedge.partition import louvain
+from blackedge.partition import enumerate_components, louvain
 
 from helpers import reference_coarse_grained_search, search_label_cases, untargeted_memo
 
@@ -40,9 +42,9 @@ def test_success_skips_later_phases(setup):
     memo = untargeted_memo(oracle)
     outcome = coarse_grained_search(memo, g, part)
     assert outcome.found_in == "supernode"
-    # the supernode phase is drawn in full (both components, 40 trials);
-    # its fewest-flip trial is submitted first and succeeds, the other 39
-    # are skipped, and later phases are never drawn
+    # the supernode phase draws the flip counts of all its 40 trials (both
+    # components); its fewest-flip trial is submitted first and succeeds,
+    # the other 39 are skipped, and later phases are never drawn
     assert oracle.ledger.total + memo.hits + outcome.skipped == 40
     assert outcome.skipped == 39
     assert oracle.ledger.total == len(memo.labels) == 1
@@ -105,7 +107,7 @@ def test_strategy_three_searches_whole_graph_only(setup):
     memo = untargeted_memo(oracle)
     outcome = coarse_grained_search(memo, g, part, strategy="III")
     assert outcome.found_in == "whole_graph"
-    # 5 trials x 8 incident nodes, drawn; only the first in flip order is submitted
+    # 5 trials x 8 incident nodes; only the first in flip order is submitted
     assert oracle.ledger.total + memo.hits + outcome.skipped == 40
     assert oracle.ledger.total == 1
 
@@ -142,3 +144,82 @@ def test_flip_order_search_equals_the_draw_order_reference(strategy, trials_scal
                 ref_oracle.ledger.total + ref_memo.hits
             found += 1
     assert found and failed
+
+
+class _TiedUniforms:
+    """A seeded generator whose uniforms put ``u * m`` on exact .5 ties.
+
+    Its ``k``-th ``uniform`` call is for the ``k``-th component of
+    ``sizes``; the first entries of each call are replaced by
+    ``(i + 0.5) / m``.  Every uniform handed out is kept.
+    """
+
+    def __init__(self, seed, sizes):
+        self.rng = np.random.default_rng(seed)
+        self.sizes = iter(sizes)
+        self.uniforms = []
+
+    def uniform(self, low, high, size):
+        u = self.rng.uniform(low, high, size)
+        m = next(self.sizes)
+        ties = min(size, m) // 2
+        u[:ties] = (np.arange(ties) + 0.5) / m
+        self.uniforms.append(u)
+        return u
+
+    def permutation(self, x):
+        return self.rng.permutation(x)
+
+
+def test_flip_counts_and_slots_follow_the_law_of_the_draws(setup, monkeypatch):
+    g, part = setup
+    comps = enumerate_components(part)
+    rng = _TiedUniforms(3, [c.slots.size for c in comps])
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: rng)
+    submitted = []
+
+    def recording(graph, theta):
+        submitted.append(np.flatnonzero(theta))
+        return apply_perturbation(graph, theta)
+
+    monkeypatch.setattr(cgs, "apply_perturbation", recording)
+    with pytest.raises(NoAdversarialFound):  # every trial is submitted
+        coarse_grained_search(untargeted_memo(FunctionOracle(lambda _: 0)), g, part)
+    assert [u.size for u in rng.uniforms] == [5 * c.n_incident for c in comps]
+    # flip counts are max(1, round(u * m)) on the uniforms drawn, and the
+    # ties among them round half to even
+    expected = []
+    for _, phase in groupby(zip(comps, rng.uniforms), lambda t: t[0].kind):
+        trials = [(max(1, round(float(u) * c.slots.size)), c) for c, us in phase for u in us]
+        expected += sorted(trials, key=lambda t: t[0])
+    ties = {float(u) * c.slots.size for c, us in zip(comps, rng.uniforms) for u in us
+            if float(u) * c.slots.size % 1 == 0.5}
+    assert {0.5, 1.5, 2.5} <= ties
+    assert len(submitted) == len(expected) == 120
+    # each trial flips exactly its count of distinct slots, all in its component
+    for flipped, (n_flip, comp) in zip(submitted, expected):
+        assert flipped.size == n_flip
+        assert set(flipped.tolist()) <= set(comp.slots.tolist())
+
+
+@pytest.mark.parametrize("strategy", ["I", "II", "III"])
+def test_a_first_trial_success_draws_one_permutation(setup, monkeypatch, strategy):
+    g, part = setup
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: made.append(default_rng(seed)) or made[-1])
+    outcome = coarse_grained_search(untargeted_memo(FunctionOracle(lambda _: 1)), g, part,
+                                    strategy, rng_seed=7)
+    assert len(made) == 1
+    # replay: the first phase's flip counts, one call per component, then
+    # the slots of the one trial submitted
+    replay = default_rng(7)
+    phase = next(groupby(enumerate_components(part, strategy), lambda c: c.kind))[1]
+    for comp in phase:
+        replay.uniform(0.0, 1.0, 5 * comp.n_incident)
+        if set(np.flatnonzero(outcome.theta0).tolist()) <= set(comp.slots.tolist()):
+            slots = comp.slots
+    chosen = replay.permutation(slots)[:outcome.flips]
+    assert np.array_equal(np.flatnonzero(outcome.theta0), np.sort(chosen))
+    assert made[0].bit_generator.state == replay.bit_generator.state

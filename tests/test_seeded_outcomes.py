@@ -11,7 +11,9 @@ traces, float for float.
 
 A change that keeps behaviour leaves the recording as it is.  A change
 meant to alter outcomes re-records it with
-``PYTHONPATH=src python tests/test_seeded_outcomes.py`` and says why.
+``PYTHONPATH=src python tests/test_seeded_outcomes.py`` and says why;
+the re-record prints, per key, how many runs changed and the success
+rate, flips per success and total queries before and after.
 No GIN here: its float matmuls depend on the BLAS build.
 """
 
@@ -30,7 +32,7 @@ from helpers import hashed_label
 
 EXPECTED = Path(__file__).with_name("seeded_outcomes.json")
 
-GRAPHS = [erdos_renyi(n, 0.2, np.random.default_rng(100 + n)) for n in range(10, 21, 2)]
+GRAPHS = [erdos_renyi(n, 0.2, np.random.default_rng(100 + n)) for n in range(9, 22)]
 EDGE_THRESHOLD = 20  # below and above the graphs' edge counts: both directions
 ORACLES = {
     "edge_count": lambda: structural_oracle("edge_count", EDGE_THRESHOLD),
@@ -112,5 +114,20 @@ def test_the_recording_covers_each_exit():
     assert any(run["skipped"] for run in runs)
 
 
+def _summary(runs) -> str:
+    """Success rate, mean flips per success and total queries of ``runs``."""
+    flips = [len(run["added"]) + len(run["removed"]) for run in runs if run["success"]]
+    sr = len(flips) / len(runs) if runs else float("nan")
+    ap = np.mean(flips) if flips else float("nan")
+    return f"SR {sr:.3f}, AP {ap:.2f}, queries {sum(run['queries']['total'] for run in runs)}"
+
+
 if __name__ == "__main__":
-    EXPECTED.write_text(json.dumps(collect(), indent=1) + "\n")
+    old = json.loads(EXPECTED.read_text())
+    new = json.loads(json.dumps(collect()))
+    for key, runs in new.items():
+        before = old.get(key, [])
+        changed = sum(run != was for run, was in zip(runs, before)) + abs(len(runs) - len(before))
+        print(f"{key}: {changed} of {len(runs)} runs changed; "
+              f"{_summary(before)} -> {_summary(runs)}")
+    EXPECTED.write_text(json.dumps(new, indent=1) + "\n")
