@@ -51,13 +51,20 @@ def _parse_dataset(spec: str, name: str | None) -> DatasetBundle:
 
 
 def _parse_oracle(spec: str):
-    """``gin:<weights.json>`` or ``structural:<feature>:<threshold>``."""
-    parts = spec.split(":")
+    """``gin:<weights.json>`` or ``structural:<feature>:<threshold>``.
+
+    Only the first ``:`` separates the kind, so a weights path may contain
+    colons.
+    """
+    parts = spec.split(":", 1)
     if parts[0] == "gin":
+        if len(parts) < 2 or not Path(parts[1]).is_file():
+            raise ConfigError(f"gin oracle spec {spec!r} names no weights file")
         return GinOracle(GinWeights.load(parts[1]))
     if parts[0] == "structural":
         try:
-            return structural_oracle(parts[1], int(parts[2]))
+            feature, threshold = parts[1].split(":")
+            return structural_oracle(feature, int(threshold))
         except (IndexError, ValueError) as exc:
             raise ConfigError(f"bad structural oracle spec {spec!r}") from exc
     raise ConfigError(f"unknown oracle spec {spec!r}")
@@ -73,7 +80,15 @@ def _label_targets(bundle: DatasetBundle, oracle) -> list:
 
 
 def _parse_sweep(spec: str) -> list[float]:
-    lo, hi, step = (float(x) for x in spec.split(":"))
+    """``lo:hi:step`` with finite ``lo <= hi`` and ``step > 0``, both ends kept."""
+    try:
+        lo, hi, step = (float(x) for x in spec.split(":"))
+    except ValueError as exc:
+        raise ConfigError(f"sweep spec {spec!r} is not lo:hi:step") from exc
+    if not np.isfinite([lo, hi, step]).all() or step <= 0.0 or hi < lo:
+        raise ConfigError(
+            f"sweep spec {spec!r} needs finite lo <= hi and step > 0"
+        )
     return list(np.round(np.arange(lo, hi + step / 2, step), 10))
 
 

@@ -9,12 +9,21 @@ Node embeddings of every depth (including the raw features at depth 0)
 are sum-pooled into graph embeddings; a linear head per depth is applied
 and the resulting logits are summed.  The predicted label is the argmax,
 ties broken toward the smallest class index.
+
+A graph without node features gets all-ones input.  Its depth-0 logits
+then depend only on ``n`` and its first-layer embeddings only on the node
+degrees, so both come from caches: the depth-0 logits on ``readout[0]``
+and a per-degree table of first-layer embeddings on ``layers[0]``, each
+keyed by ``n``.  Layers and heads are frozen and their arrays read-only
+(a float array passed in is not copied, so it turns read-only for the
+caller too), so a cached value cannot go stale; copies of a network that
+share a ``GinLayer`` or ``Dense`` share its caches.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -24,17 +33,66 @@ from .graph import Graph
 from .oracle import HardLabelOracle
 
 
-@dataclass
+def _read_only(array) -> np.ndarray:
+    # no copy of a float array, so a layer rebuilt from another's arrays
+    # compares equal to it, as before
+    out = np.asarray(array, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True)
 class GinLayer:
     weight: np.ndarray  # (l_k, l_{k-1})
     bias: np.ndarray  # (l_k,)
     epsilon: float
+    # n -> (n, l_k) table whose row k embeds an all-ones node of degree k
+    _degree_tables: dict = field(default_factory=dict, init=False, repr=False,
+                                 compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "weight", _read_only(self.weight))
+        object.__setattr__(self, "bias", _read_only(self.bias))
+
+    def degree_table(self, n: int) -> np.ndarray:
+        """First-layer embeddings of all-ones input on ``n`` nodes, by degree.
+
+        Row ``k`` is what the layer gives a node of degree ``k``; it is
+        computed with the forward pass's own operations on an
+        ``(n, feature_dim)`` input, so its bits equal the rows the pass
+        would compute.
+        """
+        table = self._degree_tables.get(n)
+        if table is None:
+            h = np.ones((n, self.weight.shape[1]), dtype=float)
+            h = (1.0 + self.epsilon) * h + np.arange(n, dtype=float)[:, None]
+            table = np.maximum(h @ self.weight.T + self.bias, 0.0)
+            table.flags.writeable = False
+            self._degree_tables[n] = table
+        return table
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dense:
     weight: np.ndarray  # (n_classes, l_k)
     bias: np.ndarray  # (n_classes,)
+    # n -> logits of the all-ones input on n nodes
+    _ones_logits: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "weight", _read_only(self.weight))
+        object.__setattr__(self, "bias", _read_only(self.bias))
+
+    def ones_logits(self, n: int) -> np.ndarray:
+        """Head output on the sum-pooled all-ones input of ``n`` nodes."""
+        logits = self._ones_logits.get(n)
+        if logits is None:
+            h = np.ones((n, self.weight.shape[1]), dtype=float)
+            logits = self.weight @ h.sum(axis=0) + self.bias
+            logits.flags.writeable = False
+            self._ones_logits[n] = logits
+        return logits
 
 
 @dataclass
@@ -128,32 +186,46 @@ class GinWeights:
         return cls(layers, readout, n_classes, feature_dim)
 
 
-def gin_forward(weights: GinWeights, graph: Graph) -> int:
-    """Hard label of ``graph`` under ``weights``.
+def gin_logits(weights: GinWeights, graph: Graph) -> np.ndarray:
+    """Summed per-depth logits of ``graph`` under ``weights``.
 
     Graphs without node features get all-ones features of the network's
     input dimension (permutation invariant, so the label depends on the
-    structure only).
+    structure only).  Their depth-0 logits and first-layer embeddings are
+    read from the caches of ``readout[0]`` and ``layers[0]``, with the
+    node degrees as row indices; deeper layers run the full pass.
     """
-    if graph.features is not None:
+    layers, heads = weights.layers, weights.readout
+    if graph.features is None:
+        n = graph.n_nodes
+        logits = heads[0].ones_logits(n)
+        if not layers:
+            return logits
+        a = graph.adjacency
+        h = layers[0].degree_table(n)[a.sum(axis=1, dtype=np.intp)]
+        logits = logits + heads[1].weight @ h.sum(axis=0) + heads[1].bias
+        layers, heads = layers[1:], heads[1:]
+    else:
         h = np.asarray(graph.features, dtype=float)
         if h.shape[1] != weights.feature_dim:
             raise ShapeMismatch(
                 f"graph features have dim {h.shape[1]}, network expects "
                 f"{weights.feature_dim}"
             )
-    else:
-        h = np.ones((graph.n_nodes, weights.feature_dim), dtype=float)
-
-    a = graph.adjacency
-    logits = weights.readout[0].weight @ h.sum(axis=0) + weights.readout[0].bias
-    for layer, head in zip(weights.layers, weights.readout[1:]):
+        a = graph.adjacency
+        logits = heads[0].weight @ h.sum(axis=0) + heads[0].bias
+    for layer, head in zip(layers, heads[1:]):
         h = (1.0 + layer.epsilon) * h + a @ h
         h = np.maximum(h @ layer.weight.T + layer.bias, 0.0)
         logits = logits + head.weight @ h.sum(axis=0) + head.bias
-    # softmax is monotone; argmax of the logits is the predicted class,
-    # np.argmax breaks ties toward the smallest index
-    return int(np.argmax(logits))
+    return logits
+
+
+def gin_forward(weights: GinWeights, graph: Graph) -> int:
+    """Hard label of ``graph`` under ``weights``: the argmax of
+    ``gin_logits`` (softmax is monotone), ties broken toward the smallest
+    class index."""
+    return int(gin_logits(weights, graph).argmax())
 
 
 class GinOracle(HardLabelOracle):

@@ -66,6 +66,23 @@ def reference_gin_logits(weights, graph: Graph) -> np.ndarray:
     return logits
 
 
+def reference_dense_gin_logits(weights, graph: Graph) -> np.ndarray:
+    """The first dense forward pass, all-ones input included; the
+    library's logits must have the same bits."""
+    if graph.features is not None:
+        h = np.asarray(graph.features, dtype=float)
+    else:
+        h = np.ones((graph.n_nodes, weights.feature_dim), dtype=float)
+
+    a = graph.adjacency
+    logits = weights.readout[0].weight @ h.sum(axis=0) + weights.readout[0].bias
+    for layer, head in zip(weights.layers, weights.readout[1:]):
+        h = (1.0 + layer.epsilon) * h + a @ h
+        h = np.maximum(h @ layer.weight.T + layer.bias, 0.0)
+        logits = logits + head.weight @ h.sum(axis=0) + head.bias
+    return logits
+
+
 # -- label memos -----------------------------------------------------------
 
 

@@ -5,8 +5,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from blackedge.cli import main
-from blackedge.gin import GinWeights
+from blackedge.cli import _parse_oracle, _parse_sweep, main
+from blackedge.errors import ConfigError
+from blackedge.gin import GinOracle, GinWeights
 
 
 @pytest.fixture
@@ -129,3 +130,51 @@ def test_bad_specs_fail_cleanly(runner):
         "attack", "--dataset", "er:8:0.3:2", "--oracle", "mlp:w.json",
     ])
     assert result.exit_code != 0
+
+
+@pytest.mark.parametrize("spec", ["gin", "gin:", "gin:no/such/weights.json"])
+def test_gin_spec_without_a_weights_file_is_a_config_error(spec):
+    with pytest.raises(ConfigError):
+        _parse_oracle(spec)
+
+
+def test_gin_spec_path_may_contain_colons(tmp_path):
+    weights = GinWeights.random(seed=0, hidden_dims=(3,))
+    folder = tmp_path / "dir:x"
+    folder.mkdir()
+    weights.save(folder / "w.json")
+    oracle = _parse_oracle(f"gin:{folder / 'w.json'}")
+    assert isinstance(oracle, GinOracle)
+    assert oracle.weights.to_dict() == weights.to_dict()
+
+
+@pytest.mark.parametrize("spec", [
+    "0.1:0.5",  # two fields
+    "a:b:c",  # not numbers
+    "0.1:0.5:0.1:0.2",  # four fields
+    "0.1:0.5:0",  # zero step
+    "0.5:0.1:0.1",  # lo above hi
+    "0.1:0.5:-0.1",  # negative step
+    "0.1:nan:0.1",  # not finite
+])
+def test_malformed_sweep_specs_are_config_errors(spec):
+    with pytest.raises(ConfigError):
+        _parse_sweep(spec)
+
+
+def test_sweep_with_equal_ends_has_one_value():
+    assert _parse_sweep("0.5:0.5:0.1") == [0.5]
+
+
+def test_defend_with_an_empty_sweep_writes_nothing(runner, tmp_path):
+    out = tmp_path / "defense.csv"
+    result = runner.invoke(main, [
+        "defend",
+        "--dataset", "er:8:0.3:2",
+        "--oracle", "structural:edge_count:12",
+        "--gamma-sweep", "0.5:0.1:0.1",
+        "--out", str(out),
+    ])
+    assert result.exit_code != 0
+    assert isinstance(result.exception, ConfigError)
+    assert not out.exists()
