@@ -7,6 +7,7 @@ from .attack import (
     boundary_distance,
     estimate_gradient,
     objective_p,
+    probe_graphs,
     qegc_sign,
     sign_sgd_attack,
     solve_g_star,

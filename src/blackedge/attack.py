@@ -4,9 +4,11 @@ The continuous relaxation scores a search direction by the distance from
 the target graph to the decision boundary along it.  The objective is
 the clipped mass of the boundary vector above the flip threshold; its
 gradient signs are obtained with one oracle query per probe direction
-and averaged into a sign-SGD update.  Every step asks the run's label
-memo whether a graph is adversarial; a graph already queried in the run
-is answered there at no query.
+and averaged into a sign-SGD update.  The probe directions of a step do
+not depend on any label, so each step prepares all its probe graphs at
+once (``probe_graphs``), then queries them one by one.  Every step asks
+the run's label memo whether a graph is adversarial; a graph already
+queried in the run is answered there at no query.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from .errors import (
     BudgetExhausted,
     ConfigError,
     DegenerateTarget,
+    DimensionMismatch,
     NoAdversarialFound,
     NoBoundary,
-    ZeroVector,
 )
 from .graph import (
     FLIP_THRESHOLD,
@@ -84,6 +86,14 @@ class AttackConfig:
             raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.trials_scale < 1:
             raise ConfigError(f"trials_scale must be at least 1, got {self.trials_scale}")
+        if self.seed < 0:  # run_experiment seeds numpy generators with seed + idx
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if self.early_stop_patience < 1:
+            raise ConfigError(
+                f"early_stop_patience must be at least 1, got {self.early_stop_patience}")
+        # a NaN or negative tolerance never counts a step as stagnant
+        if not self.early_stop_tol >= 0.0:
+            raise ConfigError(f"early_stop_tol must be non-negative, got {self.early_stop_tol}")
 
     def predicate(self, y0: int):
         if self.target_label is None:
@@ -199,8 +209,9 @@ def objective_p(theta, g: float) -> float:
     return _clipped_mass(g * normalize(theta))
 
 
-# solve_g_star walks the breakpoints of at most this many of the largest
-# components; a target further out sorts all the breakpoints instead.
+# solve_g_star, and probe_graphs for all its rows at once, walk the
+# breakpoints of at most this many of the largest components; a target
+# further out sorts all the breakpoints instead.
 WALK_COMPONENTS = 32
 _TURN_ON_OFF = np.array([[FLIP_THRESHOLD], [FLIP_THRESHOLD + 1.0]])
 _SLOPE_SIGN = np.array([[1.0], [-1.0]])
@@ -343,17 +354,140 @@ def solve_g_star(theta_new, p_old: float) -> float:
     return float(g0 + (p_old - p0) * (g1 - g0) / (p1 - p0))
 
 
-def qegc_sign(memo: LabelMemo, graph: Graph, p_old: float, theta_new) -> int:
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Each row's L2 norm, computed as ``normalize`` computes it, from the
+    row's own dot product, so each norm has the bits ``normalize`` gives
+    that row alone."""
+    return np.array([math.sqrt(row.dot(row)) for row in rows])
+
+
+def _walk_rows(scaled: np.ndarray, counts: np.ndarray, invertible: np.ndarray,
+               p_old: float) -> np.ndarray:
+    """The (2, rows) breakpoints around the segment where each row's running
+    mass first reaches ``p_old``, located among the breakpoints of its
+    ``WALK_COMPONENTS`` largest components as ``_walk_breakpoints`` does,
+    for all rows at once; 0 at both ends of a row not located so.
+
+    Up to the turn-on of the j-th largest component only the j largest
+    have breakpoints, so a segment that ends there at the latest is a
+    segment of all the row's breakpoints.  The running mass may round
+    either way; ``_solve_g_star_rows`` keeps a segment only where the
+    clipped mass itself brackets ``p_old``.  The clipped mass does not
+    decrease with the scale, so such a segment is ``solve_g_star``'s.
+    """
+    n, d = scaled.shape
+    j = min(WALK_COMPONENTS, d)
+    g = np.zeros((2, n))
+    walked = invertible & (counts >= j)
+    if walked.all():
+        walked = slice(None)
+    else:
+        walked = np.flatnonzero(walked)
+        if not walked.size:
+            return g
+        scaled, counts = scaled[walked], counts[walked]
+    m = scaled.shape[0]
+    top = np.sort(scaled, axis=1)[:, ::-1][:, :j]  # the j largest, descending
+    # each row's turn-ons, then its turn-offs: the stable sort merges the two
+    # ascending runs turn-on first on a tie
+    breaks = np.divide(_TURN_ON_OFF, top[:, None, :]).ravel()
+    order = np.argsort(breaks.reshape(m, 2 * j), axis=1, kind="stable")
+    order += np.arange(0, breaks.size, 2 * j)[:, None]  # into the flat breaks
+    events = breaks[order]
+    slope = np.multiply(_SLOPE_SIGN, top[:, None, :]).ravel()[order]
+    np.cumsum(slope, axis=1, out=slope)
+    mass = events[:, 1:] - events[:, :-1]
+    np.multiply(slope[:, :-1], mass, out=mass)
+    np.cumsum(mass, axis=1, out=mass)  # the running mass at events[:, 1:]
+    # the segment up to the first breakpoint whose running mass reaches p_old
+    at = np.arange(m)
+    idx = (mass >= p_old).argmax(axis=1)
+    g0, g1 = events[at, idx], events[at, idx + 1]
+    # past the j-th turn-on, components beyond the j largest break too
+    ok = (counts == j) | (g1 <= breaks[j - 1::2 * j])
+    g[:, walked] = g0 * ok, g1 * ok
+    return g
+
+
+def _solve_g_star_rows(unit: np.ndarray, p_old: float) -> np.ndarray:
+    """``solve_g_star(row, p_old)`` of every row at once, with the same bits;
+    NaN where it raises.
+
+    The rows are normalised again, sorted and walked together, and both
+    bracket masses of every row are evaluated in one pass over the rows'
+    positive components.  A row whose located segment does not bracket
+    ``p_old`` takes ``solve_g_star`` itself.
+    """
+    scaled = unit / _row_norms(unit)[:, None]  # what solve_g_star normalises
+    positive = scaled > 0.0
+    counts = np.add.reduce(positive, axis=1, dtype=np.intp)
+    invertible = (0.0 < p_old) & (p_old < counts)  # also rejects NaN
+    g = _walk_rows(scaled, counts, invertible, p_old)
+    # the clipped mass at both ends of each row's segment with the bits of
+    # _clipped_mass: each row's positives in slot order, reduced on their own
+    ghat = np.repeat(g, counts, axis=1)
+    np.multiply(ghat, scaled[positive], out=ghat)
+    np.subtract(ghat, FLIP_THRESHOLD, out=ghat)
+    np.maximum(ghat, 0.0, out=ghat)
+    np.minimum(ghat, 1.0, out=ghat)
+    ends = np.cumsum(counts).tolist()
+    p0, p1 = np.array([np.add.reduce(ghat[:, end - k:end], 1)
+                       for k, end in zip(counts.tolist(), ends)]).T
+    g0, g1 = g
+    b = (p0 < p_old) & (p_old <= p1)  # the segment brackets p_old
+    if b.all():
+        return g0 + (p_old - p0) * (g1 - g0) / (p1 - p0)
+    g_star = np.full(len(g0), np.nan)
+    g_star[b] = g0[b] + (p_old - p0[b]) * (g1[b] - g0[b]) / (p1[b] - p0[b])
+    for i in np.flatnonzero(invertible & ~b).tolist():
+        try:
+            g_star[i] = solve_g_star(unit[i], p_old)
+        except DegenerateTarget:
+            pass
+    return g_star
+
+
+def probe_graphs(graph: Graph, p_old: float, thetas) -> list[Graph | None]:
+    """Each row's probe graph, or None where the row is degenerate.
+
+    Row by row this is ``normalize``, ``solve_g_star`` on the normalised
+    row and ``apply_perturbation`` of g* times the normalised row, with the
+    same bits, and None exactly where those raise (a zero row, or a target
+    outside a row's invertible range).  The rows are prepared together, and
+    every probe's bits come from one XOR.  Zero queries.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.shape[1:] != graph.bits.shape:
+        raise DimensionMismatch(
+            f"probe rows have {thetas.shape[1:]} entries, graph has "
+            f"{graph.n_edge_slots} slots"
+        )
+    if not len(thetas):
+        return []
+    norms = _row_norms(thetas)
+    live = norms > 0.0
+    if not live.all():  # a zero row raises ZeroVector in normalize
+        out: list[Graph | None] = [None] * len(thetas)
+        rows = np.flatnonzero(live).tolist()
+        for i, probe in zip(rows, probe_graphs(graph, p_old, thetas[rows])):
+            out[i] = probe
+        return out
+    unit = thetas / norms[:, None]  # each row normalised, as the probe scales it
+    g_star = _solve_g_star_rows(unit, p_old)  # NaN flips nothing
+    bits = graph.bits ^ (g_star[:, None] * unit >= FLIP_THRESHOLD).view(np.uint8)
+    return [graph._with_valid_bits(row) if ok else None
+            for row, ok in zip(bits, (g_star == g_star).tolist())]
+
+
+def qegc_sign(memo: LabelMemo, probe: Graph) -> int:
     """Sign of the objective change toward a new direction, in one query.
 
-    The scale whose objective equals ``p_old`` along the new direction is
-    found analytically; if the graph there is already misclassified the
-    boundary moved closer (sign -1), otherwise it moved away (sign +1).
-    A probe graph already in ``memo`` costs no query.
+    ``probe`` is the direction's probe graph from ``probe_graphs``: the
+    graph at the scale whose objective equals the current one along the
+    new direction.  If it is already misclassified the boundary moved
+    closer (sign -1), otherwise it moved away (sign +1).  A probe graph
+    already in ``memo`` costs no query.
     """
-    theta_norm = normalize(theta_new)
-    g_star = solve_g_star(theta_norm, p_old)
-    probe = apply_perturbation(graph, g_star * theta_norm)
     return -1 if memo.adversarial(probe, "qegc") else +1
 
 
@@ -370,7 +504,12 @@ def estimate_gradient(
 
     Each probe direction costs one query, none if its graph is already in
     ``memo``; degenerate probes are re-drawn up to 3 times, then skipped
-    (contributing zero).
+    (contributing zero).  The directions do not depend on any label, so
+    the rows still to be drawn (one per remaining probe) are drawn and
+    prepared by ``probe_graphs`` at once, then queried one by one in draw
+    order; a re-draw draws the next batch.  If the query cap stops the
+    step, the generator is left where drawing row by row would have left
+    it: after the row whose query was refused.
 
     When ``p_t`` is not positive (or NaN), ``solve_g_star`` rejects every
     probe whatever its direction, so all 4 draws of every probe are made
@@ -381,22 +520,32 @@ def estimate_gradient(
         # standard_normal((k, d)) consumes the stream of k draws of size d
         rng.standard_normal((4 * q_directions, d))
         return np.zeros(d)
+    state = rng.bit_generator.state
     signs = []
     dirs = []
-    for _ in range(q_directions):
-        for _attempt in range(4):
-            u = rng.standard_normal(d)
-            norm = math.sqrt(u.dot(u))  # what np.linalg.norm computes
-            if norm == 0.0:
-                continue
-            u = u / norm
-            try:
-                s = qegc_sign(memo, graph, p_t, theta + mu * u)
-            except (DegenerateTarget, ZeroVector):
-                continue
-            signs.append(s)
-            dirs.append(u)
-            break
+    drawn = done = attempt = 0  # rows drawn, probes done, draws of this probe
+    while done < q_directions:
+        # every remaining probe takes at least one row, so each row is used
+        u = rng.standard_normal((q_directions - done, d))
+        norms = _row_norms(u)
+        norms[norms == 0.0] = np.nan  # a zero row becomes a NaN row, which probe_graphs rejects
+        u /= norms[:, None]
+        for row, probe in zip(u, probe_graphs(graph, p_t, theta + mu * u)):
+            drawn += 1
+            attempt += 1
+            if probe is None:
+                if attempt < 4:
+                    continue
+            else:
+                try:
+                    signs.append(qegc_sign(memo, probe))
+                except BudgetExhausted:
+                    rng.bit_generator.state = state
+                    rng.standard_normal((drawn, d))
+                    raise
+                dirs.append(row)
+            done += 1
+            attempt = 0
     if not signs:
         return np.zeros(d)
     # sums of +-1 terms are exact in any order

@@ -206,6 +206,10 @@ def run_experiment(
         raise ConfigError(f"unknown method {method!r}")
     if method == "random" and random_query_budget is None:
         raise ConfigError("random method needs random_query_budget")
+    if random_query_budget is not None and random_query_budget < 1:
+        raise ConfigError(f"random_query_budget must be at least 1, got {random_query_budget}")
+    if n_trials < 1:
+        raise ConfigError(f"n_trials must be at least 1, got {n_trials}")
 
     targets = select_targets(oracle, graphs)
     rows = []

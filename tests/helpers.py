@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from blackedge.attack import AttackResult, qegc_sign
+from blackedge.attack import AttackResult, solve_g_star
 from blackedge.cgs import CgsOutcome
 from blackedge.errors import DegenerateTarget, NoAdversarialFound, ZeroVector
 from blackedge.graph import (
@@ -25,6 +25,7 @@ from blackedge.graph import (
     apply_perturbation,
     edge_index_map,
     flip_ledger,
+    normalize,
     perturbation_rate,
 )
 from blackedge.oracle import LabelMemo
@@ -140,10 +141,23 @@ def reference_solve_g_star(theta_new, p_old: float) -> float:
     return float(g0 + (p_old - p0) * (g1 - g0) / (p1 - p0))
 
 
+def reference_probe(graph: Graph, p_old: float, theta_new) -> Graph | None:
+    """One direction's probe graph, built on its own as the first ``qegc_sign``
+    built it, or None where that raised; ``probe_graphs`` must return the
+    same graph for each row."""
+    try:
+        theta_norm = normalize(theta_new)
+        g_star = solve_g_star(theta_norm, p_old)
+    except (DegenerateTarget, ZeroVector):
+        return None
+    return apply_perturbation(graph, g_star * theta_norm)
+
+
 def reference_estimate_gradient(memo, graph, theta, p_t, q_directions, mu, rng):
-    """Gradient step that calls ``qegc_sign`` for every draw and sums the
-    signs probe by probe; the library's step must equal it exactly, in the
-    result, the queries, the memo hits and the random stream consumed."""
+    """Gradient step that draws, prepares and queries one probe at a time
+    and sums the signs probe by probe; the library's batched step must
+    equal it exactly, in the result, the queries, the memo hits and the
+    random stream consumed."""
     d = np.asarray(theta).shape[0]
     grad = np.zeros(d)
     for _ in range(q_directions):
@@ -153,10 +167,10 @@ def reference_estimate_gradient(memo, graph, theta, p_t, q_directions, mu, rng):
             if norm == 0.0:
                 continue
             u = u / norm
-            try:
-                s = qegc_sign(memo, graph, p_t, theta + mu * u)
-            except (DegenerateTarget, ZeroVector):
+            probe = reference_probe(graph, p_t, theta + mu * u)
+            if probe is None:
                 continue
+            s = -1 if memo.adversarial(probe, "qegc") else +1
             grad += s * np.sign(u)
             break
     return grad / q_directions

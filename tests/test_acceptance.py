@@ -19,6 +19,7 @@ from blackedge.attack import (
     attack_graph,
     boundary_distance,
     objective_p,
+    probe_graphs,
     qegc_sign,
     solve_g_star,
 )
@@ -124,8 +125,11 @@ def test_criterion_3_one_query_sign_equivalence():
                     expected, p_old, p_new = _brute_force_sign(
                         table.clone, graph, 0, theta_old, theta_new
                     )
+                    [probe_graph] = probe_graphs(graph, p_old, [theta_new])
+                    if probe_graph is None:
+                        continue
                     probe = table.clone()
-                    got = qegc_sign(untargeted_memo(probe), graph, p_old, theta_new)
+                    got = qegc_sign(untargeted_memo(probe), probe_graph)
                 except DegenerateTarget:
                     continue
                 assert probe.ledger.total == 1  # exactly one query

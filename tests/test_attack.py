@@ -1,5 +1,6 @@
 """Boundary distance, the clipped objective, its inversion and sign-SGD."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,20 +13,29 @@ from blackedge.attack import (
     boundary_distance,
     estimate_gradient,
     objective_p,
+    probe_graphs,
     qegc_sign,
     sign_sgd_attack,
     solve_g_star,
 )
 from blackedge.cgs import coarse_grained_search
 from blackedge.datasets import erdos_renyi
-from blackedge.errors import BudgetExhausted, ConfigError, DegenerateTarget, NoBoundary
+from blackedge.errors import (
+    BudgetExhausted,
+    ConfigError,
+    DegenerateTarget,
+    DimensionMismatch,
+    NoBoundary,
+)
 from blackedge.graph import Graph, apply_perturbation, normalize
 from blackedge.oracle import FunctionOracle, LabelMemo, TableOracle, structural_oracle
 from blackedge.partition import louvain
 
 from helpers import (
+    random_graph,
     reference_estimate_gradient,
     reference_normalize,
+    reference_probe,
     reference_solve_g_star,
     untargeted_memo,
 )
@@ -487,7 +497,8 @@ def test_qegc_sign_matches_brute_force_on_exhaustive_oracle():
             table.clone, graph, 0, theta_old, theta_new
         )
         probe = table.clone()
-        got = qegc_sign(untargeted_memo(probe), graph, p_old, theta_new)
+        [probe_graph] = probe_graphs(graph, p_old, [theta_new])
+        got = qegc_sign(untargeted_memo(probe), probe_graph)
         assert probe.ledger.snapshot() == {
             "cgs": 0, "binary_search": 0, "qegc": 1, "other": 0, "total": 1
         }
@@ -503,7 +514,122 @@ def test_qegc_sign_direction_of_the_inequality():
     # already misclassified, so the objective decreased
     oracle = structural_oracle("edge_count", 1)
     graph = Graph.empty(3)
-    assert qegc_sign(untargeted_memo(oracle), graph, 0.4, np.array([1.0, 1.0, 0.1])) == -1
+    [probe] = probe_graphs(graph, 0.4, [np.array([1.0, 1.0, 0.1])])
+    assert qegc_sign(untargeted_memo(oracle), probe) == -1
+
+
+# -- batched probes ------------------------------------------------------
+
+
+def _assert_probes_equal_the_reference(graph, p_old, thetas):
+    """``probe_graphs`` equals the one-row reference on every row: the same
+    probe bits, and None exactly where the reference raised; the batched
+    inversion returns ``solve_g_star``'s scale, bit for bit.  Returns the
+    number of rows that had a probe."""
+    unit = np.array([normalize(row) for row in thetas if row.any()])
+    if unit.size:
+        for row, g_star in zip(unit, attack._solve_g_star_rows(unit, p_old)):
+            try:
+                assert g_star == solve_g_star(row, p_old)
+            except DegenerateTarget:
+                assert np.isnan(g_star)
+    got = probe_graphs(graph, p_old, thetas)
+    assert len(got) == len(thetas)
+    probes = 0
+    for row, probe in zip(thetas, got):
+        want = reference_probe(graph, p_old, row)
+        if want is None:
+            assert probe is None
+            continue
+        assert probe is not None
+        assert probe.bits.tobytes() == want.bits.tobytes()
+        assert probe.n_nodes == graph.n_nodes and probe.features is graph.features
+        probes += 1
+    return probes
+
+
+def _counting_solve_g_star(monkeypatch):
+    """Count the rows ``probe_graphs`` hands to the scalar inversion."""
+    calls = []
+    monkeypatch.setattr(attack, "solve_g_star",
+                        lambda *args: calls.append(1) or solve_g_star(*args))
+    return calls
+
+
+@pytest.mark.parametrize("k", [1, 10, 100])
+@pytest.mark.parametrize("n_nodes", [3, 12, 20, 40])  # d = 3, 66, 190, 780
+def test_probe_graphs_equal_the_reference_row_by_row(monkeypatch, n_nodes, k):
+    fallbacks = _counting_solve_g_star(monkeypatch)
+    rng = np.random.default_rng(1000 * n_nodes + k)
+    graph = random_graph(rng, n_nodes)
+    d = graph.n_edge_slots
+    probes = 0
+    for _ in range(4):
+        # probe-like rows theta + mu * u, as estimate_gradient builds them
+        theta = normalize(rng.standard_normal(d))
+        u = rng.standard_normal((k, d))
+        thetas = theta + 0.1 * u / np.linalg.norm(u, axis=1)[:, None]
+        positives = (thetas > 0).sum(axis=1)
+        targets = [
+            rng.uniform(0.0, 1.0) * positives.min(),  # inside a segment
+            rng.uniform(0.0, 0.05) * positives.min(),  # a short walk
+            float(rng.integers(0, d + 1)),  # integer, some beyond p_max
+            np.nextafter(float(positives[0]), 0.0),  # just below row 0's p_max
+        ]
+        for row in thetas[:3]:
+            # on a breakpoint's mass: among the walked breakpoints, and anywhere
+            masses = sorted(_breakpoint_masses(row)) or [0.5]
+            targets.append(masses[int(rng.integers(min(len(masses), 2 * attack.WALK_COMPONENTS)))])
+            targets.append(masses[int(rng.integers(len(masses)))])
+        for p_old in targets:
+            probes += _assert_probes_equal_the_reference(graph, p_old, thetas)
+    assert probes > 0
+    if k == 100:
+        assert fallbacks  # rows past the walk, or not bracketed by it
+
+
+@pytest.mark.parametrize("d", [3, 66, 190, 780])
+def test_probe_graphs_equal_the_reference_on_shared_breakpoints(monkeypatch, d):
+    # every row is a permutation of one multiset (few magnitudes, or a
+    # probe-like direction), so all rows share their breakpoints, tied ones
+    # included, and most targets are a breakpoint's mass
+    fallbacks = _counting_solve_g_star(monkeypatch)
+    rng = np.random.default_rng(d)
+    n_nodes = {3: 3, 66: 12, 190: 20, 780: 40}[d]
+    graph = random_graph(rng, n_nodes)
+    probe_like = normalize(rng.standard_normal(d)) + 0.1 * normalize(rng.standard_normal(d))
+    for base in (rng.choice([-0.4, 0.25, 0.5, 1.0], size=d), rng.choice([-1.0, 1.0, 3.0], size=d),
+                 rng.choice([1.0, 2.0, 5.0], size=d), probe_like):
+        thetas = np.array([rng.permutation(base) for _ in range(10)])
+        # a permutation sums its masses in another order: a target on one
+        # row's breakpoint mass can lie an ulp off another's
+        masses = np.unique(_breakpoint_masses(base))
+        walked = masses[:2 * attack.WALK_COMPONENTS]
+        targets = list(rng.choice(walked, min(walked.size, 12), replace=False))
+        targets += list(rng.choice(masses, min(masses.size, 4), replace=False))
+        k = int((base > 0).sum())
+        targets += [np.nextafter(float(k), 0.0), 0.5 * k]
+        for p_old in targets:
+            _assert_probes_equal_the_reference(graph, p_old, thetas)
+    assert fallbacks  # a target on a tie leaves the walk's segment unbracketed
+
+
+def test_probe_graphs_reject_degenerate_rows_as_the_reference_does():
+    rng = np.random.default_rng(6)
+    graph = random_graph(rng, 12)
+    d = graph.n_edge_slots
+    rows = [rng.standard_normal(d), np.zeros(d), -np.abs(rng.standard_normal(d)),
+            np.where(np.arange(d) < 2, 1.0, -1.0),  # two positive components
+            rng.standard_normal(d), np.zeros(d)]
+    thetas = np.array(rows)
+    for p_old in (0.5, 1.5, 1.999, 2.0, 3.0, 0.0, -0.0, -1.0, 5e-324, float("nan")):
+        _assert_probes_equal_the_reference(graph, p_old, thetas)
+    got = probe_graphs(graph, 0.5, thetas)
+    assert [probe is None for probe in got] == [False, True, True, False, False, True]
+    assert probe_graphs(graph, 0.5, np.zeros((3, d))) == [None] * 3
+    assert probe_graphs(graph, 0.5, np.empty((0, d))) == []
+    with pytest.raises(DimensionMismatch):
+        probe_graphs(graph, 0.5, np.ones((2, d + 1)))
 
 
 # -- gradient estimation -------------------------------------------------
@@ -579,6 +705,44 @@ def test_estimate_gradient_equals_the_reference(monkeypatch, p_kind, q):
         assert calls == []
     elif q > 1:
         assert capped
+
+
+class _ScriptedNormals:
+    """A generator whose normal draws deal out a fixed sequence, row after
+    row; its state is the position in the sequence."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.bit_generator = self
+        self.state = 0
+
+    def standard_normal(self, shape):
+        n = int(np.prod(shape))
+        out = self.values[self.state:self.state + n].reshape(shape)
+        self.state += n
+        return out.copy()
+
+
+def test_estimate_gradient_redraws_a_zero_draw_as_the_reference_does():
+    graph = erdos_renyi(8, 0.4, np.random.default_rng(2))
+    d = graph.n_edge_slots
+    rng = np.random.default_rng(3)
+    theta = normalize(rng.standard_normal(d))
+    rows = rng.standard_normal((12, d))
+    rows[[0, 4, 5]] = 0.0  # the first probe's first draw, and two in a row later
+    for step in (reference_estimate_gradient, estimate_gradient):
+        oracle = structural_oracle("edge_count", graph.n_edges + 1)
+        memo = untargeted_memo(oracle)
+        normals = _ScriptedNormals(rows.ravel())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a zero row is no division by zero
+            grad = step(memo, graph, theta, 0.3, 4, 0.1, normals)
+        if step is reference_estimate_gradient:
+            want = grad, oracle.ledger.total, normals.state
+            assert normals.state >= 7 * d  # 4 probes and the 3 zero draws
+        else:
+            assert np.array_equal(grad, want[0])
+            assert (oracle.ledger.total, normals.state) == want[1:]
 
 
 # -- sign-SGD loop -------------------------------------------------------
@@ -782,6 +946,11 @@ def test_capped_run_never_returns_an_unverified_seed():
     ("learning_rate", 0.0),
     ("learning_rate", float("nan")),
     ("learning_rate", float("inf")),
+    ("seed", -1),
+    ("early_stop_patience", 0),
+    ("early_stop_patience", -3),
+    ("early_stop_tol", -1e-6),
+    ("early_stop_tol", float("nan")),
 ])
 def test_invalid_config_rejected(field, value):
     with pytest.raises(ConfigError):
@@ -791,6 +960,8 @@ def test_invalid_config_rejected(field, value):
 def test_edge_of_range_configs_are_valid():
     AttackConfig(iterations=0, budget=1.0, directions_per_step=1, max_queries=1)
     AttackConfig(strategy="III", trials_scale=1, smoothing=1e-12, learning_rate=1e-12)
+    AttackConfig(seed=0, early_stop_patience=1, early_stop_tol=0.0)
+    AttackConfig(early_stop_tol=float("inf"))  # every step stagnates
 
 
 def test_attack_deterministic_given_seed():

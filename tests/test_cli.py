@@ -178,3 +178,20 @@ def test_defend_with_an_empty_sweep_writes_nothing(runner, tmp_path):
     assert result.exit_code != 0
     assert isinstance(result.exception, ConfigError)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["attack", "--n-trials", "0"],
+    ["baseline-random", "--query-budget", "0"],
+    ["baseline-random", "--query-budget", "-5"],
+])
+def test_no_trials_or_no_queries_is_a_config_error(runner, tmp_path, args):
+    out = tmp_path / "report.json"
+    result = runner.invoke(main, args + [
+        "--dataset", "er:8:0.3:2",
+        "--oracle", "structural:edge_count:12",
+        "--out", str(out),
+    ])
+    assert result.exit_code != 0
+    assert isinstance(result.exception, ConfigError)
+    assert not out.exists()

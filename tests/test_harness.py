@@ -8,6 +8,7 @@ import pytest
 
 from blackedge.attack import AttackConfig, AttackResult
 from blackedge.datasets import erdos_renyi, generate_synthetic
+from blackedge.errors import ConfigError
 from blackedge.graph import Graph
 from blackedge.harness import (
     aggregate_metrics,
@@ -176,6 +177,21 @@ def test_run_experiment_rejects_bad_method(small_suite):
         run_experiment(oracle, graphs, AttackConfig(), method="exhaustive")
     with pytest.raises(ConfigError):
         run_experiment(oracle, graphs, AttackConfig(), method="random")
+
+
+@pytest.mark.parametrize("query_budget", [0, -5])
+def test_run_experiment_rejects_a_random_query_budget_below_one(small_suite, query_budget):
+    oracle, graphs = small_suite
+    with pytest.raises(ConfigError, match="random_query_budget"):
+        run_experiment(oracle, graphs, AttackConfig(), method="random",
+                       random_query_budget=query_budget)
+
+
+@pytest.mark.parametrize("n_trials", [0, -1])
+def test_run_experiment_rejects_fewer_than_one_trial(small_suite, n_trials):
+    oracle, graphs = small_suite
+    with pytest.raises(ConfigError, match="n_trials"):
+        run_experiment(oracle, graphs, AttackConfig(), n_trials=n_trials)
 
 
 # -- report serialization ------------------------------------------------
