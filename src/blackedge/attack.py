@@ -13,6 +13,7 @@ queried in the run is answered there at no query.
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 from dataclasses import dataclass, field
@@ -165,16 +166,35 @@ def boundary_distance(
     already exceeds the flip threshold; no label change by then means no
     boundary exists along this direction.  Every probe is one query unless
     ``memo`` already holds its graph.
+
+    The graph at scale λ flips the slots with ``λ·θ̂ᵢ >= FLIP_THRESHOLD``,
+    as ``apply_perturbation(graph, λ·θ̂)`` does.  For λ > 0 the rounded
+    product does not decrease with the component, so those slots are the
+    first c of the positive components sorted in descending order; equal
+    components have equal products and flip together.  Each probe
+    bisects for its flip count c on those same products, and the graph
+    of each count is built once per call, so the graphs submitted are
+    bit for bit those of ``apply_perturbation``.
     """
     theta_norm = normalize(theta)
-    positive = theta_norm[theta_norm > 0]
-    if positive.size == 0:
+    slots = np.flatnonzero(theta_norm > 0)
+    if slots.size == 0:
         raise NoBoundary("direction has no positive component; no edge can flip")
-    saturation = FLIP_THRESHOLD / float(positive.min())
+    slots = slots[np.argsort(-theta_norm[slots], kind="stable")]
+    desc = theta_norm[slots].tolist()
+    saturation = FLIP_THRESHOLD / desc[-1]
     cap = max(np.sqrt(theta_norm.size), saturation) * (1.0 + 1e-9)
+    by_count: dict[int, Graph] = {}
 
     def adversarial(lam: float) -> bool:
-        return memo.adversarial(apply_perturbation(graph, lam * theta_norm), "binary_search")
+        lam = float(lam)
+        c = bisect.bisect_left(desc, True, key=lambda s: lam * s < FLIP_THRESHOLD)
+        probe = by_count.get(c)
+        if probe is None:
+            bits = graph.bits.copy()
+            bits[slots[:c]] ^= 1
+            probe = by_count[c] = graph._with_valid_bits(bits)
+        return memo.adversarial(probe, "binary_search")
 
     hi = min(max(lambda_hint, epsilon), cap)
     while not adversarial(hi):
@@ -191,14 +211,18 @@ def boundary_distance(
     return hi
 
 
-def _clipped_mass(ghat) -> float:
+def _clipped_mass(ghat: np.ndarray) -> float:
     """Sum of each component's excess over the flip threshold, capped at 1.
 
-    ``np.minimum(np.maximum(...))`` and ``np.add.reduce`` give the same
-    values as ``np.clip(...).sum()`` at about half its per-call cost, which
-    dominates at these sizes.
+    Consumes ``ghat``: the float array is overwritten in place, so pass a
+    temporary.  ``np.minimum(np.maximum(...))`` and ``np.add.reduce`` give
+    the same values as ``np.clip(...).sum()`` at about half its per-call
+    cost, which dominates at these sizes.
     """
-    return float(np.add.reduce(np.minimum(np.maximum(ghat - FLIP_THRESHOLD, 0.0), 1.0)))
+    np.subtract(ghat, FLIP_THRESHOLD, out=ghat)
+    np.maximum(ghat, 0.0, out=ghat)
+    np.minimum(ghat, 1.0, out=ghat)
+    return float(np.add.reduce(ghat))
 
 
 def objective_p(theta, g: float) -> float:
@@ -355,10 +379,15 @@ def solve_g_star(theta_new, p_old: float) -> float:
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """Each row's L2 norm, computed as ``normalize`` computes it, from the
-    row's own dot product, so each norm has the bits ``normalize`` gives
-    that row alone."""
-    return np.array([math.sqrt(row.dot(row)) for row in rows])
+    """Each row's L2 norm with the bits ``normalize`` gives that row alone.
+
+    One stacked ``(1, d) @ (d, 1)`` product per row takes each row's own
+    dot product, as ``normalize`` does on the row, in one call.  The stack
+    is made C-contiguous first: ``normalize`` dots a contiguous copy, and a
+    strided dot sums in another order.
+    """
+    rows = np.ascontiguousarray(rows)
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
 
 
 def _walk_rows(scaled: np.ndarray, counts: np.ndarray, invertible: np.ndarray,

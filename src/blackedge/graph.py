@@ -135,7 +135,7 @@ class Graph:
 
     @property
     def n_edges(self) -> int:
-        return int(self.bits.sum())
+        return int(np.count_nonzero(self.bits))  # bits are 0/1
 
     @property
     def adjacency(self) -> np.ndarray:

@@ -23,6 +23,15 @@ from .graph import Graph, apply_perturbation
 from .oracle import HardLabelOracle, LabelMemo
 
 
+def _check_random_budgets(budget: float, query_budget: int,
+                          name: str = "query_budget") -> None:
+    """The random baseline's budgets: a rate in (0, 1] and at least one trial."""
+    if not 0.0 < budget <= 1.0:  # also rejects NaN
+        raise ConfigError(f"budget must be in (0, 1], got {budget}")
+    if query_budget < 1:
+        raise ConfigError(f"{name} must be at least 1, got {query_budget}")
+
+
 def random_attack(
     oracle: HardLabelOracle,
     graph: Graph,
@@ -43,20 +52,29 @@ def random_attack(
     graph is answered from the call's label memo, bound to ``oracle`` and
     ``predicate`` (by default any label but ``y0``), and counted in
     ``memo_hits``, so ``total + memo_hits + skipped == query_budget``;
-    trials never submitted are reported as ``skipped``.
+    trials never submitted are reported as ``skipped``.  A budget that
+    allows no flip on ``graph`` (``floor(budget * slots) == 0``) draws
+    nothing and fails with every trial skipped.
     """
+    _check_random_budgets(budget, query_budget)
     if predicate is None:
         predicate = lambda label: label != y0
     start = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    memo = LabelMemo(oracle, predicate)
     s = graph.n_edge_slots
-    max_flips = max(1, int(np.floor(budget * s)))
+    max_flips = int(np.floor(budget * s))
+    if max_flips == 0:
+        return AttackResult.of_run(
+            memo, graph, None, start, found_in="random",
+            failure_reason=f"budget {budget} allows no flip of {s} slots",
+            skipped=query_budget,
+        )
+    rng = np.random.default_rng(seed)
     draws = []  # (flips, slots), in draw order
     for _ in range(query_budget):
         n_flip = min(max(1, round(rng.uniform(0.0, budget) * s)), max_flips)
         draws.append((n_flip, rng.choice(s, size=n_flip, replace=False)))
     best_graph = None
-    memo = LabelMemo(oracle, predicate)
     submitted = 0
     # sorted() is stable: among equal flips the earlier draw goes first
     for _n_flip, chosen in sorted(draws, key=lambda t: t[0]):
@@ -206,8 +224,8 @@ def run_experiment(
         raise ConfigError(f"unknown method {method!r}")
     if method == "random" and random_query_budget is None:
         raise ConfigError("random method needs random_query_budget")
-    if random_query_budget is not None and random_query_budget < 1:
-        raise ConfigError(f"random_query_budget must be at least 1, got {random_query_budget}")
+    if random_query_budget is not None:
+        _check_random_budgets(cfg.budget, random_query_budget, "random_query_budget")
     if n_trials < 1:
         raise ConfigError(f"n_trials must be at least 1, got {n_trials}")
 

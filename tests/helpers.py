@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import math
 import sys
 from itertools import groupby
 from pathlib import Path
@@ -18,7 +19,7 @@ import numpy as np
 
 from blackedge.attack import AttackResult, solve_g_star
 from blackedge.cgs import CgsOutcome
-from blackedge.errors import DegenerateTarget, NoAdversarialFound, ZeroVector
+from blackedge.errors import DegenerateTarget, NoAdversarialFound, NoBoundary, ZeroVector
 from blackedge.graph import (
     FLIP_THRESHOLD,
     Graph,
@@ -139,6 +140,42 @@ def reference_solve_g_star(theta_new, p_old: float) -> float:
     if p1 == p0:
         return float(g0)
     return float(g0 + (p_old - p0) * (g1 - g0) / (p1 - p0))
+
+
+def reference_row_norms(rows) -> np.ndarray:
+    """Each row's norm from its own dot product, one row at a time; on a
+    C-contiguous stack the library's one-call norms must equal it."""
+    return np.array([math.sqrt(row.dot(row)) for row in rows])
+
+
+def reference_boundary_distance(memo, graph: Graph, theta, epsilon=1e-3,
+                                lambda_hint=1.0) -> float:
+    """Boundary search that builds every probe with ``apply_perturbation``
+    of the scaled direction; the library's search by flip count must return
+    the same scale, with the same queries and memo hits."""
+    theta_norm = normalize(theta)
+    positive = theta_norm[theta_norm > 0]
+    if positive.size == 0:
+        raise NoBoundary("direction has no positive component; no edge can flip")
+    saturation = FLIP_THRESHOLD / float(positive.min())
+    cap = max(np.sqrt(theta_norm.size), saturation) * (1.0 + 1e-9)
+
+    def adversarial(lam):
+        return memo.adversarial(apply_perturbation(graph, lam * theta_norm), "binary_search")
+
+    hi = min(max(lambda_hint, epsilon), cap)
+    while not adversarial(hi):
+        if hi >= cap:
+            raise NoBoundary("no label change up to the saturation scale")
+        hi = min(hi * 2.0, cap)
+    lo = 0.0
+    while hi - lo > epsilon:
+        mid = 0.5 * (lo + hi)
+        if adversarial(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def reference_probe(graph: Graph, p_old: float, theta_new) -> Graph | None:

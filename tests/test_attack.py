@@ -32,10 +32,13 @@ from blackedge.oracle import FunctionOracle, LabelMemo, TableOracle, structural_
 from blackedge.partition import louvain
 
 from helpers import (
+    hashed_label,
     random_graph,
+    reference_boundary_distance,
     reference_estimate_gradient,
     reference_normalize,
     reference_probe,
+    reference_row_norms,
     reference_solve_g_star,
     untargeted_memo,
 )
@@ -97,6 +100,126 @@ def test_boundary_distance_beyond_sqrt_d():
     true = 0.5 / theta_n[1]  # second edge appears only here
     assert true <= dist <= true + 1e-3
     assert dist > np.sqrt(6)
+
+
+class _RecordingMemo(LabelMemo):
+    """A run memo that logs every submission: bits, phase, size and label."""
+
+    __slots__ = ("log",)
+
+    def __init__(self, oracle, predicate):
+        super().__init__(oracle, predicate)
+        self.log = []
+
+    def adversarial(self, graph, phase):
+        self.log.append((graph.bits.tobytes(), phase, graph.n_nodes, graph.label))
+        return super().adversarial(graph, phase)
+
+
+def _boundary_run(search, label_fn, y0, graph, theta, epsilon, hint, known=()):
+    """Everything a boundary search leaves behind: its scale (or its
+    NoBoundary message), each submission in order, the ledger, the memo
+    hits and the memo's verdicts in insertion order.  ``known`` graphs are
+    asked first, so the search starts from a memo that holds them."""
+    memo = _RecordingMemo(FunctionOracle(label_fn), lambda label: label != y0)
+    for g in known:
+        memo.adversarial(g, "other")
+    del memo.log[:]
+    try:
+        out = search(memo, graph, theta, epsilon, hint)
+    except NoBoundary as exc:
+        out = str(exc)
+    return (out, type(out), memo.log, memo.oracle.ledger.snapshot(), memo.hits,
+            list(memo.labels.items()))
+
+
+def _assert_boundary_search_equals_the_reference(label_fn, y0, graph, theta, epsilon,
+                                                 hint, known=()):
+    got = _boundary_run(boundary_distance, label_fn, y0, graph, theta, epsilon, hint, known)
+    want = _boundary_run(reference_boundary_distance, label_fn, y0, graph, theta, epsilon,
+                         hint, known)
+    assert got == want
+    return got
+
+
+def _boundary_label_cases(graph, rng):
+    m = graph.n_edges
+    return [
+        (lambda h, t=m + int(rng.integers(1, 6)): int(h.n_edges >= t), 0),
+        (lambda h, t=m - int(rng.integers(0, 4)): int(h.n_edges >= t), 1),
+        (hashed_label, hashed_label(graph)),
+        (lambda h: 0, 0),  # nothing flips the label: no boundary
+    ]
+
+
+@pytest.mark.parametrize("n_nodes", [3, 8, 20, 40])
+def test_boundary_distance_equals_the_reference(n_nodes):
+    # continuous, rounded (tied) and integer directions with negative and
+    # zero components, and one with no positive component, under monotone,
+    # hashed and constant labels
+    rng = np.random.default_rng(n_nodes)
+    graph = random_graph(rng, n_nodes).replace(label=1)
+    d = graph.n_edge_slots
+    found = raised = 0
+    for trial in range(16):
+        theta = [rng.standard_normal(d), np.round(rng.standard_normal(d), 1),
+                 rng.integers(-2, 3, d).astype(float),
+                 -np.abs(rng.standard_normal(d))][trial % 4]
+        for label_fn, y0 in _boundary_label_cases(graph, rng):
+            epsilon = float(10.0 ** rng.uniform(-6, -1))
+            hint = float(10.0 ** rng.uniform(-2, 1.5))
+            out = _assert_boundary_search_equals_the_reference(
+                label_fn, y0, graph, theta, epsilon, hint)[0]
+            if isinstance(out, str):
+                raised += 1
+            else:
+                found += 1
+    assert found and raised
+
+
+def test_boundary_distance_equals_the_reference_on_exact_breakpoints():
+    # components in power-of-two ratios: halving the scale from a breakpoint
+    # 0.5 / s lands on the breakpoint of 2s, so the scales probed sit on
+    # breakpoints, where a product can round to the threshold itself
+    rng = np.random.default_rng(7)
+    on_threshold = 0
+    for n_nodes in (5, 12, 20):
+        graph = random_graph(rng, n_nodes)
+        d = graph.n_edge_slots
+        for _ in range(15):
+            theta = rng.choice([-1.0, 0.0, 0.25, 0.5, 1.0, 2.0, 4.0], size=d)
+            theta[0] = 0.25
+            unit = normalize(theta)
+            positive = unit[unit > 0]
+            for s in np.unique(positive):
+                hint = 0.5 / float(s)
+                on_threshold += hint * float(s) == 0.5
+                for label_fn, y0 in _boundary_label_cases(graph, rng):
+                    for epsilon in (1e-9, 1e-3, 0.25 * hint):
+                        _assert_boundary_search_equals_the_reference(
+                            label_fn, y0, graph, theta, epsilon, hint)
+    assert on_threshold > 20
+
+
+def test_boundary_distance_equals_the_reference_from_a_filled_memo():
+    # graphs along the direction (some the search will submit) and elsewhere
+    # are already in the memo: the same submissions are hits, not queries
+    rng = np.random.default_rng(11)
+    hits = 0
+    for n_nodes in (6, 20):
+        graph = random_graph(rng, n_nodes)
+        d = graph.n_edge_slots
+        for _ in range(10):
+            theta = rng.standard_normal(d)
+            unit = normalize(theta)
+            known = [apply_perturbation(graph, lam * unit)
+                     for lam in rng.uniform(0.0, 2.0 * np.sqrt(d), 8)]
+            known += [apply_perturbation(graph, lam * unit) for lam in (0.5, 1.0, 2.0)]
+            known += [random_graph(rng, n_nodes) for _ in range(3)]
+            for label_fn, y0 in _boundary_label_cases(graph, rng):
+                hits += _assert_boundary_search_equals_the_reference(
+                    label_fn, y0, graph, theta, 1e-3, 1.0, known)[4]
+    assert hits > 0
 
 
 # -- clipped objective ---------------------------------------------------
@@ -554,6 +677,33 @@ def _counting_solve_g_star(monkeypatch):
     monkeypatch.setattr(attack, "solve_g_star",
                         lambda *args: calls.append(1) or solve_g_star(*args))
     return calls
+
+
+@pytest.mark.parametrize("d", [3, 66, 190, 780, 3160])
+@pytest.mark.parametrize("k", [1, 10, 100])
+def test_row_norms_equal_the_per_row_reference(k, d):
+    rng = np.random.default_rng(10 * d + k)
+    scales = 10.0 ** rng.uniform(-3.0, 3.0, size=(k, 1))
+    rows = rng.standard_normal((k, d)) * scales
+    got = attack._row_norms(rows)
+    assert got.tobytes() == reference_row_norms(rows).tobytes()
+    for row, norm in zip(rows, got):
+        assert (row / norm).tobytes() == normalize(row).tobytes()
+
+
+def test_row_norms_of_a_strided_stack_are_the_norms_normalize_gives():
+    # a strided row's own dot product sums in another order than the
+    # contiguous copy normalize takes; the norms must be normalize's
+    rng = np.random.default_rng(3)
+    wide = rng.standard_normal((12, 2 * 190))
+    for rows in (wide[:, ::2], np.asfortranarray(wide[:, :190])):
+        got = attack._row_norms(rows)
+        contiguous = np.ascontiguousarray(rows)
+        assert got.tobytes() == reference_row_norms(contiguous).tobytes()
+        for row, norm in zip(rows, got):
+            assert (row / norm).tobytes() == normalize(row).tobytes()
+    assert reference_row_norms(wide[:, ::2]).tobytes() != \
+        reference_row_norms(np.ascontiguousarray(wide[:, ::2])).tobytes()
 
 
 @pytest.mark.parametrize("k", [1, 10, 100])

@@ -72,6 +72,15 @@ def test_adjacency_equals_the_reference(n):
         assert np.array_equal(g.adjacency, reference_adjacency(g))
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 20, 80])
+def test_n_edges_equals_the_bit_sum(n):
+    rng = np.random.default_rng(n)
+    graphs = [Graph.empty(n), Graph.complete(n)] + [random_graph(rng, n) for _ in range(5)]
+    for g in graphs:
+        assert type(g.n_edges) is int
+        assert g.n_edges == int(g.bits.sum()) == len(g.edges())
+
+
 def test_from_adjacency_round_trip():
     a = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
     g = Graph.from_adjacency(a)

@@ -93,6 +93,40 @@ def test_random_attack_stops_at_oracle_budget():
     assert oracle.ledger.total == 50
 
 
+@pytest.mark.parametrize("n_nodes, budget", [(5, 0.05), (5, 0.0999), (20, 0.005), (1, 1.0)])
+def test_random_attack_fails_when_the_budget_allows_no_flip(n_nodes, budget):
+    # floor(budget * slots) == 0: no trial is drawn, none is submitted, and
+    # the run fails instead of flipping a slot above its budget
+    oracle = structural_oracle("edge_count", 1)
+    res = random_attack(oracle, Graph.empty(n_nodes), 0, budget, query_budget=10, seed=3)
+    assert not res.success and res.flips == 0 and res.rate == 0.0
+    assert "allows no flip" in res.failure_reason
+    assert res.skipped == 10 and res.memo_hits == 0 and oracle.ledger.total == 0
+    report = run_experiment(structural_oracle("edge_count", 1), [Graph.empty(n_nodes)],
+                            AttackConfig(budget=budget), method="random",
+                            random_query_budget=10)
+    assert report.aggregates["SR"] == 0.0
+    assert report.per_graph[0]["skipped"] == 10
+
+
+def test_random_attack_flips_one_slot_at_a_budget_of_one_slot():
+    oracle = structural_oracle("edge_count", 1)
+    res = random_attack(oracle, Graph.empty(5), 0, budget=0.1, query_budget=10, seed=3)
+    assert res.success and res.flips == 1 and res.rate == 0.1
+
+
+@pytest.mark.parametrize("budget, query_budget, match", [
+    (0.2, 0, "query_budget"), (0.2, -5, "query_budget"),
+    (0.0, 10, "budget"), (-0.1, 10, "budget"), (1.5, 10, "budget"),
+    (float("nan"), 10, "budget"),
+])
+def test_random_attack_rejects_invalid_budgets(budget, query_budget, match):
+    oracle = structural_oracle("edge_count", 1)
+    with pytest.raises(ConfigError, match=match):
+        random_attack(oracle, Graph.empty(8), 0, budget, query_budget)
+    assert oracle.ledger.total == 0
+
+
 @pytest.mark.parametrize("budget, query_budget", [(0.1, 40), (0.2, 150), (0.5, 100)])
 def test_flip_order_random_attack_equals_the_draw_order_reference(budget, query_budget):
     """Same outcome as querying every draw in draw order, never more queries."""
