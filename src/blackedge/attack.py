@@ -191,9 +191,7 @@ def boundary_distance(
         c = bisect.bisect_left(desc, True, key=lambda s: lam * s < FLIP_THRESHOLD)
         probe = by_count.get(c)
         if probe is None:
-            bits = graph.bits.copy()
-            bits[slots[:c]] ^= 1
-            probe = by_count[c] = graph._with_valid_bits(bits)
+            probe = by_count[c] = graph.flip(slots[:c])
         return memo.adversarial(probe, "binary_search")
 
     hi = min(max(lambda_hint, epsilon), cap)

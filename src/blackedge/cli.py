@@ -17,11 +17,16 @@ from .oracle import structural_oracle
 from .partition import STRATEGIES
 
 
+# most fields, kind included, of each synthetic spec form
+_SPEC_FIELDS = {"er": 5, "barbell": 3, "sbm": 6}
+
+
 def _parse_dataset(spec: str, name: str | None) -> DatasetBundle:
     """Path to a TU directory or bundle JSON, or a synthetic spec.
 
     Synthetic specs: ``er:<n>:<p>:<count>[:<seed>]``,
-    ``barbell:<k>:<count>`` or ``sbm:<s1+s2+..>:<p_in>:<p_out>:<count>[:<seed>]``.
+    ``barbell:<k>:<count>`` or ``sbm:<s1+s2+..>:<p_in>:<p_out>:<count>[:<seed>]``;
+    a spec with more fields than its form allows is a ``ConfigError``.
     """
     path = Path(spec)
     if path.is_dir():
@@ -32,6 +37,8 @@ def _parse_dataset(spec: str, name: str | None) -> DatasetBundle:
         return DatasetBundle.load(path)
     parts = spec.split(":")
     kind = parts[0]
+    if len(parts) > _SPEC_FIELDS.get(kind, len(parts)):
+        raise ConfigError(f"synthetic spec {spec!r} has too many fields")
     try:
         if kind == "er":
             n, p, count = int(parts[1]), float(parts[2]), int(parts[3])

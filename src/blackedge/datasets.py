@@ -215,6 +215,8 @@ def generate_synthetic(kind: str, count: int, seed: int, **params) -> DatasetBun
     ``sbm`` (sizes, p_in, p_out).  Labels are left unset; assign them
     with a structural oracle if needed.
     """
+    if count < 0:
+        raise InvalidParams(f"graph count must be non-negative, got {count}")
     rng = np.random.default_rng(seed)
     if kind == "erdos_renyi":
         graphs = [erdos_renyi(params["n"], params["p"], rng) for _ in range(count)]

@@ -56,10 +56,11 @@ def low_rank_filter(graph: Graph, cfg: LowRankConfig) -> Graph:
     A slot is an edge when its entry or the mirrored one (rounding can break
     symmetry) reaches the binarize threshold; features and label are shared.
     """
-    keep = (low_rank_reconstruction(graph, cfg) >= cfg.binarize_threshold).ravel()
+    r = low_rank_reconstruction(graph, cfg)
     em = edge_index_map(graph.n_nodes)
-    # the OR of two bool vectors is 0/1 by construction
-    return graph._with_valid_bits((keep.take(em.upper) | keep.take(em.lower)).view(np.uint8))
+    # max(r_ij, r_ji) >= t is r_ij >= t or r_ji >= t; a bool vector is 0/1
+    keep = np.maximum(r, r.T).ravel().take(em.upper) >= cfg.binarize_threshold
+    return graph._with_valid_bits(keep.view(np.uint8))
 
 
 class DefendedOracle(HardLabelOracle):

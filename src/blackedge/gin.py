@@ -215,8 +215,13 @@ def gin_logits(weights: GinWeights, graph: Graph) -> np.ndarray:
         a = graph.adjacency
         logits = heads[0].weight @ h.sum(axis=0) + heads[0].bias
     for layer, head in zip(layers, heads[1:]):
-        h = (1.0 + layer.epsilon) * h + a @ h
-        h = np.maximum(h @ layer.weight.T + layer.bias, 0.0)
+        # in place, in an order with the same bits as
+        # relu(((1 + eps) * h + a @ h) @ W.T + b): addition commutes
+        m = a @ h
+        m += (1.0 + layer.epsilon) * h
+        h = m @ layer.weight.T
+        h += layer.bias
+        np.maximum(h, 0.0, out=h)
         logits = logits + head.weight @ h.sum(axis=0) + head.bias
     return logits
 

@@ -166,6 +166,17 @@ class Graph:
                           label=self.label)
         return g
 
+    def flip(self, slots) -> "Graph":
+        """This graph with each of the given slots toggled.
+
+        ``slots`` must be distinct: a slot listed twice is toggled once,
+        not back.  Gives the bits of ``apply_perturbation`` with weight 1
+        on ``slots`` and 0 elsewhere, without building that vector.
+        """
+        bits = self.bits.copy()
+        bits[slots] ^= 1
+        return self._with_valid_bits(bits)
+
     def replace(self, bits=None, features=..., label=...) -> "Graph":
         return Graph(
             self.n_nodes,

@@ -19,7 +19,9 @@ import numpy as np
 from .attack import AttackConfig, AttackResult, attack_graph
 from .defense import DefendedOracle, LowRankConfig
 from .errors import BudgetExhausted, ConfigError
-from .graph import Graph, apply_perturbation
+# random_attack builds its trials with Graph.flip; the name stays bound here
+# because perfbench/tracing.py wraps harness.apply_perturbation by name
+from .graph import Graph, apply_perturbation  # noqa: F401
 from .oracle import HardLabelOracle, LabelMemo
 
 
@@ -44,11 +46,13 @@ def random_attack(
     """Matched-budget baseline: flip a random fraction of slots per trial.
 
     ``query_budget`` trials are drawn first, each a perturbation ratio
-    uniform in (0, budget] and that many random slots.  They are then
-    queried in order of (flips, draw index) up to the first success,
-    which is the first trial in draw order with the fewest flips among
-    all successes: the draws ignore the labels, so a trial with at least
-    as many flips cannot improve on it.  A trial that repeats an earlier
+    ``r`` uniform in [0, budget) and
+    ``min(max(1, round(r * slots)), floor(budget * slots))`` distinct
+    random slots; the ``max(1, ·)`` makes the low end flip one slot.
+    They are then queried in order of (flips, draw index) up to the first
+    success, which is the first trial in draw order with the fewest flips
+    among all successes: the draws ignore the labels, so a trial with at
+    least as many flips cannot improve on it.  A trial that repeats an earlier
     graph is answered from the call's label memo, bound to ``oracle`` and
     ``predicate`` (by default any label but ``y0``), and counted in
     ``memo_hits``, so ``total + memo_hits + skipped == query_budget``;
@@ -72,15 +76,14 @@ def random_attack(
     rng = np.random.default_rng(seed)
     draws = []  # (flips, slots), in draw order
     for _ in range(query_budget):
-        n_flip = min(max(1, round(rng.uniform(0.0, budget) * s)), max_flips)
+        # budget * random() is uniform(0, budget): same value, same stream
+        n_flip = min(max(1, round(budget * rng.random() * s)), max_flips)
         draws.append((n_flip, rng.choice(s, size=n_flip, replace=False)))
     best_graph = None
     submitted = 0
     # sorted() is stable: among equal flips the earlier draw goes first
     for _n_flip, chosen in sorted(draws, key=lambda t: t[0]):
-        theta = np.zeros(s)
-        theta[chosen] = 1.0
-        candidate = apply_perturbation(graph, theta)
+        candidate = graph.flip(chosen)
         try:
             hit = memo.adversarial(candidate, "other")
         except BudgetExhausted:

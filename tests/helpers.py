@@ -243,6 +243,23 @@ def reference_low_rank_filter(graph: Graph, cfg) -> Graph:
     return Graph.from_adjacency(binary, features=graph.features, label=graph.label)
 
 
+def reference_two_take_low_rank_filter(graph: Graph, cfg) -> Graph:
+    """The filter's earlier binarisation: each slot's upper and mirrored
+    entry thresholded and taken separately, then joined by OR."""
+    keep = (reference_low_rank_reconstruction(graph, cfg) >= cfg.binarize_threshold).ravel()
+    em = edge_index_map(graph.n_nodes)
+    bits = (keep.take(em.upper) | keep.take(em.lower)).astype(np.uint8)
+    return Graph(graph.n_nodes, bits, graph.features, graph.label)
+
+
+def reference_flip(graph: Graph, slots) -> Graph:
+    """The random baseline's earlier trial build: a 0/1 weight vector on
+    ``slots`` through ``apply_perturbation``."""
+    theta = np.zeros(graph.n_edge_slots)
+    theta[slots] = 1.0
+    return apply_perturbation(graph, theta)
+
+
 def reference_coarse_grained_search(memo, graph, partition, strategy="I",
                                     trials_scale=5, rng_seed=0):
     """Coarse search that submits every trial of a phase in draw order and

@@ -5,7 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from blackedge.cli import _parse_oracle, _parse_sweep, main
+from blackedge.cli import _parse_dataset, _parse_oracle, _parse_sweep, main
 from blackedge.errors import ConfigError
 from blackedge.gin import GinOracle, GinWeights
 
@@ -130,6 +130,18 @@ def test_bad_specs_fail_cleanly(runner):
         "attack", "--dataset", "er:8:0.3:2", "--oracle", "mlp:w.json",
     ])
     assert result.exit_code != 0
+
+
+@pytest.mark.parametrize("spec", [
+    "er:6:0.2:2:1:junk",  # er takes at most n, p, count and seed
+    "barbell:3:2:x",  # barbell takes k and count
+    "sbm:2+3:0.9:0.1:2:0:7",  # sbm takes at most sizes, p's, count and seed
+])
+def test_synthetic_specs_with_trailing_fields_are_config_errors(spec):
+    with pytest.raises(ConfigError, match="too many fields"):
+        _parse_dataset(spec, None)
+    # the same spec without its last field parses
+    assert _parse_dataset(spec.rsplit(":", 1)[0], None).n_graphs == 2
 
 
 @pytest.mark.parametrize("spec", ["gin", "gin:", "gin:no/such/weights.json"])

@@ -136,3 +136,14 @@ def test_generate_synthetic_bundle():
         assert np.array_equal(a.bits, b.bits)
     with pytest.raises(InvalidParams):
         generate_synthetic("lattice", 3, seed=0)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("erdos_renyi", {"n": 5, "p": 0.2}),
+    ("barbell", {"k": 3}),
+    ("sbm", {"sizes": [2, 3], "p_in": 0.9, "p_out": 0.1}),
+])
+def test_negative_count_is_rejected(kind, params):
+    with pytest.raises(InvalidParams, match="count"):
+        generate_synthetic(kind, -3, 0, **params)
+    assert generate_synthetic(kind, 0, 0, **params).n_graphs == 0

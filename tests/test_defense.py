@@ -22,6 +22,7 @@ from helpers import (
     reference_adjacency,
     reference_low_rank_filter,
     reference_low_rank_reconstruction,
+    reference_two_take_low_rank_filter,
 )
 
 
@@ -76,6 +77,24 @@ def test_filter_equals_reference_exactly():
     # rounding breaks the symmetry of a few reconstructions; in some the
     # lower-triangle entry alone reaches the threshold
     assert asymmetric >= 3 and mirror_only >= 1
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("gamma", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize("n", [5, 12, 20])
+def test_filter_equals_the_two_take_reference(n, gamma, threshold):
+    """One threshold on the larger of each entry and its mirror keeps the
+    slots that thresholding both and joining them by OR keeps."""
+    rng = np.random.default_rng(100 * n + 10 * int(4 * gamma) + int(threshold))
+    cfg = LowRankConfig(gamma=gamma, binarize_threshold=threshold)
+    # the empty graph reconstructs to exact zeros: a tie at threshold 0
+    graphs = [Graph.empty(n), Graph.complete(n, label=1)]
+    graphs += [random_graph(rng, n) for _ in range(60)]
+    for g in graphs:
+        out = low_rank_filter(g, cfg)
+        ref = reference_two_take_low_rank_filter(g, cfg)
+        assert out.bits.tobytes() == ref.bits.tobytes()
+        assert out.label == g.label
 
 
 def test_defended_path_equals_the_reference_on_the_workload_graphs(monkeypatch):

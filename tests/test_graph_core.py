@@ -20,6 +20,7 @@ from blackedge.graph import (
 from helpers import (
     random_graph,
     reference_adjacency,
+    reference_flip,
     reference_flip_ledger,
     reference_normalize,
 )
@@ -79,6 +80,25 @@ def test_n_edges_equals_the_bit_sum(n):
     for g in graphs:
         assert type(g.n_edges) is int
         assert g.n_edges == int(g.bits.sum()) == len(g.edges())
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 20, 80])
+def test_flip_equals_apply_perturbation_of_the_indicator(n):
+    rng = np.random.default_rng(n)
+    s = n_slots(n)
+    for g in [Graph.empty(n), Graph.complete(n, label=1)] + [random_graph(rng, n)
+                                                             for _ in range(5)]:
+        slot_sets = [np.array([], dtype=np.intp), np.arange(s), rng.permutation(s)]
+        slot_sets += [rng.choice(s, size=int(rng.integers(0, s + 1)), replace=False)
+                      for _ in range(20)]
+        before = g.bits.copy()
+        for slots in slot_sets:
+            out = g.flip(slots)
+            ref = reference_flip(g, slots)
+            assert out.bits.dtype == np.uint8 and not out.bits.flags.writeable
+            assert out.bits.tobytes() == ref.bits.tobytes()
+            assert (out.n_nodes, out.features, out.label) == (g.n_nodes, g.features, g.label)
+        assert np.array_equal(g.bits, before)  # the source graph is untouched
 
 
 def test_from_adjacency_round_trip():

@@ -127,6 +127,21 @@ def test_random_attack_rejects_invalid_budgets(budget, query_budget, match):
     assert oracle.ledger.total == 0
 
 
+def test_ratio_draw_equals_the_uniform_draw():
+    """``budget * random()`` is numpy's ``uniform(0, budget)``: the same
+    value from the same stream, so the baseline's seeded draws hold."""
+    for budget in (0.05, 0.2, 0.3, 1.0):
+        ours, ref = np.random.default_rng(11), np.random.default_rng(11)
+        for k in range(2000):
+            a, b = budget * ours.random(), ref.uniform(0.0, budget)
+            assert a.hex() == b.hex()
+            n_slots = 20 + k % 171
+            size = 1 + k % 7
+            assert np.array_equal(ours.choice(n_slots, size, replace=False),
+                                  ref.choice(n_slots, size, replace=False))
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+
 @pytest.mark.parametrize("budget, query_budget", [(0.1, 40), (0.2, 150), (0.5, 100)])
 def test_flip_order_random_attack_equals_the_draw_order_reference(budget, query_budget):
     """Same outcome as querying every draw in draw order, never more queries."""
