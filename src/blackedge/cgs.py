@@ -20,7 +20,9 @@ from itertools import groupby
 import numpy as np
 
 from .errors import NoAdversarialFound
-from .graph import Graph, apply_perturbation
+# trials are built with Graph.flip; the name stays bound here because
+# perfbench/tracing.py wraps cgs.apply_perturbation by name
+from .graph import Graph, apply_perturbation  # noqa: F401
 from .oracle import LabelMemo
 from .partition import Partition, enumerate_components
 
@@ -62,7 +64,6 @@ def coarse_grained_search(
     from the oracle passes through; the search holds no success then.
     """
     rng = np.random.default_rng(rng_seed)
-    d = graph.n_edge_slots
     trials = 0
     for kind, phase in groupby(enumerate_components(partition, strategy), lambda c: c.kind):
         draws = []  # (flips, component slots), in draw order
@@ -73,9 +74,10 @@ def coarse_grained_search(
             draws.extend((n_flip, comp.slots) for n_flip in flips)
         # sorted() is stable: among equal flips the earlier draw goes first
         for rank, (n_flip, slots) in enumerate(sorted(draws, key=lambda t: t[0])):
-            theta = np.zeros(d)
-            theta[rng.permutation(slots)[:n_flip]] = 1.0
-            if memo.adversarial(apply_perturbation(graph, theta), "cgs"):
+            chosen = rng.permutation(slots)[:n_flip]
+            if memo.adversarial(graph.flip(chosen), "cgs"):
+                theta = np.zeros(graph.n_edge_slots)
+                theta[chosen] = 1.0
                 return CgsOutcome(theta, kind, n_flip, len(draws) - rank - 1)
         trials += len(draws)
     raise NoAdversarialFound(f"no adversarial graph after {trials} trials across all phases")

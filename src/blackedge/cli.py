@@ -10,7 +10,7 @@ import numpy as np
 
 from .attack import AttackConfig
 from .datasets import DatasetBundle, generate_synthetic, load_tudataset
-from .errors import ConfigError
+from .errors import BlackedgeError, ConfigError
 from .gin import GinOracle, GinWeights
 from .harness import defense_sweep, budget_sweep, rows_to_csv, run_experiment
 from .oracle import structural_oracle
@@ -106,7 +106,17 @@ oracle_option = click.option("--oracle", "oracle_spec", required=True,
                              help="gin:weights.json or structural:feature:threshold")
 
 
-@click.group()
+class _Main(click.Group):
+    """Reports a ``BlackedgeError`` as a one-line error, without a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BlackedgeError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 def main():
     """Hard-label black-box structural attacks on graph classifiers."""
 

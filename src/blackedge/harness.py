@@ -45,20 +45,23 @@ def random_attack(
 ) -> AttackResult:
     """Matched-budget baseline: flip a random fraction of slots per trial.
 
-    ``query_budget`` trials are drawn first, each a perturbation ratio
-    ``r`` uniform in [0, budget) and
+    Each of the ``query_budget`` trials draws a perturbation ratio ``r``
+    uniform in [0, budget) and flips
     ``min(max(1, round(r * slots)), floor(budget * slots))`` distinct
-    random slots; the ``max(1, ·)`` makes the low end flip one slot.
-    They are then queried in order of (flips, draw index) up to the first
-    success, which is the first trial in draw order with the fewest flips
-    among all successes: the draws ignore the labels, so a trial with at
-    least as many flips cannot improve on it.  A trial that repeats an earlier
-    graph is answered from the call's label memo, bound to ``oracle`` and
+    random slots; the ``max(1, ·)`` makes the low end flip one slot.  All
+    flip counts are drawn first, in one call; the trials are then
+    submitted in ascending flip count up to the first success, and a
+    trial's slots are drawn, as a uniform subset of its size, only when it
+    is submitted.  The first success is the fewest-flip success among all
+    trials: the draws ignore the labels, so a trial with at least as many
+    flips cannot improve on it.  A trial that repeats an earlier graph is
+    answered from the call's label memo, bound to ``oracle`` and
     ``predicate`` (by default any label but ``y0``), and counted in
     ``memo_hits``, so ``total + memo_hits + skipped == query_budget``;
-    trials never submitted are reported as ``skipped``.  A budget that
-    allows no flip on ``graph`` (``floor(budget * slots) == 0``) draws
-    nothing and fails with every trial skipped.
+    trials never submitted are reported as ``skipped`` and cost no slot
+    draw.  A budget that allows no flip on ``graph``
+    (``floor(budget * slots) == 0``) draws nothing and fails with every
+    trial skipped.
     """
     _check_random_budgets(budget, query_budget)
     if predicate is None:
@@ -74,16 +77,13 @@ def random_attack(
             skipped=query_budget,
         )
     rng = np.random.default_rng(seed)
-    draws = []  # (flips, slots), in draw order
-    for _ in range(query_budget):
-        # budget * random() is uniform(0, budget): same value, same stream
-        n_flip = min(max(1, round(budget * rng.random() * s)), max_flips)
-        draws.append((n_flip, rng.choice(s, size=n_flip, replace=False)))
+    # budget * random() is uniform(0, budget); np.rint rounds half to even,
+    # as round() does
+    flips = np.clip(np.rint(budget * rng.random(query_budget) * s), 1, max_flips)
     best_graph = None
     submitted = 0
-    # sorted() is stable: among equal flips the earlier draw goes first
-    for _n_flip, chosen in sorted(draws, key=lambda t: t[0]):
-        candidate = graph.flip(chosen)
+    for n_flip in np.sort(flips).astype(int).tolist():
+        candidate = graph.flip(rng.permutation(s)[:n_flip])
         try:
             hit = memo.adversarial(candidate, "other")
         except BudgetExhausted:

@@ -298,20 +298,25 @@ def reference_coarse_grained_search(memo, graph, partition, strategy="I",
 def reference_random_attack(oracle, graph, y0, budget, query_budget, seed=0,
                             predicate=None):
     """Random baseline that queries every draw in draw order and keeps the
-    first one with the fewest flips among the successes."""
+    first one with the fewest flips among the successes.
+
+    It draws as the library does: every flip count in one call, then every
+    trial's slots in flip order; only the submission order differs."""
     if predicate is None:
         predicate = lambda label: label != y0
     rng = np.random.default_rng(seed)
     s = graph.n_edge_slots
     max_flips = max(1, int(np.floor(budget * s)))
+    flips = [min(max(1, round(float(r) * s)), max_flips)
+             for r in rng.uniform(0.0, budget, query_budget)]
+    chosen = [None] * query_budget
+    for i in sorted(range(query_budget), key=lambda i: flips[i]):
+        chosen[i] = rng.permutation(s)[:flips[i]]
     best_graph = None
     best_flips = None
-    for _ in range(query_budget):
-        ratio = rng.uniform(0.0, budget)
-        n_flip = min(max(1, round(ratio * s)), max_flips)
-        chosen = rng.choice(s, size=n_flip, replace=False)
+    for n_flip, slots in zip(flips, chosen):
         theta = np.zeros(s)
-        theta[chosen] = 1.0
+        theta[slots] = 1.0
         candidate = apply_perturbation(graph, theta)
         label = oracle.classify(candidate)
         if predicate(label) and (best_flips is None or n_flip < best_flips):

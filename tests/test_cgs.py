@@ -6,7 +6,6 @@ from itertools import groupby
 import numpy as np
 import pytest
 
-from blackedge import cgs
 from blackedge.attack import AttackConfig
 from blackedge.cgs import coarse_grained_search
 from blackedge.datasets import barbell, erdos_renyi
@@ -178,13 +177,16 @@ def test_flip_counts_and_slots_follow_the_law_of_the_draws(setup, monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", lambda seed: rng)
     submitted = []
 
-    def recording(graph, theta):
-        submitted.append(np.flatnonzero(theta))
-        return apply_perturbation(graph, theta)
+    class RecordingMemo(LabelMemo):
+        """Records every submitted graph, memo hits included."""
 
-    monkeypatch.setattr(cgs, "apply_perturbation", recording)
+        def adversarial(self, graph, phase):
+            submitted.append(np.flatnonzero(graph.bits ^ g.bits))
+            return super().adversarial(graph, phase)
+
+    memo = RecordingMemo(FunctionOracle(lambda _: 0), lambda label: label != 0)
     with pytest.raises(NoAdversarialFound):  # every trial is submitted
-        coarse_grained_search(untargeted_memo(FunctionOracle(lambda _: 0)), g, part)
+        coarse_grained_search(memo, g, part)
     assert [u.size for u in rng.uniforms] == [5 * c.n_incident for c in comps]
     # flip counts are max(1, round(u * m)) on the uniforms drawn, and the
     # ties among them round half to even

@@ -15,6 +15,13 @@ def runner():
     return CliRunner()
 
 
+def assert_one_line_error(result, message):
+    """A failed run that printed ``Error: <message>`` and no traceback."""
+    assert result.exit_code != 0
+    assert f"Error: {message}" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_attack_on_synthetic_dataset(runner, tmp_path):
     out = tmp_path / "report.json"
     result = runner.invoke(main, [
@@ -187,8 +194,7 @@ def test_defend_with_an_empty_sweep_writes_nothing(runner, tmp_path):
         "--gamma-sweep", "0.5:0.1:0.1",
         "--out", str(out),
     ])
-    assert result.exit_code != 0
-    assert isinstance(result.exception, ConfigError)
+    assert_one_line_error(result, "sweep spec '0.5:0.1:0.1' needs finite lo <= hi")
     assert not out.exists()
 
 
@@ -204,6 +210,20 @@ def test_no_trials_or_no_queries_is_a_config_error(runner, tmp_path, args):
         "--oracle", "structural:edge_count:12",
         "--out", str(out),
     ])
-    assert result.exit_code != 0
-    assert isinstance(result.exception, ConfigError)
+    name = "n_trials" if args[1] == "--n-trials" else "random_query_budget"
+    assert_one_line_error(result, f"{name} must be at least 1, got {args[2]}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dataset, message", [
+    ("er:20:0.2:5:1:x", "synthetic spec 'er:20:0.2:5:1:x' has too many fields"),
+    ("er:20:0.2:-5", "graph count must be non-negative, got -5"),  # an InvalidParams
+], ids=["too_many_fields", "negative_count"])
+def test_invalid_datasets_are_one_line_errors(runner, tmp_path, dataset, message):
+    out = tmp_path / "report.json"
+    result = runner.invoke(main, [
+        "attack", "--dataset", dataset, "--oracle", "structural:edge_count:5",
+        "--out", str(out),
+    ])
+    assert_one_line_error(result, message)
     assert not out.exists()

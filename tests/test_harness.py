@@ -128,8 +128,11 @@ def test_random_attack_rejects_invalid_budgets(budget, query_budget, match):
 
 
 def test_ratio_draw_equals_the_uniform_draw():
-    """``budget * random()`` is numpy's ``uniform(0, budget)``: the same
-    value from the same stream, so the baseline's seeded draws hold."""
+    """``budget * random()`` is numpy's ``uniform(0, budget)``, one value or
+    a batch at a time: the same values from the same stream, so the
+    baseline's ratios keep their law and the reference may draw them with
+    ``uniform``.  ``np.rint`` turns them into flip counts as ``round()``
+    does, exact .5 ties included."""
     for budget in (0.05, 0.2, 0.3, 1.0):
         ours, ref = np.random.default_rng(11), np.random.default_rng(11)
         for k in range(2000):
@@ -140,6 +143,15 @@ def test_ratio_draw_equals_the_uniform_draw():
             assert np.array_equal(ours.choice(n_slots, size, replace=False),
                                   ref.choice(n_slots, size, replace=False))
         assert ours.bit_generator.state == ref.bit_generator.state
+        for q in (1, 2, 40, 300, 1200):
+            a, b = budget * ours.random(q), ref.uniform(0.0, budget, q)
+            assert a.tobytes() == b.tobytes()
+            assert np.array_equal(ours.permutation(190), ref.permutation(190))
+        assert ours.bit_generator.state == ref.bit_generator.state
+    ties = np.arange(400) + 0.5
+    counts = np.concatenate([ties, 190 * np.random.default_rng(5).random(2000)])
+    assert np.rint(counts).astype(int).tolist() == [round(c) for c in counts.tolist()]
+    assert np.rint(ties[:4]).tolist() == [0.0, 2.0, 2.0, 4.0]
 
 
 @pytest.mark.parametrize("budget, query_budget", [(0.1, 40), (0.2, 150), (0.5, 100)])
