@@ -38,7 +38,6 @@ from .oracle import (
     LabelMemo,
     QueryLedger,
     StructuralOracle,
-    TableOracle,
     structural_oracle,
 )
 from .partition import (

@@ -6,7 +6,8 @@ the clipped mass of the boundary vector above the flip threshold; its
 gradient signs are obtained with one oracle query per probe direction
 and averaged into a sign-SGD update.  The probe directions of a step do
 not depend on any label, so each step prepares all its probe graphs at
-once (``probe_graphs``), then queries them one by one.  Every step asks
+once (``probe_graphs``), labels them in blocks where the oracle has a
+batch kernel, then queries them one by one.  Every step asks
 the run's label memo whether a graph is adversarial; a graph already
 queried in the run is answered there at no query.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 import bisect
 import math
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,9 +174,11 @@ def boundary_distance(
     product does not decrease with the component, so those slots are the
     first c of the positive components sorted in descending order; equal
     components have equal products and flip together.  Each probe
-    bisects for its flip count c on those same products, and the graph
-    of each count is built once per call, so the graphs submitted are
-    bit for bit those of ``apply_perturbation``.
+    bisects for its flip count c on those same products, so the graphs
+    submitted are bit for bit those of ``apply_perturbation``.  The graph
+    of each count is built and submitted once per call; a count probed
+    again takes the call's verdict for it and counts as a memo hit, as
+    the memo would answer its graph.
     """
     theta_norm = normalize(theta)
     slots = np.flatnonzero(theta_norm > 0)
@@ -184,15 +188,17 @@ def boundary_distance(
     desc = theta_norm[slots].tolist()
     saturation = FLIP_THRESHOLD / desc[-1]
     cap = max(np.sqrt(theta_norm.size), saturation) * (1.0 + 1e-9)
-    by_count: dict[int, Graph] = {}
+    verdicts: dict[int, bool] = {}  # by flip count, within this call
 
     def adversarial(lam: float) -> bool:
         lam = float(lam)
         c = bisect.bisect_left(desc, True, key=lambda s: lam * s < FLIP_THRESHOLD)
-        probe = by_count.get(c)
-        if probe is None:
-            probe = by_count[c] = graph.flip(slots[:c])
-        return memo.adversarial(probe, "binary_search")
+        verdict = verdicts.get(c)
+        if verdict is None:
+            verdict = verdicts[c] = memo.adversarial(graph.flip(slots[:c]), "binary_search")
+        else:
+            memo.hits += 1  # the memo would answer the count's graph again
+        return verdict
 
     hi = min(max(lambda_hint, epsilon), cap)
     while not adversarial(hi):
@@ -534,9 +540,12 @@ def estimate_gradient(
     (contributing zero).  The directions do not depend on any label, so
     the rows still to be drawn (one per remaining probe) are drawn and
     prepared by ``probe_graphs`` at once, then queried one by one in draw
-    order; a re-draw draws the next batch.  If the query cap stops the
-    step, the generator is left where drawing row by row would have left
-    it: after the row whose query was refused.
+    order; a re-draw draws the next batch.  With an oracle that has a
+    batch label kernel, the labels of each block of those probe graphs
+    that are not in ``memo`` yet are computed in one call before the
+    block is queried (``LabelMemo.in_blocks``).  If the query cap stops
+    the step, the generator is left where drawing row by row would have
+    left it: after the row whose query was refused.
 
     When ``p_t`` is not positive (or NaN), ``solve_g_star`` rejects every
     probe whatever its direction, so all 4 draws of every probe are made
@@ -557,22 +566,23 @@ def estimate_gradient(
         norms = _row_norms(u)
         norms[norms == 0.0] = np.nan  # a zero row becomes a NaN row, which probe_graphs rejects
         u /= norms[:, None]
-        for row, probe in zip(u, probe_graphs(graph, p_t, theta + mu * u)):
-            drawn += 1
-            attempt += 1
-            if probe is None:
-                if attempt < 4:
-                    continue
-            else:
-                try:
-                    signs.append(qegc_sign(memo, probe))
-                except BudgetExhausted:
-                    rng.bit_generator.state = state
-                    rng.standard_normal((drawn, d))
-                    raise
-                dirs.append(row)
-            done += 1
-            attempt = 0
+        with closing(memo.in_blocks(probe_graphs(graph, p_t, theta + mu * u))) as probes:
+            for row, probe in zip(u, probes):
+                drawn += 1
+                attempt += 1
+                if probe is None:
+                    if attempt < 4:
+                        continue
+                else:
+                    try:
+                        signs.append(qegc_sign(memo, probe))
+                    except BudgetExhausted:
+                        rng.bit_generator.state = state
+                        rng.standard_normal((drawn, d))
+                        raise
+                    dirs.append(row)
+                done += 1
+                attempt = 0
     if not signs:
         return np.zeros(d)
     # sums of +-1 terms are exact in any order

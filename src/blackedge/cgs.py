@@ -7,13 +7,14 @@ per component, then submits the trials in ascending flip order and
 stops at the first success, which is the phase's fewest-flip success:
 flip counts are drawn without regard to labels, so a trial with at
 least as many flips cannot improve on it.  A trial's slots are drawn
-only when it is submitted, so a trial that is never submitted costs no
-slot draw.  Each submitted trial costs one oracle query, unless the run's
-label memo already holds its graph.
+only when it is submitted (or its block is labelled ahead, see
+``coarse_grained_search``).  Each submitted trial costs one oracle query,
+unless the run's label memo already holds its graph.
 """
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -60,6 +61,13 @@ def coarse_grained_search(
     ``memo`` decides what counts as adversarial; a trial whose graph it
     already holds costs no query.
 
+    With an oracle that has a batch label kernel, a phase's trials go in
+    blocks (``LabelMemo.in_blocks``): a block's slots are drawn and the
+    labels of its graphs not yet in the memo computed in one call before
+    any of them is submitted.  So at most one block past the success has
+    its slots drawn and its labels computed; none of it is submitted or
+    counted.  The generator is local to the call, so no outcome moves.
+
     Raises ``NoAdversarialFound`` after all phases.  ``BudgetExhausted``
     from the oracle passes through; the search holds no success then.
     """
@@ -73,11 +81,13 @@ def coarse_grained_search(
             flips = np.maximum(np.rint(s * comp.slots.size), 1).astype(int).tolist()
             draws.extend((n_flip, comp.slots) for n_flip in flips)
         # sorted() is stable: among equal flips the earlier draw goes first
-        for rank, (n_flip, slots) in enumerate(sorted(draws, key=lambda t: t[0])):
-            chosen = rng.permutation(slots)[:n_flip]
-            if memo.adversarial(graph.flip(chosen), "cgs"):
-                theta = np.zeros(graph.n_edge_slots)
-                theta[chosen] = 1.0
-                return CgsOutcome(theta, kind, n_flip, len(draws) - rank - 1)
+        ordered = sorted(draws, key=lambda t: t[0])
+        candidates = (graph.flip(rng.permutation(slots)[:n_flip]) for n_flip, slots in ordered)
+        with closing(memo.in_blocks(candidates)) as queue:
+            for rank, candidate in enumerate(queue):
+                if memo.adversarial(candidate, "cgs"):
+                    # 1.0 on the flipped slots: the trial's chosen slots
+                    theta = (candidate.bits ^ graph.bits).astype(float)
+                    return CgsOutcome(theta, kind, ordered[rank][0], len(draws) - rank - 1)
         trials += len(draws)
     raise NoAdversarialFound(f"no adversarial graph after {trials} trials across all phases")

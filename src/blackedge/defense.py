@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .graph import Graph, edge_index_map
+from .graph import Graph, edge_index_map, stacked_adjacency
 from .oracle import HardLabelOracle
 
 
@@ -63,17 +63,38 @@ def low_rank_filter(graph: Graph, cfg: LowRankConfig) -> Graph:
     return graph._with_valid_bits(keep.view(np.uint8))
 
 
+def _low_rank_bits_many(n_nodes: int, bits: np.ndarray, cfg: LowRankConfig) -> np.ndarray:
+    """``low_rank_filter``'s bits for each row of a (rows, slots) bit stack
+    of graphs on ``n_nodes`` nodes, with the same bits.
+
+    One stacked ``eigh`` decomposes every matrix as the single call does,
+    and each stacked product is the single-graph product once per graph.
+    """
+    eigvals, eigvecs = np.linalg.eigh(stacked_adjacency(n_nodes, bits))
+    keep = np.argsort(-np.abs(eigvals), axis=1)[:, :cfg.rank(n_nodes)]
+    vk = np.take_along_axis(eigvecs, keep[:, None, :], axis=2)
+    r = (vk * np.take_along_axis(eigvals, keep, axis=1)[:, None, :]) @ vk.transpose(0, 2, 1)
+    em = edge_index_map(n_nodes)
+    r = r.reshape(len(r), n_nodes * n_nodes)
+    keep = np.maximum(r[:, em.upper], r[:, em.lower]) >= cfg.binarize_threshold
+    return keep.view(np.uint8)
+
+
 class DefendedOracle(HardLabelOracle):
     """Filter every queried graph through the low-rank defense first.
 
     An input transform in front of ``inner``: one classify is one query on
-    this oracle's ledger, which starts out as ``inner.ledger``.
+    this oracle's ledger, which starts out as ``inner.ledger``.  It has a
+    batch kernel when ``inner`` has one: a block is filtered in one stacked
+    pass and the filtered graphs labelled with ``inner``'s batch kernel.
     """
 
     def __init__(self, inner: HardLabelOracle, cfg: LowRankConfig):
-        self.ledger = inner.ledger
+        super().__init__(inner.ledger)
         self.inner = inner
         self.cfg = cfg
+        if inner._classify_many is None:
+            self._classify_many = None
 
     # Bound in this class body, not inherited, so the defended query has a
     # ``classify`` of its own (``perfbench/tracing.py`` wraps it by name).
@@ -81,3 +102,9 @@ class DefendedOracle(HardLabelOracle):
 
     def _classify(self, graph: Graph) -> int:
         return self.inner._classify(low_rank_filter(graph, self.cfg))
+
+    def _classify_many(self, graphs: list[Graph]) -> list[int]:
+        bits = np.stack([g.bits for g in graphs])
+        bits = _low_rank_bits_many(graphs[0].n_nodes, bits, self.cfg)
+        return self.inner._classify_many([g._with_valid_bits(row)
+                                          for g, row in zip(graphs, bits)])

@@ -17,10 +17,6 @@ class ShapeMismatch(BlackedgeError):
     """Model weight matrices do not chain to the expected shapes."""
 
 
-class UnknownGraph(BlackedgeError):
-    """A lookup oracle was queried with a graph outside its table."""
-
-
 class BudgetExhausted(BlackedgeError):
     """The query budget was hit; the attack must terminate."""
 

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ShapeMismatch
-from .graph import Graph
+from .graph import Graph, stacked_adjacency
 from .oracle import HardLabelOracle
 
 
@@ -226,6 +226,33 @@ def gin_logits(weights: GinWeights, graph: Graph) -> np.ndarray:
     return logits
 
 
+def _pooled_product(head: Dense, h: np.ndarray) -> np.ndarray:
+    # one matrix-vector product per graph, as gin_logits takes it; a
+    # (rows, l) @ (l, classes) product would sum in another order
+    return np.matmul(head.weight, h.sum(axis=1)[:, :, None])[:, :, 0]
+
+
+def _featureless_logits_many(weights: GinWeights, a: np.ndarray) -> np.ndarray:
+    """``gin_logits`` of featureless graphs from their (rows, n, n) stacked
+    adjacency, one row of logits per graph, with the same bits: each
+    stacked matmul runs the single-graph product once per graph."""
+    layers, heads = weights.layers, weights.readout
+    n = a.shape[1]
+    logits = np.broadcast_to(heads[0].ones_logits(n), (len(a), weights.n_classes))
+    if not layers:
+        return logits
+    h = layers[0].degree_table(n)[a.sum(axis=2, dtype=np.intp)]
+    logits = logits + _pooled_product(heads[1], h) + heads[1].bias
+    for layer, head in zip(layers[1:], heads[2:]):
+        m = a @ h
+        m += (1.0 + layer.epsilon) * h
+        h = m @ layer.weight.T
+        h += layer.bias
+        np.maximum(h, 0.0, out=h)
+        logits = logits + _pooled_product(head, h) + head.bias
+    return logits
+
+
 def gin_forward(weights: GinWeights, graph: Graph) -> int:
     """Hard label of ``graph`` under ``weights``: the argmax of
     ``gin_logits`` (softmax is monotone), ties broken toward the smallest
@@ -242,3 +269,11 @@ class GinOracle(HardLabelOracle):
 
     def _classify(self, graph: Graph) -> int:
         return gin_forward(self.weights, graph)
+
+    def _classify_many(self, graphs: list[Graph]) -> list[int]:
+        """``_classify`` of each graph: one stacked pass when none has
+        features, else one pass per graph."""
+        if any(g.features is not None for g in graphs):
+            return [self._classify(g) for g in graphs]
+        a = stacked_adjacency(graphs[0].n_nodes, np.stack([g.bits for g in graphs]))
+        return _featureless_logits_many(self.weights, a).argmax(axis=1).tolist()

@@ -60,6 +60,15 @@ def edge_index_map(n_nodes: int) -> EdgeIndexMap:
     return EdgeIndexMap(n_nodes)
 
 
+def stacked_adjacency(n_nodes: int, bits: np.ndarray) -> np.ndarray:
+    """The float64 0/1 adjacency of each row of a (rows, slots) bit stack,
+    as a (rows, n, n) stack; each matrix equals ``Graph.adjacency``."""
+    em = edge_index_map(n_nodes)
+    padded = np.zeros((len(bits), em.n_slots + 1))  # the trailing 0 fills the diagonal
+    padded[:, :-1] = bits
+    return padded[:, em.gather]
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable undirected simple graph.

@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import time
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -58,10 +59,18 @@ def random_attack(
     answered from the call's label memo, bound to ``oracle`` and
     ``predicate`` (by default any label but ``y0``), and counted in
     ``memo_hits``, so ``total + memo_hits + skipped == query_budget``;
-    trials never submitted are reported as ``skipped`` and cost no slot
-    draw.  A budget that allows no flip on ``graph``
-    (``floor(budget * slots) == 0``) draws nothing and fails with every
-    trial skipped.
+    trials never submitted are reported as ``skipped``.  A budget that
+    allows no flip on ``graph`` (``floor(budget * slots) == 0``) draws
+    nothing and fails with every trial skipped.
+
+    With an oracle that has a batch label kernel, the trials go in blocks
+    (``LabelMemo.in_blocks``): a block's slots are drawn and the labels of
+    its graphs not yet in the memo computed in one call before any of
+    them is submitted.  So at most one block past the success (or the
+    cap) has its slots drawn and its labels computed; none of it is
+    submitted or counted.  The generator is local to the call, so no
+    outcome moves.  Without a batch kernel, a trial that is never
+    submitted costs no slot draw.
     """
     _check_random_budgets(budget, query_budget)
     if predicate is None:
@@ -80,18 +89,20 @@ def random_attack(
     # budget * random() is uniform(0, budget); np.rint rounds half to even,
     # as round() does
     flips = np.clip(np.rint(budget * rng.random(query_budget) * s), 1, max_flips)
+    trials = (graph.flip(rng.permutation(s)[:n_flip])
+              for n_flip in np.sort(flips).astype(int).tolist())
     best_graph = None
     submitted = 0
-    for n_flip in np.sort(flips).astype(int).tolist():
-        candidate = graph.flip(rng.permutation(s)[:n_flip])
-        try:
-            hit = memo.adversarial(candidate, "other")
-        except BudgetExhausted:
-            break
-        submitted += 1
-        if hit:
-            best_graph = candidate
-            break
+    with closing(memo.in_blocks(trials)) as queue:
+        for candidate in queue:
+            try:
+                hit = memo.adversarial(candidate, "other")
+            except BudgetExhausted:
+                break
+            submitted += 1
+            if hit:
+                best_graph = candidate
+                break
     return AttackResult.of_run(
         memo, graph, best_graph, start, found_in="random",
         failure_reason="no random success" if best_graph is None else None,

@@ -3,18 +3,29 @@
 Every call to ``classify`` costs exactly one ledger query, attributed to
 the phase the caller names (coarse search, binary search, gradient
 probes, ...).  Oracles return only an integer class label.
+
+An oracle with a batch label kernel (``_classify_many``) can compute the
+labels of a block of graphs in one call before any of them is asked
+about (``LabelMemo.in_blocks``).  Those labels are held apart from the
+memo until ``classify`` counts and returns them, so a label computed
+ahead but never asked for is never a query and never a verdict.
 """
 
 from __future__ import annotations
 
 import copy
+from itertools import islice
 
 import numpy as np
 
-from .errors import BudgetExhausted, UnknownGraph
+from .errors import BudgetExhausted
 from .graph import Graph
 
 PHASES = ("cgs", "binary_search", "qegc", "other")
+# Most graphs whose labels one batch call computes ahead: a per-graph cost
+# near the batch kernels' floor, and at most this many computed for nothing
+# when a search ends inside a block.
+BLOCK = 32
 
 
 class QueryLedger:
@@ -44,22 +55,48 @@ class QueryLedger:
 
 
 class HardLabelOracle:
-    """Base class: deterministic Graph -> label with a query ledger."""
+    """Base class: deterministic Graph -> label with a query ledger.
 
-    def __init__(self):
-        self.ledger = QueryLedger()
+    A subclass with a batch label kernel defines ``_classify_many``: the
+    labels ``_classify`` gives a non-empty list of graphs on one node
+    count, in order.  Without one, ``_classify_many`` is None and no label
+    is ever computed ahead.
+    """
+
+    _classify_many = None
+
+    def __init__(self, ledger: QueryLedger | None = None):
+        self.ledger = QueryLedger() if ledger is None else ledger
+        # labels computed ahead (``compute_ahead``), by edge bits, until
+        # ``classify`` counts and returns them
+        self._ahead: dict[bytes, int] = {}
 
     def classify(self, graph: Graph, phase: str = "other") -> int:
         self.ledger.record(phase)
+        if self._ahead:
+            label = self._ahead.pop(graph.bits.tobytes(), None)
+            if label is not None:
+                return label
         return self._classify(graph)
 
     def _classify(self, graph: Graph) -> int:
         raise NotImplementedError
 
+    def compute_ahead(self, graphs: dict[bytes, Graph]):
+        """Label ``graphs`` (keyed by their edge bits) in one batch call.
+
+        Replaces the labels computed ahead before, which are dropped
+        unasked; ``classify`` counts each label it returns from here as
+        one query, like any other.  An empty dict drops them all.
+        """
+        self._ahead = (dict(zip(graphs, self._classify_many(list(graphs.values()))))
+                       if graphs else {})
+
     def clone(self) -> "HardLabelOracle":
-        """Same classifier with fresh counts and the same cap (per-target accounting)."""
+        """Same classifier with fresh counts, the same cap and no label
+        computed ahead (per-target accounting)."""
         twin = copy.copy(self)
-        twin.ledger = QueryLedger(self.ledger.max_queries)
+        HardLabelOracle.__init__(twin, QueryLedger(self.ledger.max_queries))
         return twin
 
 
@@ -96,6 +133,34 @@ class LabelMemo:
         """Whether a query found ``graph`` adversarial; never a query or a hit."""
         label = self.labels.get(graph.bits.tobytes())
         return label is not None and self.predicate(label)
+
+    def in_blocks(self, graphs):
+        """Yield ``graphs`` (None entries included) in order, each block
+        of ``BLOCK`` graphs labelled ahead in one batch call of the oracle.
+
+        Fixed streams only: which graphs come next must not depend on the
+        labels of those before.  A block is taken from ``graphs`` before
+        any of it is yielded, so a lazy ``graphs`` builds at most one
+        block past the point where the caller stops.  The labels computed
+        are those of the block's graphs not in the memo yet; each still
+        costs its query only when ``adversarial`` submits it.  Those left
+        unasked are dropped when the next block is labelled or the
+        generator ends: close it (``contextlib.closing``) when the caller
+        may stop early.  An oracle without a batch kernel yields
+        ``graphs`` as they come.
+        """
+        if self.oracle._classify_many is None:
+            yield from graphs
+            return
+        graphs = iter(graphs)
+        try:
+            while block := list(islice(graphs, BLOCK)):
+                fresh = {g.bits.tobytes(): g for g in block if g is not None}
+                self.oracle.compute_ahead({key: g for key, g in fresh.items()
+                                           if key not in self.labels})
+                yield from block
+        finally:
+            self.oracle.compute_ahead({})
 
 
 class FunctionOracle(HardLabelOracle):
@@ -145,31 +210,3 @@ class StructuralOracle(HardLabelOracle):
 
 def structural_oracle(feature: str, threshold: int) -> StructuralOracle:
     return StructuralOracle(feature, threshold)
-
-
-class TableOracle(HardLabelOracle):
-    """Pure lookup oracle over an explicit graph -> label table."""
-
-    def __init__(self, labels: dict[bytes, int]):
-        super().__init__()
-        self._table = dict(labels)
-
-    @classmethod
-    def exhaustive(cls, n_nodes: int, label_fn) -> "TableOracle":
-        """Tabulate ``label_fn`` over every graph on ``n_nodes`` nodes."""
-        from .graph import n_slots
-
-        s = n_slots(n_nodes)
-        table = {}
-        for code in range(1 << s):
-            bits = np.array([(code >> k) & 1 for k in range(s)], dtype=np.uint8)
-            g = Graph(n_nodes, bits)
-            table[g.canonical_key()] = int(label_fn(g))
-        return cls(table)
-
-    def _classify(self, graph: Graph) -> int:
-        key = graph.canonical_key()
-        if key not in self._table:
-            raise UnknownGraph(f"graph on {graph.n_nodes} nodes not in the table")
-        return self._table[key]
-

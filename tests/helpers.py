@@ -19,17 +19,24 @@ import numpy as np
 
 from blackedge.attack import AttackResult, solve_g_star
 from blackedge.cgs import CgsOutcome
-from blackedge.errors import DegenerateTarget, NoAdversarialFound, NoBoundary, ZeroVector
+from blackedge.errors import (
+    BlackedgeError,
+    DegenerateTarget,
+    NoAdversarialFound,
+    NoBoundary,
+    ZeroVector,
+)
 from blackedge.graph import (
     FLIP_THRESHOLD,
     Graph,
     apply_perturbation,
     edge_index_map,
     flip_ledger,
+    n_slots,
     normalize,
     perturbation_rate,
 )
-from blackedge.oracle import LabelMemo
+from blackedge.oracle import HardLabelOracle, LabelMemo
 from blackedge.partition import enumerate_components
 
 
@@ -83,6 +90,38 @@ def reference_dense_gin_logits(weights, graph: Graph) -> np.ndarray:
         h = np.maximum(h @ layer.weight.T + layer.bias, 0.0)
         logits = logits + head.weight @ h.sum(axis=0) + head.bias
     return logits
+
+
+# -- a lookup oracle --------------------------------------------------------
+
+
+class UnknownGraph(BlackedgeError):
+    """A lookup oracle was queried with a graph outside its table."""
+
+
+class TableOracle(HardLabelOracle):
+    """Pure lookup oracle over an explicit graph -> label table."""
+
+    def __init__(self, labels: dict[bytes, int]):
+        super().__init__()
+        self._table = dict(labels)
+
+    @classmethod
+    def exhaustive(cls, n_nodes: int, label_fn) -> "TableOracle":
+        """Tabulate ``label_fn`` over every graph on ``n_nodes`` nodes."""
+        s = n_slots(n_nodes)
+        table = {}
+        for code in range(1 << s):
+            bits = np.array([(code >> k) & 1 for k in range(s)], dtype=np.uint8)
+            g = Graph(n_nodes, bits)
+            table[g.canonical_key()] = int(label_fn(g))
+        return cls(table)
+
+    def _classify(self, graph: Graph) -> int:
+        key = graph.canonical_key()
+        if key not in self._table:
+            raise UnknownGraph(f"graph on {graph.n_nodes} nodes not in the table")
+        return self._table[key]
 
 
 # -- label memos -----------------------------------------------------------

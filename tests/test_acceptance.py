@@ -29,10 +29,10 @@ from blackedge.errors import DegenerateTarget
 from blackedge.gin import GinOracle, GinWeights
 from blackedge.graph import Graph, apply_perturbation, flip_ledger, n_slots, normalize, perturbation_rate
 from blackedge.harness import clean_accuracy, defense_sweep, random_attack, rows_to_csv
-from blackedge.oracle import TableOracle, structural_oracle
+from blackedge.oracle import structural_oracle
 from blackedge.partition import Partition, louvain, modularity, search_space_report
 
-from helpers import set_partitions, untargeted_memo
+from helpers import TableOracle, set_partitions, untargeted_memo
 
 
 @contextmanager

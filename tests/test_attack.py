@@ -28,10 +28,11 @@ from blackedge.errors import (
     NoBoundary,
 )
 from blackedge.graph import Graph, apply_perturbation, normalize
-from blackedge.oracle import FunctionOracle, LabelMemo, TableOracle, structural_oracle
+from blackedge.oracle import FunctionOracle, LabelMemo, structural_oracle
 from blackedge.partition import louvain
 
 from helpers import (
+    TableOracle,
     hashed_label,
     random_graph,
     reference_boundary_distance,
@@ -138,6 +139,10 @@ def _assert_boundary_search_equals_the_reference(label_fn, y0, graph, theta, eps
     got = _boundary_run(boundary_distance, label_fn, y0, graph, theta, epsilon, hint, known)
     want = _boundary_run(reference_boundary_distance, label_fn, y0, graph, theta, epsilon,
                          hint, known)
+    # a flip count probed again within one search takes the search's own
+    # verdict, counted as a memo hit, without reaching the memo: the library
+    # submits the reference's submissions up to those repeats
+    want = (*want[:2], list(dict.fromkeys(want[2])), *want[3:])
     assert got == want
     return got
 
@@ -1022,10 +1027,12 @@ def _recording_oracle(threshold):
 
 def test_each_distinct_graph_costs_one_query(monkeypatch):
     submitted = []
+    held = []  # submissions the memo answers
     memo_adversarial = LabelMemo.adversarial
 
     def counting(self, graph, phase):
         submitted.append(graph.bits.tobytes())
+        held.append(submitted[-1] in self.labels)
         return memo_adversarial(self, graph, phase)
 
     monkeypatch.setattr(LabelMemo, "adversarial", counting)
@@ -1040,9 +1047,10 @@ def test_each_distinct_graph_costs_one_query(monkeypatch):
     assert res.queries["total"] == len(asked) == len(set(asked)) + 1
     assert res.queries["other"] == 1
     assert res.queries == oracle.ledger.snapshot()
-    # every other submission is a query or a memo hit
-    assert res.memo_hits > 0
-    assert res.queries["total"] + res.memo_hits == len(submitted) + 1
+    # every other submission to the memo is a query or a memo hit; a flip
+    # count a boundary search probes again is a memo hit that never reaches it
+    assert res.queries["total"] == len(submitted) - sum(held) + 1
+    assert res.memo_hits > sum(held) > 0
     assert set(submitted) == set(asked)
 
 

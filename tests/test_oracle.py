@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from blackedge.datasets import barbell
-from blackedge.errors import BudgetExhausted, UnknownGraph
+from blackedge.errors import BudgetExhausted
 from blackedge.graph import Graph
 from blackedge.oracle import (
     FunctionOracle,
     QueryLedger,
     StructuralOracle,
-    TableOracle,
     structural_oracle,
 )
+
+from helpers import TableOracle, UnknownGraph
 
 
 # -- ledger --------------------------------------------------------------
