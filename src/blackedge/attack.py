@@ -237,83 +237,12 @@ def objective_p(theta, g: float) -> float:
     return _clipped_mass(g * normalize(theta))
 
 
-# solve_g_star, and probe_graphs for all its rows at once, walk the
-# breakpoints of at most this many of the largest components; a target
-# further out sorts all the breakpoints instead.
+# _solve_g_star_rows walks the breakpoints of at most this many of each
+# row's largest components; a row whose target lies further out searches
+# all its breakpoints instead.
 WALK_COMPONENTS = 32
 _TURN_ON_OFF = np.array([[FLIP_THRESHOLD], [FLIP_THRESHOLD + 1.0]])
 _SLOPE_SIGN = np.array([[1.0], [-1.0]])
-
-
-def _walk_breakpoints(desc: np.ndarray, p_old: float):
-    """The breakpoints in ascending order up to the first whose running mass
-    reaches ``p_old``, and its index; None if ``p_old`` lies beyond the
-    turn-on of the j-th largest component, j = ``WALK_COMPONENTS``.
-
-    ``desc`` holds the positive components in descending order.  A
-    component ``s`` turns its slope on at ``FLIP_THRESHOLD / s`` and off at
-    ``(FLIP_THRESHOLD + 1) / s``.  Up to the turn-on of the j-th largest,
-    only the j largest have breakpoints, and each adds at most 1 to the
-    mass.  The walk merges their turn-ons and turn-offs, turn-on first on a
-    tie, and keeps the running mass: the slope times each segment's length,
-    summed along the walk.  Where that falls short of the clipped mass by
-    rounding, the walk ends at the j-th turn-on.
-    """
-    j = WALK_COMPONENTS
-    if p_old > j:
-        return None
-    k = desc.size
-    if k > j:
-        # the mass at the j-th turn-on g = T / s_j, as the sum over the j
-        # largest of min(g * s - T, 1) = g * min(s, (T + 1) / g) - T
-        s_j = float(desc[j - 1])
-        g_j = FLIP_THRESHOLD / s_j
-        capped = np.add.reduce(np.minimum(desc[:j], (FLIP_THRESHOLD + 1.0) / g_j))
-        if p_old > g_j * float(capped) - FLIP_THRESHOLD * j:
-            return None
-    comps = desc[:j].tolist()
-    n = len(comps)
-    on = off = 0
-    g_on = FLIP_THRESHOLD / comps[0]
-    g_off = (FLIP_THRESHOLD + 1.0) / comps[0]
-    events = []
-    g, slope, mass = g_on, 0.0, 0.0
-    while True:
-        if on < n and g_on <= g_off:
-            mass += slope * (g_on - g)
-            g = g_on
-            slope += comps[on]
-            on += 1
-            if on < n:
-                g_on = FLIP_THRESHOLD / comps[on]
-        else:
-            mass += slope * (g_off - g)
-            g = g_off
-            slope -= comps[off]
-            off += 1
-            if off < n:
-                g_off = (FLIP_THRESHOLD + 1.0) / comps[off]
-        events.append(g)
-        # past the last turn-on of ``comps``, smaller components break too
-        if mass >= p_old or off == n or (on == n and n < k):
-            return events, len(events) - 1
-
-
-def _sorted_breakpoints(desc: np.ndarray, p_old: float):
-    """All breakpoints, sorted, and the index of the first whose running mass
-    reaches ``p_old``; ``desc`` holds the positive components in descending
-    order."""
-    # the turn-ons, then the turn-offs: two ascending runs, which the stable
-    # sort merges, turn-ons first on a tie
-    breaks = np.divide(_TURN_ON_OFF, desc).ravel()
-    order = np.argsort(breaks, kind="stable")
-    events = breaks[order]
-    slope = np.multiply(_SLOPE_SIGN, desc).ravel()[order]  # the change at each breakpoint
-    np.cumsum(slope, out=slope)
-    mass = events[1:] - events[:-1]
-    np.multiply(slope[:-1], mass, out=mass)
-    np.cumsum(mass, out=mass)  # the running mass at events[1:]; it is 0 at events[0]
-    return events, 1 + int(np.searchsorted(mass, p_old, side="left"))
 
 
 def solve_g_star(theta_new, p_old: float) -> float:
@@ -323,63 +252,18 @@ def solve_g_star(theta_new, p_old: float) -> float:
     The objective as a function of the scale is piecewise linear and
     non-decreasing, with breakpoints where a component crosses the flip
     threshold (slope turns on) or its clip cap (slope turns off); the
-    containing segment is inverted analytically.  Zero queries.
-
-    The segment is located from a running slope over the breakpoints in
-    ascending order.  The attack's targets are small, so the breakpoints of
-    the largest components are walked one by one until the running mass
-    reaches ``p_old``; a target beyond the turn-on of the
-    ``WALK_COMPONENTS``-th largest sorts all the breakpoints instead.  The
-    running mass can differ from the clipped mass in the last bits, so the
-    index is then moved until the clipped mass itself brackets ``p_old``;
-    the result does not depend on the rounding of the running mass, nor on
-    how the segment was located.
+    containing segment is inverted analytically.  Zero queries.  This is
+    one row of ``_solve_g_star_rows``.
     """
-    theta_norm = normalize(theta_new)
-    positive = theta_norm[theta_norm > 0]
-    k = positive.size
-    p_max = float(k)  # each component's contribution caps at 1
-    if not 0.0 < p_old < p_max:  # also rejects NaN and an empty ``positive``
+    row = np.asarray(theta_new, dtype=float).reshape(1, -1)
+    normalize(row)  # raises ZeroVector for a zero direction
+    g_star = float(_solve_g_star_rows(row, p_old)[0])
+    if g_star != g_star:
         raise DegenerateTarget(
-            f"target objective {p_old} outside the invertible range (0, {p_max})"
-        )
-    desc = np.sort(positive)[::-1]
-    located = _walk_breakpoints(desc, p_old)
-    if located is None:
-        located = _sorted_breakpoints(desc, p_old)
-    events, idx = located
-    p_at = lambda g: _clipped_mass(g * positive)
-    # p0 and p1 keep the last masses evaluated at events[idx - 1] and events[idx];
-    # equal breakpoints have equal masses, so each move skips a run of them
-    while idx > 0:
-        g = events[idx - 1]
-        p0 = p_at(g)
-        if p0 < p_old:
-            break
-        idx -= 1
-        while idx > 0 and events[idx - 1] == g:
-            idx -= 1
-    while idx < 2 * k:
-        g = events[idx]
-        p1 = p_at(g)
-        if p1 >= p_old:
-            break
-        p0 = p1
-        idx += 1
-        while idx < 2 * k:
-            if idx == len(events):  # a walk's events end where it stopped
-                events, _ = _sorted_breakpoints(desc, p_old)
-            if events[idx] != g:
-                break
-            idx += 1
-    # now p0 = p(events[idx - 1]) < p_old <= p(events[idx]) = p1
-    if idx == 0:
-        # p_old <= p(first breakpoint) = 0, excluded above
-        raise DegenerateTarget("objective target below the first breakpoint")
-    if idx == 2 * k:
-        raise DegenerateTarget("objective target above the saturation plateau")
-    g0, g1 = events[idx - 1], events[idx]
-    return float(g0 + (p_old - p0) * (g1 - g0) / (p1 - p0))
+            f"target objective {p_old} outside the invertible range along this "
+            "direction: not above the first breakpoint's mass, or above the "
+            "saturation plateau")
+    return g_star
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -398,15 +282,16 @@ def _walk_rows(scaled: np.ndarray, counts: np.ndarray, invertible: np.ndarray,
                p_old: float) -> np.ndarray:
     """The (2, rows) breakpoints around the segment where each row's running
     mass first reaches ``p_old``, located among the breakpoints of its
-    ``WALK_COMPONENTS`` largest components as ``_walk_breakpoints`` does,
-    for all rows at once; 0 at both ends of a row not located so.
+    ``WALK_COMPONENTS`` largest components, for all rows at once; 0 at both
+    ends of a row not located so.
 
-    Up to the turn-on of the j-th largest component only the j largest
-    have breakpoints, so a segment that ends there at the latest is a
-    segment of all the row's breakpoints.  The running mass may round
+    A component ``s`` turns its slope on at ``FLIP_THRESHOLD / s`` and off
+    at ``(FLIP_THRESHOLD + 1) / s``.  Up to the turn-on of the j-th largest
+    component only the j largest have breakpoints, so a segment that ends
+    there at the latest is a segment of all the row's breakpoints.  The
+    running mass (the slope times each segment's length, summed) may round
     either way; ``_solve_g_star_rows`` keeps a segment only where the
-    clipped mass itself brackets ``p_old``.  The clipped mass does not
-    decrease with the scale, so such a segment is ``solve_g_star``'s.
+    clipped mass itself brackets ``p_old``.
     """
     n, d = scaled.shape
     j = min(WALK_COMPONENTS, d)
@@ -442,16 +327,39 @@ def _walk_rows(scaled: np.ndarray, counts: np.ndarray, invertible: np.ndarray,
     return g
 
 
-def _solve_g_star_rows(unit: np.ndarray, p_old: float) -> np.ndarray:
-    """``solve_g_star(row, p_old)`` of every row at once, with the same bits;
-    NaN where it raises.
+def _bisect_breakpoints(positive: np.ndarray, p_old: float) -> float:
+    """g* from all the breakpoints of one row's positive components (in slot
+    order); NaN where no segment brackets ``p_old``.
 
-    The rows are normalised again, sorted and walked together, and both
-    bracket masses of every row are evaluated in one pass over the rows'
-    positive components.  A row whose located segment does not bracket
-    ``p_old`` takes ``solve_g_star`` itself.
+    The clipped mass does not decrease with the scale, in floating point
+    too: each clipped term is monotone, and a sum of monotone terms in a
+    fixed order is monotone.  So bisection on the mass itself finds the
+    first breakpoint whose mass reaches ``p_old``, in about log2(2k) masses.
     """
-    scaled = unit / _row_norms(unit)[:, None]  # what solve_g_star normalises
+    events = np.sort(np.divide(_TURN_ON_OFF, positive).ravel())
+    p_at = lambda g: _clipped_mass(g * positive)
+    idx = bisect.bisect_left(events, p_old, key=p_at)
+    if idx == 0 or idx == events.size:  # no breakpoint below p_old, or none reaching it
+        return math.nan
+    g0, g1 = events[idx - 1], events[idx]
+    p0, p1 = p_at(g0), p_at(g1)
+    return float(g0 + (p_old - p0) * (g1 - g0) / (p1 - p0))
+
+
+def _solve_g_star_rows(unit: np.ndarray, p_old: float) -> np.ndarray:
+    """g* of every row at once; NaN where no segment brackets ``p_old`` (a
+    zero or NaN row, a target outside (0, positive count), or one beyond
+    the last breakpoint's mass).
+
+    The rows are normalised again with ``normalize``'s bits, sorted and
+    walked together (``_walk_rows``), and both bracket masses of every row
+    are evaluated in one pass over the rows' positive components.  A row
+    the walk does not bracket (a target beyond the walk, fewer positives
+    than the walk takes, or a tie that rounded the running mass past the
+    target) takes ``_bisect_breakpoints``.  Either way the segment ends at
+    the first breakpoint whose clipped mass reaches ``p_old``.
+    """
+    scaled = unit / _row_norms(unit)[:, None]
     positive = scaled > 0.0
     counts = np.add.reduce(positive, axis=1, dtype=np.intp)
     invertible = (0.0 < p_old) & (p_old < counts)  # also rejects NaN
@@ -473,10 +381,7 @@ def _solve_g_star_rows(unit: np.ndarray, p_old: float) -> np.ndarray:
     g_star = np.full(len(g0), np.nan)
     g_star[b] = g0[b] + (p_old - p0[b]) * (g1[b] - g0[b]) / (p1[b] - p0[b])
     for i in np.flatnonzero(invertible & ~b).tolist():
-        try:
-            g_star[i] = solve_g_star(unit[i], p_old)
-        except DegenerateTarget:
-            pass
+        g_star[i] = _bisect_breakpoints(scaled[i][positive[i]], p_old)
     return g_star
 
 
@@ -486,7 +391,8 @@ def probe_graphs(graph: Graph, p_old: float, thetas) -> list[Graph | None]:
     Row by row this is ``normalize``, ``solve_g_star`` on the normalised
     row and ``apply_perturbation`` of g* times the normalised row, with the
     same bits, and None exactly where those raise (a zero row, or a target
-    outside a row's invertible range).  The rows are prepared together, and
+    outside a row's invertible range): every row's g* comes from one call
+    of ``_solve_g_star_rows``.  The rows are prepared together, and
     every probe's bits come from one XOR.  Zero queries.
     """
     thetas = np.asarray(thetas, dtype=float)
@@ -547,7 +453,7 @@ def estimate_gradient(
     the step, the generator is left where drawing row by row would have
     left it: after the row whose query was refused.
 
-    When ``p_t`` is not positive (or NaN), ``solve_g_star`` rejects every
+    When ``p_t`` is not positive (or NaN), the inversion rejects every
     probe whatever its direction, so all 4 draws of every probe are made
     at once and the step is zero, without a call per draw.
     """

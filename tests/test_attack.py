@@ -1,5 +1,6 @@
 """Boundary distance, the clipped objective, its inversion and sign-SGD."""
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -384,28 +385,6 @@ def test_solve_g_star_equals_reference_on_edge_cases(theta, p_old):
     _same_as_reference(theta, p_old)
 
 
-def test_solve_g_star_evaluates_each_bracket_mass_once(monkeypatch):
-    masses = []
-    clipped_mass = attack._clipped_mass
-
-    def recording(ghat):
-        masses.append(ghat.tobytes())
-        return clipped_mass(ghat)
-
-    monkeypatch.setattr(attack, "_clipped_mass", recording)
-    rng = np.random.default_rng(5)
-    for _ in range(500):
-        theta = rng.uniform(-0.2, 1.0, size=int(rng.integers(2, 60)))
-        p_old = rng.uniform(0.0, 1.0) * (theta > 0).sum()
-        masses.clear()
-        try:
-            got = solve_g_star(theta, p_old)
-        except DegenerateTarget:
-            continue
-        assert got == reference_solve_g_star(theta, p_old)
-        assert len(masses) == len(set(masses)) >= 2
-
-
 def test_solve_g_star_above_the_saturation_plateau():
     # Each of many tied smallest components can sit an ulp below its cap at
     # the last breakpoint, so p there rounds below the largest float under
@@ -445,18 +424,30 @@ def _walk_grid_directions(rng, d):
             rng.choice([-1.0, 1.0, 3.0], size=d)]
 
 
-def _located_by_walk(monkeypatch):
-    """Record, per solve, whether the breakpoint walk located the segment."""
-    walk = attack._walk_breakpoints
+def _searched_rows(monkeypatch):
+    """Record, per row the batch searches over all its breakpoints, its
+    positive count and the clipped masses the search evaluates (each as the
+    bytes of its scaled row)."""
+    search, clipped_mass = attack._bisect_breakpoints, attack._clipped_mass
     log = []
 
-    def recording(desc, p_old):
-        located = walk(desc, p_old)
-        log.append(located is not None)
-        return located
+    def searching(positive, p_old):
+        log.append((positive.size, []))
+        return search(positive, p_old)
 
-    monkeypatch.setattr(attack, "_walk_breakpoints", recording)
+    def recording(ghat):
+        log[-1][1].append(ghat.tobytes())
+        return clipped_mass(ghat)
+
+    monkeypatch.setattr(attack, "_bisect_breakpoints", searching)
+    monkeypatch.setattr(attack, "_clipped_mass", recording)
     return log
+
+
+def _search_bound(k):
+    """Masses a search over k positives' 2k breakpoints may evaluate: the
+    bisection's, then both ends of the segment."""
+    return math.ceil(math.log2(2 * k + 1)) + 2
 
 
 @pytest.mark.parametrize("d, n_directions, on_breakpoints", [
@@ -467,7 +458,7 @@ def _located_by_walk(monkeypatch):
 def test_solve_g_star_equals_reference_on_the_walk_grid(monkeypatch, d, n_directions,
                                                        on_breakpoints):
     rng = np.random.default_rng(d)
-    log = _located_by_walk(monkeypatch)
+    log = _searched_rows(monkeypatch)
     walked = beyond_walk = above_bound = 0
     for _ in range(n_directions):
         directions = _walk_grid_directions(rng, d)
@@ -485,65 +476,87 @@ def test_solve_g_star_equals_reference_on_the_walk_grid(monkeypatch, d, n_direct
                 targets += list(rng.choice(masses, size=on_breakpoints))
             for p_old in targets:
                 log.clear()
-                _same_as_reference(theta, p_old)
-                if log == [False]:
-                    if p_old > attack.WALK_COMPONENTS:
-                        above_bound += 1
-                    else:
-                        beyond_walk += 1
-                walked += log == [True]
+                inverted = _same_as_reference(theta, p_old)
+                if not log:
+                    walked += inverted
+                elif p_old > attack.WALK_COMPONENTS:
+                    above_bound += 1
+                else:
+                    beyond_walk += 1
     assert walked > 0 and beyond_walk > 0 and above_bound > 0
 
 
+def test_solve_g_star_evaluates_each_bracket_mass_once(monkeypatch):
+    # A row the walk does not bracket bisects on the clipped mass, each
+    # probed breakpoint once, then evaluates both ends of its segment once.
+    log = _searched_rows(monkeypatch)
+    rng = np.random.default_rng(5)
+    searched = 0
+    for _ in range(500):
+        theta = rng.uniform(-0.2, 1.0, size=int(rng.integers(2, 60)))
+        p_old = rng.uniform(0.0, 1.0) * (theta > 0).sum()
+        log.clear()
+        if not _same_as_reference(theta, p_old):
+            continue
+        for k, masses in log:
+            bisection, ends = masses[:-2], masses[-2:]
+            assert len(bisection) == len(set(bisection))
+            assert len(ends) == len(set(ends)) == 2
+            assert len(masses) <= _search_bound(k)
+        searched += len(log)
+    assert searched > 300
+
+
 def test_solve_g_star_walk_evaluates_two_masses(monkeypatch):
-    # Away from breakpoint masses and ties, the walk and the sorted
-    # breakpoints both locate the segment itself: two clipped masses.
-    log = _located_by_walk(monkeypatch)
-    counts = []
-    clipped_mass = attack._clipped_mass
+    # A target the walk brackets takes the two masses of the batched pass
+    # and no search; one it does not bracket takes a bounded search.
+    log = _searched_rows(monkeypatch)
+    walk = attack._walk_rows
+    located = []
 
-    def counting(ghat):
-        counts[-1] += 1
-        return clipped_mass(ghat)
+    def recording(scaled, counts, invertible, p_old):
+        g = walk(scaled, counts, invertible, p_old)
+        located.append(bool(g[1, 0]))
+        return g
 
-    monkeypatch.setattr(attack, "_clipped_mass", counting)
+    monkeypatch.setattr(attack, "_walk_rows", recording)
     rng = np.random.default_rng(12)
+    walked = searched = 0
     for d in (190, 190, 190, 190, 780):
         for theta in _walk_grid_directions(rng, d)[:2]:
             k = int((theta > 0).sum())
             for p_old in [f * k for f in WALK_GRID_FRACTIONS] + [0.27, 0.92, 2.4, 5.6]:
-                counts.append(0)
-                solve_g_star(theta, p_old)
-    assert counts == [2] * len(counts)
-    assert log.count(True) > 40 and log.count(False) > 20
+                log.clear()
+                located.clear()
+                assert _same_as_reference(theta, p_old)
+                if not log:
+                    assert located == [True]
+                    walked += 1
+                for k_searched, masses in log:
+                    assert len(masses) <= _search_bound(k_searched)
+                    searched += 1
+    assert walked > 40 and searched > 20
 
 
 def test_bracket_correction_skips_tied_breakpoints(monkeypatch):
     # The clipped mass at the 45 tied turn-ons of the smallest components is
-    # exactly the target, 7.5, and the sorted running mass can round below
-    # it there, so the located index lies past the whole tie.  Stepping back
-    # one breakpoint at a time evaluated the same mass once per tied
-    # breakpoint, 47 evaluations in all.
-    counts = []
-    clipped_mass = attack._clipped_mass
-
-    def counting(ghat):
-        counts[-1] += 1
-        return clipped_mass(ghat)
-
-    monkeypatch.setattr(attack, "_clipped_mass", counting)
+    # exactly the target, 7.5, and the walk's running mass can round below
+    # it there, so its segment lies past the whole tie and does not bracket
+    # the target.  The search over all breakpoints evaluates no more masses
+    # for the tie: a scalar correction that stepped back one breakpoint at a
+    # time evaluated the same mass once per tied breakpoint, 47 in all.
+    log = _searched_rows(monkeypatch)
     magnitudes = np.concatenate([np.ones(45), np.full(3, 2.0), np.full(6, 5.0),
                                  np.full(136, -1.0)])
-    past_the_tie = 0
+    searched = 0
     for seed in range(30):
         theta = np.random.default_rng(seed).permutation(magnitudes)
-        positive = normalize(theta)[theta > 0]
-        events, idx = attack._sorted_breakpoints(np.sort(positive)[::-1], 7.5)
-        past_the_tie += events[idx - 1] == events[idx - 45]
-        counts.append(0)
+        log.clear()
         assert solve_g_star(theta, 7.5) == reference_solve_g_star(theta, 7.5)
-    assert past_the_tie > 0
-    assert max(counts) <= 3
+        for k, masses in log:
+            assert len(masses) <= _search_bound(k)
+            searched += 1
+    assert searched == 30  # the walk brackets none of them
 
 
 def _clipped_mass_at(positive, g):
@@ -553,51 +566,68 @@ def _clipped_mass_at(positive, g):
 def test_walk_stops_at_the_first_breakpoint_reaching_the_target():
     rng = np.random.default_rng(13)
     j = attack.WALK_COMPONENTS
-    beyond = 0
+    located = beyond = 0
     for d in (12, 40, 190, 780):
-        for theta in _walk_grid_directions(rng, d):
-            theta_norm = normalize(theta)
-            positive = theta_norm[theta_norm > 0]
-            desc = np.sort(positive)[::-1]
-            events, _ = attack._sorted_breakpoints(desc, 1.0)
-            for p_old in rng.uniform(0.0, 1.0, size=20) * min(j, positive.size):
-                located = attack._walk_breakpoints(desc, p_old)
-                if located is None:
-                    # beyond the j-th largest component's turn-on
-                    assert positive.size > j
-                    assert _clipped_mass_at(positive, 0.5 / desc[j - 1]) < p_old + 1e-9
-                    beyond += 1
+        thetas = np.array(_walk_grid_directions(rng, d))
+        scaled = thetas / attack._row_norms(thetas)[:, None]
+        counts = (scaled > 0).sum(axis=1)
+        for p_old in rng.uniform(0.0, 1.0, size=20) * j:
+            invertible = (0.0 < p_old) & (p_old < counts)
+            g = attack._walk_rows(scaled, counts, invertible, p_old)
+            for row, k, ok, (g0, g1) in zip(scaled, counts, invertible, g.T):
+                if not ok or k < min(j, d):  # not walked
+                    assert g0 == g1 == 0.0
                     continue
-                walk, idx = located
-                assert idx == len(walk) - 1 and len(walk) <= 2 * j
-                assert walk == events[:len(walk)].tolist()  # the smallest breakpoints
-                reached = _clipped_mass_at(positive, walk[idx]) >= p_old - 1e-9
-                assert reached or idx == 2 * positive.size - 1 or \
-                    walk[idx] == 0.5 / desc[j - 1]  # the walk's last turn-on
-                if idx > 0:
-                    assert _clipped_mass_at(positive, walk[idx - 1]) < p_old + 1e-9
-    assert beyond > 0
+                positive = row[row > 0]
+                events = np.sort(np.concatenate([0.5 / positive, 1.5 / positive]))
+                # the walk's last breakpoint: the j-th largest's turn-on
+                last = 0.5 / np.sort(positive)[-j] if k > j else events[-1]
+                if _clipped_mass_at(positive, last) < p_old - 1e-9:
+                    # beyond the walk: whatever it returns brackets nothing
+                    assert not _clipped_mass_at(positive, g0) < p_old <= \
+                        _clipped_mass_at(positive, g1)
+                    beyond += 1
+                elif _clipped_mass_at(positive, last) > p_old + 1e-9:
+                    # two consecutive breakpoints, the first reaching p_old
+                    i = int(np.searchsorted(events, g1))
+                    assert events[i] == g1 and events[i - 1] == g0 < g1
+                    assert _clipped_mass_at(positive, g0) < p_old + 1e-9
+                    assert _clipped_mass_at(positive, g1) >= p_old - 1e-9
+                    located += 1
+    assert located > 0 and beyond > 0
 
 
 def test_solve_g_star_is_exact_from_any_walk_prefix(monkeypatch):
-    # Whatever prefix of the breakpoints the walk returns, the bracket
-    # correction extends it with the sorted breakpoints and stays exact.
-    walk = attack._walk_breakpoints
+    # Whatever segment of consecutive breakpoints the walk returns (one
+    # before or after its own, as if it stopped early or late), or none
+    # (zeros), one whose clipped masses do not bracket the target is
+    # searched over all the row's breakpoints, and g* stays exact.
+    walk = attack._walk_rows
+    log = _searched_rows(monkeypatch)
     rng = np.random.default_rng(14)
     thetas = [theta for d in (12, 60, 190) for theta in _walk_grid_directions(rng, d)[:2]]
-    for back in (0, 1, 3, 50):
-        def truncated(desc, p_old, back=back):
-            located = walk(desc, p_old)
-            if located is None:
-                return None
-            keep = max(1, located[1] + 1 - back)
-            return located[0][:keep], keep - 1
+    searched = {}
+    for shift in (0, None, -3, -1, 1, 2):
+        def shifted(scaled, counts, invertible, p_old, shift=shift):
+            g = walk(scaled, counts, invertible, p_old)
+            if shift is None:
+                return np.zeros_like(g)
+            for i in np.flatnonzero(g[1]):
+                positive = scaled[i][scaled[i] > 0]
+                events = np.sort(np.concatenate([0.5 / positive, 1.5 / positive]))
+                at = int(np.searchsorted(events, g[1, i])) + shift
+                at = min(max(at, 1), events.size - 1)
+                g[:, i] = events[at - 1], events[at]
+            return g
 
-        monkeypatch.setattr(attack, "_walk_breakpoints", truncated)
+        monkeypatch.setattr(attack, "_walk_rows", shifted)
+        log.clear()
         for theta in thetas:
             k = int((theta > 0).sum())
             for p_old in (0.1, 0.9, 2.5, min(6.0, 0.5 * k)):
                 _same_as_reference(theta, p_old)
+        searched[shift] = len(log)
+    assert min(searched[shift] for shift in (None, -3, -1, 1, 2)) > searched[0]
 
 
 # -- one-query sign probes -----------------------------------------------
@@ -651,14 +681,14 @@ def test_qegc_sign_direction_of_the_inequality():
 
 def _assert_probes_equal_the_reference(graph, p_old, thetas):
     """``probe_graphs`` equals the one-row reference on every row: the same
-    probe bits, and None exactly where the reference raised; the batched
-    inversion returns ``solve_g_star``'s scale, bit for bit.  Returns the
-    number of rows that had a probe."""
+    probe bits, and None exactly where the reference raised; on every 20th
+    nonzero row the batched inversion returns the O(d^2) reference's scale,
+    bit for bit.  Returns the number of rows that had a probe."""
     unit = np.array([normalize(row) for row in thetas if row.any()])
     if unit.size:
-        for row, g_star in zip(unit, attack._solve_g_star_rows(unit, p_old)):
+        for row, g_star in zip(unit[::20], attack._solve_g_star_rows(unit, p_old)[::20]):
             try:
-                assert g_star == solve_g_star(row, p_old)
+                assert g_star == reference_solve_g_star(row, p_old)
             except DegenerateTarget:
                 assert np.isnan(g_star)
     got = probe_graphs(graph, p_old, thetas)
@@ -674,14 +704,6 @@ def _assert_probes_equal_the_reference(graph, p_old, thetas):
         assert probe.n_nodes == graph.n_nodes and probe.features is graph.features
         probes += 1
     return probes
-
-
-def _counting_solve_g_star(monkeypatch):
-    """Count the rows ``probe_graphs`` hands to the scalar inversion."""
-    calls = []
-    monkeypatch.setattr(attack, "solve_g_star",
-                        lambda *args: calls.append(1) or solve_g_star(*args))
-    return calls
 
 
 @pytest.mark.parametrize("d", [3, 66, 190, 780, 3160])
@@ -714,7 +736,7 @@ def test_row_norms_of_a_strided_stack_are_the_norms_normalize_gives():
 @pytest.mark.parametrize("k", [1, 10, 100])
 @pytest.mark.parametrize("n_nodes", [3, 12, 20, 40])  # d = 3, 66, 190, 780
 def test_probe_graphs_equal_the_reference_row_by_row(monkeypatch, n_nodes, k):
-    fallbacks = _counting_solve_g_star(monkeypatch)
+    fallbacks = _searched_rows(monkeypatch)
     rng = np.random.default_rng(1000 * n_nodes + k)
     graph = random_graph(rng, n_nodes)
     d = graph.n_edge_slots
@@ -748,7 +770,7 @@ def test_probe_graphs_equal_the_reference_on_shared_breakpoints(monkeypatch, d):
     # every row is a permutation of one multiset (few magnitudes, or a
     # probe-like direction), so all rows share their breakpoints, tied ones
     # included, and most targets are a breakpoint's mass
-    fallbacks = _counting_solve_g_star(monkeypatch)
+    fallbacks = _searched_rows(monkeypatch)
     rng = np.random.default_rng(d)
     n_nodes = {3: 3, 66: 12, 190: 20, 780: 40}[d]
     graph = random_graph(rng, n_nodes)
