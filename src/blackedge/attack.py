@@ -42,29 +42,30 @@ from .oracle import HardLabelOracle, LabelMemo
 from .partition import STRATEGIES
 
 
+# sign_sgd_attack stops after this many consecutive iterations whose
+# objective moved by less than EARLY_STOP_TOL
+EARLY_STOP_PATIENCE = 10
+EARLY_STOP_TOL = 1e-6
+
+
 @dataclass
 class AttackConfig:
     """Knobs of the sign-SGD attack loop.
 
-    ``learning_rate=None`` selects the default 1/sqrt(d) for slot
-    dimension d.  ``target_label=None`` runs the untargeted attack;
-    setting it demands that exact label instead of any label change.
-    ``max_queries`` caps the queries of one ``attack_graph`` run.
+    ``target_label=None`` runs the untargeted attack; setting it demands
+    that exact label instead of any label change.  ``max_queries`` caps
+    the queries of one ``attack_graph`` run.
     """
 
     budget: float = 0.2
     iterations: int = 200
     directions_per_step: int = 100
     smoothing: float = 0.1
-    learning_rate: float | None = None
     epsilon: float = 1e-3
     max_queries: int | None = None
     target_label: int | None = None
     seed: int = 0
-    early_stop_patience: int = 10
-    early_stop_tol: float = 1e-6
     strategy: str = "I"
-    trials_scale: int = 5
 
     def __post_init__(self):
         if self.directions_per_step < 1:
@@ -78,25 +79,14 @@ class AttackConfig:
             raise ConfigError(f"iterations must be non-negative, got {self.iterations}")
         if self.max_queries is not None and self.max_queries < 1:
             raise ConfigError(f"max_queries must be at least 1, got {self.max_queries}")
-        # a probe radius or step that is not positive and finite leaves the
-        # direction where it is, or moves it up the objective
+        # a probe radius of 0 probes the iterate itself, an infinite one no
+        # direction at all
         if not 0.0 < self.smoothing < math.inf:
             raise ConfigError(f"smoothing must be positive and finite, got {self.smoothing}")
-        if self.learning_rate is not None and not 0.0 < self.learning_rate < math.inf:
-            raise ConfigError(
-                f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        if self.trials_scale < 1:
-            raise ConfigError(f"trials_scale must be at least 1, got {self.trials_scale}")
         if self.seed < 0:  # run_experiment seeds numpy generators with seed + idx
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.early_stop_patience < 1:
-            raise ConfigError(
-                f"early_stop_patience must be at least 1, got {self.early_stop_patience}")
-        # a NaN or negative tolerance never counts a step as stagnant
-        if not self.early_stop_tol >= 0.0:
-            raise ConfigError(f"early_stop_tol must be non-negative, got {self.early_stop_tol}")
 
     def predicate(self, y0: int):
         if self.target_label is None:
@@ -404,13 +394,9 @@ def probe_graphs(graph: Graph, p_old: float, thetas) -> list[Graph | None]:
     if not len(thetas):
         return []
     norms = _row_norms(thetas)
-    live = norms > 0.0
-    if not live.all():  # a zero row raises ZeroVector in normalize
-        out: list[Graph | None] = [None] * len(thetas)
-        rows = np.flatnonzero(live).tolist()
-        for i, probe in zip(rows, probe_graphs(graph, p_old, thetas[rows])):
-            out[i] = probe
-        return out
+    # a zero row (ZeroVector in normalize) becomes a NaN row, which
+    # _solve_g_star_rows rejects
+    norms[norms == 0.0] = np.nan
     unit = thetas / norms[:, None]  # each row normalised, as the probe scales it
     g_star = _solve_g_star_rows(unit, p_old)  # NaN flips nothing
     bits = graph.bits ^ (g_star[:, None] * unit >= FLIP_THRESHOLD).view(np.uint8)
@@ -506,20 +492,22 @@ def sign_sgd_attack(
 
     Per iteration: one binary search for the boundary distance of the
     current iterate, then one query per probe direction for the gradient
-    signs, then a sign-SGD step.  The returned adversarial graph is the
-    last accepted boundary point, so success only needs the budget check
-    plus one final verification query.  If the query cap stops the run,
-    the current candidate is returned instead, at no extra query, when a
-    query of the run found it adversarial (``memo.verified``) and it is
-    within the budget: the last boundary point, or the seed graph of
-    ``theta0`` before the first boundary search.  A seed the run never queried is not returned.
+    signs, then a sign-SGD step of size 1/sqrt(d) for slot dimension d.  The
+    descent stops early after ``EARLY_STOP_PATIENCE`` consecutive iterations
+    whose objective moved by less than ``EARLY_STOP_TOL``.  The returned
+    adversarial graph is the last accepted boundary point, so success only
+    needs the budget check plus one final verification query.  If the query
+    cap stops the run, the current candidate is returned instead, at no
+    extra query, when a query of the run found it adversarial
+    (``memo.verified``) and it is within the budget: the last boundary
+    point, or the seed graph of ``theta0`` before the first boundary search.
+    A seed the run never queried is not returned.
 
     Graphs already in ``memo`` are not queried again; the final
     verification is always a counted query of ``memo.oracle``.
     """
     start = time.perf_counter()
-    d = graph.n_edge_slots
-    eta = cfg.learning_rate if cfg.learning_rate is not None else 1.0 / np.sqrt(d)
+    eta = 1.0 / np.sqrt(graph.n_edge_slots)
     rng = np.random.default_rng(cfg.seed)
 
     candidate = apply_perturbation(graph, theta0)  # the seed graph, for T = 0
@@ -553,9 +541,9 @@ def sign_sgd_attack(
             p_trace.append(p_t)
             grad_trace.append(float(np.linalg.norm(grad)))
             theta = normalize(theta - eta * grad)
-            if len(p_trace) >= 2 and abs(p_trace[-1] - p_trace[-2]) < cfg.early_stop_tol:
+            if len(p_trace) >= 2 and abs(p_trace[-1] - p_trace[-2]) < EARLY_STOP_TOL:
                 stagnant += 1
-                if stagnant >= cfg.early_stop_patience:
+                if stagnant >= EARLY_STOP_PATIENCE:
                     break
             else:
                 stagnant = 0
@@ -603,8 +591,7 @@ def attack_graph(
     memo = LabelMemo(oracle, cfg.predicate(y0))
     partition = louvain(graph, seed=cfg.seed)
     try:
-        seed = coarse_grained_search(memo, graph, partition, cfg.strategy,
-                                     cfg.trials_scale, cfg.seed)
+        seed = coarse_grained_search(memo, graph, partition, cfg.strategy, cfg.seed)
     except (NoAdversarialFound, BudgetExhausted) as exc:
         return AttackResult.of_run(memo, graph, None, start,
                                    failure_reason=f"initial search failed: {exc}")

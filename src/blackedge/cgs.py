@@ -27,6 +27,9 @@ from .graph import Graph, apply_perturbation  # noqa: F401
 from .oracle import LabelMemo
 from .partition import Partition, enumerate_components
 
+# trials per incident node of a component
+TRIALS_SCALE = 5
+
 
 @dataclass
 class CgsOutcome:
@@ -41,13 +44,12 @@ def coarse_grained_search(
     graph: Graph,
     partition: Partition,
     strategy: str = "I",
-    trials_scale: int = 5,
     rng_seed: int = 0,
 ) -> CgsOutcome:
     """Find an initial direction whose perturbed graph changes the label.
 
     Per component with ``m`` slots and ``n_inc`` incident nodes,
-    ``trials_scale * n_inc`` trials are drawn, each flipping
+    ``TRIALS_SCALE * n_inc`` trials are drawn, each flipping
     ``max(1, round(s * m))`` slots for ``s ~ U[0, 1]``; a component's
     flip counts come from one draw of its ``s``.  A phase (the
     consecutive components of one kind) draws all its flip counts, then
@@ -77,7 +79,7 @@ def coarse_grained_search(
         draws = []  # (flips, component slots), in draw order
         for comp in phase:
             # np.rint rounds half to even, as round() does
-            s = rng.uniform(0.0, 1.0, trials_scale * comp.n_incident)
+            s = rng.uniform(0.0, 1.0, TRIALS_SCALE * comp.n_incident)
             flips = np.maximum(np.rint(s * comp.slots.size), 1).astype(int).tolist()
             draws.extend((n_flip, comp.slots) for n_flip in flips)
         # sorted() is stable: among equal flips the earlier draw goes first

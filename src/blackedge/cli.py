@@ -145,6 +145,8 @@ def attack(dataset, name, oracle_spec, budget, strategy, q_directions, mu,
            iterations, epsilon, seed, max_queries, target_label, n_trials,
            sweep_spec, out):
     """Run the sign-SGD attack over a dataset and write a report."""
+    if sweep_spec is not None and n_trials != 1:
+        raise ConfigError(f"--budget-sweep runs one trial per target, got --n-trials {n_trials}")
     bundle = _parse_dataset(dataset, name)
     oracle = _parse_oracle(oracle_spec)
     graphs = _label_targets(bundle, oracle)
@@ -189,11 +191,18 @@ def defend(dataset, name, oracle_spec, gamma_spec, attack_sr, budget, seed, out)
 
 
 @main.command("eval")
-@click.option("--report", "report_path", required=True, type=click.Path(exists=True))
+@click.option("--report", "report_path", required=True,
+              type=click.Path(exists=True, dir_okay=False))
 def eval_report(report_path):
-    """Print the aggregate metrics of a saved report."""
-    doc = json.loads(Path(report_path).read_text())
-    click.echo(json.dumps(doc.get("aggregates", doc), indent=2))
+    """Print the aggregate metrics of a saved report; a budget sweep's rows
+    are printed as they are."""
+    try:
+        doc = json.loads(Path(report_path).read_text())
+    except ValueError as exc:  # not JSON, or not text
+        raise ConfigError(f"report {report_path} is not JSON: {exc}") from exc
+    if isinstance(doc, dict):
+        doc = doc.get("aggregates", doc)
+    click.echo(json.dumps(doc, indent=2))
 
 
 @main.command("baseline-random")

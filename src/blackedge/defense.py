@@ -7,7 +7,6 @@ them at some cost in clean accuracy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,21 +15,19 @@ from .errors import ConfigError
 from .graph import Graph, edge_index_map, stacked_adjacency
 from .oracle import HardLabelOracle
 
+# a filtered entry at or above this value is an edge
+BINARIZE_THRESHOLD = 0.5
+
 
 @dataclass(frozen=True)
 class LowRankConfig:
     """Keep the top ``gamma`` fraction of singular values (at least one)."""
 
     gamma: float = 0.5
-    binarize_threshold: float = 0.5
 
     def __post_init__(self):
         if not 0.0 < self.gamma <= 1.0:  # also rejects NaN
             raise ConfigError(f"gamma must be in (0, 1], got {self.gamma}")
-        # a NaN threshold keeps no entry: every graph would filter to empty
-        if not math.isfinite(self.binarize_threshold):
-            raise ConfigError(
-                f"binarize_threshold must be finite, got {self.binarize_threshold}")
 
     def rank(self, n_nodes: int) -> int:
         return max(1, round(self.gamma * n_nodes))
@@ -54,12 +51,12 @@ def low_rank_filter(graph: Graph, cfg: LowRankConfig) -> Graph:
     """Truncate the adjacency spectrum and re-binarize to a valid graph.
 
     A slot is an edge when its entry or the mirrored one (rounding can break
-    symmetry) reaches the binarize threshold; features and label are shared.
+    symmetry) reaches ``BINARIZE_THRESHOLD``; features and label are shared.
     """
     r = low_rank_reconstruction(graph, cfg)
     em = edge_index_map(graph.n_nodes)
     # max(r_ij, r_ji) >= t is r_ij >= t or r_ji >= t; a bool vector is 0/1
-    keep = np.maximum(r, r.T).ravel().take(em.upper) >= cfg.binarize_threshold
+    keep = np.maximum(r, r.T).ravel().take(em.upper) >= BINARIZE_THRESHOLD
     return graph._with_valid_bits(keep.view(np.uint8))
 
 
@@ -76,7 +73,7 @@ def _low_rank_bits_many(n_nodes: int, bits: np.ndarray, cfg: LowRankConfig) -> n
     r = (vk * np.take_along_axis(eigvals, keep, axis=1)[:, None, :]) @ vk.transpose(0, 2, 1)
     em = edge_index_map(n_nodes)
     r = r.reshape(len(r), n_nodes * n_nodes)
-    keep = np.maximum(r[:, em.upper], r[:, em.lower]) >= cfg.binarize_threshold
+    keep = np.maximum(r[:, em.upper], r[:, em.lower]) >= BINARIZE_THRESHOLD
     return keep.view(np.uint8)
 
 

@@ -164,22 +164,22 @@ class GinWeights:
 
     @classmethod
     def random(cls, seed: int, feature_dim: int = 1, hidden_dims=(8, 8),
-               n_classes: int = 2, scale: float = 1.0) -> "GinWeights":
+               n_classes: int = 2) -> "GinWeights":
         """Untrained network with weights drawn from a fixed seed."""
         rng = np.random.default_rng(seed)
         dims = [feature_dim] + list(hidden_dims)
         layers = [
             GinLayer(
-                scale * rng.standard_normal((dims[k + 1], dims[k])) / np.sqrt(dims[k]),
-                scale * rng.standard_normal(dims[k + 1]) * 0.1,
+                rng.standard_normal((dims[k + 1], dims[k])) / np.sqrt(dims[k]),
+                rng.standard_normal(dims[k + 1]) * 0.1,
                 float(rng.uniform(-0.5, 0.5)),
             )
             for k in range(len(hidden_dims))
         ]
         readout = [
             Dense(
-                scale * rng.standard_normal((n_classes, dims[k])) / np.sqrt(dims[k]),
-                scale * rng.standard_normal(n_classes) * 0.1,
+                rng.standard_normal((n_classes, dims[k])) / np.sqrt(dims[k]),
+                rng.standard_normal(n_classes) * 0.1,
             )
             for k in range(len(dims))
         ]

@@ -108,19 +108,6 @@ class Graph:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def from_adjacency(cls, adjacency, features=None, label=None) -> "Graph":
-        a = np.asarray(adjacency)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatch(f"adjacency must be square, got {a.shape}")
-        if not np.array_equal(a, a.T):
-            raise DimensionMismatch("adjacency must be symmetric")
-        if np.any(np.diag(a) != 0):
-            raise DimensionMismatch("adjacency must have a zero diagonal")
-        n = a.shape[0]
-        em = edge_index_map(n)
-        return cls(n, a[em.rows, em.cols].astype(np.uint8), features, label)
-
-    @classmethod
     def from_edges(cls, n_nodes, edges, features=None, label=None) -> "Graph":
         em = edge_index_map(n_nodes)
         bits = np.zeros(em.n_slots, dtype=np.uint8)
@@ -131,10 +118,6 @@ class Graph:
     @classmethod
     def empty(cls, n_nodes, **kw) -> "Graph":
         return cls(n_nodes, np.zeros(n_slots(n_nodes), dtype=np.uint8), **kw)
-
-    @classmethod
-    def complete(cls, n_nodes, **kw) -> "Graph":
-        return cls(n_nodes, np.ones(n_slots(n_nodes), dtype=np.uint8), **kw)
 
     # -- views -----------------------------------------------------------
 
@@ -198,8 +181,8 @@ class Graph:
 # -- perturbation algebra ------------------------------------------------
 
 
-def apply_perturbation(graph: Graph, theta, threshold: float = FLIP_THRESHOLD) -> Graph:
-    """Flip every edge slot whose perturbation weight reaches ``threshold``."""
+def apply_perturbation(graph: Graph, theta) -> Graph:
+    """Flip every edge slot whose perturbation weight reaches ``FLIP_THRESHOLD``."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != graph.bits.shape:
         raise DimensionMismatch(
@@ -207,7 +190,7 @@ def apply_perturbation(graph: Graph, theta, threshold: float = FLIP_THRESHOLD) -
             f"{graph.n_edge_slots} slots"
         )
     # the XOR of two 0/1 uint8 vectors of one shape is one too
-    return graph._with_valid_bits(graph.bits ^ (theta >= threshold).view(np.uint8))
+    return graph._with_valid_bits(graph.bits ^ (theta >= FLIP_THRESHOLD).view(np.uint8))
 
 
 def perturbation_rate(a: Graph, b: Graph) -> float:

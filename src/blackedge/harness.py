@@ -275,15 +275,11 @@ def budget_sweep(
     graphs: list[Graph],
     cfg: AttackConfig,
     budgets,
-    method: str = "signsgd",
-    random_query_budget: int | None = None,
 ) -> list[dict]:
-    """SR and AP per budget value (the attack-strength curve)."""
+    """Sign-SGD's SR and AP per budget value (the attack-strength curve)."""
     rows = []
     for b in budgets:
-        sweep_cfg = replace(cfg, budget=float(b))
-        report = run_experiment(oracle, graphs, sweep_cfg, method,
-                                random_query_budget=random_query_budget)
+        report = run_experiment(oracle, graphs, replace(cfg, budget=float(b)))
         rows.append({"budget": float(b), **report.aggregates})
     return rows
 

@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from blackedge.attack import AttackResult, solve_g_star
-from blackedge.cgs import CgsOutcome
+from blackedge.cgs import TRIALS_SCALE, CgsOutcome
+from blackedge.defense import BINARIZE_THRESHOLD
 from blackedge.errors import (
     BlackedgeError,
     DegenerateTarget,
@@ -273,19 +274,19 @@ def reference_low_rank_reconstruction(graph: Graph, cfg) -> np.ndarray:
 
 
 def reference_low_rank_filter(graph: Graph, cfg) -> Graph:
-    """Low-rank filter through the dense matrix and ``Graph.from_adjacency``;
+    """Low-rank filter through the dense matrix and ``from_adjacency``;
     the library's version, which reads the slots directly, must equal it."""
     approx = reference_low_rank_reconstruction(graph, cfg)
-    binary = (approx >= cfg.binarize_threshold)
+    binary = (approx >= BINARIZE_THRESHOLD)
     binary = (binary | binary.T).astype(np.uint8)
     np.fill_diagonal(binary, 0)
-    return Graph.from_adjacency(binary, features=graph.features, label=graph.label)
+    return from_adjacency(binary, features=graph.features, label=graph.label)
 
 
 def reference_two_take_low_rank_filter(graph: Graph, cfg) -> Graph:
     """The filter's earlier binarisation: each slot's upper and mirrored
     entry thresholded and taken separately, then joined by OR."""
-    keep = (reference_low_rank_reconstruction(graph, cfg) >= cfg.binarize_threshold).ravel()
+    keep = (reference_low_rank_reconstruction(graph, cfg) >= BINARIZE_THRESHOLD).ravel()
     em = edge_index_map(graph.n_nodes)
     bits = (keep.take(em.upper) | keep.take(em.lower)).astype(np.uint8)
     return Graph(graph.n_nodes, bits, graph.features, graph.label)
@@ -299,8 +300,7 @@ def reference_flip(graph: Graph, slots) -> Graph:
     return apply_perturbation(graph, theta)
 
 
-def reference_coarse_grained_search(memo, graph, partition, strategy="I",
-                                    trials_scale=5, rng_seed=0):
+def reference_coarse_grained_search(memo, graph, partition, strategy="I", rng_seed=0):
     """Coarse search that submits every trial of a phase in draw order and
     keeps the first one with the fewest flips among the successes; the
     library's flip-ordered search must return the same outcome.
@@ -313,7 +313,7 @@ def reference_coarse_grained_search(memo, graph, partition, strategy="I",
     for kind, phase in groupby(enumerate_components(partition, strategy), lambda c: c.kind):
         draws = []  # (flips, component slots), in draw order
         for comp in phase:
-            s = rng.uniform(0.0, 1.0, trials_scale * comp.n_incident)
+            s = rng.uniform(0.0, 1.0, TRIALS_SCALE * comp.n_incident)
             draws.extend((max(1, round(u * comp.slots.size)), comp.slots) for u in s)
         chosen = [None] * len(draws)
         for i in sorted(range(len(draws)), key=lambda i: draws[i][0]):
@@ -501,7 +501,20 @@ def perfbench_module(name: str):
     return module
 
 
-# -- random graph sampling -----------------------------------------------
+# -- graph construction --------------------------------------------------
+
+
+def from_adjacency(adjacency, features=None, label=None) -> Graph:
+    """The graph of a symmetric 0/1 matrix with a zero diagonal."""
+    a = np.asarray(adjacency)
+    assert np.array_equal(a, a.T) and not np.diag(a).any(), "not a simple graph"
+    n = a.shape[0]
+    bits = [a[i, j] for i in range(n) for j in range(i + 1, n)]
+    return Graph(n, np.array(bits, dtype=np.uint8), features, label)
+
+
+def complete_graph(n_nodes: int, **kw) -> Graph:
+    return Graph(n_nodes, np.ones(n_slots(n_nodes), dtype=np.uint8), **kw)
 
 
 def random_graph(rng: np.random.Generator, n: int) -> Graph:

@@ -32,7 +32,7 @@ from blackedge.harness import clean_accuracy, defense_sweep, random_attack, rows
 from blackedge.oracle import structural_oracle
 from blackedge.partition import Partition, louvain, modularity, search_space_report
 
-from helpers import TableOracle, set_partitions, untargeted_memo
+from helpers import TableOracle, complete_graph, set_partitions, untargeted_memo
 
 
 @contextmanager
@@ -216,7 +216,7 @@ def test_criterion_6_louvain_vs_brute_force():
         assert abs(modularity(g, part.assignment) - best_q) < 1e-12
         assert part.assignment.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
 
-        assert louvain(Graph.complete(5), seed=0).n_clusters == 1
+        assert louvain(complete_graph(5), seed=0).n_clusters == 1
         again = louvain(g, seed=0)
         assert again.assignment.tolist() == part.assignment.tolist()
         elapsed = time.perf_counter() - start
@@ -346,7 +346,7 @@ def test_criterion_10_defense_identity_and_curve():
             assert np.array_equal(low_rank_filter(g, identity).bits, g.bits)
 
         # rank-1 truncation of the 4-clique reproduces it exactly
-        k4 = Graph.complete(4)
+        k4 = complete_graph(4)
         approx = low_rank_reconstruction(k4, LowRankConfig(gamma=0.25))
         assert np.allclose(approx, 0.75 * np.ones((4, 4)))
         assert np.array_equal(low_rank_filter(k4, LowRankConfig(gamma=0.25)).bits,

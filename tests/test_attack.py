@@ -799,11 +799,13 @@ def test_probe_graphs_reject_degenerate_rows_as_the_reference_does():
             np.where(np.arange(d) < 2, 1.0, -1.0),  # two positive components
             rng.standard_normal(d), np.zeros(d)]
     thetas = np.array(rows)
-    for p_old in (0.5, 1.5, 1.999, 2.0, 3.0, 0.0, -0.0, -1.0, 5e-324, float("nan")):
-        _assert_probes_equal_the_reference(graph, p_old, thetas)
-    got = probe_graphs(graph, 0.5, thetas)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a zero row is rejected without a warning
+        for p_old in (0.5, 1.5, 1.999, 2.0, 3.0, 0.0, -0.0, -1.0, 5e-324, float("nan")):
+            _assert_probes_equal_the_reference(graph, p_old, thetas)
+        got = probe_graphs(graph, 0.5, thetas)
+        assert probe_graphs(graph, 0.5, np.zeros((3, d))) == [None] * 3
     assert [probe is None for probe in got] == [False, True, True, False, False, True]
-    assert probe_graphs(graph, 0.5, np.zeros((3, d))) == [None] * 3
     assert probe_graphs(graph, 0.5, np.empty((0, d))) == []
     with pytest.raises(DimensionMismatch):
         probe_graphs(graph, 0.5, np.ones((2, d + 1)))
@@ -1117,20 +1119,11 @@ def test_capped_run_never_returns_an_unverified_seed():
     ("iterations", -1),
     ("max_queries", 0),
     ("strategy", "IV"),
-    ("trials_scale", 0),
     ("smoothing", -0.1),
     ("smoothing", 0.0),
     ("smoothing", float("nan")),
     ("smoothing", float("inf")),
-    ("learning_rate", -0.5),
-    ("learning_rate", 0.0),
-    ("learning_rate", float("nan")),
-    ("learning_rate", float("inf")),
     ("seed", -1),
-    ("early_stop_patience", 0),
-    ("early_stop_patience", -3),
-    ("early_stop_tol", -1e-6),
-    ("early_stop_tol", float("nan")),
 ])
 def test_invalid_config_rejected(field, value):
     with pytest.raises(ConfigError):
@@ -1139,9 +1132,7 @@ def test_invalid_config_rejected(field, value):
 
 def test_edge_of_range_configs_are_valid():
     AttackConfig(iterations=0, budget=1.0, directions_per_step=1, max_queries=1)
-    AttackConfig(strategy="III", trials_scale=1, smoothing=1e-12, learning_rate=1e-12)
-    AttackConfig(seed=0, early_stop_patience=1, early_stop_tol=0.0)
-    AttackConfig(early_stop_tol=float("inf"))  # every step stagnates
+    AttackConfig(strategy="III", smoothing=1e-12, seed=0)
 
 
 def test_attack_deterministic_given_seed():

@@ -74,6 +74,22 @@ def test_budget_sweep_mode(runner, tmp_path):
     assert out.with_suffix(".csv").exists()
 
 
+@pytest.mark.parametrize("n_trials", ["0", "2"])
+def test_budget_sweep_takes_one_trial_per_target(runner, tmp_path, n_trials):
+    out = tmp_path / "sweep.json"
+    result = runner.invoke(main, [
+        "attack",
+        "--dataset", "er:8:0.3:2",
+        "--oracle", "structural:edge_count:12",
+        "--budget-sweep", "0.2:0.4:0.2",
+        "--n-trials", n_trials,
+        "--out", str(out),
+    ])
+    assert_one_line_error(
+        result, f"--budget-sweep runs one trial per target, got --n-trials {n_trials}")
+    assert not out.exists()
+
+
 def test_baseline_random_command(runner, tmp_path):
     out = tmp_path / "random.json"
     result = runner.invoke(main, [
@@ -94,6 +110,33 @@ def test_eval_command(runner, tmp_path):
     result = runner.invoke(main, ["eval", "--report", str(report)])
     assert result.exit_code == 0
     assert json.loads(result.output) == {"SR": 0.5}
+
+
+def test_eval_prints_a_budget_sweep_report_as_it_is(runner, tmp_path):
+    out = tmp_path / "sweep.json"
+    result = runner.invoke(main, [
+        "attack",
+        "--dataset", "er:8:0.3:2",
+        "--oracle", "structural:edge_count:12",
+        "--T", "2",
+        "--Q", "5",
+        "--budget-sweep", "0.2:0.4:0.2",
+        "--out", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["eval", "--report", str(out)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output) == json.loads(out.read_text())
+
+
+def test_eval_of_a_report_it_cannot_read_is_a_one_line_error(runner, tmp_path):
+    report = tmp_path / "r.json"
+    report.write_text('{"aggregates": ')
+    result = runner.invoke(main, ["eval", "--report", str(report)])
+    assert_one_line_error(result, f"report {report} is not JSON: Expecting value")
+    result = runner.invoke(main, ["eval", "--report", str(tmp_path)])
+    assert_one_line_error(result, "Invalid value for '--report'")
+    assert "is a directory" in result.output
 
 
 def test_defend_command(runner, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from blackedge.attack import AttackConfig, attack_graph
 from blackedge.datasets import erdos_renyi
 from blackedge.defense import (
+    BINARIZE_THRESHOLD,
     DefendedOracle,
     LowRankConfig,
     low_rank_filter,
@@ -17,6 +18,7 @@ from blackedge.graph import Graph, apply_perturbation
 from blackedge.oracle import LabelMemo, structural_oracle
 
 from helpers import (
+    complete_graph,
     perfbench_module,
     random_graph,
     reference_adjacency,
@@ -37,7 +39,7 @@ def test_gamma_one_is_identity():
 def test_k4_rank_one_recovers_the_clique():
     # K4 spectrum is {3, -1, -1, -1}; keeping the top component gives
     # 0.75 * J, and binarizing at 0.5 restores K4 exactly
-    g = Graph.complete(4)
+    g = complete_graph(4)
     cfg = LowRankConfig(gamma=0.25)
     assert cfg.rank(4) == 1
     approx = low_rank_reconstruction(g, cfg)
@@ -70,7 +72,7 @@ def test_filter_equals_reference_exactly():
     for g, cfg in cases:
         assert np.array_equal(low_rank_filter(g, cfg).bits,
                               reference_low_rank_filter(g, cfg).bits)
-        keep = low_rank_reconstruction(g, cfg) >= cfg.binarize_threshold
+        keep = low_rank_reconstruction(g, cfg) >= BINARIZE_THRESHOLD
         upper = np.triu_indices(g.n_nodes, k=1)
         asymmetric += not np.array_equal(keep, keep.T)
         mirror_only += np.any(keep.T[upper] & ~keep[upper])
@@ -79,16 +81,14 @@ def test_filter_equals_reference_exactly():
     assert asymmetric >= 3 and mirror_only >= 1
 
 
-@pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("gamma", [0.25, 0.5, 1.0])
 @pytest.mark.parametrize("n", [5, 12, 20])
-def test_filter_equals_the_two_take_reference(n, gamma, threshold):
+def test_filter_equals_the_two_take_reference(n, gamma):
     """One threshold on the larger of each entry and its mirror keeps the
     slots that thresholding both and joining them by OR keeps."""
-    rng = np.random.default_rng(100 * n + 10 * int(4 * gamma) + int(threshold))
-    cfg = LowRankConfig(gamma=gamma, binarize_threshold=threshold)
-    # the empty graph reconstructs to exact zeros: a tie at threshold 0
-    graphs = [Graph.empty(n), Graph.complete(n, label=1)]
+    rng = np.random.default_rng(100 * n + 10 * int(4 * gamma))
+    cfg = LowRankConfig(gamma=gamma)
+    graphs = [Graph.empty(n), complete_graph(n, label=1)]
     graphs += [random_graph(rng, n) for _ in range(60)]
     for g in graphs:
         out = low_rank_filter(g, cfg)
@@ -134,7 +134,7 @@ def test_filter_output_is_a_valid_graph():
 
 
 def test_filter_preserves_features_and_label():
-    g = Graph.complete(4, label=1).replace(features=np.ones((4, 2)))
+    g = complete_graph(4, label=1).replace(features=np.ones((4, 2)))
     out = low_rank_filter(g, LowRankConfig(gamma=0.5))
     assert out.label == 1
     assert out.features is g.features
@@ -152,18 +152,14 @@ def test_gamma_validation():
     for gamma in (0.0, -0.5, 1.2, np.nan, np.inf):
         with pytest.raises(ConfigError):
             LowRankConfig(gamma=gamma)
-    # a NaN threshold would filter every graph to the empty one
-    for threshold in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ConfigError):
-            LowRankConfig(binarize_threshold=threshold)
-    LowRankConfig(gamma=1.0, binarize_threshold=-2.0)
-    LowRankConfig(gamma=1e-9, binarize_threshold=3.0)
+    LowRankConfig(gamma=1.0)
+    LowRankConfig(gamma=1e-9)
 
 
 def test_defended_oracle_costs_one_query_and_shares_ledger():
     inner = structural_oracle("edge_count", 3)
     oracle = DefendedOracle(inner, LowRankConfig(gamma=0.5))
-    oracle.classify(Graph.complete(4))
+    oracle.classify(complete_graph(4))
     assert inner.ledger.total == 1
     assert oracle.ledger is inner.ledger
 
@@ -185,11 +181,11 @@ def test_defended_oracle_filters_before_classifying():
 def test_defended_clone_is_independent():
     oracle = DefendedOracle(structural_oracle("edge_count", 1),
                              LowRankConfig(gamma=0.5))
-    oracle.classify(Graph.complete(3))
+    oracle.classify(complete_graph(3))
     twin = oracle.clone()
     assert twin.ledger.total == 0
     assert twin.cfg.gamma == 0.5
-    twin.classify(Graph.complete(3), "qegc")
+    twin.classify(complete_graph(3), "qegc")
     assert twin.ledger.snapshot()["qegc"] == 1
     assert oracle.ledger.snapshot() == {"cgs": 0, "binary_search": 0, "qegc": 0,
                                         "other": 1, "total": 1}

@@ -11,6 +11,8 @@ from blackedge.gin import Dense, GinLayer, GinOracle, GinWeights, gin_forward, g
 from blackedge.graph import Graph
 
 from helpers import (
+    complete_graph,
+    from_adjacency,
     perfbench_module,
     random_graph,
     reference_dense_gin_logits,
@@ -32,7 +34,7 @@ def test_forward_matches_reference_on_random_inputs():
 
 def test_default_features_are_all_ones():
     weights = GinWeights.random(seed=1, feature_dim=2)
-    g = Graph.complete(4)
+    g = complete_graph(4)
     explicit = g.replace(features=np.ones((4, 2)))
     assert gin_forward(weights, g) == gin_forward(weights, explicit)
     ref = reference_gin_logits(weights, explicit)
@@ -46,7 +48,7 @@ def test_permutation_invariance():
         g = random_graph(rng, 8).replace(features=rng.standard_normal((8, 2)))
         perm = rng.permutation(8)
         a = g.adjacency[np.ix_(perm, perm)]
-        permuted = Graph.from_adjacency(a, features=g.features[perm])
+        permuted = from_adjacency(a, features=g.features[perm])
         assert gin_forward(weights, g) == gin_forward(weights, permuted)
 
 
@@ -59,7 +61,7 @@ def test_argmax_tie_breaks_to_smallest_class():
         n_classes=3,
         feature_dim=1,
     )
-    assert gin_forward(weights, Graph.complete(4)) == 0
+    assert gin_forward(weights, complete_graph(4)) == 0
 
 
 def test_json_round_trip_is_exact(tmp_path):
@@ -96,14 +98,14 @@ def test_shape_validation():
 
 def test_feature_dim_mismatch_rejected():
     weights = GinWeights.random(seed=0, feature_dim=2)
-    g = Graph.complete(3).replace(features=np.ones((3, 5)))
+    g = complete_graph(3).replace(features=np.ones((3, 5)))
     with pytest.raises(ShapeMismatch):
         gin_forward(weights, g)
 
 
 def test_gin_oracle_records_queries():
     oracle = GinOracle(GinWeights.random(seed=0))
-    oracle.classify(Graph.complete(4))
+    oracle.classify(complete_graph(4))
     oracle.classify(Graph.empty(4))
     assert oracle.ledger.total == 2
 
@@ -139,14 +141,14 @@ def test_logits_equal_the_dense_reference_on_the_workload_graphs():
 
 def _shape_cases(rng, n):
     """Empty, complete, random, and random with isolated nodes."""
-    cases = [Graph.empty(n), Graph.complete(n)]
+    cases = [Graph.empty(n), complete_graph(n)]
     if n > 1:
         cases.append(random_graph(rng, n))
         half = n // 2
         core = random_graph(rng, half).adjacency if half > 1 else np.zeros((half, half))
         a = np.zeros((n, n))
         a[:half, :half] = core
-        cases.append(Graph.from_adjacency(a))
+        cases.append(from_adjacency(a))
     return cases
 
 
@@ -174,7 +176,7 @@ def test_the_degree_table_is_built_once_per_first_layer_and_node_count():
     assert list(first._degree_tables) == [20]
     table = first.degree_table(20)
     head = weights.readout[0].ones_logits(20)
-    for g in (random_graph(rng, 20), Graph.complete(20), random_graph(rng, 12)):
+    for g in (random_graph(rng, 20), complete_graph(20), random_graph(rng, 12)):
         gin_forward(weights, g)
     assert sorted(first._degree_tables) == [12, 20]
     assert first.degree_table(20) is table

@@ -26,7 +26,7 @@ from blackedge.graph import Graph, stacked_adjacency
 from blackedge.harness import random_attack
 from blackedge.oracle import BLOCK, structural_oracle
 
-from helpers import perfbench_module, random_graph, untargeted_memo
+from helpers import complete_graph, perfbench_module, random_graph, untargeted_memo
 
 workloads = perfbench_module("workloads")
 BATCHES = (1, 2, 7, 32, 33)
@@ -87,10 +87,10 @@ def test_batch_kernels_equal_the_single_path_on_the_workload_graphs(
 @pytest.mark.parametrize("size", BATCHES)
 def test_batch_kernels_equal_the_single_path_on_small_graphs(n, size):
     rng = np.random.default_rng(n)
-    graphs = [Graph.empty(n), Graph.complete(n)] + [random_graph(rng, n) for _ in range(40)]
+    graphs = [Graph.empty(n), complete_graph(n)] + [random_graph(rng, n) for _ in range(40)]
     for weights in (GinWeights.random(1), GinWeights.random(2, hidden_dims=(5, 4, 3)),
                     GinWeights.random(3, hidden_dims=())):
-        for cfg in (LowRankConfig(0.5), LowRankConfig(0.25, binarize_threshold=0.3),
+        for cfg in (LowRankConfig(0.5), LowRankConfig(0.25),
                     LowRankConfig(1.0)):
             gin = GinOracle(weights)
             defended = DefendedOracle(gin, cfg)

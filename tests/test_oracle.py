@@ -13,7 +13,7 @@ from blackedge.oracle import (
     structural_oracle,
 )
 
-from helpers import TableOracle, UnknownGraph
+from helpers import TableOracle, UnknownGraph, complete_graph
 
 
 # -- ledger --------------------------------------------------------------
@@ -30,7 +30,7 @@ def test_ledger_counts_by_phase():
 
 def test_classify_records_its_phase():
     oracle = structural_oracle("edge_count", 1)
-    g = Graph.complete(3)
+    g = complete_graph(3)
     oracle.classify(g)  # default phase
     oracle.classify(g, "cgs")
     oracle.classify(g, phase="binary_search")
@@ -41,7 +41,7 @@ def test_classify_records_its_phase():
 def test_unknown_phase_is_rejected_and_not_recorded():
     oracle = structural_oracle("edge_count", 1)
     with pytest.raises(ValueError):
-        oracle.classify(Graph.complete(3), "search")
+        oracle.classify(complete_graph(3), "search")
     with pytest.raises(ValueError):
         oracle.ledger.record("total")
     assert oracle.ledger.snapshot() == {"cgs": 0, "binary_search": 0, "qegc": 0,
@@ -50,7 +50,7 @@ def test_unknown_phase_is_rejected_and_not_recorded():
 
 def test_every_classify_costs_one_query():
     oracle = structural_oracle("edge_count", 1)
-    g = Graph.complete(3)
+    g = complete_graph(3)
     for expected in range(1, 6):
         oracle.classify(g)
         assert oracle.ledger.total == expected
@@ -58,7 +58,7 @@ def test_every_classify_costs_one_query():
 
 def test_clone_gets_fresh_ledger_same_behavior():
     oracle = structural_oracle("edge_count", 2)
-    g = Graph.complete(3)
+    g = complete_graph(3)
     oracle.classify(g)
     twin = oracle.clone()
     assert twin.ledger.total == 0
@@ -71,14 +71,14 @@ def test_clone_gets_fresh_ledger_same_behavior():
 
 def test_edge_count_oracle_threshold_inclusive():
     oracle = structural_oracle("edge_count", 3)
-    assert oracle.classify(Graph.complete(3)) == 1  # 3 edges >= 3
+    assert oracle.classify(complete_graph(3)) == 1  # 3 edges >= 3
     assert oracle.classify(Graph.from_edges(3, [(0, 1), (1, 2)])) == 0
 
 
 def test_triangle_count_statistic():
     # K4 contains exactly 4 triangles
     oracle = structural_oracle("triangle_count", 4)
-    assert oracle.classify(Graph.complete(4)) == 1
+    assert oracle.classify(complete_graph(4)) == 1
     assert oracle.classify(Graph.empty(4)) == 0
 
 
@@ -86,7 +86,7 @@ def test_max_degree_statistic():
     # the bridge endpoint of barbell(4) has degree 4
     oracle = structural_oracle("max_degree", 4)
     assert oracle.classify(barbell(4)) == 1
-    assert oracle.classify(Graph.complete(4)) == 0  # max degree 3
+    assert oracle.classify(complete_graph(4)) == 0  # max degree 3
 
 
 def test_unknown_feature_rejected():
@@ -119,7 +119,7 @@ def test_table_oracle_rejects_unknown_graphs():
 def test_budget_enforced_before_the_query():
     oracle = structural_oracle("edge_count", 1)
     oracle.ledger.max_queries = 3
-    g = Graph.complete(3)
+    g = complete_graph(3)
     for _ in range(3):
         oracle.classify(g)
     with pytest.raises(BudgetExhausted):
@@ -140,10 +140,10 @@ def test_budget_counts_all_phases():
 def test_budgeted_clone_resets_spend():
     oracle = structural_oracle("edge_count", 1)
     oracle.ledger.max_queries = 1
-    oracle.classify(Graph.complete(3))
+    oracle.classify(complete_graph(3))
     twin = oracle.clone()
-    twin.classify(Graph.complete(3))  # fresh ledger, fresh budget
+    twin.classify(complete_graph(3))  # fresh ledger, fresh budget
     assert twin.ledger.max_queries == 1
     assert twin.ledger.total == 1 and oracle.ledger.total == 1
     with pytest.raises(BudgetExhausted):
-        twin.classify(Graph.complete(3))
+        twin.classify(complete_graph(3))

@@ -17,6 +17,7 @@ from blackedge.partition import (
 )
 
 from helpers import (
+    complete_graph,
     perfbench_module,
     random_graph,
     reference_adjacency,
@@ -76,7 +77,7 @@ def test_louvain_recovers_barbell_cliques():
 
 
 def test_louvain_single_cluster_on_k5():
-    part = louvain(Graph.complete(5), seed=0)
+    part = louvain(complete_graph(5), seed=0)
     assert part.n_clusters == 1
 
 
@@ -155,7 +156,7 @@ def test_louvain_and_modularity_equal_those_of_the_reference_adjacency(monkeypat
     # criterion 6's graphs (modularity of every partition of the barbell),
     # and the benchmark's graphs at three seeds
     barbell_assignments = list(set_partitions(8))
-    graphs = [barbell(4), Graph.complete(5)] + perfbench_module("workloads").evaluation_set()
+    graphs = [barbell(4), complete_graph(5)] + perfbench_module("workloads").evaluation_set()
 
     def outputs():
         q = [modularity(barbell(4), x) for x in barbell_assignments]
