@@ -30,10 +30,12 @@ from .errors import (
     NoAdversarialFound,
     NoBoundary,
 )
+# probe graphs are built in one XOR (probe_graphs); apply_perturbation stays
+# bound here because perfbench/tracing.py wraps attack.apply_perturbation by name
 from .graph import (
     FLIP_THRESHOLD,
     Graph,
-    apply_perturbation,
+    apply_perturbation,  # noqa: F401
     flip_ledger,
     normalize,
     perturbation_rate,
@@ -46,6 +48,13 @@ from .partition import STRATEGIES
 # objective moved by less than EARLY_STOP_TOL
 EARLY_STOP_PATIENCE = 10
 EARLY_STOP_TOL = 1e-6
+
+# Why a run stopped, in order: sign-SGD stopped early or a random success
+# ended the trials; all iterations ran or every random trial was submitted;
+# the query cap refused a query; the descent's direction has no boundary;
+# the coarse search found nothing; the budget allows no flip.
+STOP_REASONS = ("converged", "iterations", "query_budget", "no_boundary", "no_seed",
+                "rate_budget")
 
 
 @dataclass
@@ -107,7 +116,7 @@ class AttackResult:
     gradient_norm_trace: list = field(default_factory=list)
     p_trace: list = field(default_factory=list)
     found_in: str | None = None
-    failure_reason: str | None = None
+    stop_reason: str | None = None  # one of STOP_REASONS, on success and failure alike
     # submissions answered by the run's label memo; queries["total"] + memo_hits
     # is the number of graphs the run submitted
     memo_hits: int = 0
@@ -120,22 +129,20 @@ class AttackResult:
         return len(self.added) + len(self.removed)
 
     @classmethod
-    def of_run(cls, memo: LabelMemo, graph: Graph, adversarial: Graph | None,
-               start: float, **fields) -> "AttackResult":
-        """The result of a run on ``graph`` that began at ``start``: a success
-        iff ``adversarial`` is a graph.  Queries and memo hits are read from
-        ``memo``; ``fields`` sets the rest."""
-        if adversarial is None:
-            added, removed, rate = [], [], 0.0
-        else:
-            added, removed = flip_ledger(graph, adversarial)
-            rate = perturbation_rate(graph, adversarial)
+    def of_run(cls, memo: LabelMemo, start: float, **fields) -> "AttackResult":
+        """The result of a run on ``memo.graph`` that began at ``start``: a
+        success iff the memo kept a graph (``memo.best``), which it returns;
+        a failure returns ``memo.graph``.  Queries and memo hits are read
+        from ``memo``; ``fields`` sets the rest."""
+        graph = memo.graph
+        adversarial = graph if memo.best is None else memo.best  # no flips on a failure
+        added, removed = flip_ledger(graph, adversarial)
         return cls(
-            success=adversarial is not None,
-            adversarial_graph=graph if adversarial is None else adversarial,
+            success=memo.best is not None,
+            adversarial_graph=adversarial,
             added=added,
             removed=removed,
-            rate=rate,
+            rate=perturbation_rate(graph, adversarial),
             queries=memo.oracle.ledger.snapshot(),
             wall_time=time.perf_counter() - start,
             memo_hits=memo.hits,
@@ -494,23 +501,19 @@ def sign_sgd_attack(
     current iterate, then one query per probe direction for the gradient
     signs, then a sign-SGD step of size 1/sqrt(d) for slot dimension d.  The
     descent stops early after ``EARLY_STOP_PATIENCE`` consecutive iterations
-    whose objective moved by less than ``EARLY_STOP_TOL``.  The returned
-    adversarial graph is the last accepted boundary point, so success only
-    needs the budget check plus one final verification query.  If the query
-    cap stops the run, the current candidate is returned instead, at no
-    extra query, when a query of the run found it adversarial
-    (``memo.verified``) and it is within the budget: the last boundary
-    point, or the seed graph of ``theta0`` before the first boundary search.
-    A seed the run never queried is not returned.
+    whose objective moved by less than ``EARLY_STOP_TOL``, and ends when
+    the direction loses the boundary or the query cap refuses a query.
 
-    Graphs already in ``memo`` are not queried again; the final
-    verification is always a counted query of ``memo.oracle``.
+    However it ends, the run returns the graph ``memo`` kept
+    (``LabelMemo.best``): the coarse search's seed, a boundary point or a
+    probe.  It is re-verified with one counted query that the memo never
+    answers; a label that disagrees makes the run a failure, and a
+    re-verification the cap refuses is skipped.
     """
     start = time.perf_counter()
     eta = 1.0 / np.sqrt(graph.n_edge_slots)
     rng = np.random.default_rng(cfg.seed)
 
-    candidate = apply_perturbation(graph, theta0)  # the seed graph, for T = 0
     # The objective depends only on the direction; keeping the iterate at
     # unit norm makes the step size and smoothing radius scale-free.
     theta = normalize(np.asarray(theta0, dtype=float))
@@ -518,22 +521,11 @@ def sign_sgd_attack(
     grad_trace: list[float] = []
     lambda_hint = 1.0
     stagnant = 0
-
-    def result(adversarial, reason=None):
-        return AttackResult.of_run(memo, graph, adversarial, start,
-                                   gradient_norm_trace=grad_trace, p_trace=p_trace,
-                                   found_in=found_in, failure_reason=reason)
-
-    def query_capped(exc):
-        if memo.verified(candidate) and perturbation_rate(graph, candidate) <= cfg.budget:
-            return result(candidate)
-        return result(None, f"budget exhausted: {exc}")
-
+    reason = "iterations"
     try:
         for _t in range(cfg.iterations):
             g_t = boundary_distance(memo, graph, theta, cfg.epsilon, lambda_hint)
             lambda_hint = g_t
-            candidate = apply_perturbation(graph, g_t * normalize(theta))
             p_t = objective_p(theta, g_t)
             grad = estimate_gradient(
                 memo, graph, theta, p_t, cfg.directions_per_step, cfg.smoothing, rng
@@ -544,25 +536,24 @@ def sign_sgd_attack(
             if len(p_trace) >= 2 and abs(p_trace[-1] - p_trace[-2]) < EARLY_STOP_TOL:
                 stagnant += 1
                 if stagnant >= EARLY_STOP_PATIENCE:
+                    reason = "converged"
                     break
             else:
                 stagnant = 0
-    except NoBoundary as exc:
-        return result(None, f"no boundary: {exc}")
-    except BudgetExhausted as exc:
-        return query_capped(exc)
+    except NoBoundary:
+        reason = "no_boundary"
+    except BudgetExhausted:
+        reason = "query_budget"
 
-    rate = perturbation_rate(graph, candidate)
-    try:
-        # a counted re-verification, never answered from the memo
-        final_label = memo.oracle.classify(candidate)
-    except BudgetExhausted as exc:
-        return query_capped(exc)
-    if memo.predicate(final_label) and rate <= cfg.budget:
-        return result(candidate)
-    reason = "perturbation rate exceeds budget" if rate > cfg.budget else \
-        "final candidate not misclassified"
-    return result(None, reason)
+    if memo.best is not None:
+        try:
+            # a counted re-verification, never answered from the memo
+            if not memo.predicate(memo.oracle.classify(memo.best)):
+                memo.best = None  # the oracle disagrees: nothing verified to return
+        except BudgetExhausted:
+            reason = "query_budget"
+    return AttackResult.of_run(memo, start, gradient_norm_trace=grad_trace,
+                               p_trace=p_trace, found_in=found_in, stop_reason=reason)
 
 
 def attack_graph(
@@ -576,25 +567,27 @@ def attack_graph(
     ``cfg.max_queries`` becomes the cap of ``oracle.ledger``, which keeps
     counting for the caller.  The coarse search ends at its first success,
     so a cap that stops it leaves no adversarial graph; a cap that stops
-    the descent before its first boundary search returns the seed (see
-    ``sign_sgd_attack``).
+    the descent returns the graph the memo kept (see ``sign_sgd_attack``),
+    the seed if the cap came before the first boundary search.
 
-    One label memo, bound to ``oracle`` and the run's predicate, answers
-    every step of the run and is dropped with it: each distinct graph
-    costs one query, and ``memo_hits`` counts the repeats.
+    One label memo, bound to ``oracle``, the run's predicate, ``graph`` and
+    ``cfg.budget``, answers every step of the run and keeps the graph it
+    returns: each distinct graph costs one query, and ``memo_hits`` counts
+    the repeats.
     """
     from .cgs import coarse_grained_search
     from .partition import louvain
 
     start = time.perf_counter()
     oracle.ledger.max_queries = cfg.max_queries
-    memo = LabelMemo(oracle, cfg.predicate(y0))
+    memo = LabelMemo(oracle, cfg.predicate(y0), graph, cfg.budget)
     partition = louvain(graph, seed=cfg.seed)
     try:
         seed = coarse_grained_search(memo, graph, partition, cfg.strategy, cfg.seed)
-    except (NoAdversarialFound, BudgetExhausted) as exc:
-        return AttackResult.of_run(memo, graph, None, start,
-                                   failure_reason=f"initial search failed: {exc}")
+    except NoAdversarialFound:
+        return AttackResult.of_run(memo, start, stop_reason="no_seed")
+    except BudgetExhausted:
+        return AttackResult.of_run(memo, start, stop_reason="query_budget")
     res = sign_sgd_attack(memo, graph, cfg, seed.theta0, seed.found_in)
     res.skipped = seed.skipped
     res.wall_time = time.perf_counter() - start

@@ -194,10 +194,11 @@ def apply_perturbation(graph: Graph, theta) -> Graph:
 
 
 def perturbation_rate(a: Graph, b: Graph) -> float:
-    """Fraction of edge slots that differ between two graphs."""
+    """Fraction of edge slots that differ between two graphs; 0 on graphs
+    without a slot."""
     if a.n_nodes != b.n_nodes:
         raise DimensionMismatch(f"graphs differ in size: {a.n_nodes} vs {b.n_nodes}")
-    return int(np.count_nonzero(a.bits ^ b.bits)) / a.n_edge_slots
+    return int(np.count_nonzero(a.bits ^ b.bits)) / max(a.n_edge_slots, 1)
 
 
 def flip_ledger(a: Graph, b: Graph) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:

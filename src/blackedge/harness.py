@@ -51,17 +51,17 @@ def random_attack(
     ``min(max(1, round(r * slots)), floor(budget * slots))`` distinct
     random slots; the ``max(1, ·)`` makes the low end flip one slot.  All
     flip counts are drawn first, in one call; the trials are then
-    submitted in ascending flip count up to the first success, and a
-    trial's slots are drawn, as a uniform subset of its size, only when it
-    is submitted.  The first success is the fewest-flip success among all
-    trials: the draws ignore the labels, so a trial with at least as many
-    flips cannot improve on it.  A trial that repeats an earlier graph is
-    answered from the call's label memo, bound to ``oracle`` and
-    ``predicate`` (by default any label but ``y0``), and counted in
-    ``memo_hits``, so ``total + memo_hits + skipped == query_budget``;
-    trials never submitted are reported as ``skipped``.  A budget that
-    allows no flip on ``graph`` (``floor(budget * slots) == 0``) draws
-    nothing and fails with every trial skipped.
+    submitted in ascending flip count until the call's label memo keeps a
+    success within the budget (``LabelMemo.best``), and a trial's slots are
+    drawn, as a uniform subset of its size, only when it is submitted.
+    That first success is the fewest-flip success among all trials: the
+    draws ignore the labels, so a trial with at least as many flips cannot
+    improve on it.  The memo (``predicate`` defaults to any label but
+    ``y0``) answers a trial that repeats an earlier graph, counted in
+    ``memo_hits``; trials never submitted are counted in ``skipped``, so
+    ``total + memo_hits + skipped == query_budget``.  A budget that allows
+    no flip on ``graph`` (``floor(budget * slots) == 0``) draws nothing
+    and fails with every trial skipped.
 
     With an oracle that has a batch label kernel, the trials go in blocks
     (``LabelMemo.in_blocks``): a block's slots are drawn and the labels of
@@ -76,38 +76,33 @@ def random_attack(
     if predicate is None:
         predicate = lambda label: label != y0
     start = time.perf_counter()
-    memo = LabelMemo(oracle, predicate)
+    memo = LabelMemo(oracle, predicate, graph, budget)
     s = graph.n_edge_slots
     max_flips = int(np.floor(budget * s))
     if max_flips == 0:
-        return AttackResult.of_run(
-            memo, graph, None, start, found_in="random",
-            failure_reason=f"budget {budget} allows no flip of {s} slots",
-            skipped=query_budget,
-        )
+        return AttackResult.of_run(memo, start, found_in="random", stop_reason="rate_budget",
+                                   skipped=query_budget)
     rng = np.random.default_rng(seed)
     # budget * random() is uniform(0, budget); np.rint rounds half to even,
     # as round() does
     flips = np.clip(np.rint(budget * rng.random(query_budget) * s), 1, max_flips)
     trials = (graph.flip(rng.permutation(s)[:n_flip])
               for n_flip in np.sort(flips).astype(int).tolist())
-    best_graph = None
+    reason = "iterations"
     submitted = 0
     with closing(memo.in_blocks(trials)) as queue:
         for candidate in queue:
             try:
-                hit = memo.adversarial(candidate, "other")
+                memo.adversarial(candidate, "other")
             except BudgetExhausted:
+                reason = "query_budget"
                 break
             submitted += 1
-            if hit:
-                best_graph = candidate
+            if memo.best is not None:
+                reason = "converged"
                 break
-    return AttackResult.of_run(
-        memo, graph, best_graph, start, found_in="random",
-        failure_reason="no random success" if best_graph is None else None,
-        skipped=query_budget - submitted,
-    )
+    return AttackResult.of_run(memo, start, found_in="random", stop_reason=reason,
+                               skipped=query_budget - submitted)
 
 
 # -- metrics -------------------------------------------------------------
@@ -200,7 +195,7 @@ def _result_row(idx: int, res: AttackResult) -> dict:
         "found_in": res.found_in,
         "gradient_norm_trace": res.gradient_norm_trace,
         "p_trace": res.p_trace,
-        "failure_reason": res.failure_reason,
+        "stop_reason": res.stop_reason,
     }
 
 

@@ -19,7 +19,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import BudgetExhausted
-from .graph import Graph
+from .graph import Graph, perturbation_rate
 
 PHASES = ("cgs", "binary_search", "qegc", "other")
 # Most graphs whose labels one batch call computes ahead: a per-graph cost
@@ -101,38 +101,49 @@ class HardLabelOracle:
 
 
 class LabelMemo:
-    """The adversarial verdicts of one attack run.
+    """The adversarial verdicts of one attack run, and the graph it returns.
 
-    Binds the run's oracle and its predicate on labels (what counts as
-    adversarial).  Oracles are deterministic, so a graph submitted again
-    is answered from the labels held here without a query; ``hits``
-    counts those answers.  Keyed by the edge bits alone: one run keeps the
-    node count fixed.  Kept per run, never on an oracle or ledger (a
-    ``DefendedOracle`` shares its inner oracle's ledger).
+    Binds the run's oracle, its predicate on labels (what counts as
+    adversarial), its target ``graph`` and its perturbation-rate
+    ``budget``.  Oracles are deterministic, so a graph submitted again is
+    answered from the labels held here without a query; ``hits`` counts
+    those answers.  Keyed by the edge bits alone: one run keeps the node
+    count fixed.  Kept per run, never on an oracle or ledger (a
+    ``DefendedOracle`` shares its inner oracle's ledger).  ``best`` is the
+    fewest-flip graph a query found adversarial with
+    ``perturbation_rate(graph, g) <= budget``, the first found on a tie
+    (None until one is found).
     """
 
-    __slots__ = ("oracle", "predicate", "labels", "hits")
+    __slots__ = ("oracle", "predicate", "graph", "budget", "labels", "hits", "best",
+                 "_best_rate")
 
-    def __init__(self, oracle: HardLabelOracle, predicate):
+    def __init__(self, oracle: HardLabelOracle, predicate, graph: Graph, budget: float):
         self.oracle = oracle
         self.predicate = predicate
+        self.graph = graph
+        self.budget = budget
         self.labels: dict[bytes, int] = {}
         self.hits = 0
+        self.best: Graph | None = None
+        self._best_rate = float("inf")
 
     def adversarial(self, graph: Graph, phase: str) -> bool:
-        """Whether ``graph`` is adversarial: a query in ``phase`` unless memoised."""
+        """Whether ``graph`` is adversarial: a query in ``phase`` unless
+        memoised.  A query that finds it so weighs it against ``best``."""
         key = graph.bits.tobytes()
         label = self.labels.get(key)
-        if label is None:
-            label = self.labels[key] = self.oracle.classify(graph, phase)
-        else:
+        if label is not None:
             self.hits += 1
-        return self.predicate(label)
-
-    def verified(self, graph: Graph) -> bool:
-        """Whether a query found ``graph`` adversarial; never a query or a hit."""
-        label = self.labels.get(graph.bits.tobytes())
-        return label is not None and self.predicate(label)
+            return self.predicate(label)
+        label = self.labels[key] = self.oracle.classify(graph, phase)
+        if not self.predicate(label):
+            return False
+        # flips over a fixed slot count: the rate orders graphs by their flips
+        rate = perturbation_rate(self.graph, graph)
+        if rate < self._best_rate and rate <= self.budget:
+            self.best, self._best_rate = graph, rate
+        return True
 
     def in_blocks(self, graphs):
         """Yield ``graphs`` (None entries included) in order, each block

@@ -128,9 +128,10 @@ class TableOracle(HardLabelOracle):
 # -- label memos -----------------------------------------------------------
 
 
-def untargeted_memo(oracle, y0=0) -> LabelMemo:
-    """A fresh run memo on ``oracle`` for which any label but ``y0`` is adversarial."""
-    return LabelMemo(oracle, lambda label: label != y0)
+def untargeted_memo(oracle, graph, y0=0, budget=1.0) -> LabelMemo:
+    """A fresh run memo on ``oracle`` and target ``graph`` for which any
+    label but ``y0`` is adversarial."""
+    return LabelMemo(oracle, lambda label: label != y0, graph, budget)
 
 
 # -- reference kernels: the first implementations, kept for exact checks
@@ -340,7 +341,9 @@ def reference_random_attack(oracle, graph, y0, budget, query_budget, seed=0,
     first one with the fewest flips among the successes.
 
     It draws as the library does: every flip count in one call, then every
-    trial's slots in flip order; only the submission order differs."""
+    trial's slots in flip order; only the submission order differs.  Its
+    ``stop_reason`` is the library's: a success ends the library's trials
+    (``converged``), and without one it submits them all (``iterations``)."""
     if predicate is None:
         predicate = lambda label: label != y0
     rng = np.random.default_rng(seed)
@@ -363,12 +366,13 @@ def reference_random_attack(oracle, graph, y0, budget, query_budget, seed=0,
     if best_graph is None:
         return AttackResult(success=False, adversarial_graph=graph,
                             queries=oracle.ledger.snapshot(), found_in="random",
-                            failure_reason="no random success")
+                            stop_reason="iterations")
     added, removed = flip_ledger(graph, best_graph)
     return AttackResult(success=True, adversarial_graph=best_graph,
                         added=added, removed=removed,
                         rate=perturbation_rate(graph, best_graph),
-                        queries=oracle.ledger.snapshot(), found_in="random")
+                        queries=oracle.ledger.snapshot(), found_in="random",
+                        stop_reason="converged")
 
 
 def hashed_label(graph: Graph) -> int:

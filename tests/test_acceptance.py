@@ -100,9 +100,9 @@ def test_criterion_2_objective_monotonicity():
 
 
 def _brute_force_sign(oracle_factory, graph, y0, theta_old, theta_new):
-    g_old = boundary_distance(untargeted_memo(oracle_factory(), y0), graph, theta_old,
+    g_old = boundary_distance(untargeted_memo(oracle_factory(), graph, y0), graph, theta_old,
                               epsilon=1e-4)
-    g_new = boundary_distance(untargeted_memo(oracle_factory(), y0), graph, theta_new,
+    g_new = boundary_distance(untargeted_memo(oracle_factory(), graph, y0), graph, theta_new,
                               epsilon=1e-4)
     p_old = objective_p(theta_old, g_old)
     p_new = objective_p(theta_new, g_new)
@@ -129,7 +129,7 @@ def test_criterion_3_one_query_sign_equivalence():
                     if probe_graph is None:
                         continue
                     probe = table.clone()
-                    got = qegc_sign(untargeted_memo(probe), probe_graph)
+                    got = qegc_sign(untargeted_memo(probe, graph), probe_graph)
                 except DegenerateTarget:
                     continue
                 assert probe.ledger.total == 1  # exactly one query

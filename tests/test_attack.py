@@ -1,5 +1,6 @@
 """Boundary distance, the clipped objective, its inversion and sign-SGD."""
 
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -9,6 +10,7 @@ import pytest
 
 from blackedge import attack
 from blackedge.attack import (
+    STOP_REASONS,
     AttackConfig,
     attack_graph,
     boundary_distance,
@@ -28,7 +30,7 @@ from blackedge.errors import (
     DimensionMismatch,
     NoBoundary,
 )
-from blackedge.graph import Graph, apply_perturbation, normalize
+from blackedge.graph import Graph, apply_perturbation, normalize, perturbation_rate
 from blackedge.oracle import FunctionOracle, LabelMemo, structural_oracle
 from blackedge.partition import louvain
 
@@ -55,7 +57,7 @@ def test_boundary_distance_uniform_direction():
     oracle = structural_oracle("edge_count", 3)
     g = Graph.empty(5)
     eps = 1e-3
-    dist = boundary_distance(untargeted_memo(oracle), g, np.ones(10), epsilon=eps)
+    dist = boundary_distance(untargeted_memo(oracle, g), g, np.ones(10), epsilon=eps)
     true = 0.5 * np.sqrt(10)
     assert true <= dist <= true + eps
 
@@ -66,7 +68,7 @@ def test_boundary_distance_graded_direction():
     g = Graph.empty(4)
     theta = np.array([1.0, 0.9, 0.8, 0.7, 0.6, 0.5])
     eps = 1e-4
-    dist = boundary_distance(untargeted_memo(oracle), g, theta, epsilon=eps)
+    dist = boundary_distance(untargeted_memo(oracle, g), g, theta, epsilon=eps)
     crossing = np.sort(0.5 * np.linalg.norm(theta) / theta)
     true = crossing[1]  # second slot to flip
     assert true <= dist <= true + eps
@@ -74,21 +76,24 @@ def test_boundary_distance_graded_direction():
 
 def test_boundary_distance_counts_queries_in_phase():
     oracle = structural_oracle("edge_count", 3)
-    boundary_distance(untargeted_memo(oracle), Graph.empty(5), np.ones(10))
+    g = Graph.empty(5)
+    boundary_distance(untargeted_memo(oracle, g), g, np.ones(10))
     snap = oracle.ledger.snapshot()
     assert snap["binary_search"] == snap["total"] > 0
 
 
 def test_boundary_distance_no_label_change_raises():
     oracle = FunctionOracle(lambda _: 0)
+    g = Graph.empty(5)
     with pytest.raises(NoBoundary):
-        boundary_distance(untargeted_memo(oracle), Graph.empty(5), np.ones(10))
+        boundary_distance(untargeted_memo(oracle, g), g, np.ones(10))
 
 
 def test_boundary_distance_needs_a_positive_component():
     oracle = structural_oracle("edge_count", 1)
+    g = Graph.empty(5)
     with pytest.raises(NoBoundary):
-        boundary_distance(untargeted_memo(oracle), Graph.empty(5), -np.ones(10))
+        boundary_distance(untargeted_memo(oracle, g), g, -np.ones(10))
 
 
 def test_boundary_distance_beyond_sqrt_d():
@@ -97,7 +102,7 @@ def test_boundary_distance_beyond_sqrt_d():
     oracle = structural_oracle("edge_count", 2)
     g = Graph.empty(4)
     theta = np.array([1.0, 0.01, 0.0, 0.0, 0.0, 0.0])
-    dist = boundary_distance(untargeted_memo(oracle), g, theta, epsilon=1e-3)
+    dist = boundary_distance(untargeted_memo(oracle, g), g, theta, epsilon=1e-3)
     theta_n = normalize(theta)
     true = 0.5 / theta_n[1]  # second edge appears only here
     assert true <= dist <= true + 1e-3
@@ -109,8 +114,8 @@ class _RecordingMemo(LabelMemo):
 
     __slots__ = ("log",)
 
-    def __init__(self, oracle, predicate):
-        super().__init__(oracle, predicate)
+    def __init__(self, oracle, predicate, graph):
+        super().__init__(oracle, predicate, graph, 1.0)
         self.log = []
 
     def adversarial(self, graph, phase):
@@ -123,7 +128,7 @@ def _boundary_run(search, label_fn, y0, graph, theta, epsilon, hint, known=()):
     NoBoundary message), each submission in order, the ledger, the memo
     hits and the memo's verdicts in insertion order.  ``known`` graphs are
     asked first, so the search starts from a memo that holds them."""
-    memo = _RecordingMemo(FunctionOracle(label_fn), lambda label: label != y0)
+    memo = _RecordingMemo(FunctionOracle(label_fn), lambda label: label != y0, graph)
     for g in known:
         memo.adversarial(g, "other")
     del memo.log[:]
@@ -635,8 +640,8 @@ def test_solve_g_star_is_exact_from_any_walk_prefix(monkeypatch):
 
 def _brute_force_sign(make_oracle, graph, y0, theta_old, theta_new):
     """Two independent binary searches instead of the one-query shortcut."""
-    g_old = boundary_distance(untargeted_memo(make_oracle(), y0), graph, theta_old, epsilon=1e-4)
-    g_new = boundary_distance(untargeted_memo(make_oracle(), y0), graph, theta_new, epsilon=1e-4)
+    g_old = boundary_distance(untargeted_memo(make_oracle(), graph, y0), graph, theta_old, epsilon=1e-4)
+    g_new = boundary_distance(untargeted_memo(make_oracle(), graph, y0), graph, theta_new, epsilon=1e-4)
     p_old = objective_p(theta_old, g_old)
     p_new = objective_p(theta_new, g_new)
     return (-1 if p_new < p_old else +1), p_old, p_new
@@ -656,7 +661,7 @@ def test_qegc_sign_matches_brute_force_on_exhaustive_oracle():
         )
         probe = table.clone()
         [probe_graph] = probe_graphs(graph, p_old, [theta_new])
-        got = qegc_sign(untargeted_memo(probe), probe_graph)
+        got = qegc_sign(untargeted_memo(probe, graph), probe_graph)
         assert probe.ledger.snapshot() == {
             "cgs": 0, "binary_search": 0, "qegc": 1, "other": 0, "total": 1
         }
@@ -673,7 +678,7 @@ def test_qegc_sign_direction_of_the_inequality():
     oracle = structural_oracle("edge_count", 1)
     graph = Graph.empty(3)
     [probe] = probe_graphs(graph, 0.4, [np.array([1.0, 1.0, 0.1])])
-    assert qegc_sign(untargeted_memo(oracle), probe) == -1
+    assert qegc_sign(untargeted_memo(oracle, graph), probe) == -1
 
 
 # -- batched probes ------------------------------------------------------
@@ -818,7 +823,7 @@ def test_estimate_gradient_costs_one_query_per_direction():
     oracle = structural_oracle("edge_count", 2)
     graph = Graph.empty(4)
     theta = np.ones(6)
-    memo = untargeted_memo(oracle)
+    memo = untargeted_memo(oracle, graph)
     estimate_gradient(memo, graph, theta, 0.7, 25, 0.1, np.random.default_rng(0))
     # a direction whose probe graph repeats an earlier one is a memo hit
     assert oracle.ledger.snapshot()["qegc"] == oracle.ledger.total
@@ -830,11 +835,11 @@ def test_estimate_gradient_antisymmetry():
     graph = Graph.empty(4)
     theta = np.ones(6)
     grad_neg = estimate_gradient(
-        untargeted_memo(FunctionOracle(lambda _: 1)), graph, theta, 0.7, 30, 0.1,
+        untargeted_memo(FunctionOracle(lambda _: 1), graph), graph, theta, 0.7, 30, 0.1,
         np.random.default_rng(3),
     )
     grad_pos = estimate_gradient(
-        untargeted_memo(FunctionOracle(lambda _: 0)), graph, theta, 0.7, 30, 0.1,
+        untargeted_memo(FunctionOracle(lambda _: 0), graph), graph, theta, 0.7, 30, 0.1,
         np.random.default_rng(3),
     )
     assert np.allclose(grad_neg, -grad_pos)
@@ -846,7 +851,7 @@ def _gradient_step(step, graph, theta, p_t, q, seed, cap=None):
     the cap's message), the ledger, the memo hits and the generator state."""
     oracle = structural_oracle("edge_count", graph.n_edges + 1)
     oracle.ledger.max_queries = cap
-    memo = untargeted_memo(oracle)
+    memo = untargeted_memo(oracle, graph)
     rng = np.random.default_rng(seed)
     try:
         out = step(memo, graph, theta, p_t, q, 0.1, rng)
@@ -911,7 +916,7 @@ def test_estimate_gradient_redraws_a_zero_draw_as_the_reference_does():
     rows[[0, 4, 5]] = 0.0  # the first probe's first draw, and two in a row later
     for step in (reference_estimate_gradient, estimate_gradient):
         oracle = structural_oracle("edge_count", graph.n_edges + 1)
-        memo = untargeted_memo(oracle)
+        memo = untargeted_memo(oracle, graph)
         normals = _ScriptedNormals(rows.ravel())
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a zero row is no division by zero
@@ -954,7 +959,7 @@ def test_attack_failure_when_budget_too_tight():
     res = attack_graph(oracle, g, 0, cfg)
     assert not res.success
     assert res.adversarial_graph is g  # failures return the input graph
-    assert res.failure_reason is not None
+    assert res.stop_reason == "iterations"  # no graph it found was within the budget
 
 
 def test_attack_failure_when_oracle_is_constant():
@@ -962,7 +967,7 @@ def test_attack_failure_when_oracle_is_constant():
     oracle = FunctionOracle(lambda _: 0)
     res = attack_graph(oracle, g, 0, AttackConfig(iterations=2))
     assert not res.success
-    assert res.failure_reason.startswith("initial search failed")
+    assert res.stop_reason == "no_seed"
 
 
 def test_attack_respects_max_queries():
@@ -980,13 +985,13 @@ def test_cap_in_the_coarse_search_keeps_its_first_success():
     cfg = AttackConfig(budget=0.5, iterations=3, directions_per_step=10, seed=1)
     full = attack_graph(structural_oracle("edge_count", threshold), g, 0, cfg)
     spent = full.queries["cgs"]  # the coarse search ends at its first success
-    seed = coarse_grained_search(untargeted_memo(structural_oracle("edge_count", threshold)),
+    seed = coarse_grained_search(untargeted_memo(structural_oracle("edge_count", threshold), g),
                                  g, louvain(g, seed=cfg.seed), rng_seed=cfg.seed)
     # a cap equal to the search's spend stops the descent before its first
     # boundary search; the seed, queried by the search, comes from the memo
     oracle = structural_oracle("edge_count", threshold)
     res = attack_graph(oracle, g, 0, replace(cfg, max_queries=spent))
-    assert res.success and res.failure_reason is None
+    assert res.success and res.stop_reason == "query_budget"
     assert res.found_in == full.found_in == seed.found_in
     assert np.array_equal(res.adversarial_graph.bits, apply_perturbation(g, seed.theta0).bits)
     assert res.queries == {"cgs": spent, "binary_search": 0, "qegc": 0, "other": 0,
@@ -999,27 +1004,120 @@ def test_cap_in_the_coarse_search_keeps_its_first_success():
     tight = attack_graph(structural_oracle("edge_count", threshold), g, 0,
                          replace(cfg, max_queries=spent, budget=res.rate / 2))
     assert not tight.success and tight.adversarial_graph is g
-    assert tight.failure_reason.startswith("budget exhausted")
+    assert tight.stop_reason == "query_budget"
     # one query less stops the search before its success: nothing to keep
     short = attack_graph(structural_oracle("edge_count", threshold), g, 0,
                          replace(cfg, max_queries=spent - 1))
     assert not short.success and short.adversarial_graph is g
-    assert short.failure_reason.startswith("initial search failed")
+    assert short.stop_reason == "query_budget" and short.found_in is None
 
 
-def test_capped_run_keeps_the_verified_boundary_graph():
+def _asked_attack(label_fn, graph, y0, cfg):
+    """``attack_graph`` on a ``FunctionOracle`` of ``label_fn`` that records
+    each graph it classifies with its label, in order; returns the result,
+    the oracle and the record."""
+    asked = []
+
+    def recording(h):
+        asked.append((h, label_fn(h)))
+        return asked[-1][1]
+
+    oracle = FunctionOracle(recording)
+    return attack_graph(oracle, graph, y0, cfg), oracle, asked
+
+
+def _fewest_flip_verified(graph, asked, predicate, budget):
+    """The first graph in ``asked`` with the fewest flips among those that
+    were adversarial and within ``budget``; None if there is none."""
+    best = None
+    for h, label in asked:
+        if predicate(label) and perturbation_rate(graph, h) <= budget:
+            if best is None or perturbation_rate(graph, h) < perturbation_rate(graph, best):
+                best = h
+    return best
+
+
+def test_the_run_returns_its_fewest_flip_verified_graph():
+    ties = 0
+    for seed in range(6):
+        g = _er_target(seed, n=10 + seed % 3)
+        m, y_hash = g.n_edges, hashed_label(g)
+        # edge counts in both directions, near and far; pseudo-random labels
+        # everywhere, or from two added edges on
+        far = lambda h, t=m + 2, y=y_hash: hashed_label(h) if h.n_edges >= t else y
+        cases = [(lambda h, t=m + 1: int(h.n_edges >= t), 0, None),
+                 (lambda h, t=m + 4: int(h.n_edges >= t), 0, None),
+                 (lambda h, t=m - 1: int(h.n_edges >= t), 1, None)]
+        cases += [(fn, y_hash, target) for fn in (hashed_label, far)
+                  for target in (None, (y_hash + 1) % 8)]
+        for (label_fn, y0, target), budget in itertools.product(cases, (0.2, 0.5)):
+            cfg = AttackConfig(budget=budget, iterations=6, directions_per_step=10,
+                               target_label=target, seed=seed)
+            predicate = cfg.predicate(y0)
+            res, _, asked = _asked_attack(label_fn, g, y0, cfg)
+            if res.success:  # the last query re-verifies the returned graph
+                assert asked[-1][0].bits.tobytes() == res.adversarial_graph.bits.tobytes()
+                asked = asked[:-1]
+            assert len({h.bits.tobytes() for h, _ in asked}) == len(asked)
+            best = _fewest_flip_verified(g, asked, predicate, budget)
+            assert res.success == (best is not None)
+            assert res.stop_reason in STOP_REASONS
+            if best is not None:
+                assert res.adversarial_graph is best
+                ties += sum(predicate(label) and perturbation_rate(g, h) == res.rate
+                            for h, label in asked) > 1
+    assert ties
+
+
+def test_a_descent_that_loses_the_boundary_returns_its_verified_seed():
     g = _er_target()
-    oracle = structural_oracle("edge_count", g.n_edges + 6)
-    cfg = AttackConfig(budget=0.5, iterations=50, directions_per_step=50,
-                       max_queries=200, seed=1)
-    res = attack_graph(oracle, g, 0, cfg)
-    assert res.queries["total"] == 200  # the cap stopped the descent
-    assert 0 < len(res.p_trace) < cfg.iterations
-    assert res.queries["other"] == 0  # no extra verification query
-    assert res.success and res.failure_reason is None
-    assert res.rate <= cfg.budget
-    assert res.queries == oracle.ledger.snapshot()
-    assert oracle.clone().classify(res.adversarial_graph) == 1
+    empty = np.flatnonzero(g.bits == 0)
+    seed = g.flip(empty[:3])
+    # only the seed is adversarial, and the descent's direction never meets it
+    oracle = FunctionOracle(lambda h: int(np.array_equal(h.bits, seed.bits)))
+    memo = untargeted_memo(oracle, g, budget=0.5)
+    assert memo.adversarial(seed, "cgs") and memo.best is seed
+    theta0 = np.zeros(g.n_edge_slots)
+    theta0[empty[3:8]] = 1.0
+    cfg = AttackConfig(budget=0.5, iterations=5, directions_per_step=10)
+    res = sign_sgd_attack(memo, g, cfg, theta0)
+    assert res.success and res.stop_reason == "no_boundary"
+    assert res.adversarial_graph is seed and res.flips == 3 and res.p_trace == []
+    assert res.queries["other"] == 1  # the re-verification of the seed
+    assert res.queries["binary_search"] > 0 and res.queries["qegc"] == 0
+
+
+def test_capped_run_keeps_the_verified_boundary_graph(monkeypatch):
+    g = _er_target()
+    threshold = g.n_edges + 6
+    boundary = []  # the graph of each boundary search
+
+    def recording(memo, graph, theta, *args):
+        g_t = boundary_distance(memo, graph, theta, *args)
+        boundary.append(apply_perturbation(graph, g_t * normalize(theta)))
+        return g_t
+
+    monkeypatch.setattr(attack, "boundary_distance", recording)
+    not_last = 0
+    for cap in (150, 200, 250):
+        cfg = AttackConfig(budget=0.5, iterations=50, directions_per_step=50,
+                           max_queries=cap, seed=1)
+        del boundary[:]
+        res, oracle, asked = _asked_attack(lambda h: int(h.n_edges >= threshold), g, 0, cfg)
+        assert res.queries["total"] == cap == len(asked)  # the cap stopped the descent
+        assert 0 < len(res.p_trace) < cfg.iterations
+        assert res.queries["other"] == 0  # no extra verification query
+        assert res.success and res.stop_reason == "query_budget"
+        assert res.rate <= cfg.budget
+        assert res.queries == oracle.ledger.snapshot()
+        assert oracle.clone().classify(res.adversarial_graph) == 1
+        # the memo's graph, which need not be the last boundary point
+        assert res.adversarial_graph is _fewest_flip_verified(g, asked, cfg.predicate(0),
+                                                              cfg.budget)
+        last = boundary[-1]
+        assert res.flips <= len(np.flatnonzero(last.bits ^ g.bits))
+        not_last += res.adversarial_graph.bits.tobytes() != last.bits.tobytes()
+    assert not_last
 
 
 def test_cap_at_the_final_verification_keeps_the_candidate():
@@ -1065,7 +1163,8 @@ def test_each_distinct_graph_costs_one_query(monkeypatch):
     cfg = AttackConfig(budget=0.5, iterations=8, directions_per_step=20, seed=1)
     res = attack_graph(oracle, g, 0, cfg)
     assert res.success
-    # only the final re-verification repeats a graph: the candidate
+    # only the final re-verification repeats a graph: the one the memo kept,
+    # which the run returns
     assert len(set(asked[:-1])) == len(asked) - 1
     assert asked[-1] == res.adversarial_graph.bits.tobytes() and asked[-1] in asked[:-1]
     assert res.queries["total"] == len(asked) == len(set(asked)) + 1
@@ -1104,9 +1203,11 @@ def test_capped_run_never_returns_an_unverified_seed():
         oracle.ledger.max_queries = 1
         oracle.classify(g)  # the cap is already spent
         cfg = AttackConfig(budget=0.5, iterations=iterations, directions_per_step=10)
-        res = sign_sgd_attack(untargeted_memo(oracle), g, cfg, theta0)
-        assert not res.success
-        assert res.failure_reason.startswith("budget exhausted")
+        res = sign_sgd_attack(untargeted_memo(oracle, g, budget=cfg.budget), g, cfg, theta0)
+        assert not res.success and res.queries["total"] == 1
+        # with no iteration nothing is queried, and the memo holds no graph
+        # to re-verify
+        assert res.stop_reason == ("query_budget" if iterations else "iterations")
 
 
 @pytest.mark.parametrize("field, value", [
@@ -1161,6 +1262,7 @@ def test_sign_sgd_uses_seed_direction():
     theta0 = np.zeros(g.n_edge_slots)
     theta0[np.flatnonzero(g.bits == 0)[:5]] = 1.0  # five empty slots
     cfg = AttackConfig(budget=0.5, iterations=3, directions_per_step=10, seed=0)
-    res = sign_sgd_attack(untargeted_memo(oracle), g, cfg, theta0, found_in="manual")
+    res = sign_sgd_attack(untargeted_memo(oracle, g, budget=cfg.budget), g, cfg, theta0,
+                          found_in="manual")
     assert res.found_in == "manual"
     assert res.success

@@ -200,7 +200,7 @@ def test_memo_keys_the_submitted_graph_and_keeps_the_defended_label():
     # label 1 for whichever of the two has more edges
     inner = structural_oracle("edge_count", max(g.n_edges, filtered.n_edges))
     defended = DefendedOracle(inner, cfg)
-    memo = LabelMemo(defended, lambda label: label == 1)
+    memo = LabelMemo(defended, lambda label: label == 1, g, 1.0)
     label = inner.clone().classify(filtered)
     assert label != inner.clone().classify(g)
     assert memo.adversarial(g, "qegc") == (label == 1)
@@ -229,7 +229,8 @@ def test_attack_on_a_defended_oracle_submits_each_graph_once():
     cfg = AttackConfig(budget=0.5, iterations=4, directions_per_step=10, seed=1)
     res = attack_graph(oracle, g, 0, cfg)
     assert res.success and res.memo_hits > 0
-    # distinct unfiltered graphs, plus the final re-verification of the candidate
+    # distinct unfiltered graphs, plus the final re-verification of the graph
+    # the memo kept, which is the one returned
     assert len(oracle.asked) == res.queries["total"] == len(set(oracle.asked)) + 1
     assert oracle.asked[-1] == res.adversarial_graph.bits.tobytes()
     assert oracle.inner.clone().classify(

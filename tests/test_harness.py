@@ -100,7 +100,7 @@ def test_random_attack_fails_when_the_budget_allows_no_flip(n_nodes, budget):
     oracle = structural_oracle("edge_count", 1)
     res = random_attack(oracle, Graph.empty(n_nodes), 0, budget, query_budget=10, seed=3)
     assert not res.success and res.flips == 0 and res.rate == 0.0
-    assert "allows no flip" in res.failure_reason
+    assert res.stop_reason == "rate_budget"
     assert res.skipped == 10 and res.memo_hits == 0 and oracle.ledger.total == 0
     report = run_experiment(structural_oracle("edge_count", 1), [Graph.empty(n_nodes)],
                             AttackConfig(budget=budget), method="random",
@@ -168,8 +168,8 @@ def test_flip_order_random_attack_equals_the_draw_order_reference(budget, query_
                                 seed, predicate)
             assert res.success == ref.success
             assert np.array_equal(res.adversarial_graph.bits, ref.adversarial_graph.bits)
-            assert (res.added, res.removed, res.rate, res.found_in, res.failure_reason) == \
-                (ref.added, ref.removed, ref.rate, ref.found_in, ref.failure_reason)
+            assert (res.added, res.removed, res.rate, res.found_in, res.stop_reason) == \
+                (ref.added, ref.removed, ref.rate, ref.found_in, ref.stop_reason)
             assert res.queries["total"] + res.memo_hits + res.skipped == query_budget
             if res.success:
                 assert res.queries["total"] <= ref.queries["total"]

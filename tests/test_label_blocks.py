@@ -131,7 +131,7 @@ def test_only_oracles_with_a_batch_kernel_label_ahead():
     for oracle, pulled_first in ((edge_count, 1), (GinOracle(weights), BLOCK)):
         pulled = []
         stream = (pulled.append(g) or g for g in graphs)
-        memo = untargeted_memo(oracle)
+        memo = untargeted_memo(oracle, graphs[0])
         with closing(memo.in_blocks(stream)) as queue:
             assert next(queue) is graphs[0]
             assert len(pulled) == pulled_first
@@ -147,7 +147,7 @@ def test_a_block_labels_only_graphs_not_in_the_memo_and_counts_at_classify():
     oracle = GinOracle(GinWeights.random(0))
     graphs = [random_graph(rng, 8) for _ in range(10)]
     stream = graphs[:3] + [None] + graphs[:2] + graphs[3:]  # repeats and a None
-    memo = untargeted_memo(oracle)
+    memo = untargeted_memo(oracle, graphs[0])
     memo.adversarial(graphs[0], "other")
     labelled = []
     many = oracle._classify_many
@@ -173,7 +173,7 @@ def test_a_capped_stream_leaves_no_label_behind():
     oracle = GinOracle(GinWeights.random(0))
     oracle.ledger.max_queries = 5
     graphs = [random_graph(rng, 8) for _ in range(12)]
-    memo = untargeted_memo(oracle)
+    memo = untargeted_memo(oracle, graphs[0])
     with pytest.raises(BudgetExhausted):
         with closing(memo.in_blocks(graphs)) as queue:
             for g in queue:
@@ -208,7 +208,7 @@ def test_a_clone_shares_no_labels_computed_ahead():
 def _outcome(res):
     return (res.success, res.adversarial_graph.bits.tobytes(), res.queries, res.memo_hits,
             res.skipped, res.p_trace, res.gradient_norm_trace, res.found_in,
-            res.failure_reason)
+            res.stop_reason)
 
 
 @pytest.mark.parametrize("max_queries", [None, 1, 37, 100])

@@ -8,6 +8,7 @@ from blackedge.errors import BudgetExhausted
 from blackedge.graph import Graph
 from blackedge.oracle import (
     FunctionOracle,
+    LabelMemo,
     QueryLedger,
     StructuralOracle,
     structural_oracle,
@@ -147,3 +148,20 @@ def test_budgeted_clone_resets_spend():
     assert twin.ledger.total == 1 and oracle.ledger.total == 1
     with pytest.raises(BudgetExhausted):
         twin.classify(complete_graph(3))
+
+
+def test_the_memo_keeps_the_first_fewest_flip_graph_within_its_budget():
+    g = Graph.empty(5)  # 10 slots
+    oracle = FunctionOracle(lambda h: int(h.n_edges >= 2))
+    memo = LabelMemo(oracle, lambda label: label == 1, g, 0.3)
+    kept = []
+    for slots in ([0, 1, 2, 3], [0], [4, 5, 6], [7, 8], [1, 2], [0, 1, 2, 3], [3, 4]):
+        memo.adversarial(g.flip(slots), "other")
+        kept.append(memo.best)
+    # four flips exceed the budget, one flip is not adversarial, and three
+    # flips are exactly at it; of the two-flip graphs the first stays, and a
+    # memo hit is not weighed again
+    assert kept[:2] == [None, None] and kept[2].n_edges == 3
+    assert kept[3] is kept[4] is kept[5] is kept[6]
+    assert kept[3].bits.tolist() == g.flip([7, 8]).bits.tolist()
+    assert oracle.ledger.total == 6 and memo.hits == 1

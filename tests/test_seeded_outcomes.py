@@ -6,14 +6,15 @@ targeted.  Each rule is attacked by sign-SGD and by the random baseline,
 each uncapped and under a query cap.  Every run must reproduce the values
 recorded in ``seeded_outcomes.json``: success, the adversarial graph's
 bits, the edges added and removed, the rate, the per-phase queries, memo
-hits, skipped draws, where the seed was found, why a run failed, and both
-traces, float for float.
+hits, skipped draws, where the seed was found, why the run stopped, and
+both traces, float for float.
 
 A change that keeps behaviour leaves the recording as it is.  A change
 meant to alter outcomes re-records it with
 ``PYTHONPATH=src python tests/test_seeded_outcomes.py`` and says why;
-the re-record prints, per key, how many runs changed and the success
-rate, flips per success and total queries before and after.
+the re-record prints, per key, how many runs changed, the success rate,
+flips per success and total queries, and the count of each stop reason,
+before and after.
 No GIN here: its float matmuls depend on the BLAS build.
 """
 
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from blackedge import harness
-from blackedge.attack import AttackConfig
+from blackedge.attack import STOP_REASONS, AttackConfig
 from blackedge.datasets import erdos_renyi
 from blackedge.oracle import FunctionOracle, structural_oracle
 
@@ -60,7 +61,7 @@ def _outcome(idx, res) -> dict:
         "memo_hits": res.memo_hits,
         "skipped": res.skipped,
         "found_in": res.found_in,
-        "failure_reason": res.failure_reason,
+        "stop_reason": res.stop_reason,
         "p_trace": res.p_trace,
         "gradient_norm_trace": res.gradient_norm_trace,
     }
@@ -107,9 +108,12 @@ def test_seeded_outcomes_match_the_recording():
 
 def test_the_recording_covers_each_exit():
     runs = [run for rows in json.loads(EXPECTED.read_text()).values() for run in rows]
-    reasons = {(run["failure_reason"] or "success").split(":")[0] for run in runs}
-    assert {"success", "initial search failed", "no boundary", "budget exhausted",
-            "no random success"} <= reasons
+    # every stop reason but rate_budget: a budget of 0.2 allows a flip on
+    # every graph here
+    assert {run["stop_reason"] for run in runs} == set(STOP_REASONS) - {"rate_budget"}
+    assert {run["success"] for run in runs} == {True, False}
+    # a descent that lost the boundary returns the graph its memo kept
+    assert any(run["success"] and run["stop_reason"] == "no_boundary" for run in runs)
     assert any(run["memo_hits"] for run in runs)
     assert any(run["skipped"] for run in runs)
 
@@ -122,6 +126,13 @@ def _summary(runs) -> str:
     return f"SR {sr:.3f}, AP {ap:.2f}, queries {sum(run['queries']['total'] for run in runs)}"
 
 
+def _stop_reasons(runs) -> str:
+    """The count of each stop reason among ``runs``, in ``STOP_REASONS`` order."""
+    counts = [(reason, sum(run.get("stop_reason") == reason for run in runs))
+              for reason in STOP_REASONS]
+    return ", ".join(f"{reason} {n}" for reason, n in counts if n) or "none"
+
+
 if __name__ == "__main__":
     old = json.loads(EXPECTED.read_text())
     new = json.loads(json.dumps(collect()))
@@ -130,4 +141,5 @@ if __name__ == "__main__":
         changed = sum(run != was for run, was in zip(runs, before)) + abs(len(runs) - len(before))
         print(f"{key}: {changed} of {len(runs)} runs changed; "
               f"{_summary(before)} -> {_summary(runs)}")
+        print(f"    stop reasons: {_stop_reasons(before)} -> {_stop_reasons(runs)}")
     EXPECTED.write_text(json.dumps(new, indent=1) + "\n")
