@@ -152,13 +152,12 @@ class AttackResult:
 
 def boundary_distance(
     memo: LabelMemo,
-    graph: Graph,
     theta,
     epsilon: float = 1e-3,
     lambda_hint: float = 1.0,
 ) -> float:
-    """Minimal scale (within ``epsilon``) at which the direction crosses
-    the decision boundary.
+    """Minimal scale (within ``epsilon``) at which the direction, applied
+    to ``memo.graph``, crosses the decision boundary.
 
     The upper bracket grows by doubling from ``lambda_hint`` and is
     capped at the saturation scale beyond which every positive component
@@ -167,7 +166,7 @@ def boundary_distance(
     ``memo`` already holds its graph.
 
     The graph at scale λ flips the slots with ``λ·θ̂ᵢ >= FLIP_THRESHOLD``,
-    as ``apply_perturbation(graph, λ·θ̂)`` does.  For λ > 0 the rounded
+    as ``apply_perturbation(memo.graph, λ·θ̂)`` does.  For λ > 0 the rounded
     product does not decrease with the component, so those slots are the
     first c of the positive components sorted in descending order; equal
     components have equal products and flip together.  Each probe
@@ -177,6 +176,7 @@ def boundary_distance(
     again takes the call's verdict for it and counts as a memo hit, as
     the memo would answer its graph.
     """
+    graph = memo.graph
     theta_norm = normalize(theta)
     slots = np.flatnonzero(theta_norm > 0)
     if slots.size == 0:
@@ -425,14 +425,14 @@ def qegc_sign(memo: LabelMemo, probe: Graph) -> int:
 
 def estimate_gradient(
     memo: LabelMemo,
-    graph: Graph,
     theta,
     p_t: float,
     q_directions: int,
     mu: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Average of elementwise gradient signs over random probe directions.
+    """Average of elementwise gradient signs over random probe directions
+    around ``memo.graph``.
 
     Each probe direction costs one query, none if its graph is already in
     ``memo``; degenerate probes are re-drawn up to 3 times, then skipped
@@ -465,7 +465,7 @@ def estimate_gradient(
         norms = _row_norms(u)
         norms[norms == 0.0] = np.nan  # a zero row becomes a NaN row, which probe_graphs rejects
         u /= norms[:, None]
-        with closing(memo.in_blocks(probe_graphs(graph, p_t, theta + mu * u))) as probes:
+        with closing(memo.in_blocks(probe_graphs(memo.graph, p_t, theta + mu * u))) as probes:
             for row, probe in zip(u, probes):
                 drawn += 1
                 attempt += 1
@@ -488,14 +488,9 @@ def estimate_gradient(
     return (np.array(signs, dtype=float) @ np.sign(dirs)) / q_directions
 
 
-def sign_sgd_attack(
-    memo: LabelMemo,
-    graph: Graph,
-    cfg: AttackConfig,
-    theta0: np.ndarray,
-    found_in: str | None = None,
-) -> AttackResult:
-    """Descend the boundary objective from an adversarial seed direction.
+def sign_sgd_attack(memo: LabelMemo, cfg: AttackConfig, theta0: np.ndarray) -> AttackResult:
+    """Descend the boundary objective around ``memo.graph`` from an
+    adversarial seed direction.
 
     Per iteration: one binary search for the boundary distance of the
     current iterate, then one query per probe direction for the gradient
@@ -511,7 +506,7 @@ def sign_sgd_attack(
     re-verification the cap refuses is skipped.
     """
     start = time.perf_counter()
-    eta = 1.0 / np.sqrt(graph.n_edge_slots)
+    eta = 1.0 / np.sqrt(memo.graph.n_edge_slots)
     rng = np.random.default_rng(cfg.seed)
 
     # The objective depends only on the direction; keeping the iterate at
@@ -524,12 +519,11 @@ def sign_sgd_attack(
     reason = "iterations"
     try:
         for _t in range(cfg.iterations):
-            g_t = boundary_distance(memo, graph, theta, cfg.epsilon, lambda_hint)
+            g_t = boundary_distance(memo, theta, cfg.epsilon, lambda_hint)
             lambda_hint = g_t
             p_t = objective_p(theta, g_t)
-            grad = estimate_gradient(
-                memo, graph, theta, p_t, cfg.directions_per_step, cfg.smoothing, rng
-            )
+            grad = estimate_gradient(memo, theta, p_t, cfg.directions_per_step,
+                                     cfg.smoothing, rng)
             p_trace.append(p_t)
             grad_trace.append(float(np.linalg.norm(grad)))
             theta = normalize(theta - eta * grad)
@@ -553,7 +547,7 @@ def sign_sgd_attack(
         except BudgetExhausted:
             reason = "query_budget"
     return AttackResult.of_run(memo, start, gradient_norm_trace=grad_trace,
-                               p_trace=p_trace, found_in=found_in, stop_reason=reason)
+                               p_trace=p_trace, stop_reason=reason)
 
 
 def attack_graph(
@@ -565,10 +559,12 @@ def attack_graph(
     """Full pipeline for one target: partition, coarse search, sign-SGD.
 
     ``cfg.max_queries`` becomes the cap of ``oracle.ledger``, which keeps
-    counting for the caller.  The coarse search ends at its first success,
-    so a cap that stops it leaves no adversarial graph; a cap that stops
-    the descent returns the graph the memo kept (see ``sign_sgd_attack``),
-    the seed if the cap came before the first boundary search.
+    counting for the caller.  A budget that allows no flip on ``graph``
+    (``LabelMemo.max_flips == 0``) fails at once with no query.  The
+    coarse search ends at its first success, so a cap that stops it leaves
+    no adversarial graph; a cap that stops the descent returns the graph
+    the memo kept (see ``sign_sgd_attack``), the seed if the cap came
+    before the first boundary search.
 
     One label memo, bound to ``oracle``, the run's predicate, ``graph`` and
     ``cfg.budget``, answers every step of the run and keeps the graph it
@@ -581,14 +577,16 @@ def attack_graph(
     start = time.perf_counter()
     oracle.ledger.max_queries = cfg.max_queries
     memo = LabelMemo(oracle, cfg.predicate(y0), graph, cfg.budget)
+    if memo.max_flips == 0:
+        return AttackResult.of_run(memo, start, stop_reason="rate_budget")
     partition = louvain(graph, seed=cfg.seed)
     try:
-        seed = coarse_grained_search(memo, graph, partition, cfg.strategy, cfg.seed)
+        seed = coarse_grained_search(memo, partition, cfg.strategy, cfg.seed)
     except NoAdversarialFound:
         return AttackResult.of_run(memo, start, stop_reason="no_seed")
     except BudgetExhausted:
         return AttackResult.of_run(memo, start, stop_reason="query_budget")
-    res = sign_sgd_attack(memo, graph, cfg, seed.theta0, seed.found_in)
-    res.skipped = seed.skipped
+    res = sign_sgd_attack(memo, cfg, seed.theta0)
+    res.found_in, res.skipped = seed.found_in, seed.skipped
     res.wall_time = time.perf_counter() - start
     return res

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import NoAdversarialFound
 # trials are built with Graph.flip; the name stays bound here because
 # perfbench/tracing.py wraps cgs.apply_perturbation by name
-from .graph import Graph, apply_perturbation  # noqa: F401
+from .graph import apply_perturbation  # noqa: F401
 from .oracle import LabelMemo
 from .partition import Partition, enumerate_components
 
@@ -35,13 +35,11 @@ TRIALS_SCALE = 5
 class CgsOutcome:
     theta0: np.ndarray  # 1.0 on flipped slots, 0 elsewhere
     found_in: str  # "supernode" | "superlink" | "whole_graph"
-    flips: int
     skipped: int  # trials of the successful phase never submitted
 
 
 def coarse_grained_search(
     memo: LabelMemo,
-    graph: Graph,
     partition: Partition,
     strategy: str = "I",
     rng_seed: int = 0,
@@ -60,8 +58,8 @@ def coarse_grained_search(
     first trial in draw order with the fewest flips among the phase's
     successes.
 
-    ``memo`` decides what counts as adversarial; a trial whose graph it
-    already holds costs no query.
+    The trials perturb ``memo.graph``, and ``memo`` decides what counts as
+    adversarial; a trial whose graph it already holds costs no query.
 
     With an oracle that has a batch label kernel, a phase's trials go in
     blocks (``LabelMemo.in_blocks``): a block's slots are drawn and the
@@ -73,6 +71,7 @@ def coarse_grained_search(
     Raises ``NoAdversarialFound`` after all phases.  ``BudgetExhausted``
     from the oracle passes through; the search holds no success then.
     """
+    graph = memo.graph
     rng = np.random.default_rng(rng_seed)
     trials = 0
     for kind, phase in groupby(enumerate_components(partition, strategy), lambda c: c.kind):
@@ -90,6 +89,6 @@ def coarse_grained_search(
                 if memo.adversarial(candidate, "cgs"):
                     # 1.0 on the flipped slots: the trial's chosen slots
                     theta = (candidate.bits ^ graph.bits).astype(float)
-                    return CgsOutcome(theta, kind, ordered[rank][0], len(draws) - rank - 1)
+                    return CgsOutcome(theta, kind, len(draws) - rank - 1)
         trials += len(draws)
     raise NoAdversarialFound(f"no adversarial graph after {trials} trials across all phases")

@@ -26,42 +26,33 @@ from .graph import Graph, apply_perturbation  # noqa: F401
 from .oracle import HardLabelOracle, LabelMemo
 
 
-def _check_random_budgets(budget: float, query_budget: int,
-                          name: str = "query_budget") -> None:
-    """The random baseline's budgets: a rate in (0, 1] and at least one trial."""
-    if not 0.0 < budget <= 1.0:  # also rejects NaN
-        raise ConfigError(f"budget must be in (0, 1], got {budget}")
-    if query_budget < 1:
-        raise ConfigError(f"{name} must be at least 1, got {query_budget}")
-
-
 def random_attack(
     oracle: HardLabelOracle,
     graph: Graph,
     y0: int,
-    budget: float,
+    cfg: AttackConfig,
     query_budget: int,
-    seed: int = 0,
-    predicate=None,
 ) -> AttackResult:
     """Matched-budget baseline: flip a random fraction of slots per trial.
 
-    Each of the ``query_budget`` trials draws a perturbation ratio ``r``
-    uniform in [0, budget) and flips
-    ``min(max(1, round(r * slots)), floor(budget * slots))`` distinct
-    random slots; the ``max(1, ·)`` makes the low end flip one slot.  All
-    flip counts are drawn first, in one call; the trials are then
-    submitted in ascending flip count until the call's label memo keeps a
-    success within the budget (``LabelMemo.best``), and a trial's slots are
-    drawn, as a uniform subset of its size, only when it is submitted.
-    That first success is the fewest-flip success among all trials: the
-    draws ignore the labels, so a trial with at least as many flips cannot
-    improve on it.  The memo (``predicate`` defaults to any label but
-    ``y0``) answers a trial that repeats an earlier graph, counted in
+    Reads ``cfg.budget``, ``cfg.seed``, the predicate of ``cfg`` and
+    ``cfg.max_queries``, which becomes the cap of ``oracle.ledger`` as in
+    ``attack_graph``.  Each of the ``query_budget`` trials draws a
+    perturbation ratio ``r`` uniform in [0, budget) and flips
+    ``min(max(1, round(r * slots)), memo.max_flips)`` distinct random
+    slots, where ``LabelMemo.max_flips`` is the most flips the budget
+    allows; the ``max(1, ·)`` makes the low end flip one slot.  All flip
+    counts are drawn first, in one call; the trials are then submitted in
+    ascending flip count until the call's label memo keeps a success
+    (``LabelMemo.best``), and a trial's slots are drawn, as a uniform
+    subset of its size, only when it is submitted.  That first success is
+    the fewest-flip success among all trials: the draws ignore the labels,
+    so a trial with at least as many flips cannot improve on it.  The memo
+    answers a trial that repeats an earlier graph, counted in
     ``memo_hits``; trials never submitted are counted in ``skipped``, so
     ``total + memo_hits + skipped == query_budget``.  A budget that allows
-    no flip on ``graph`` (``floor(budget * slots) == 0``) draws nothing
-    and fails with every trial skipped.
+    no flip on ``graph`` (``max_flips == 0``) draws nothing and fails with
+    every trial skipped.
 
     With an oracle that has a batch label kernel, the trials go in blocks
     (``LabelMemo.in_blocks``): a block's slots are drawn and the labels of
@@ -72,20 +63,19 @@ def random_attack(
     outcome moves.  Without a batch kernel, a trial that is never
     submitted costs no slot draw.
     """
-    _check_random_budgets(budget, query_budget)
-    if predicate is None:
-        predicate = lambda label: label != y0
+    if query_budget < 1:
+        raise ConfigError(f"query_budget must be at least 1, got {query_budget}")
     start = time.perf_counter()
-    memo = LabelMemo(oracle, predicate, graph, budget)
-    s = graph.n_edge_slots
-    max_flips = int(np.floor(budget * s))
-    if max_flips == 0:
+    oracle.ledger.max_queries = cfg.max_queries
+    memo = LabelMemo(oracle, cfg.predicate(y0), graph, cfg.budget)
+    if memo.max_flips == 0:
         return AttackResult.of_run(memo, start, found_in="random", stop_reason="rate_budget",
                                    skipped=query_budget)
-    rng = np.random.default_rng(seed)
+    s = graph.n_edge_slots
+    rng = np.random.default_rng(cfg.seed)
     # budget * random() is uniform(0, budget); np.rint rounds half to even,
     # as round() does
-    flips = np.clip(np.rint(budget * rng.random(query_budget) * s), 1, max_flips)
+    flips = np.clip(np.rint(cfg.budget * rng.random(query_budget) * s), 1, memo.max_flips)
     trials = (graph.flip(rng.permutation(s)[:n_flip])
               for n_flip in np.sort(flips).astype(int).tolist())
     reason = "iterations"
@@ -233,8 +223,8 @@ def run_experiment(
         raise ConfigError(f"unknown method {method!r}")
     if method == "random" and random_query_budget is None:
         raise ConfigError("random method needs random_query_budget")
-    if random_query_budget is not None:
-        _check_random_budgets(cfg.budget, random_query_budget, "random_query_budget")
+    if random_query_budget is not None and random_query_budget < 1:
+        raise ConfigError(f"random_query_budget must be at least 1, got {random_query_budget}")
     if n_trials < 1:
         raise ConfigError(f"n_trials must be at least 1, got {n_trials}")
 
@@ -245,14 +235,11 @@ def run_experiment(
         for trial in range(n_trials):
             run_oracle = oracle.clone()
             seed = cfg.seed + 7919 * trial + idx
+            run_cfg = replace(cfg, seed=seed)
             if method == "signsgd":
-                res = attack_graph(run_oracle, graph, y0, replace(cfg, seed=seed))
+                res = attack_graph(run_oracle, graph, y0, run_cfg)
             else:
-                run_oracle.ledger.max_queries = cfg.max_queries
-                res = random_attack(
-                    run_oracle, graph, y0, cfg.budget, random_query_budget,
-                    seed=seed, predicate=cfg.predicate(y0),
-                )
+                res = random_attack(run_oracle, graph, y0, run_cfg, random_query_budget)
             results.append(res)
             rows.append(_result_row(idx, res))
     config = {**cfg.__dict__, "method": method, "n_targets": len(targets),

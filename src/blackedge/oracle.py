@@ -19,7 +19,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import BudgetExhausted
-from .graph import Graph, perturbation_rate
+from .graph import Graph
 
 PHASES = ("cgs", "binary_search", "qegc", "other")
 # Most graphs whose labels one batch call computes ahead: a per-graph cost
@@ -101,32 +101,41 @@ class HardLabelOracle:
 
 
 class LabelMemo:
-    """The adversarial verdicts of one attack run, and the graph it returns.
+    """The context of one attack run: its verdicts and the graph it returns.
 
     Binds the run's oracle, its predicate on labels (what counts as
-    adversarial), its target ``graph`` and its perturbation-rate
-    ``budget``.  Oracles are deterministic, so a graph submitted again is
-    answered from the labels held here without a query; ``hits`` counts
-    those answers.  Keyed by the edge bits alone: one run keeps the node
-    count fixed.  Kept per run, never on an oracle or ledger (a
-    ``DefendedOracle`` shares its inner oracle's ledger).  ``best`` is the
-    fewest-flip graph a query found adversarial with
-    ``perturbation_rate(graph, g) <= budget``, the first found on a tie
-    (None until one is found).
+    adversarial), its target ``graph`` and its perturbation-rate budget.
+    Oracles are deterministic, so a graph submitted again is answered from
+    the labels held here without a query; ``hits`` counts those answers.
+    Keyed by the edge bits alone: one run keeps the node count fixed.  Kept
+    per run, never on an oracle or ledger (a ``DefendedOracle`` shares its
+    inner oracle's ledger).
+
+    The budget is held as ``max_flips``: the largest k in [0, d] with
+    ``k / d <= budget`` over d slots (one on a graph without any), the
+    rate ``perturbation_rate`` compares; k/d grows strictly with k.
+    ``best`` is the fewest-flip graph a query found adversarial within
+    ``max_flips``, the first found on a tie (None until one is found), and
+    ``best_flips`` its flips, ``max_flips + 1`` until then.
     """
 
-    __slots__ = ("oracle", "predicate", "graph", "budget", "labels", "hits", "best",
-                 "_best_rate")
+    __slots__ = ("oracle", "predicate", "graph", "max_flips", "labels", "hits", "best",
+                 "best_flips")
 
     def __init__(self, oracle: HardLabelOracle, predicate, graph: Graph, budget: float):
         self.oracle = oracle
         self.predicate = predicate
         self.graph = graph
-        self.budget = budget
+        d = graph.n_edge_slots
+        # floor(budget * d) is at most one off the largest count within budget
+        k = min(int(budget * d) + 1, d)
+        while k > 0 and k / max(d, 1) > budget:
+            k -= 1
+        self.max_flips = k
         self.labels: dict[bytes, int] = {}
         self.hits = 0
         self.best: Graph | None = None
-        self._best_rate = float("inf")
+        self.best_flips = k + 1
 
     def adversarial(self, graph: Graph, phase: str) -> bool:
         """Whether ``graph`` is adversarial: a query in ``phase`` unless
@@ -139,10 +148,9 @@ class LabelMemo:
         label = self.labels[key] = self.oracle.classify(graph, phase)
         if not self.predicate(label):
             return False
-        # flips over a fixed slot count: the rate orders graphs by their flips
-        rate = perturbation_rate(self.graph, graph)
-        if rate < self._best_rate and rate <= self.budget:
-            self.best, self._best_rate = graph, rate
+        flips = int(np.count_nonzero(graph.bits ^ self.graph.bits))
+        if flips < self.best_flips:
+            self.best, self.best_flips = graph, flips
         return True
 
     def in_blocks(self, graphs):

@@ -189,8 +189,7 @@ def reference_row_norms(rows) -> np.ndarray:
     return np.array([math.sqrt(row.dot(row)) for row in rows])
 
 
-def reference_boundary_distance(memo, graph: Graph, theta, epsilon=1e-3,
-                                lambda_hint=1.0) -> float:
+def reference_boundary_distance(memo, theta, epsilon=1e-3, lambda_hint=1.0) -> float:
     """Boundary search that builds every probe with ``apply_perturbation``
     of the scaled direction; the library's search by flip count must return
     the same scale, with the same queries and memo hits."""
@@ -202,7 +201,8 @@ def reference_boundary_distance(memo, graph: Graph, theta, epsilon=1e-3,
     cap = max(np.sqrt(theta_norm.size), saturation) * (1.0 + 1e-9)
 
     def adversarial(lam):
-        return memo.adversarial(apply_perturbation(graph, lam * theta_norm), "binary_search")
+        return memo.adversarial(apply_perturbation(memo.graph, lam * theta_norm),
+                                "binary_search")
 
     hi = min(max(lambda_hint, epsilon), cap)
     while not adversarial(hi):
@@ -231,7 +231,7 @@ def reference_probe(graph: Graph, p_old: float, theta_new) -> Graph | None:
     return apply_perturbation(graph, g_star * theta_norm)
 
 
-def reference_estimate_gradient(memo, graph, theta, p_t, q_directions, mu, rng):
+def reference_estimate_gradient(memo, theta, p_t, q_directions, mu, rng):
     """Gradient step that draws, prepares and queries one probe at a time
     and sums the signs probe by probe; the library's batched step must
     equal it exactly, in the result, the queries, the memo hits and the
@@ -245,7 +245,7 @@ def reference_estimate_gradient(memo, graph, theta, p_t, q_directions, mu, rng):
             if norm == 0.0:
                 continue
             u = u / norm
-            probe = reference_probe(graph, p_t, theta + mu * u)
+            probe = reference_probe(memo.graph, p_t, theta + mu * u)
             if probe is None:
                 continue
             s = -1 if memo.adversarial(probe, "qegc") else +1
@@ -301,7 +301,7 @@ def reference_flip(graph: Graph, slots) -> Graph:
     return apply_perturbation(graph, theta)
 
 
-def reference_coarse_grained_search(memo, graph, partition, strategy="I", rng_seed=0):
+def reference_coarse_grained_search(memo, partition, strategy="I", rng_seed=0):
     """Coarse search that submits every trial of a phase in draw order and
     keeps the first one with the fewest flips among the successes; the
     library's flip-ordered search must return the same outcome.
@@ -309,6 +309,7 @@ def reference_coarse_grained_search(memo, graph, partition, strategy="I", rng_se
     It draws as the library does: a phase's flip counts one component at a
     time, then every trial's slots in flip order; only the submission
     order differs."""
+    graph = memo.graph
     rng = np.random.default_rng(rng_seed)
     trials = 0
     for kind, phase in groupby(enumerate_components(partition, strategy), lambda c: c.kind):
@@ -320,13 +321,13 @@ def reference_coarse_grained_search(memo, graph, partition, strategy="I", rng_se
         for i in sorted(range(len(draws)), key=lambda i: draws[i][0]):
             n_flip, slots = draws[i]
             chosen[i] = rng.permutation(slots)[:n_flip]
-        best = None
+        best, best_flips = None, None
         for (n_flip, _), flipped in zip(draws, chosen):
             theta = np.zeros(graph.n_edge_slots)
             theta[flipped] = 1.0
             adversarial = memo.adversarial(apply_perturbation(graph, theta), "cgs")
-            if adversarial and (best is None or n_flip < best.flips):
-                best = CgsOutcome(theta, kind, n_flip, 0)
+            if adversarial and (best is None or n_flip < best_flips):
+                best, best_flips = CgsOutcome(theta, kind, 0), n_flip
         if best is not None:
             return best
         trials += len(draws)
@@ -335,34 +336,49 @@ def reference_coarse_grained_search(memo, graph, partition, strategy="I", rng_se
     )
 
 
-def reference_random_attack(oracle, graph, y0, budget, query_budget, seed=0,
-                            predicate=None):
+def reference_max_flips(n_slots: int, budget: float) -> int:
+    """The most flips whose perturbation rate is within ``budget``: every
+    count from 0 to ``n_slots`` is tried at its rate, ``count / n_slots``
+    (over one slot on a graph without any), as ``perturbation_rate``
+    computes it."""
+    counts = np.arange(n_slots + 1)
+    return int(np.flatnonzero(counts / max(n_slots, 1) <= budget)[-1])
+
+
+def reference_keeps(graph: Graph, best: Graph | None, candidate: Graph, budget: float) -> bool:
+    """The first keep rule of the run memo, on rates: an adversarial
+    ``candidate`` replaces ``best`` iff its perturbation rate is within
+    ``budget`` and below that of ``best``."""
+    rate = perturbation_rate(graph, candidate)
+    return rate <= budget and (best is None or rate < perturbation_rate(graph, best))
+
+
+def reference_random_attack(oracle, graph, y0, cfg, query_budget):
     """Random baseline that queries every draw in draw order and keeps the
     first one with the fewest flips among the successes.
 
-    It draws as the library does: every flip count in one call, then every
-    trial's slots in flip order; only the submission order differs.  Its
-    ``stop_reason`` is the library's: a success ends the library's trials
-    (``converged``), and without one it submits them all (``iterations``)."""
-    if predicate is None:
-        predicate = lambda label: label != y0
-    rng = np.random.default_rng(seed)
+    It draws as the library does: every flip count in one call, capped at
+    ``reference_max_flips``, then every trial's slots in flip order; only
+    the submission order differs.  Its ``stop_reason`` is the library's: a
+    success ends the library's trials (``converged``), and without one it
+    submits them all (``iterations``)."""
+    predicate = cfg.predicate(y0)
+    rng = np.random.default_rng(cfg.seed)
     s = graph.n_edge_slots
-    max_flips = max(1, int(np.floor(budget * s)))
+    max_flips = max(1, reference_max_flips(s, cfg.budget))
     flips = [min(max(1, round(float(r) * s)), max_flips)
-             for r in rng.uniform(0.0, budget, query_budget)]
+             for r in rng.uniform(0.0, cfg.budget, query_budget)]
     chosen = [None] * query_budget
     for i in sorted(range(query_budget), key=lambda i: flips[i]):
         chosen[i] = rng.permutation(s)[:flips[i]]
     best_graph = None
-    best_flips = None
-    for n_flip, slots in zip(flips, chosen):
+    for slots in chosen:
         theta = np.zeros(s)
         theta[slots] = 1.0
         candidate = apply_perturbation(graph, theta)
         label = oracle.classify(candidate)
-        if predicate(label) and (best_flips is None or n_flip < best_flips):
-            best_graph, best_flips = candidate, n_flip
+        if predicate(label) and reference_keeps(graph, best_graph, candidate, cfg.budget):
+            best_graph = candidate
     if best_graph is None:
         return AttackResult(success=False, adversarial_graph=graph,
                             queries=oracle.ledger.snapshot(), found_in="random",

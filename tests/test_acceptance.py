@@ -100,9 +100,9 @@ def test_criterion_2_objective_monotonicity():
 
 
 def _brute_force_sign(oracle_factory, graph, y0, theta_old, theta_new):
-    g_old = boundary_distance(untargeted_memo(oracle_factory(), graph, y0), graph, theta_old,
+    g_old = boundary_distance(untargeted_memo(oracle_factory(), graph, y0), theta_old,
                               epsilon=1e-4)
-    g_new = boundary_distance(untargeted_memo(oracle_factory(), graph, y0), graph, theta_new,
+    g_new = boundary_distance(untargeted_memo(oracle_factory(), graph, y0), theta_new,
                               epsilon=1e-4)
     p_old = objective_p(theta_old, g_old)
     p_new = objective_p(theta_new, g_new)
@@ -257,13 +257,12 @@ def attack_suite():
     for idx, run in enumerate(runs):
         run_oracle = oracle.clone()
         run["random"] = random_attack(
-            run_oracle, run["graph"], 0, budget=0.2,
+            run_oracle, run["graph"], 0, replace(base_cfg, seed=1000 + idx),
             # the graphs the attack drew, memo hits and skipped coarse-search
             # trials included: the baseline gets as many trials as before
             # the memo and the flip-ordered coarse search
             query_budget=(run["result"].queries["total"] + run["result"].memo_hits
                           + run["result"].skipped),
-            seed=1000 + idx,
         )
     random_time = time.perf_counter() - t0
     return {"runs": runs, "oracle": oracle, "budget": base_cfg.budget,

@@ -1,5 +1,6 @@
 """Boundary distance, the clipped objective, its inversion and sign-SGD."""
 
+import inspect
 import itertools
 import math
 import warnings
@@ -8,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blackedge import attack
+from blackedge import attack, cgs, harness
 from blackedge.attack import (
     STOP_REASONS,
     AttackConfig,
@@ -31,6 +32,7 @@ from blackedge.errors import (
     NoBoundary,
 )
 from blackedge.graph import Graph, apply_perturbation, normalize, perturbation_rate
+from blackedge.harness import random_attack
 from blackedge.oracle import FunctionOracle, LabelMemo, structural_oracle
 from blackedge.partition import louvain
 
@@ -57,7 +59,7 @@ def test_boundary_distance_uniform_direction():
     oracle = structural_oracle("edge_count", 3)
     g = Graph.empty(5)
     eps = 1e-3
-    dist = boundary_distance(untargeted_memo(oracle, g), g, np.ones(10), epsilon=eps)
+    dist = boundary_distance(untargeted_memo(oracle, g), np.ones(10), epsilon=eps)
     true = 0.5 * np.sqrt(10)
     assert true <= dist <= true + eps
 
@@ -68,7 +70,7 @@ def test_boundary_distance_graded_direction():
     g = Graph.empty(4)
     theta = np.array([1.0, 0.9, 0.8, 0.7, 0.6, 0.5])
     eps = 1e-4
-    dist = boundary_distance(untargeted_memo(oracle, g), g, theta, epsilon=eps)
+    dist = boundary_distance(untargeted_memo(oracle, g), theta, epsilon=eps)
     crossing = np.sort(0.5 * np.linalg.norm(theta) / theta)
     true = crossing[1]  # second slot to flip
     assert true <= dist <= true + eps
@@ -77,7 +79,7 @@ def test_boundary_distance_graded_direction():
 def test_boundary_distance_counts_queries_in_phase():
     oracle = structural_oracle("edge_count", 3)
     g = Graph.empty(5)
-    boundary_distance(untargeted_memo(oracle, g), g, np.ones(10))
+    boundary_distance(untargeted_memo(oracle, g), np.ones(10))
     snap = oracle.ledger.snapshot()
     assert snap["binary_search"] == snap["total"] > 0
 
@@ -86,14 +88,14 @@ def test_boundary_distance_no_label_change_raises():
     oracle = FunctionOracle(lambda _: 0)
     g = Graph.empty(5)
     with pytest.raises(NoBoundary):
-        boundary_distance(untargeted_memo(oracle, g), g, np.ones(10))
+        boundary_distance(untargeted_memo(oracle, g), np.ones(10))
 
 
 def test_boundary_distance_needs_a_positive_component():
     oracle = structural_oracle("edge_count", 1)
     g = Graph.empty(5)
     with pytest.raises(NoBoundary):
-        boundary_distance(untargeted_memo(oracle, g), g, -np.ones(10))
+        boundary_distance(untargeted_memo(oracle, g), -np.ones(10))
 
 
 def test_boundary_distance_beyond_sqrt_d():
@@ -102,7 +104,7 @@ def test_boundary_distance_beyond_sqrt_d():
     oracle = structural_oracle("edge_count", 2)
     g = Graph.empty(4)
     theta = np.array([1.0, 0.01, 0.0, 0.0, 0.0, 0.0])
-    dist = boundary_distance(untargeted_memo(oracle, g), g, theta, epsilon=1e-3)
+    dist = boundary_distance(untargeted_memo(oracle, g), theta, epsilon=1e-3)
     theta_n = normalize(theta)
     true = 0.5 / theta_n[1]  # second edge appears only here
     assert true <= dist <= true + 1e-3
@@ -133,7 +135,7 @@ def _boundary_run(search, label_fn, y0, graph, theta, epsilon, hint, known=()):
         memo.adversarial(g, "other")
     del memo.log[:]
     try:
-        out = search(memo, graph, theta, epsilon, hint)
+        out = search(memo, theta, epsilon, hint)
     except NoBoundary as exc:
         out = str(exc)
     return (out, type(out), memo.log, memo.oracle.ledger.snapshot(), memo.hits,
@@ -640,8 +642,8 @@ def test_solve_g_star_is_exact_from_any_walk_prefix(monkeypatch):
 
 def _brute_force_sign(make_oracle, graph, y0, theta_old, theta_new):
     """Two independent binary searches instead of the one-query shortcut."""
-    g_old = boundary_distance(untargeted_memo(make_oracle(), graph, y0), graph, theta_old, epsilon=1e-4)
-    g_new = boundary_distance(untargeted_memo(make_oracle(), graph, y0), graph, theta_new, epsilon=1e-4)
+    g_old = boundary_distance(untargeted_memo(make_oracle(), graph, y0), theta_old, epsilon=1e-4)
+    g_new = boundary_distance(untargeted_memo(make_oracle(), graph, y0), theta_new, epsilon=1e-4)
     p_old = objective_p(theta_old, g_old)
     p_new = objective_p(theta_new, g_new)
     return (-1 if p_new < p_old else +1), p_old, p_new
@@ -824,7 +826,7 @@ def test_estimate_gradient_costs_one_query_per_direction():
     graph = Graph.empty(4)
     theta = np.ones(6)
     memo = untargeted_memo(oracle, graph)
-    estimate_gradient(memo, graph, theta, 0.7, 25, 0.1, np.random.default_rng(0))
+    estimate_gradient(memo, theta, 0.7, 25, 0.1, np.random.default_rng(0))
     # a direction whose probe graph repeats an earlier one is a memo hit
     assert oracle.ledger.snapshot()["qegc"] == oracle.ledger.total
     assert oracle.ledger.total + memo.hits == 25
@@ -835,11 +837,11 @@ def test_estimate_gradient_antisymmetry():
     graph = Graph.empty(4)
     theta = np.ones(6)
     grad_neg = estimate_gradient(
-        untargeted_memo(FunctionOracle(lambda _: 1), graph), graph, theta, 0.7, 30, 0.1,
+        untargeted_memo(FunctionOracle(lambda _: 1), graph), theta, 0.7, 30, 0.1,
         np.random.default_rng(3),
     )
     grad_pos = estimate_gradient(
-        untargeted_memo(FunctionOracle(lambda _: 0), graph), graph, theta, 0.7, 30, 0.1,
+        untargeted_memo(FunctionOracle(lambda _: 0), graph), theta, 0.7, 30, 0.1,
         np.random.default_rng(3),
     )
     assert np.allclose(grad_neg, -grad_pos)
@@ -854,7 +856,7 @@ def _gradient_step(step, graph, theta, p_t, q, seed, cap=None):
     memo = untargeted_memo(oracle, graph)
     rng = np.random.default_rng(seed)
     try:
-        out = step(memo, graph, theta, p_t, q, 0.1, rng)
+        out = step(memo, theta, p_t, q, 0.1, rng)
     except BudgetExhausted as exc:
         out = str(exc)
     return out, oracle.ledger.snapshot(), memo.hits, rng.bit_generator.state
@@ -920,7 +922,7 @@ def test_estimate_gradient_redraws_a_zero_draw_as_the_reference_does():
         normals = _ScriptedNormals(rows.ravel())
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a zero row is no division by zero
-            grad = step(memo, graph, theta, 0.3, 4, 0.1, normals)
+            grad = step(memo, theta, 0.3, 4, 0.1, normals)
         if step is reference_estimate_gradient:
             want = grad, oracle.ledger.total, normals.state
             assert normals.state >= 7 * d  # 4 probes and the 3 zero draws
@@ -952,14 +954,35 @@ def test_attack_succeeds_on_edge_count_oracle():
     assert all(np.isfinite(res.gradient_norm_trace))
 
 
-def test_attack_failure_when_budget_too_tight():
+@pytest.mark.parametrize("budget, stop_reason", [(0.02, "rate_budget"), (0.05, "iterations")])
+def test_attack_failure_when_budget_too_tight(budget, stop_reason):
+    # 45 slots: 0.02 allows no flip, so nothing is queried; 0.05 allows 2
+    # flips against an oracle that needs 6, so no graph found is kept
     g = _er_target()
     oracle = structural_oracle("edge_count", g.n_edges + 6)
-    cfg = AttackConfig(budget=0.02, iterations=4, directions_per_step=10, seed=1)
+    cfg = AttackConfig(budget=budget, iterations=4, directions_per_step=10, seed=1)
     res = attack_graph(oracle, g, 0, cfg)
     assert not res.success
     assert res.adversarial_graph is g  # failures return the input graph
-    assert res.stop_reason == "iterations"  # no graph it found was within the budget
+    assert res.stop_reason == stop_reason
+    assert (res.queries["total"] == 0) == (stop_reason == "rate_budget")
+
+
+def test_every_step_takes_the_memo_and_not_the_graph():
+    # the memo holds the run's target graph, so no public function takes both
+    steps = 0
+    for module in (attack, cgs, harness):
+        for name, fn in vars(module).items():
+            if name.startswith("_") or not inspect.isfunction(fn) \
+                    or fn.__module__ != module.__name__:
+                continue
+            params = list(inspect.signature(fn).parameters)
+            assert not {"memo", "graph"} <= set(params), f"{module.__name__}.{name}"
+            steps += params[:1] == ["memo"]
+    assert steps == 5  # boundary search, probe sign, gradient, descent, coarse search
+    # both entry points take the oracle, the target, its label and the config
+    heads = [list(inspect.signature(fn).parameters)[:4] for fn in (attack_graph, random_attack)]
+    assert heads == [["oracle", "graph", "y0", "cfg"]] * 2
 
 
 def test_attack_failure_when_oracle_is_constant():
@@ -986,7 +1009,7 @@ def test_cap_in_the_coarse_search_keeps_its_first_success():
     full = attack_graph(structural_oracle("edge_count", threshold), g, 0, cfg)
     spent = full.queries["cgs"]  # the coarse search ends at its first success
     seed = coarse_grained_search(untargeted_memo(structural_oracle("edge_count", threshold), g),
-                                 g, louvain(g, seed=cfg.seed), rng_seed=cfg.seed)
+                                 louvain(g, seed=cfg.seed), rng_seed=cfg.seed)
     # a cap equal to the search's spend stops the descent before its first
     # boundary search; the seed, queried by the search, comes from the memo
     oracle = structural_oracle("edge_count", threshold)
@@ -998,7 +1021,7 @@ def test_cap_in_the_coarse_search_keeps_its_first_success():
                            "total": spent}  # no extra verification query
     assert res.queries == oracle.ledger.snapshot()
     assert res.rate <= cfg.budget and res.p_trace == []
-    assert res.flips == seed.flips > 0
+    assert res.flips == int(seed.theta0.sum()) > 0
     assert oracle.clone().classify(res.adversarial_graph) == 1
     # the same cap with a budget below the seed's rate is a failure
     tight = attack_graph(structural_oracle("edge_count", threshold), g, 0,
@@ -1080,7 +1103,7 @@ def test_a_descent_that_loses_the_boundary_returns_its_verified_seed():
     theta0 = np.zeros(g.n_edge_slots)
     theta0[empty[3:8]] = 1.0
     cfg = AttackConfig(budget=0.5, iterations=5, directions_per_step=10)
-    res = sign_sgd_attack(memo, g, cfg, theta0)
+    res = sign_sgd_attack(memo, cfg, theta0)
     assert res.success and res.stop_reason == "no_boundary"
     assert res.adversarial_graph is seed and res.flips == 3 and res.p_trace == []
     assert res.queries["other"] == 1  # the re-verification of the seed
@@ -1092,9 +1115,9 @@ def test_capped_run_keeps_the_verified_boundary_graph(monkeypatch):
     threshold = g.n_edges + 6
     boundary = []  # the graph of each boundary search
 
-    def recording(memo, graph, theta, *args):
-        g_t = boundary_distance(memo, graph, theta, *args)
-        boundary.append(apply_perturbation(graph, g_t * normalize(theta)))
+    def recording(memo, theta, *args):
+        g_t = boundary_distance(memo, theta, *args)
+        boundary.append(apply_perturbation(memo.graph, g_t * normalize(theta)))
         return g_t
 
     monkeypatch.setattr(attack, "boundary_distance", recording)
@@ -1203,7 +1226,7 @@ def test_capped_run_never_returns_an_unverified_seed():
         oracle.ledger.max_queries = 1
         oracle.classify(g)  # the cap is already spent
         cfg = AttackConfig(budget=0.5, iterations=iterations, directions_per_step=10)
-        res = sign_sgd_attack(untargeted_memo(oracle, g, budget=cfg.budget), g, cfg, theta0)
+        res = sign_sgd_attack(untargeted_memo(oracle, g, budget=cfg.budget), cfg, theta0)
         assert not res.success and res.queries["total"] == 1
         # with no iteration nothing is queried, and the memo holds no graph
         # to re-verify
@@ -1262,7 +1285,5 @@ def test_sign_sgd_uses_seed_direction():
     theta0 = np.zeros(g.n_edge_slots)
     theta0[np.flatnonzero(g.bits == 0)[:5]] = 1.0  # five empty slots
     cfg = AttackConfig(budget=0.5, iterations=3, directions_per_step=10, seed=0)
-    res = sign_sgd_attack(untargeted_memo(oracle, g, budget=cfg.budget), g, cfg, theta0,
-                          found_in="manual")
-    assert res.found_in == "manual"
+    res = sign_sgd_attack(untargeted_memo(oracle, g, budget=cfg.budget), cfg, theta0)
     assert res.success

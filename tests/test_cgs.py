@@ -28,7 +28,7 @@ def test_no_success_exhausts_every_phase(setup):
     oracle = FunctionOracle(lambda _: 0)  # never adversarial
     memo = untargeted_memo(oracle, g)
     with pytest.raises(NoAdversarialFound, match="after 120 trials"):
-        coarse_grained_search(memo, g, part)
+        coarse_grained_search(memo, part)
     # components carry 4+4+8+8 incident nodes, 5 trials each per node; a
     # trial repeating an earlier graph is answered by the memo
     assert oracle.ledger.total + memo.hits == 120
@@ -39,7 +39,7 @@ def test_success_skips_later_phases(setup):
     g, part = setup
     oracle = FunctionOracle(lambda _: 1)  # everything is adversarial
     memo = untargeted_memo(oracle, g)
-    outcome = coarse_grained_search(memo, g, part)
+    outcome = coarse_grained_search(memo, part)
     assert outcome.found_in == "supernode"
     # the supernode phase draws the flip counts of all its 40 trials (both
     # components); its fewest-flip trial is submitted first and succeeds,
@@ -52,9 +52,9 @@ def test_success_skips_later_phases(setup):
 def test_outcome_theta_reproduces_the_flips(setup):
     g, part = setup
     oracle = FunctionOracle(lambda _: 1)
-    outcome = coarse_grained_search(untargeted_memo(oracle, g), g, part)
+    outcome = coarse_grained_search(untargeted_memo(oracle, g), part)
     perturbed = apply_perturbation(g, outcome.theta0)
-    assert int(np.count_nonzero(perturbed.bits ^ g.bits)) == outcome.flips
+    assert int(np.count_nonzero(perturbed.bits ^ g.bits)) == int(outcome.theta0.sum())
     assert set(np.flatnonzero(outcome.theta0 >= 0.5).tolist()) <= set(range(28))
 
 
@@ -65,16 +65,16 @@ def test_minimal_flip_success_is_kept(setup):
     oracle = FunctionOracle(
         lambda h: int(np.count_nonzero(h.bits ^ g.bits) >= 1)
     )
-    outcome = coarse_grained_search(untargeted_memo(oracle, g), g, part, rng_seed=1)
-    assert outcome.flips == 1
+    outcome = coarse_grained_search(untargeted_memo(oracle, g), part, rng_seed=1)
+    assert int(outcome.theta0.sum()) == 1
 
 
 def test_deterministic_given_seed(setup):
     g, part = setup
-    a = coarse_grained_search(untargeted_memo(FunctionOracle(lambda _: 1), g), g, part, rng_seed=5)
-    b = coarse_grained_search(untargeted_memo(FunctionOracle(lambda _: 1), g), g, part, rng_seed=5)
+    a = coarse_grained_search(untargeted_memo(FunctionOracle(lambda _: 1), g), part, rng_seed=5)
+    b = coarse_grained_search(untargeted_memo(FunctionOracle(lambda _: 1), g), part, rng_seed=5)
     assert np.array_equal(a.theta0, b.theta0)
-    assert a.flips == b.flips and a.found_in == b.found_in
+    assert a.found_in == b.found_in
 
 
 def test_budget_exhaustion_reports_exact_spend(setup):
@@ -82,12 +82,12 @@ def test_budget_exhaustion_reports_exact_spend(setup):
     oracle = FunctionOracle(lambda _: 0)  # never adversarial
     oracle.ledger.max_queries = 25
     with pytest.raises(BudgetExhausted):
-        coarse_grained_search(untargeted_memo(oracle, g), g, part)
+        coarse_grained_search(untargeted_memo(oracle, g), part)
     assert oracle.ledger.total == 25
     # a success ends the search, so a cap never stops it holding one
     oracle = FunctionOracle(lambda _: 1)
     oracle.ledger.max_queries = 1
-    coarse_grained_search(untargeted_memo(oracle, g), g, part)
+    coarse_grained_search(untargeted_memo(oracle, g), part)
     assert oracle.ledger.total == 1
 
 
@@ -95,7 +95,7 @@ def test_custom_predicate_targets_a_label():
     g = barbell(4)
     part = louvain(g, seed=0)
     oracle = structural_oracle("edge_count", 10)  # 13 edges -> label 1
-    outcome = coarse_grained_search(LabelMemo(oracle, lambda label: label == 0, g, 1.0), g, part)
+    outcome = coarse_grained_search(LabelMemo(oracle, lambda label: label == 0, g, 1.0), part)
     perturbed = apply_perturbation(g, outcome.theta0)
     assert perturbed.n_edges < 10
 
@@ -104,7 +104,7 @@ def test_strategy_three_searches_whole_graph_only(setup):
     g, part = setup
     oracle = FunctionOracle(lambda _: 1)
     memo = untargeted_memo(oracle, g)
-    outcome = coarse_grained_search(memo, g, part, strategy="III")
+    outcome = coarse_grained_search(memo, part, strategy="III")
     assert outcome.found_in == "whole_graph"
     # 5 trials x 8 incident nodes; only the first in flip order is submitted
     assert oracle.ledger.total + memo.hits + outcome.skipped == 40
@@ -120,7 +120,7 @@ def test_flip_order_search_equals_the_draw_order_reference(strategy):
         part = louvain(g, seed=seed)
         for label_fn, y0, target in search_label_cases(g):
             predicate = AttackConfig(target_label=target).predicate(y0)
-            args = (g, part, strategy, seed)
+            args = (part, strategy, seed)
             ref_oracle, oracle = FunctionOracle(label_fn), FunctionOracle(label_fn)
             ref_memo = LabelMemo(ref_oracle, predicate, g, 1.0)
             memo = LabelMemo(oracle, predicate, g, 1.0)
@@ -136,7 +136,7 @@ def test_flip_order_search_equals_the_draw_order_reference(strategy):
                 continue
             outcome = coarse_grained_search(memo, *args)
             assert np.array_equal(outcome.theta0, expected.theta0)
-            assert (outcome.flips, outcome.found_in) == (expected.flips, expected.found_in)
+            assert outcome.found_in == expected.found_in
             assert oracle.ledger.total <= ref_oracle.ledger.total
             # each trial the reference submitted is submitted or skipped
             assert oracle.ledger.total + memo.hits + outcome.skipped == \
@@ -186,7 +186,7 @@ def test_flip_counts_and_slots_follow_the_law_of_the_draws(setup, monkeypatch):
 
     memo = RecordingMemo(FunctionOracle(lambda _: 0), lambda label: label != 0, g, 1.0)
     with pytest.raises(NoAdversarialFound):  # every trial is submitted
-        coarse_grained_search(memo, g, part)
+        coarse_grained_search(memo, part)
     assert [u.size for u in rng.uniforms] == [5 * c.n_incident for c in comps]
     # flip counts are max(1, round(u * m)) on the uniforms drawn, and the
     # ties among them round half to even
@@ -211,7 +211,7 @@ def test_a_first_trial_success_draws_one_permutation(setup, monkeypatch, strateg
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng",
                         lambda seed: made.append(default_rng(seed)) or made[-1])
-    outcome = coarse_grained_search(untargeted_memo(FunctionOracle(lambda _: 1), g), g, part,
+    outcome = coarse_grained_search(untargeted_memo(FunctionOracle(lambda _: 1), g), part,
                                     strategy, rng_seed=7)
     assert len(made) == 1
     # replay: the first phase's flip counts, one call per component, then
@@ -222,6 +222,6 @@ def test_a_first_trial_success_draws_one_permutation(setup, monkeypatch, strateg
         replay.uniform(0.0, 1.0, 5 * comp.n_incident)
         if set(np.flatnonzero(outcome.theta0).tolist()) <= set(comp.slots.tolist()):
             slots = comp.slots
-    chosen = replay.permutation(slots)[:outcome.flips]
+    chosen = replay.permutation(slots)[:int(outcome.theta0.sum())]
     assert np.array_equal(np.flatnonzero(outcome.theta0), np.sort(chosen))
     assert made[0].bit_generator.state == replay.bit_generator.state

@@ -65,7 +65,7 @@ def test_aggregate_metrics_empty_and_all_failed():
 def test_random_attack_respects_flip_cap_and_query_budget():
     g = generate_synthetic("erdos_renyi", 1, seed=0, n=12, p=0.3).graphs[0]
     oracle = structural_oracle("edge_count", g.n_edges + 2)
-    res = random_attack(oracle, g, 0, budget=0.2, query_budget=300, seed=4)
+    res = random_attack(oracle, g, 0, AttackConfig(budget=0.2, seed=4), 300)
     # draws after the first success in flip order are never submitted, and a
     # draw that repeats an earlier graph is answered by the memo
     assert oracle.ledger.total + res.memo_hits + res.skipped == 300
@@ -80,25 +80,25 @@ def test_random_attack_keeps_the_minimal_flip_success():
     # any single flip changes the label: the minimum over many uniform
     # draws must be exactly one flip
     oracle = structural_oracle("edge_count", 1)
-    res = random_attack(oracle, g, 0, budget=0.5, query_budget=200, seed=0)
+    res = random_attack(oracle, g, 0, AttackConfig(budget=0.5), 200)
     assert res.success and res.flips == 1
 
 
 def test_random_attack_stops_at_oracle_budget():
     g = Graph.empty(8)
     oracle = structural_oracle("edge_count", 100)
-    oracle.ledger.max_queries = 50
-    res = random_attack(oracle, g, 0, budget=0.5, query_budget=500, seed=0)
+    res = random_attack(oracle, g, 0, AttackConfig(budget=0.5, max_queries=50), 500)
+    assert oracle.ledger.max_queries == 50  # the config's cap, set on the ledger
     assert not res.success
     assert oracle.ledger.total == 50
 
 
 @pytest.mark.parametrize("n_nodes, budget", [(5, 0.05), (5, 0.0999), (20, 0.005), (1, 1.0)])
 def test_random_attack_fails_when_the_budget_allows_no_flip(n_nodes, budget):
-    # floor(budget * slots) == 0: no trial is drawn, none is submitted, and
-    # the run fails instead of flipping a slot above its budget
+    # max_flips == 0: no trial is drawn, none is submitted, and the run
+    # fails instead of flipping a slot above its budget
     oracle = structural_oracle("edge_count", 1)
-    res = random_attack(oracle, Graph.empty(n_nodes), 0, budget, query_budget=10, seed=3)
+    res = random_attack(oracle, Graph.empty(n_nodes), 0, AttackConfig(budget=budget, seed=3), 10)
     assert not res.success and res.flips == 0 and res.rate == 0.0
     assert res.stop_reason == "rate_budget"
     assert res.skipped == 10 and res.memo_hits == 0 and oracle.ledger.total == 0
@@ -111,8 +111,20 @@ def test_random_attack_fails_when_the_budget_allows_no_flip(n_nodes, budget):
 
 def test_random_attack_flips_one_slot_at_a_budget_of_one_slot():
     oracle = structural_oracle("edge_count", 1)
-    res = random_attack(oracle, Graph.empty(5), 0, budget=0.1, query_budget=10, seed=3)
+    res = random_attack(oracle, Graph.empty(5), 0, AttackConfig(budget=0.1, seed=3), 10)
     assert res.success and res.flips == 1 and res.rate == 0.1
+
+
+def test_random_attack_reaches_the_top_of_its_budget():
+    # 300 slots at a budget of 0.41: 123 / 300 == 0.41 is within it, though
+    # floor(0.41 * 300) == 122; only 123 flips change the label
+    g = Graph.empty(25)
+    assert int(np.floor(0.41 * g.n_edge_slots)) == 122 and 123 / 300 <= 0.41
+    for seed in range(3):
+        res = random_attack(structural_oracle("edge_count", 123), g, 0,
+                            AttackConfig(budget=0.41, seed=seed), 3000)
+        assert res.success and res.stop_reason == "converged"
+        assert res.flips == 123 and res.rate == 0.41
 
 
 @pytest.mark.parametrize("budget, query_budget, match", [
@@ -121,9 +133,10 @@ def test_random_attack_flips_one_slot_at_a_budget_of_one_slot():
     (float("nan"), 10, "budget"),
 ])
 def test_random_attack_rejects_invalid_budgets(budget, query_budget, match):
+    # the rate budget is checked where the config is made
     oracle = structural_oracle("edge_count", 1)
     with pytest.raises(ConfigError, match=match):
-        random_attack(oracle, Graph.empty(8), 0, budget, query_budget)
+        random_attack(oracle, Graph.empty(8), 0, AttackConfig(budget=budget), query_budget)
     assert oracle.ledger.total == 0
 
 
@@ -161,11 +174,9 @@ def test_flip_order_random_attack_equals_the_draw_order_reference(budget, query_
     for seed in range(10):
         g = erdos_renyi(10 + seed % 4, 0.3, np.random.default_rng(seed))
         for label_fn, y0, target in search_label_cases(g):
-            predicate = AttackConfig(target_label=target).predicate(y0)
-            ref = reference_random_attack(FunctionOracle(label_fn), g, y0, budget,
-                                          query_budget, seed, predicate)
-            res = random_attack(FunctionOracle(label_fn), g, y0, budget, query_budget,
-                                seed, predicate)
+            cfg = AttackConfig(budget=budget, target_label=target, seed=seed)
+            ref = reference_random_attack(FunctionOracle(label_fn), g, y0, cfg, query_budget)
+            res = random_attack(FunctionOracle(label_fn), g, y0, cfg, query_budget)
             assert res.success == ref.success
             assert np.array_equal(res.adversarial_graph.bits, ref.adversarial_graph.bits)
             assert (res.added, res.removed, res.rate, res.found_in, res.stop_reason) == \

@@ -232,8 +232,7 @@ def test_labelling_ahead_moves_no_outcome(weights, max_queries):
                 res = attack_graph(oracle, g, y0, run_cfg)
                 assert oracle._ahead == {}
                 oracle = oracle.clone()
-                oracle.ledger.max_queries = max_queries
-                rnd = random_attack(oracle, g, y0, cfg.budget, 300, seed=idx)
+                rnd = random_attack(oracle, g, y0, run_cfg, 300)
                 assert oracle._ahead == {}
                 runs.append((_outcome(res), _outcome(rnd)))
             assert runs[0] == runs[1]

@@ -5,7 +5,7 @@ import pytest
 
 from blackedge.datasets import barbell
 from blackedge.errors import BudgetExhausted
-from blackedge.graph import Graph
+from blackedge.graph import Graph, perturbation_rate
 from blackedge.oracle import (
     FunctionOracle,
     LabelMemo,
@@ -14,7 +14,15 @@ from blackedge.oracle import (
     structural_oracle,
 )
 
-from helpers import TableOracle, UnknownGraph, complete_graph
+from helpers import (
+    TableOracle,
+    UnknownGraph,
+    complete_graph,
+    hashed_label,
+    random_graph,
+    reference_keeps,
+    reference_max_flips,
+)
 
 
 # -- ledger --------------------------------------------------------------
@@ -165,3 +173,55 @@ def test_the_memo_keeps_the_first_fewest_flip_graph_within_its_budget():
     assert kept[3] is kept[4] is kept[5] is kept[6]
     assert kept[3].bits.tolist() == g.flip([7, 8]).bits.tolist()
     assert oracle.ledger.total == 6 and memo.hits == 1
+
+
+def test_the_flip_bound_is_the_largest_count_within_the_budget():
+    short = set()  # (n, budget) where floor(budget * d) is below the bound
+    for n in range(2, 121):
+        g = Graph.empty(n)
+        d = g.n_edge_slots
+        for budget in (k / 100 for k in range(1, 101)):
+            memo = LabelMemo(FunctionOracle(lambda _: 1), bool, g, budget)
+            k = memo.max_flips
+            assert k == reference_max_flips(d, budget)
+            assert memo.best is None and memo.best_flips == k + 1
+            assert perturbation_rate(g, g.flip(np.arange(k))) <= budget
+            if k < d:
+                assert perturbation_rate(g, g.flip(np.arange(k + 1))) > budget
+            floor = int(np.floor(budget * d))
+            assert floor in (k, k - 1)
+            if floor < k:
+                short.add((n, budget))
+    # a bound of floor(budget * d) would miss the top count on these alone
+    assert short == {(25, 0.41), (25, 0.57), (25, 0.69), (25, 0.82), (76, 0.58),
+                     (76, 0.7), (100, 0.82), (105, 0.35), (105, 0.7)}
+    # a graph without a slot allows its own zero flips
+    assert LabelMemo(FunctionOracle(lambda _: 1), bool, Graph.empty(1), 0.5).max_flips == 0
+
+
+def test_the_memo_keeps_what_the_rate_rule_keeps():
+    rng = np.random.default_rng(4)
+    cases = [(25, 0.41), (25, 0.82), (76, 0.58), (105, 0.35)]
+    cases += [(int(rng.integers(2, 40)), float(rng.uniform(0.005, 1.0))) for _ in range(36)]
+    replaced = at_bound = 0
+    for n, budget in cases:
+        g = random_graph(rng, n)
+        d = g.n_edge_slots
+        memo = LabelMemo(FunctionOracle(hashed_label), lambda label: label % 2 == 1, g, budget)
+        top = memo.max_flips
+        # three graphs at each count from just above the bound down, then
+        # counts around the bound and anywhere
+        counts = [k for k in range(top + 2, top - 4, -1) for _ in range(3)]
+        counts += [top + int(rng.integers(-3, 4)) if rng.random() < 0.7
+                   else int(rng.integers(0, d + 1)) for _ in range(40)]
+        best = None
+        for k in np.clip(counts, 0, d).tolist():
+            h = g.flip(rng.permutation(d)[:k])
+            if memo.adversarial(h, "other") and reference_keeps(g, best, h, budget):
+                best = h
+                replaced += 1
+                at_bound += k == top
+            assert memo.best is best
+        if best is not None:
+            assert memo.best_flips == int(np.count_nonzero(best.bits ^ g.bits))
+    assert replaced > len(cases) and at_bound > len(cases) // 2
