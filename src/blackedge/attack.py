@@ -17,7 +17,6 @@ from __future__ import annotations
 import bisect
 import math
 import time
-from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -442,9 +441,7 @@ def estimate_gradient(
     order; a re-draw draws the next batch.  With an oracle that has a
     batch label kernel, the labels of each block of those probe graphs
     that are not in ``memo`` yet are computed in one call before the
-    block is queried (``LabelMemo.in_blocks``).  If the query cap stops
-    the step, the generator is left where drawing row by row would have
-    left it: after the row whose query was refused.
+    block is queried (``LabelMemo.in_blocks``).
 
     When ``p_t`` is not positive (or NaN), the inversion rejects every
     probe whatever its direction, so all 4 draws of every probe are made
@@ -455,33 +452,25 @@ def estimate_gradient(
         # standard_normal((k, d)) consumes the stream of k draws of size d
         rng.standard_normal((4 * q_directions, d))
         return np.zeros(d)
-    state = rng.bit_generator.state
     signs = []
     dirs = []
-    drawn = done = attempt = 0  # rows drawn, probes done, draws of this probe
+    done = attempt = 0  # probes done, draws of this probe
     while done < q_directions:
         # every remaining probe takes at least one row, so each row is used
         u = rng.standard_normal((q_directions - done, d))
         norms = _row_norms(u)
         norms[norms == 0.0] = np.nan  # a zero row becomes a NaN row, which probe_graphs rejects
         u /= norms[:, None]
-        with closing(memo.in_blocks(probe_graphs(memo.graph, p_t, theta + mu * u))) as probes:
-            for row, probe in zip(u, probes):
-                drawn += 1
-                attempt += 1
-                if probe is None:
-                    if attempt < 4:
-                        continue
-                else:
-                    try:
-                        signs.append(qegc_sign(memo, probe))
-                    except BudgetExhausted:
-                        rng.bit_generator.state = state
-                        rng.standard_normal((drawn, d))
-                        raise
-                    dirs.append(row)
-                done += 1
-                attempt = 0
+        for row, probe in zip(u, memo.in_blocks(probe_graphs(memo.graph, p_t, theta + mu * u))):
+            attempt += 1
+            if probe is None:
+                if attempt < 4:
+                    continue
+            else:
+                signs.append(qegc_sign(memo, probe))
+                dirs.append(row)
+            done += 1
+            attempt = 0
     if not signs:
         return np.zeros(d)
     # sums of +-1 terms are exact in any order

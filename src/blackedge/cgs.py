@@ -14,7 +14,6 @@ unless the run's label memo already holds its graph.
 
 from __future__ import annotations
 
-from contextlib import closing
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -84,11 +83,10 @@ def coarse_grained_search(
         # sorted() is stable: among equal flips the earlier draw goes first
         ordered = sorted(draws, key=lambda t: t[0])
         candidates = (graph.flip(rng.permutation(slots)[:n_flip]) for n_flip, slots in ordered)
-        with closing(memo.in_blocks(candidates)) as queue:
-            for rank, candidate in enumerate(queue):
-                if memo.adversarial(candidate, "cgs"):
-                    # 1.0 on the flipped slots: the trial's chosen slots
-                    theta = (candidate.bits ^ graph.bits).astype(float)
-                    return CgsOutcome(theta, kind, len(draws) - rank - 1)
+        for rank, candidate in enumerate(memo.in_blocks(candidates)):
+            if memo.adversarial(candidate, "cgs"):
+                # 1.0 on the flipped slots: the trial's chosen slots
+                theta = (candidate.bits ^ graph.bits).astype(float)
+                return CgsOutcome(theta, kind, len(draws) - rank - 1)
         trials += len(draws)
     raise NoAdversarialFound(f"no adversarial graph after {trials} trials across all phases")

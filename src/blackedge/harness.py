@@ -11,8 +11,7 @@ import csv
 import io
 import json
 import time
-from contextlib import closing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -80,17 +79,16 @@ def random_attack(
               for n_flip in np.sort(flips).astype(int).tolist())
     reason = "iterations"
     submitted = 0
-    with closing(memo.in_blocks(trials)) as queue:
-        for candidate in queue:
-            try:
-                memo.adversarial(candidate, "other")
-            except BudgetExhausted:
-                reason = "query_budget"
-                break
-            submitted += 1
-            if memo.best is not None:
-                reason = "converged"
-                break
+    for candidate in memo.in_blocks(trials):
+        try:
+            memo.adversarial(candidate, "other")
+        except BudgetExhausted:
+            reason = "query_budget"
+            break
+        submitted += 1
+        if memo.best is not None:
+            reason = "converged"
+            break
     return AttackResult.of_run(memo, start, found_in="random", stop_reason=reason,
                                skipped=query_budget - submitted)
 
@@ -122,29 +120,23 @@ class ExperimentReport:
     config: dict
     per_graph: list[dict]
     aggregates: dict
-    defense_rows: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        doc = {
+        return {
             "config": self.config,
             "per_graph": self.per_graph,
             "aggregates": self.aggregates,
         }
-        if self.defense_rows:
-            doc["defense_rows"] = self.defense_rows
-        return doc
 
     def save_json(self, path):
         Path(path).write_text(json.dumps(self.to_dict(), indent=2))
 
-    def to_csv(self, include_time: bool = True) -> str:
-        """Per-graph rows; drop the wall-time column for byte-stable output."""
+    def to_csv(self) -> str:
+        """Per-graph rows."""
         buf = io.StringIO()
         fields = ["id", "success", "flips_added", "flips_removed", "rate",
                   "queries_total", "queries_cgs", "queries_binary_search",
-                  "queries_qegc", "memo_hits", "skipped", "found_in"]
-        if include_time:
-            fields.insert(-1, "time_s")
+                  "queries_qegc", "memo_hits", "skipped", "time_s", "found_in"]
         writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
         writer.writeheader()
         for row in self.per_graph:
@@ -160,15 +152,14 @@ class ExperimentReport:
                 "queries_qegc": row["queries"].get("qegc", 0),
                 "memo_hits": row["memo_hits"],
                 "skipped": row["skipped"],
+                "time_s": f"{row['time_s']:.3f}",
                 "found_in": row["found_in"] or "",
             }
-            if include_time:
-                out["time_s"] = f"{row['time_s']:.3f}"
             writer.writerow(out)
         return buf.getvalue()
 
-    def save_csv(self, path, include_time: bool = True):
-        Path(path).write_text(self.to_csv(include_time))
+    def save_csv(self, path):
+        Path(path).write_text(self.to_csv())
 
 
 def _result_row(idx: int, res: AttackResult) -> dict:

@@ -6,9 +6,10 @@ probes, ...).  Oracles return only an integer class label.
 
 An oracle with a batch label kernel (``_classify_many``) can compute the
 labels of a block of graphs in one call before any of them is asked
-about (``LabelMemo.in_blocks``).  Those labels are held apart from the
-memo until ``classify`` counts and returns them, so a label computed
-ahead but never asked for is never a query and never a verdict.
+about (``LabelMemo.in_blocks``).  The run's memo holds those labels
+apart from its verdicts until a query hands one to ``classify``, which
+counts it, so a label computed ahead but never asked for is never a
+query and never a verdict.  The oracle itself holds no label.
 """
 
 from __future__ import annotations
@@ -67,36 +68,25 @@ class HardLabelOracle:
 
     def __init__(self, ledger: QueryLedger | None = None):
         self.ledger = QueryLedger() if ledger is None else ledger
-        # labels computed ahead (``compute_ahead``), by edge bits, until
-        # ``classify`` counts and returns them
-        self._ahead: dict[bytes, int] = {}
 
-    def classify(self, graph: Graph, phase: str = "other") -> int:
+    def classify(self, graph: Graph, phase: str = "other", label: int | None = None) -> int:
+        """Count one query in ``phase`` and return the label of ``graph``.
+
+        ``label`` is one ``_classify_many`` computed ahead for ``graph``
+        (only ``LabelMemo`` passes one); it is returned as is, the query
+        counted like any other.  Without it, ``_classify`` computes it.
+        """
         self.ledger.record(phase)
-        if self._ahead:
-            label = self._ahead.pop(graph.bits.tobytes(), None)
-            if label is not None:
-                return label
-        return self._classify(graph)
+        return self._classify(graph) if label is None else label
 
     def _classify(self, graph: Graph) -> int:
         raise NotImplementedError
 
-    def compute_ahead(self, graphs: dict[bytes, Graph]):
-        """Label ``graphs`` (keyed by their edge bits) in one batch call.
-
-        Replaces the labels computed ahead before, which are dropped
-        unasked; ``classify`` counts each label it returns from here as
-        one query, like any other.  An empty dict drops them all.
-        """
-        self._ahead = (dict(zip(graphs, self._classify_many(list(graphs.values()))))
-                       if graphs else {})
-
     def clone(self) -> "HardLabelOracle":
-        """Same classifier with fresh counts, the same cap and no label
-        computed ahead (per-target accounting)."""
+        """Same classifier with fresh counts and the same cap (per-target
+        accounting)."""
         twin = copy.copy(self)
-        HardLabelOracle.__init__(twin, QueryLedger(self.ledger.max_queries))
+        twin.ledger = QueryLedger(self.ledger.max_queries)
         return twin
 
 
@@ -117,10 +107,14 @@ class LabelMemo:
     ``best`` is the fewest-flip graph a query found adversarial within
     ``max_flips``, the first found on a tie (None until one is found), and
     ``best_flips`` its flips, ``max_flips + 1`` until then.
+
+    ``ahead`` holds the labels of the current block of ``in_blocks``,
+    computed ahead and not asked about yet; a query takes its graph's
+    label from there and hands it to ``classify``.
     """
 
     __slots__ = ("oracle", "predicate", "graph", "max_flips", "labels", "hits", "best",
-                 "best_flips")
+                 "best_flips", "ahead")
 
     def __init__(self, oracle: HardLabelOracle, predicate, graph: Graph, budget: float):
         self.oracle = oracle
@@ -136,6 +130,7 @@ class LabelMemo:
         self.hits = 0
         self.best: Graph | None = None
         self.best_flips = k + 1
+        self.ahead: dict[bytes, int] = {}
 
     def adversarial(self, graph: Graph, phase: str) -> bool:
         """Whether ``graph`` is adversarial: a query in ``phase`` unless
@@ -145,7 +140,8 @@ class LabelMemo:
         if label is not None:
             self.hits += 1
             return self.predicate(label)
-        label = self.labels[key] = self.oracle.classify(graph, phase)
+        label = self.labels[key] = self.oracle.classify(graph, phase,
+                                                        self.ahead.pop(key, None))
         if not self.predicate(label):
             return False
         flips = int(np.count_nonzero(graph.bits ^ self.graph.bits))
@@ -161,25 +157,22 @@ class LabelMemo:
         labels of those before.  A block is taken from ``graphs`` before
         any of it is yielded, so a lazy ``graphs`` builds at most one
         block past the point where the caller stops.  The labels computed
-        are those of the block's graphs not in the memo yet; each still
-        costs its query only when ``adversarial`` submits it.  Those left
-        unasked are dropped when the next block is labelled or the
-        generator ends: close it (``contextlib.closing``) when the caller
-        may stop early.  An oracle without a batch kernel yields
-        ``graphs`` as they come.
+        are those of the block's graphs not in the memo yet, held in
+        ``ahead``; each still costs its query only when ``adversarial``
+        submits it.  Those left unasked when the caller stops stay there,
+        never a query or a verdict, until the next block replaces them.
+        An oracle without a batch kernel yields ``graphs`` as they come.
         """
-        if self.oracle._classify_many is None:
+        classify_many = self.oracle._classify_many
+        if classify_many is None:
             yield from graphs
             return
         graphs = iter(graphs)
-        try:
-            while block := list(islice(graphs, BLOCK)):
-                fresh = {g.bits.tobytes(): g for g in block if g is not None}
-                self.oracle.compute_ahead({key: g for key, g in fresh.items()
-                                           if key not in self.labels})
-                yield from block
-        finally:
-            self.oracle.compute_ahead({})
+        while block := list(islice(graphs, BLOCK)):
+            fresh = {g.bits.tobytes(): g for g in block if g is not None}
+            fresh = {key: g for key, g in fresh.items() if key not in self.labels}
+            self.ahead = dict(zip(fresh, classify_many(list(fresh.values())))) if fresh else {}
+            yield from block
 
 
 class FunctionOracle(HardLabelOracle):

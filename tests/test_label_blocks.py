@@ -4,10 +4,10 @@ The batch kernels (``GinOracle._classify_many``, ``DefendedOracle.
 _classify_many``) must give the single-graph path's bits.  The fixed query
 streams that label their blocks ahead (random baseline, coarse search,
 gradient probes) must give outcomes identical to an oracle without a
-batch kernel, count each query once, and leave no label behind.
+batch kernel and count each query once.  The labels computed ahead live
+in the run's memo, never on the oracle.
 """
 
-from contextlib import closing
 from dataclasses import replace
 
 import numpy as np
@@ -40,6 +40,24 @@ class UnbatchedGin(GinOracle):
 
 class UnbatchedDefended(DefendedOracle):
     _classify_many = None
+
+
+class LoggedGin(GinOracle):
+    """The GIN oracle logging, in call order, each query ("query", graph,
+    label passed) and each label computed one graph at a time
+    ("computed", graph)."""
+
+    def __init__(self, weights):
+        super().__init__(weights)
+        self.events = []
+
+    def classify(self, graph, phase="other", label=None):
+        self.events.append(("query", graph, label))
+        return super().classify(graph, phase, label)
+
+    def _classify(self, graph):
+        self.events.append(("computed", graph))
+        return super()._classify(graph)
 
 
 @pytest.fixture(scope="module")
@@ -128,15 +146,17 @@ def test_only_oracles_with_a_batch_kernel_label_ahead():
     # with one, a block at a time
     rng = np.random.default_rng(0)
     graphs = [random_graph(rng, 6) for _ in range(2 * BLOCK + 3)]
-    for oracle, pulled_first in ((edge_count, 1), (GinOracle(weights), BLOCK)):
+    for oracle, pulled_first, unasked in ((edge_count, 1, 0), (GinOracle(weights), BLOCK, 3)):
         pulled = []
         stream = (pulled.append(g) or g for g in graphs)
         memo = untargeted_memo(oracle, graphs[0])
-        with closing(memo.in_blocks(stream)) as queue:
-            assert next(queue) is graphs[0]
-            assert len(pulled) == pulled_first
-            assert list(queue) == graphs[1:]
-        assert oracle._ahead == {}
+        queue = memo.in_blocks(stream)
+        assert next(queue) is graphs[0]
+        assert len(pulled) == pulled_first
+        assert list(queue) == graphs[1:]
+        # the last block's labels, never asked for: no query, no verdict
+        assert len(memo.ahead) == unasked and memo.labels == {}
+        assert oracle.ledger.total == 0
 
 
 # -- accounting --------------------------------------------------------------
@@ -153,50 +173,81 @@ def test_a_block_labels_only_graphs_not_in_the_memo_and_counts_at_classify():
     many = oracle._classify_many
     oracle._classify_many = lambda gs: labelled.append(len(gs)) or many(gs)
     out = []
-    with closing(memo.in_blocks(stream)) as queue:
-        for g in queue:
-            if not out:
-                # the nine graphs the memo did not hold, each once
-                assert labelled == [9] and len(oracle._ahead) == 9
-                assert oracle.ledger.total == 1  # labelled, not queried
-            out.append(g)
-            if g is not None:
-                memo.adversarial(g, "cgs")
-            if len(out) == len(stream):
-                assert oracle._ahead == {}  # each label taken by its query
+    for g in memo.in_blocks(stream):
+        if not out:
+            # the nine graphs the memo did not hold, each once
+            assert labelled == [9] and len(memo.ahead) == 9
+            assert oracle.ledger.total == 1  # labelled, not queried
+        out.append(g)
+        if g is not None:
+            memo.adversarial(g, "cgs")
+    assert memo.ahead == {}  # each label taken by its query
     assert out == stream
     assert oracle.ledger.snapshot()["cgs"] == 9 and memo.hits == 3
 
 
-def test_a_capped_stream_leaves_no_label_behind():
+def test_a_capped_stream_gives_the_refused_graph_no_verdict():
     rng = np.random.default_rng(2)
     oracle = GinOracle(GinWeights.random(0))
     oracle.ledger.max_queries = 5
     graphs = [random_graph(rng, 8) for _ in range(12)]
     memo = untargeted_memo(oracle, graphs[0])
     with pytest.raises(BudgetExhausted):
-        with closing(memo.in_blocks(graphs)) as queue:
-            for g in queue:
-                memo.adversarial(g, "qegc")
+        for g in memo.in_blocks(graphs):
+            memo.adversarial(g, "qegc")
     assert oracle.ledger.total == 5
-    # the refused graph never got a verdict; the labels left unasked are dropped
+    # the refused graph never got a verdict; the labels left unasked stay
+    # in the memo, apart from its verdicts
     assert len(memo.labels) == 5 and graphs[5].bits.tobytes() not in memo.labels
-    assert oracle._ahead == {}
+    assert list(memo.ahead) == [g.bits.tobytes() for g in graphs[6:]]
+
+
+def test_a_label_left_unasked_answers_a_later_query_of_its_graph():
+    rng = np.random.default_rng(5)
+    oracle = GinOracle(GinWeights.random(0))
+    graphs = [random_graph(rng, 8) for _ in range(10)]
+    memo = untargeted_memo(oracle, graphs[0])
+    for g in memo.in_blocks(graphs):  # one block of 10, stopped after 2
+        memo.adversarial(g, "cgs")
+        if g is graphs[1]:
+            break
+    computed = []
+    single = oracle._classify
+    oracle._classify = lambda graph: computed.append(graph) or single(graph)
+    verdict = memo.adversarial(graphs[5], "binary_search")
+    # one counted query, answered with the label computed ahead
+    assert computed == []
+    assert oracle.ledger.snapshot()["binary_search"] == 1 and oracle.ledger.total == 3
+    label = single(graphs[5])
+    assert memo.labels[graphs[5].bits.tobytes()] == label
+    assert verdict == memo.predicate(label)
+
+
+def test_the_final_re_verification_computes_its_label(weights):
+    graphs = workloads.evaluation_set()
+    for idx, g in enumerate(graphs):
+        oracle = LoggedGin(weights)
+        y0 = oracle.clone().classify(g)
+        res = attack_graph(oracle, g, y0, replace(workloads.ATTACK, seed=idx))
+        if res.success:
+            break
+    assert res.success
+    (query, queried, label), (computed, labelled) = oracle.events[-2:]
+    assert (query, label, computed) == ("query", None, "computed")
+    assert queried is labelled
+    assert queried.bits.tobytes() == res.adversarial_graph.bits.tobytes()
 
 
 def test_a_clone_shares_no_labels_computed_ahead():
     rng = np.random.default_rng(3)
     weights = GinWeights.random(0)
     for oracle in (GinOracle(weights), DefendedOracle(GinOracle(weights), LowRankConfig(0.5))):
-        graphs = [random_graph(rng, 8) for _ in range(4)]
-        oracle.compute_ahead({g.bits.tobytes(): g for g in graphs})
+        graph = random_graph(rng, 8)
         twin = oracle.clone()
-        assert twin._ahead == {} and twin._ahead is not oracle._ahead
         assert twin.ledger is not oracle.ledger and twin.ledger.total == 0
         # the gate's re-verification on a clone costs exactly one query
-        assert twin.classify(graphs[0]) == oracle._classify(graphs[0])
+        assert twin.classify(graph) == oracle._classify(graph)
         assert twin.ledger.total == 1 and oracle.ledger.total == 0
-        assert len(oracle._ahead) == 4
     # a defended oracle shares its inner oracle's ledger from the start
     inner = GinOracle(weights)
     assert DefendedOracle(inner, LowRankConfig(0.5)).ledger is inner.ledger
@@ -230,10 +281,7 @@ def test_labelling_ahead_moves_no_outcome(weights, max_queries):
             runs = []
             for oracle in (batched.clone(), single.clone()):
                 res = attack_graph(oracle, g, y0, run_cfg)
-                assert oracle._ahead == {}
-                oracle = oracle.clone()
-                rnd = random_attack(oracle, g, y0, run_cfg, 300)
-                assert oracle._ahead == {}
+                rnd = random_attack(oracle.clone(), g, y0, run_cfg, 300)
                 runs.append((_outcome(res), _outcome(rnd)))
             assert runs[0] == runs[1]
             successes += runs[0][0][0] + runs[0][1][0]
