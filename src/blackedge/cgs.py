@@ -1,15 +1,17 @@
 """Coarse-grained initial search for a misclassifying perturbation seed.
 
 Components from the supernode / superlink decomposition are searched in
-phases; every trial flips a random fraction of a component's slots.  A
-phase draws the flip counts of all its trials first, one generator call
-per component, then submits the trials in ascending flip order and
-stops at the first success, which is the phase's fewest-flip success:
-flip counts are drawn without regard to labels, so a trial with at
-least as many flips cannot improve on it.  A trial's slots are drawn
-only when it is submitted (or its block is labelled ahead, see
-``coarse_grained_search``).  Each submitted trial costs one oracle query,
-unless the run's label memo already holds its graph.
+phases.  Every trial picks a side of its component, the slots that are
+non-edges or the slots that are edges, and flips a random fraction of
+that side: it only adds edges or only removes them.  A phase draws the
+flip counts of all its trials first, two generator calls per component
+(the fractions, then the sides), then submits the trials in ascending
+flip order and stops at the first success, which is the phase's
+fewest-flip success: flip counts are drawn without regard to labels, so
+a trial with at least as many flips cannot improve on it.  A trial's
+slots are drawn only when it is submitted (or its block is labelled
+ahead, see ``coarse_grained_search``).  Each submitted trial costs one
+oracle query, unless the run's label memo already holds its graph.
 """
 
 from __future__ import annotations
@@ -45,15 +47,18 @@ def coarse_grained_search(
 ) -> CgsOutcome:
     """Find an initial direction whose perturbed graph changes the label.
 
-    Per component with ``m`` slots and ``n_inc`` incident nodes,
-    ``TRIALS_SCALE * n_inc`` trials are drawn, each flipping
-    ``max(1, round(s * m))`` slots for ``s ~ U[0, 1]``; a component's
-    flip counts come from one draw of its ``s``.  A phase (the
-    consecutive components of one kind) draws all its flip counts, then
-    submits its trials in order of (flips, draw index), drawing each
-    trial's slots as a uniform subset of its component's when it is
-    submitted.  The first success is the outcome and ends the search, so
-    later phases are neither drawn nor submitted.  The outcome is the
+    A component's slots split once into two sides, its non-edges and its
+    edges in ``memo.graph``; a side with no slots falls back to all the
+    component's slots.  Per component with ``n_inc`` incident nodes,
+    ``TRIALS_SCALE * n_inc`` trials are drawn, each with ``s ~ U[0, 1]``
+    and a side, non-edges or edges with probability 1/2 each, flipping
+    ``max(1, round(s * m_side))`` of the ``m_side`` slots on its side; a
+    component's flip counts come from one draw of its ``s``, then one of
+    its sides.  A phase (the consecutive components of one kind) draws
+    all its flip counts, then submits its trials in order of (flips, draw
+    index), drawing each trial's slots as a uniform subset of its side
+    when it is submitted.  The first success is the outcome and ends the
+    search, so later phases are neither drawn nor submitted.  The outcome is the
     first trial in draw order with the fewest flips among the phase's
     successes.
 
@@ -74,12 +79,19 @@ def coarse_grained_search(
     rng = np.random.default_rng(rng_seed)
     trials = 0
     for kind, phase in groupby(enumerate_components(partition, strategy), lambda c: c.kind):
-        draws = []  # (flips, component slots), in draw order
+        draws = []  # (flips, side slots), in draw order
         for comp in phase:
+            n_trials = TRIALS_SCALE * comp.n_incident
+            s = rng.uniform(0.0, 1.0, n_trials)
+            side = rng.integers(0, 2, n_trials)  # the bit a trial flips: 0 adds, 1 removes
+            bits = graph.bits[comp.slots]
+            # a side without slots (a clique has no non-edges) is the whole component
+            sides = [comp.slots[bits == b] for b in (0, 1)]
+            sides = [slots if slots.size else comp.slots for slots in sides]
+            sizes = np.array([slots.size for slots in sides])
             # np.rint rounds half to even, as round() does
-            s = rng.uniform(0.0, 1.0, TRIALS_SCALE * comp.n_incident)
-            flips = np.maximum(np.rint(s * comp.slots.size), 1).astype(int).tolist()
-            draws.extend((n_flip, comp.slots) for n_flip in flips)
+            flips = np.maximum(np.rint(s * sizes[side]), 1).astype(int).tolist()
+            draws.extend((n_flip, sides[b]) for n_flip, b in zip(flips, side.tolist()))
         # sorted() is stable: among equal flips the earlier draw goes first
         ordered = sorted(draws, key=lambda t: t[0])
         candidates = (graph.flip(rng.permutation(slots)[:n_flip]) for n_flip, slots in ordered)

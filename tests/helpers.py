@@ -307,16 +307,24 @@ def reference_coarse_grained_search(memo, partition, strategy="I", rng_seed=0):
     library's flip-ordered search must return the same outcome.
 
     It draws as the library does: a phase's flip counts one component at a
-    time, then every trial's slots in flip order; only the submission
-    order differs."""
+    time, its fractions then its sides (0: the non-edges, 1: the edges, a
+    side without slots standing for the whole component), then every
+    trial's slots from its side in flip order; only the submission order
+    differs."""
     graph = memo.graph
     rng = np.random.default_rng(rng_seed)
     trials = 0
     for kind, phase in groupby(enumerate_components(partition, strategy), lambda c: c.kind):
-        draws = []  # (flips, component slots), in draw order
+        draws = []  # (flips, side slots), in draw order
         for comp in phase:
             s = rng.uniform(0.0, 1.0, TRIALS_SCALE * comp.n_incident)
-            draws.extend((max(1, round(u * comp.slots.size)), comp.slots) for u in s)
+            sides = rng.integers(0, 2, TRIALS_SCALE * comp.n_incident)
+            for u, side in zip(s, sides):
+                pool = np.array([slot for slot in comp.slots if graph.bits[slot] == side],
+                                dtype=np.int64)
+                if pool.size == 0:
+                    pool = comp.slots
+                draws.append((max(1, round(u * pool.size)), pool))
         chosen = [None] * len(draws)
         for i in sorted(range(len(draws)), key=lambda i: draws[i][0]):
             n_flip, slots = draws[i]

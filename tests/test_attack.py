@@ -1066,7 +1066,7 @@ def _fewest_flip_verified(graph, asked, predicate, budget):
 
 def test_the_run_returns_its_fewest_flip_verified_graph():
     ties = 0
-    for seed in range(6):
+    for seed in range(60):
         g = _er_target(seed, n=10 + seed % 3)
         m, y_hash = g.n_edges, hashed_label(g)
         # edge counts in both directions, near and far; pseudo-random labels
@@ -1125,12 +1125,16 @@ def test_capped_run_keeps_the_verified_boundary_graph(monkeypatch):
         return g_t
 
     monkeypatch.setattr(attack, "boundary_distance", recording)
+    rule = lambda h: int(h.n_edges >= threshold)
+    uncapped = AttackConfig(budget=0.5, iterations=50, directions_per_step=50, seed=1)
+    spend = _asked_attack(rule, g, 0, uncapped)[0].queries
+    # caps a quarter, half and three quarters into the uncapped descent
+    descent = spend["total"] - spend["cgs"] - spend["other"]
     not_last = 0
-    for cap in (150, 200, 250):
-        cfg = AttackConfig(budget=0.5, iterations=50, directions_per_step=50,
-                           max_queries=cap, seed=1)
+    for cap in (spend["cgs"] + descent * k // 4 for k in (1, 2, 3)):
+        cfg = replace(uncapped, max_queries=cap)
         del boundary[:]
-        res, oracle, asked = _asked_attack(lambda h: int(h.n_edges >= threshold), g, 0, cfg)
+        res, oracle, asked = _asked_attack(rule, g, 0, cfg)
         assert res.queries["total"] == cap == len(asked)  # the cap stopped the descent
         assert 0 < len(res.p_trace) < cfg.iterations
         assert res.queries["other"] == 0  # no extra verification query

@@ -14,7 +14,12 @@ from blackedge.graph import apply_perturbation
 from blackedge.oracle import FunctionOracle, LabelMemo, structural_oracle
 from blackedge.partition import enumerate_components, louvain
 
-from helpers import reference_coarse_grained_search, search_label_cases, untargeted_memo
+from helpers import (
+    perfbench_module,
+    reference_coarse_grained_search,
+    search_label_cases,
+    untargeted_memo,
+)
 
 
 @pytest.fixture
@@ -145,26 +150,41 @@ def test_flip_order_search_equals_the_draw_order_reference(strategy):
     assert found and failed
 
 
-class _TiedUniforms:
-    """A seeded generator whose uniforms put ``u * m`` on exact .5 ties.
+def _sides(graph, comp):
+    """The non-edge and the edge slots of ``comp``."""
+    return [[s for s in comp.slots.tolist() if graph.bits[s] == b] for b in (0, 1)]
 
-    Its ``k``-th ``uniform`` call is for the ``k``-th component of
-    ``sizes``; the first entries of each call are replaced by
-    ``(i + 0.5) / m``.  Every uniform handed out is kept.
+
+class _TiedDraws:
+    """A seeded generator whose draws put ``u * m_side`` on exact .5 ties.
+
+    Its ``k``-th ``uniform`` call and ``k``-th ``integers`` call are for
+    the ``k``-th component of ``sizes``, a list of (non-edge, edge) side
+    sizes.  Of a call's draws, the first ``t0`` get ``u = (i + 0.5) / m0``
+    on side 0 and the next ``t1`` get ``u = (i + 0.5) / m1`` on side 1.
+    Every uniform and side handed out is kept.
     """
 
     def __init__(self, seed, sizes):
         self.rng = np.random.default_rng(seed)
         self.sizes = iter(sizes)
-        self.uniforms = []
+        self.uniforms, self.sides = [], []
 
     def uniform(self, low, high, size):
         u = self.rng.uniform(low, high, size)
-        m = next(self.sizes)
-        ties = min(size, m) // 2
-        u[:ties] = (np.arange(ties) + 0.5) / m
+        m0, m1 = next(self.sizes)
+        t0, t1 = self.ties = min(size // 4, m0 // 2), min(size // 4, m1 // 2)
+        u[:t0] = (np.arange(t0) + 0.5) / m0
+        u[t0:t0 + t1] = (np.arange(t1) + 0.5) / m1
         self.uniforms.append(u)
         return u
+
+    def integers(self, low, high, size):
+        side = self.rng.integers(low, high, size)
+        t0, t1 = self.ties
+        side[:t0], side[t0:t0 + t1] = 0, 1
+        self.sides.append(side)
+        return side
 
     def permutation(self, x):
         return self.rng.permutation(x)
@@ -173,7 +193,14 @@ class _TiedUniforms:
 def test_flip_counts_and_slots_follow_the_law_of_the_draws(setup, monkeypatch):
     g, part = setup
     comps = enumerate_components(part)
-    rng = _TiedUniforms(3, [c.slots.size for c in comps])
+    # without the bridge the superlink holds no edge, and each supernode
+    # (a clique) no non-edge: both sides fall back to the whole component
+    link = next(c for c in comps if c.kind == "superlink")
+    g = g.flip(link.slots[g.bits[link.slots] == 1])
+    sides = [_sides(g, c) for c in comps]
+    # the sizes the counts scale by: an empty side's is the component's
+    rng = _TiedDraws(3, [(len(s0) or c.slots.size, len(s1) or c.slots.size)
+                         for c, (s0, s1) in zip(comps, sides)])
     monkeypatch.setattr(np.random, "default_rng", lambda seed: rng)
     submitted = []
 
@@ -187,21 +214,32 @@ def test_flip_counts_and_slots_follow_the_law_of_the_draws(setup, monkeypatch):
     memo = RecordingMemo(FunctionOracle(lambda _: 0), lambda label: label != 0, g, 1.0)
     with pytest.raises(NoAdversarialFound):  # every trial is submitted
         coarse_grained_search(memo, part)
+    # one uniform and one side per trial, one call each per component
     assert [u.size for u in rng.uniforms] == [5 * c.n_incident for c in comps]
-    # flip counts are max(1, round(u * m)) on the uniforms drawn, and the
-    # ties among them round half to even
+    assert [b.size for b in rng.sides] == [5 * c.n_incident for c in comps]
+    # flip counts are max(1, round(u * m_side)) on the draws, an empty side
+    # standing for the whole component, and the ties round half to even
     expected = []
-    for _, phase in groupby(zip(comps, rng.uniforms), lambda t: t[0].kind):
-        trials = [(max(1, round(float(u) * c.slots.size)), c) for c, us in phase for u in us]
+    ties, fell_back = set(), set()
+    for _, phase in groupby(zip(comps, sides, rng.uniforms, rng.sides), lambda t: t[0].kind):
+        trials = []
+        for comp, comp_sides, us, bs in phase:
+            for u, b in zip(us.tolist(), bs.tolist()):
+                side = comp_sides[b]
+                if not side:
+                    side = comp.slots.tolist()
+                    fell_back.add((comp.kind, b))
+                trials.append((max(1, round(u * len(side))), side))
+                if u * len(side) % 1 == 0.5:
+                    ties.add((b, u * len(side)))
         expected += sorted(trials, key=lambda t: t[0])
-    ties = {float(u) * c.slots.size for c, us in zip(comps, rng.uniforms) for u in us
-            if float(u) * c.slots.size % 1 == 0.5}
-    assert {0.5, 1.5, 2.5} <= ties
+    assert {(b, x) for b in (0, 1) for x in (0.5, 1.5, 2.5)} <= ties
+    assert fell_back == {("supernode", 0), ("superlink", 1)}
     assert len(submitted) == len(expected) == 120
-    # each trial flips exactly its count of distinct slots, all in its component
-    for flipped, (n_flip, comp) in zip(submitted, expected):
+    # each trial flips exactly its count of distinct slots, all on its side
+    for flipped, (n_flip, side) in zip(submitted, expected):
         assert flipped.size == n_flip
-        assert set(flipped.tolist()) <= set(comp.slots.tolist())
+        assert set(flipped.tolist()) <= set(side)
 
 
 @pytest.mark.parametrize("strategy", ["I", "II", "III"])
@@ -214,14 +252,50 @@ def test_a_first_trial_success_draws_one_permutation(setup, monkeypatch, strateg
     outcome = coarse_grained_search(untargeted_memo(FunctionOracle(lambda _: 1), g), part,
                                     strategy, rng_seed=7)
     assert len(made) == 1
-    # replay: the first phase's flip counts, one call per component, then
-    # the slots of the one trial submitted
+    # replay: the first phase's flip counts, a call for the uniforms and
+    # one for the sides per component, then the slots of the one trial
+    # submitted, drawn from its side (all its flips add or all remove)
     replay = default_rng(7)
+    flipped = np.flatnonzero(outcome.theta0)
+    side_bit = g.bits[flipped[0]]
+    assert np.all(g.bits[flipped] == side_bit)
     phase = next(groupby(enumerate_components(part, strategy), lambda c: c.kind))[1]
     for comp in phase:
         replay.uniform(0.0, 1.0, 5 * comp.n_incident)
-        if set(np.flatnonzero(outcome.theta0).tolist()) <= set(comp.slots.tolist()):
-            slots = comp.slots
-    chosen = replay.permutation(slots)[:int(outcome.theta0.sum())]
-    assert np.array_equal(np.flatnonzero(outcome.theta0), np.sort(chosen))
+        replay.integers(0, 2, 5 * comp.n_incident)
+        if set(flipped.tolist()) <= set(comp.slots.tolist()):
+            side = comp.slots[g.bits[comp.slots] == side_bit]
+    chosen = replay.permutation(side)[:flipped.size]
+    assert np.array_equal(flipped, np.sort(chosen))
     assert made[0].bit_generator.state == replay.bit_generator.state
+
+
+def test_a_target_above_the_edge_threshold_gets_a_removal_only_seed():
+    # a sparse graph: about 90% of a component's slots are non-edges, so a
+    # trial drawing from all of them would almost always add edges
+    for seed in range(4):
+        g = erdos_renyi(20, 0.1, np.random.default_rng(seed))
+        for k in (4, 6):
+            oracle = structural_oracle("edge_count", g.n_edges - k)  # label 1
+            memo = LabelMemo(oracle, lambda label: label == 0, g, 1.0)
+            outcome = coarse_grained_search(memo, louvain(g, seed=seed), rng_seed=seed)
+            flipped = np.flatnonzero(outcome.theta0)
+            assert flipped.size >= k + 1
+            assert np.all(g.bits[flipped] == 1)  # every flip removes an edge
+
+
+def test_every_balanced_gin_target_gets_a_seed():
+    workloads = perfbench_module("workloads")
+    w = workloads.build("gin_balanced_n20", 1)
+    # the 14 targets that draws from all of a component's slots left without
+    # a seed at this attack seed: clean label 0, 43-52 edges; their seeds
+    # remove edges
+    removal_side = {4, 7, 8, 16, 17, 23, 28, 46, 54, 59, 63, 70, 76, 90}
+    assert removal_side <= {idx for idx, _, _ in w.targets}
+    for idx, g, y0 in w.targets:
+        cfg = w.target_cfg(idx)
+        memo = LabelMemo(w.oracle, cfg.predicate(y0), g, cfg.budget)
+        outcome = coarse_grained_search(memo, louvain(g, seed=cfg.seed), cfg.strategy, cfg.seed)
+        flipped = np.flatnonzero(outcome.theta0)
+        if idx in removal_side:
+            assert y0 == 0 and np.all(g.bits[flipped] == 1), idx

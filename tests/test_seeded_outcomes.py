@@ -1,8 +1,8 @@
 """Seeded end-to-end outcomes, pinned to recorded values.
 
-``run_experiment`` attacks a few small seeded graphs under three label
-rules: edge count, and a hashed 8-class labelling, untargeted and
-targeted.  Each rule is attacked by sign-SGD and by the random baseline,
+``run_experiment`` attacks a few small seeded graphs under four label
+rules: edge count, a hashed 8-class labelling, untargeted and targeted,
+and a constant label that no search can flip.  Each rule is attacked by sign-SGD and by the random baseline,
 each uncapped and under a query cap.  Every run must reproduce the values
 recorded in ``seeded_outcomes.json``: success, the adversarial graph's
 bits, the edges added and removed, the rate, the per-phase queries, memo
@@ -38,8 +38,10 @@ EDGE_THRESHOLD = 20  # below and above the graphs' edge counts: both directions
 ORACLES = {
     "edge_count": lambda: structural_oracle("edge_count", EDGE_THRESHOLD),
     "hashed": lambda: FunctionOracle(hashed_label),
+    "constant": lambda: FunctionOracle(lambda _: 0),  # nothing flips it: no seed is found
 }
-RULES = [("edge_count", None), ("hashed", None), ("hashed", 3)]  # (oracle, target label)
+# (oracle, target label)
+RULES = [("edge_count", None), ("hashed", None), ("hashed", 3), ("constant", None)]
 CFG = AttackConfig(budget=0.2, iterations=12, directions_per_step=10, seed=1)
 RANDOM_QUERY_BUDGET = 300
 CAP = 150
