@@ -43,15 +43,14 @@ from .oracle import HardLabelOracle, LabelMemo
 from .partition import STRATEGIES
 
 
-# sign_sgd_attack stops after this many consecutive iterations whose
-# objective moved by less than EARLY_STOP_TOL
+# sign_sgd_attack stops after this many consecutive iterations in which
+# the flips of the graph it returns (memo.best_flips) did not fall
 EARLY_STOP_PATIENCE = 10
-EARLY_STOP_TOL = 1e-6
 
-# Why a run stopped, in order: sign-SGD stopped early or a random success
-# ended the trials; all iterations ran or every random trial was submitted;
-# the query cap refused a query; the descent's direction has no boundary;
-# the coarse search found nothing; the budget allows no flip.
+# Why a run stopped, in order: the graph sign-SGD returns stopped improving
+# or a random success ended the trials; all iterations ran or every random
+# trial was submitted; the query cap refused a query; the descent's direction
+# has no boundary; the coarse search found nothing; the budget allows no flip.
 STOP_REASONS = ("converged", "iterations", "query_budget", "no_boundary", "no_seed",
                 "rate_budget")
 
@@ -484,9 +483,11 @@ def sign_sgd_attack(memo: LabelMemo, cfg: AttackConfig, theta0: np.ndarray) -> A
     Per iteration: one binary search for the boundary distance of the
     current iterate, then one query per probe direction for the gradient
     signs, then a sign-SGD step of size 1/sqrt(d) for slot dimension d.  The
-    descent stops early after ``EARLY_STOP_PATIENCE`` consecutive iterations
-    whose objective moved by less than ``EARLY_STOP_TOL``, and ends when
-    the direction loses the boundary or the query cap refuses a query.
+    descent stops early, as ``converged``, after ``EARLY_STOP_PATIENCE``
+    consecutive iterations in which ``memo.best_flips``, the flips of the
+    graph the run returns, did not fall; it reads only the memo, so a cap
+    cannot change when a run stops.  It ends when the direction loses the
+    boundary or the query cap refuses a query.
 
     However it ends, the run returns the graph ``memo`` kept
     (``LabelMemo.best``): the coarse search's seed, a boundary point or a
@@ -504,7 +505,7 @@ def sign_sgd_attack(memo: LabelMemo, cfg: AttackConfig, theta0: np.ndarray) -> A
     p_trace: list[float] = []
     grad_trace: list[float] = []
     lambda_hint = 1.0
-    stagnant = 0
+    best_flips, stagnant = memo.best_flips, 0
     reason = "iterations"
     try:
         for _t in range(cfg.iterations):
@@ -516,13 +517,11 @@ def sign_sgd_attack(memo: LabelMemo, cfg: AttackConfig, theta0: np.ndarray) -> A
             p_trace.append(p_t)
             grad_trace.append(float(np.linalg.norm(grad)))
             theta = normalize(theta - eta * grad)
-            if len(p_trace) >= 2 and abs(p_trace[-1] - p_trace[-2]) < EARLY_STOP_TOL:
-                stagnant += 1
-                if stagnant >= EARLY_STOP_PATIENCE:
-                    reason = "converged"
-                    break
-            else:
-                stagnant = 0
+            stagnant = 0 if memo.best_flips < best_flips else stagnant + 1
+            best_flips = memo.best_flips
+            if stagnant >= EARLY_STOP_PATIENCE:
+                reason = "converged"
+                break
     except NoBoundary:
         reason = "no_boundary"
     except BudgetExhausted:

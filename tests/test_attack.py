@@ -11,6 +11,7 @@ import pytest
 
 from blackedge import attack, cgs, harness
 from blackedge.attack import (
+    EARLY_STOP_PATIENCE,
     STOP_REASONS,
     AttackConfig,
     attack_graph,
@@ -1114,9 +1115,46 @@ def test_a_descent_that_loses_the_boundary_returns_its_verified_seed():
     assert res.queries["binary_search"] > 0 and res.queries["qegc"] == 0
 
 
-def test_capped_run_keeps_the_verified_boundary_graph(monkeypatch):
+def _queries_to_find(asked, graph):
+    """How many of the queries recorded in ``asked`` it took to first ask
+    ``graph``."""
+    key = graph.bits.tobytes()
+    return 1 + next(i for i, (h, _) in enumerate(asked) if h.bits.tobytes() == key)
+
+
+def _improving_descent():
+    """A target, label rule and config whose descent improves on its
+    coarse-search seed, then runs with p moving until it stops."""
     g = _er_target()
-    threshold = g.n_edges + 6
+    threshold = g.n_edges + 8
+    cfg = AttackConfig(budget=0.5, iterations=50, directions_per_step=50, seed=6)
+    return g, lambda h: int(h.n_edges >= threshold), cfg
+
+
+def test_the_descent_stops_when_its_returned_graph_stops_improving(monkeypatch):
+    g, rule, cfg = _improving_descent()
+    flips = []  # memo.best_flips as each iteration begins
+
+    def recording(memo, theta, *args):
+        flips.append(memo.best_flips)
+        return boundary_distance(memo, theta, *args)
+
+    monkeypatch.setattr(attack, "boundary_distance", recording)
+    res = attack_graph(FunctionOracle(rule), g, 0, cfg)
+    assert res.success and res.queries["other"] == 1
+    flips.append(res.flips)  # after the last iteration
+    assert len(flips) == len(res.p_trace) + 1
+    falls = [t for t in range(len(res.p_trace)) if flips[t + 1] < flips[t]]
+    assert falls  # the descent found fewer flips than its seed
+    assert res.stop_reason == "converged"
+    assert len(res.p_trace) == falls[-1] + 1 + EARLY_STOP_PATIENCE < cfg.iterations
+    # p never stood still, so a stop on the objective alone would run all
+    # iterations
+    assert np.all(np.abs(np.diff(res.p_trace)) > 1e-6)
+
+
+def test_capped_run_keeps_the_verified_boundary_graph(monkeypatch):
+    g, rule, uncapped = _improving_descent()
     boundary = []  # the graph of each boundary search
 
     def recording(memo, theta, *args):
@@ -1125,13 +1163,19 @@ def test_capped_run_keeps_the_verified_boundary_graph(monkeypatch):
         return g_t
 
     monkeypatch.setattr(attack, "boundary_distance", recording)
-    rule = lambda h: int(h.n_edges >= threshold)
-    uncapped = AttackConfig(budget=0.5, iterations=50, directions_per_step=50, seed=1)
-    spend = _asked_attack(rule, g, 0, uncapped)[0].queries
-    # caps a quarter, half and three quarters into the uncapped descent
+    full, _, full_asked = _asked_attack(rule, g, 0, uncapped)
+    spend = full.queries
+    # the descent asks every query after this one once the flips last fell
+    found = _queries_to_find(full_asked, full.adversarial_graph)
+    # caps a quarter, half and three quarters into the uncapped descent, and
+    # halfway through its final stretch, where the memo holds a graph found
+    # before the last boundary search
     descent = spend["total"] - spend["cgs"] - spend["other"]
+    caps = [spend["cgs"] + descent * k // 4 for k in (1, 2, 3)]
+    caps.append((found + spend["total"] - spend["other"]) // 2)
+    assert spend["cgs"] < found < caps[-1] < spend["total"] - spend["other"]
     not_last = 0
-    for cap in (spend["cgs"] + descent * k // 4 for k in (1, 2, 3)):
+    for cap in caps:
         cfg = replace(uncapped, max_queries=cap)
         del boundary[:]
         res, oracle, asked = _asked_attack(rule, g, 0, cfg)
@@ -1149,6 +1193,43 @@ def test_capped_run_keeps_the_verified_boundary_graph(monkeypatch):
         assert res.flips <= len(np.flatnonzero(last.bits ^ g.bits))
         not_last += res.adversarial_graph.bits.tobytes() != last.bits.tobytes()
     assert not_last
+
+
+def test_a_capped_run_is_a_prefix_of_the_uncapped_run():
+    # the stop reads only the memo, so a cap cannot change when a run stops:
+    # capped at Q, a run asks the uncapped run's first min(Q, total) graphs
+    # and returns what its memo held after them
+    g, rule, cfg = _improving_descent()
+    runs = [(g, rule, 0, cfg)]
+    for seed in range(3):
+        g = _er_target(seed, n=10 + seed)
+        m, y_hash = g.n_edges, hashed_label(g)
+        cfg = AttackConfig(budget=0.5, iterations=30, directions_per_step=20, seed=seed)
+        runs += [(g, lambda h, t=m + 5: int(h.n_edges >= t), 0, cfg),
+                 (g, lambda h, t=m - 2: int(h.n_edges >= t), 1, cfg),
+                 (g, hashed_label, y_hash, cfg),
+                 (g, hashed_label, y_hash, replace(cfg, target_label=(y_hash + 1) % 8))]
+    improved = 0
+    for g, label_fn, y0, uncapped in runs:
+        predicate = uncapped.predicate(y0)
+        full, _, full_asked = _asked_attack(label_fn, g, y0, uncapped)
+        assert full.success
+        total = full.queries["total"]
+        found = _queries_to_find(full_asked, full.adversarial_graph)
+        improved += found > full.queries["cgs"]  # the descent found the returned graph
+        caps = {1, total // 4, total // 2, 3 * total // 4, found, found + 1, total - 2,
+                total - 1, total, total + 1, 25, 50, 100, 200, 400}
+        for cap in sorted(caps - {0}):
+            res, _, asked = _asked_attack(label_fn, g, y0, replace(uncapped, max_queries=cap))
+            seen = min(cap, total)
+            assert [h.bits.tobytes() for h, _ in asked] == \
+                [h.bits.tobytes() for h, _ in full_asked[:seen]]
+            best = _fewest_flip_verified(g, full_asked[:seen], predicate, uncapped.budget)
+            assert res.success == (best is not None)
+            if best is not None:
+                assert res.flips == len(np.flatnonzero(best.bits ^ g.bits))
+            assert res.stop_reason == ("query_budget" if cap < total else full.stop_reason)
+    assert improved >= 2
 
 
 def test_cap_at_the_final_verification_keeps_the_candidate():
