@@ -118,8 +118,9 @@ class AttackResult:
     # submissions answered by the run's label memo; queries["total"] + memo_hits
     # is the number of graphs the run submitted
     memo_hits: int = 0
-    # graphs drawn but never submitted: coarse-search trials ordered after
-    # its success, or random-baseline draws after its success or the cap
+    # graphs drawn but never submitted: coarse-search trials the gallop,
+    # bisection or scan never reached, or random-baseline draws after its
+    # success or the cap
     skipped: int = 0
 
     @property
@@ -548,11 +549,12 @@ def attack_graph(
 
     ``cfg.max_queries`` becomes the cap of ``oracle.ledger``, which keeps
     counting for the caller.  A budget that allows no flip on ``graph``
-    (``LabelMemo.max_flips == 0``) fails at once with no query.  The
-    coarse search ends at its first success, so a cap that stops it leaves
-    no adversarial graph; a cap that stops the descent returns the graph
-    the memo kept (see ``sign_sgd_attack``), the seed if the cap came
-    before the first boundary search.
+    (``LabelMemo.max_flips == 0``) fails at once with no query.  A cap
+    that stops the run returns the graph the memo kept, without a
+    re-verification: in the coarse search, a success its gallop or
+    bisection found so far (none before the first one, and ``found_in``
+    stays None); in the descent, see ``sign_sgd_attack``, the seed if the
+    cap came before the first boundary search.
 
     One label memo, bound to ``oracle``, the run's predicate, ``graph`` and
     ``cfg.budget``, answers every step of the run and keeps the graph it

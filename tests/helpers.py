@@ -304,13 +304,16 @@ def reference_flip(graph: Graph, slots) -> Graph:
 def reference_coarse_grained_search(memo, partition, strategy="I", rng_seed=0):
     """Coarse search that submits every trial of a phase in draw order and
     keeps the first one with the fewest flips among the successes; the
-    library's flip-ordered search must return the same outcome.
+    library's gallop and bisection must return the same outcome when
+    labels grow monotonically with the flip count.
 
-    It draws as the library does: a phase's flip counts one component at a
+    It draws a phase's flip counts as the library does, one component at a
     time, its fractions then its sides (0: the non-edges, 1: the edges, a
-    side without slots standing for the whole component), then every
-    trial's slots from its side in flip order; only the submission order
-    differs."""
+    side without slots standing for the whole component).  It then draws
+    every trial's slots from its side in flip order, where the library
+    draws its gallop's first; so the two give a trial the same slots, and
+    a later phase the same counts, only with a generator whose slot draws
+    do not depend on when they are made."""
     graph = memo.graph
     rng = np.random.default_rng(rng_seed)
     trials = 0

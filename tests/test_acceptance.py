@@ -260,7 +260,7 @@ def attack_suite():
             run_oracle, run["graph"], 0, replace(base_cfg, seed=1000 + idx),
             # the graphs the attack drew, memo hits and skipped coarse-search
             # trials included: the baseline gets as many trials as before
-            # the memo and the flip-ordered coarse search
+            # the memo and the coarse search's gallop
             query_budget=(run["result"].queries["total"] + run["result"].memo_hits
                           + run["result"].skipped),
         )

@@ -1012,7 +1012,7 @@ def test_cap_in_the_coarse_search_keeps_its_first_success():
     threshold = g.n_edges + 6
     cfg = AttackConfig(budget=0.5, iterations=3, directions_per_step=10, seed=1)
     full = attack_graph(structural_oracle("edge_count", threshold), g, 0, cfg)
-    spent = full.queries["cgs"]  # the coarse search ends at its first success
+    spent = full.queries["cgs"]  # the coarse search's gallop and bisection
     seed = coarse_grained_search(untargeted_memo(structural_oracle("edge_count", threshold), g),
                                  louvain(g, seed=cfg.seed), rng_seed=cfg.seed)
     # a cap equal to the search's spend stops the descent before its first
@@ -1033,11 +1033,49 @@ def test_cap_in_the_coarse_search_keeps_its_first_success():
                          replace(cfg, max_queries=spent, budget=res.rate / 2))
     assert not tight.success and tight.adversarial_graph is g
     assert tight.stop_reason == "query_budget"
-    # one query less stops the search before its success: nothing to keep
+    # one query less stops the bisection, which the seed's gallop hit
+    # began: the run keeps that hit, here the seed itself
     short = attack_graph(structural_oracle("edge_count", threshold), g, 0,
                          replace(cfg, max_queries=spent - 1))
-    assert not short.success and short.adversarial_graph is g
-    assert short.stop_reason == "query_budget" and short.found_in is None
+    assert short.success and short.stop_reason == "query_budget"
+    assert np.array_equal(short.adversarial_graph.bits, res.adversarial_graph.bits)
+    assert short.queries["total"] == short.queries["cgs"] == spent - 1
+    assert short.found_in is None  # the search did not end
+    # a cap before the gallop's first success leaves nothing to keep
+    _, _, asked = _asked_attack(lambda h: int(h.n_edges >= threshold), g, 0, cfg)
+    first_hit = next(i for i, (_, label) in enumerate(asked) if label == 1)
+    assert first_hit < spent - 1  # the bisection asked after the hit
+    early = attack_graph(structural_oracle("edge_count", threshold), g, 0,
+                         replace(cfg, max_queries=first_hit))
+    assert not early.success and early.adversarial_graph is g
+    assert early.stop_reason == "query_budget" and early.found_in is None
+
+
+def test_a_cap_inside_the_bisection_returns_the_gallop_s_hit():
+    # adversarial iff at least k slots are flipped: monotone in the flip
+    # count, so the bisection improves on a gallop hit below a failure
+    improved = 0
+    for seed, k in [(0, 5), (1, 5), (2, 9), (3, 9), (4, 5)]:
+        g = _er_target(seed, n=12)
+        label_fn = lambda h, g=g, k=k: int(np.count_nonzero(h.bits ^ g.bits) >= k)
+        cfg = AttackConfig(budget=0.5, iterations=3, directions_per_step=10, seed=seed)
+        full, _, asked = _asked_attack(label_fn, g, 0, cfg)
+        spent = full.queries["cgs"]
+        hits = [i for i, (_, label) in enumerate(asked[:spent]) if label == 1]
+        gallop_hit = asked[hits[0]][0]
+        for cap in range(hits[0] + 1, spent):
+            res, _, _ = _asked_attack(label_fn, g, 0, replace(cfg, max_queries=cap))
+            assert res.success and res.stop_reason == "query_budget"
+            assert res.queries == {"cgs": cap, "binary_search": 0, "qegc": 0, "other": 0,
+                                   "total": cap}
+            # the fewest-flip hit of the bisection so far, the gallop's at first
+            kept = _fewest_flip_verified(g, asked[:cap], cfg.predicate(0), cfg.budget)
+            assert res.adversarial_graph.bits.tobytes() == kept.bits.tobytes()
+            if cap == hits[0] + 1:
+                assert kept is gallop_hit
+        seed_flips = int(np.count_nonzero(asked[hits[-1]][0].bits ^ g.bits))
+        improved += seed_flips < int(np.count_nonzero(gallop_hit.bits ^ g.bits))
+    assert improved >= 2
 
 
 def _asked_attack(label_fn, graph, y0, cfg):
@@ -1201,7 +1239,7 @@ def test_a_capped_run_is_a_prefix_of_the_uncapped_run():
     # and returns what its memo held after them
     g, rule, cfg = _improving_descent()
     runs = [(g, rule, 0, cfg)]
-    for seed in range(3):
+    for seed in range(6):
         g = _er_target(seed, n=10 + seed)
         m, y_hash = g.n_edges, hashed_label(g)
         cfg = AttackConfig(budget=0.5, iterations=30, directions_per_step=20, seed=seed)

@@ -1,13 +1,16 @@
 """Coarse-grained initial search over the phased components."""
 
+import math
 import re
+from dataclasses import replace
+from collections import Counter
 from itertools import groupby
 
 import numpy as np
 import pytest
 
-from blackedge.attack import AttackConfig
-from blackedge.cgs import coarse_grained_search
+from blackedge.attack import AttackConfig, attack_graph
+from blackedge.cgs import TRIALS_SCALE, coarse_grained_search, gallop_positions
 from blackedge.datasets import barbell, erdos_renyi
 from blackedge.errors import BudgetExhausted, NoAdversarialFound
 from blackedge.graph import apply_perturbation
@@ -116,14 +119,62 @@ def test_strategy_three_searches_whole_graph_only(setup):
     assert oracle.ledger.total == 1
 
 
+class _KeyedPermutations:
+    """A seeded generator whose ``permutation`` orders slots by a fixed
+    random key, so the slots a trial flips do not depend on when it is
+    built.
+
+    The library builds each phase's gallop before its other trials, and
+    the reference builds a phase's trials in flip order; with this
+    generator a trial gets the same slots in both.  ``uniform`` and
+    ``integers`` are those of the seeded generator.
+    """
+
+    def __init__(self, seed):
+        # not np.random.default_rng: the tests patch it to build this class
+        self.rng = np.random.Generator(np.random.PCG64(seed))
+        self.key = np.random.Generator(np.random.PCG64(seed + 1)).random(4096)
+
+    def uniform(self, low, high, size):
+        return self.rng.uniform(low, high, size)
+
+    def integers(self, low, high, size):
+        return self.rng.integers(low, high, size)
+
+    def permutation(self, x):
+        return x[np.argsort(self.key[x], kind="stable")]
+
+
+def _flip_count_label(graph, k):
+    """Label 1 iff at least ``k`` slots of ``graph`` are flipped: monotone in
+    the flip count, so a trial with more flips than an adversarial one is
+    adversarial too."""
+    return lambda h: int(np.count_nonzero(h.bits ^ graph.bits) >= k)
+
+
+def _phase_sizes(part, strategy):
+    """The trials each phase draws, in search order, with its kind."""
+    return [(kind, TRIALS_SCALE * sum(c.n_incident for c in comps))
+            for kind, comps in groupby(enumerate_components(part, strategy), lambda c: c.kind)]
+
+
 @pytest.mark.parametrize("strategy", ["I", "II", "III"])
-def test_flip_order_search_equals_the_draw_order_reference(strategy):
-    """Same outcome as submitting every trial in draw order, never more queries."""
-    found = failed = 0
+def test_flip_order_search_equals_the_draw_order_reference(strategy, monkeypatch):
+    """The reference's outcome on labels monotone in the flip count; an
+    adversarial outcome within budget on any other label; the reference's
+    failure, message and ledger when no trial succeeds."""
+    targets = []
     for seed in range(12):
         g = erdos_renyi(10 + seed % 4, 0.3, np.random.default_rng(seed))
-        part = louvain(g, seed=seed)
-        for label_fn, y0, target in search_label_cases(g):
+        targets.append((seed, g, louvain(g, seed=seed)))
+    monkeypatch.setattr(np.random, "default_rng", _KeyedPermutations)
+    monotone = found = failed = 0
+    for seed, g, part in targets:
+        phases = _phase_sizes(part, strategy)
+        drawn = np.cumsum([n for _, n in phases]).tolist()  # after each phase
+        cases = [(label_fn, y0, target, False) for label_fn, y0, target in search_label_cases(g)]
+        cases += [(_flip_count_label(g, k), 0, None, True) for k in (1, 4, 9, 30)]
+        for label_fn, y0, target, is_monotone in cases:
             predicate = AttackConfig(target_label=target).predicate(y0)
             args = (part, strategy, seed)
             ref_oracle, oracle = FunctionOracle(label_fn), FunctionOracle(label_fn)
@@ -134,20 +185,77 @@ def test_flip_order_search_equals_the_draw_order_reference(strategy):
             except NoAdversarialFound as exc:
                 with pytest.raises(NoAdversarialFound, match=re.escape(str(exc))):
                     coarse_grained_search(memo, *args)
-                # every trial is submitted when none succeeds
+                # every trial is submitted once when none succeeds, and a
+                # trial has the same slots in both searches
                 assert oracle.ledger.snapshot() == ref_oracle.ledger.snapshot()
                 assert memo.hits == ref_memo.hits
+                assert oracle.ledger.total + memo.hits == drawn[-1]
                 failed += 1
                 continue
             outcome = coarse_grained_search(memo, *args)
-            assert np.array_equal(outcome.theta0, expected.theta0)
-            assert outcome.found_in == expected.found_in
-            assert oracle.ledger.total <= ref_oracle.ledger.total
-            # each trial the reference submitted is submitted or skipped
-            assert oracle.ledger.total + memo.hits + outcome.skipped == \
-                ref_oracle.ledger.total + ref_memo.hits
-            found += 1
-    assert found and failed
+            # the drawn trials are submitted or skipped, phase by phase
+            assert oracle.ledger.total + memo.hits + outcome.skipped in drawn
+            if is_monotone:
+                # the gallop finds the first phase with a success, and the
+                # bisection its fewest-flip trial, first in draw order
+                assert np.array_equal(outcome.theta0, expected.theta0)
+                assert outcome.found_in == expected.found_in
+                assert oracle.ledger.total <= ref_oracle.ledger.total
+                kinds = [kind for kind, _ in phases]
+                assert oracle.ledger.total + memo.hits + outcome.skipped == \
+                    drawn[kinds.index(outcome.found_in)]
+                monotone += 1
+            else:
+                flips = int(outcome.theta0.sum())
+                assert predicate(label_fn(apply_perturbation(g, outcome.theta0)))
+                assert 0 < flips <= memo.max_flips
+                assert memo.best is not None and memo.best_flips <= flips
+                found += 1
+    assert monotone and found and failed
+
+
+def test_a_monotone_label_costs_a_logarithmic_number_of_trials_per_phase(monkeypatch):
+    """At most 2 ceil(log2 n) + 2 trials in the phase that succeeds, and
+    only the gallop in each phase before it; the reference's outcome."""
+    targets = []
+    for seed in range(12):
+        g = erdos_renyi(10 + seed % 4, 0.3, np.random.default_rng(seed))
+        targets.append((seed, g, louvain(g, seed=seed)))
+    # a later phase's flip counts come after an earlier phase's slots, of
+    # which the reference draws every trial's and the gallop fewer; with
+    # slots that take no generator words both draw the same counts
+    monkeypatch.setattr(np.random, "default_rng", _KeyedPermutations)
+    phases_seen = set()
+    for seed, g, part in targets:
+        for strategy in ("I", "II", "III"):
+            phases = _phase_sizes(part, strategy)
+            for k in (1, 2, 4, 7, 12):
+                label_fn = _flip_count_label(g, k)
+                ref_memo = untargeted_memo(FunctionOracle(label_fn), g)
+                memo = untargeted_memo(FunctionOracle(label_fn), g)
+                try:
+                    expected = reference_coarse_grained_search(ref_memo, part, strategy, seed)
+                except NoAdversarialFound:
+                    continue
+                outcome = coarse_grained_search(memo, part, strategy, seed)
+                assert outcome.found_in == expected.found_in
+                assert np.array_equal(outcome.theta0, expected.theta0)
+                asked = memo.oracle.ledger.total + memo.hits  # trials submitted
+                for kind, n in phases:
+                    if kind == outcome.found_in:
+                        assert asked <= 2 * math.ceil(math.log2(n)) + 2
+                        # a hit at gallop index j costs j + 1 probes and at
+                        # most j - 1 bisection steps: its bracket spans at
+                        # most 2^(j - 1) positions
+                        assert asked <= max(1, 2 * (len(gallop_positions(n)) - 1))
+                        break
+                    # a failed phase asks its gallop, every trial of which fails
+                    asked -= len(gallop_positions(n))
+                    phases_seen.add((kind, "failed"))
+                phases_seen.add((outcome.found_in, "found"))
+    # later phases found and earlier ones galloped over
+    assert {("supernode", "failed"), ("superlink", "found"), ("whole_graph", "found")} \
+        <= phases_seen
 
 
 def _sides(graph, comp):
@@ -236,14 +344,29 @@ def test_flip_counts_and_slots_follow_the_law_of_the_draws(setup, monkeypatch):
     assert {(b, x) for b in (0, 1) for x in (0.5, 1.5, 2.5)} <= ties
     assert fell_back == {("supernode", 0), ("superlink", 1)}
     assert len(submitted) == len(expected) == 120
-    # each trial flips exactly its count of distinct slots, all on its side
-    for flipped, (n_flip, side) in zip(submitted, expected):
-        assert flipped.size == n_flip
-        assert set(flipped.tolist()) <= set(side)
+    # each phase's gallop first, then the rest of every phase in flip order
+    gallops = [gallop_positions(40)] * 3
+    order = [pos + 40 * i for i, positions in enumerate(gallops) for pos in positions]
+    order += [pos + 40 * i for i, positions in enumerate(gallops)
+              for pos in range(40) if pos not in positions]
+    # each trial is submitted once and flips exactly its count of distinct
+    # slots, all on its side: per phase, the submitted trials are the
+    # expected ones, matched by law, not by order (within a phase the side
+    # holding a trial's slots is unique, a fallen-back side being the
+    # other side of its component)
+    laws = []
+    for flipped, i in zip(submitted, order):
+        phase = i // 40
+        [side] = {frozenset(side) for _, side in expected[40 * phase:40 * phase + 40]
+                  if set(flipped.tolist()) <= set(side)}
+        laws.append((phase, flipped.size, side))
+    assert Counter(laws) == Counter((i // 40, n_flip, frozenset(side))
+                                    for i, (n_flip, side) in enumerate(expected))
+    assert [flipped.size for flipped in submitted] == [expected[i][0] for i in order]
 
 
 @pytest.mark.parametrize("strategy", ["I", "II", "III"])
-def test_a_first_trial_success_draws_one_permutation(setup, monkeypatch, strategy):
+def test_a_first_trial_success_draws_only_its_phase_s_gallop(setup, monkeypatch, strategy):
     g, part = setup
     made = []
     default_rng = np.random.default_rng
@@ -253,20 +376,26 @@ def test_a_first_trial_success_draws_one_permutation(setup, monkeypatch, strateg
                                     strategy, rng_seed=7)
     assert len(made) == 1
     # replay: the first phase's flip counts, a call for the uniforms and
-    # one for the sides per component, then the slots of the one trial
-    # submitted, drawn from its side (all its flips add or all remove)
+    # one for the sides per component, then the slots of its gallop's
+    # trials in position order, each drawn from its side (all its flips
+    # add or all remove); the first of them is submitted and succeeds
     replay = default_rng(7)
-    flipped = np.flatnonzero(outcome.theta0)
-    side_bit = g.bits[flipped[0]]
-    assert np.all(g.bits[flipped] == side_bit)
     phase = next(groupby(enumerate_components(part, strategy), lambda c: c.kind))[1]
+    trials = []
     for comp in phase:
-        replay.uniform(0.0, 1.0, 5 * comp.n_incident)
-        replay.integers(0, 2, 5 * comp.n_incident)
-        if set(flipped.tolist()) <= set(comp.slots.tolist()):
-            side = comp.slots[g.bits[comp.slots] == side_bit]
-    chosen = replay.permutation(side)[:flipped.size]
-    assert np.array_equal(flipped, np.sort(chosen))
+        us = replay.uniform(0.0, 1.0, 5 * comp.n_incident)
+        bs = replay.integers(0, 2, 5 * comp.n_incident)
+        for u, b in zip(us.tolist(), bs.tolist()):
+            side = comp.slots[g.bits[comp.slots] == b]
+            side = side if side.size else comp.slots
+            trials.append((max(1, round(u * side.size)), side))
+    trials.sort(key=lambda t: t[0])
+    chosen = [replay.permutation(trials[pos][1])[:trials[pos][0]]
+              for pos in gallop_positions(len(trials))]
+    flipped = np.flatnonzero(outcome.theta0)
+    assert np.all(g.bits[flipped] == g.bits[flipped[0]])
+    assert np.array_equal(flipped, np.sort(chosen[0]))
+    assert outcome.skipped == len(trials) - 1
     assert made[0].bit_generator.state == replay.bit_generator.state
 
 
@@ -299,3 +428,16 @@ def test_every_balanced_gin_target_gets_a_seed():
         flipped = np.flatnonzero(outcome.theta0)
         if idx in removal_side:
             assert y0 == 0 and np.all(g.bits[flipped] == 1), idx
+
+
+def test_a_25_query_cap_keeps_a_seed_on_nine_in_ten_balanced_gin_targets():
+    # a linear scan of each phase in flip order left about two thirds of
+    # these runs without a seed within 25 queries (SR 0.30 at attack seed 1)
+    workloads = perfbench_module("workloads")
+    w = workloads.build("gin_balanced_n20", 1)
+    successes = 0
+    for idx, g, y0 in w.targets:
+        res = attack_graph(w.oracle.clone(), g, y0, replace(w.target_cfg(idx), max_queries=25))
+        assert res.queries["total"] <= 25
+        successes += res.success
+    assert successes >= 0.9 * len(w.targets)

@@ -14,17 +14,19 @@ import numpy as np
 import pytest
 
 from blackedge.attack import attack_graph
+from blackedge.cgs import coarse_grained_search
 from blackedge.defense import (
     DefendedOracle,
     LowRankConfig,
     _low_rank_bits_many,
     low_rank_filter,
 )
-from blackedge.errors import BudgetExhausted
+from blackedge.errors import BudgetExhausted, NoAdversarialFound
 from blackedge.gin import GinOracle, GinWeights, _featureless_logits_many, gin_logits
 from blackedge.graph import Graph, stacked_adjacency
 from blackedge.harness import random_attack
-from blackedge.oracle import BLOCK, structural_oracle
+from blackedge.oracle import BLOCK, LabelMemo, structural_oracle
+from blackedge.partition import louvain
 
 from helpers import complete_graph, perfbench_module, random_graph, untargeted_memo
 
@@ -254,6 +256,32 @@ def test_a_clone_shares_no_labels_computed_ahead():
 
 
 # -- outcomes do not move ----------------------------------------------------
+
+
+def test_the_coarse_search_is_the_same_with_and_without_a_batch_kernel(weights):
+    # the gallop goes as one block and the bisection one trial at a time;
+    # a predicate nothing meets also scans every phase in blocks
+    graphs = workloads.evaluation_set()
+    searched = 0
+    for idx in range(12):
+        g = graphs[idx]
+        part = louvain(g, seed=idx)
+        y0 = UnbatchedGin(weights).classify(g)
+        for predicate in (lambda label: label != y0, lambda label: False):
+            runs = []
+            for oracle in (GinOracle(weights), UnbatchedGin(weights)):
+                memo = LabelMemo(oracle, predicate, g, 1.0)
+                try:
+                    seed = coarse_grained_search(memo, part, "I", idx)
+                    outcome = (seed.theta0.tolist(), seed.found_in, seed.skipped)
+                except NoAdversarialFound as exc:
+                    outcome = str(exc)
+                best = None if memo.best is None else memo.best.bits.tobytes()
+                runs.append((outcome, oracle.ledger.snapshot(), memo.hits, best))
+            assert runs[0] == runs[1]
+            searched += isinstance(runs[0][0], tuple)
+    assert searched == 12
+
 
 
 def _outcome(res):
