@@ -47,10 +47,10 @@ from .partition import STRATEGIES
 # the flips of the graph it returns (memo.best_flips) did not fall
 EARLY_STOP_PATIENCE = 10
 
-# Why a run stopped, in order: the graph sign-SGD returns stopped improving
-# or a random success ended the trials; all iterations ran or every random
-# trial was submitted; the query cap refused a query; the descent's direction
-# has no boundary; the coarse search found nothing; the budget allows no flip.
+# Why a run stopped, in order: the graph sign-SGD returns stopped improving,
+# its objective fell to 0, or a random success ended the trials; all
+# iterations ran or every random trial was submitted; the query cap refused a
+# query; the direction lost the boundary; no seed was found; no flip fits.
 STOP_REASONS = ("converged", "iterations", "query_budget", "no_boundary", "no_seed",
                 "rate_budget")
 
@@ -441,17 +441,10 @@ def estimate_gradient(
     order; a re-draw draws the next batch.  With an oracle that has a
     batch label kernel, the labels of each block of those probe graphs
     that are not in ``memo`` yet are computed in one call before the
-    block is queried (``LabelMemo.in_blocks``).
-
-    When ``p_t`` is not positive (or NaN), the inversion rejects every
-    probe whatever its direction, so all 4 draws of every probe are made
-    at once and the step is zero, without a call per draw.
+    block is queried (``LabelMemo.in_blocks``).  A ``p_t`` <= 0 (or NaN)
+    inverts no probe, so the step is zero; ``sign_sgd_attack`` takes none.
     """
     d = np.asarray(theta).shape[0]
-    if not p_t > 0.0:
-        # standard_normal((k, d)) consumes the stream of k draws of size d
-        rng.standard_normal((4 * q_directions, d))
-        return np.zeros(d)
     signs = []
     dirs = []
     done = attempt = 0  # probes done, draws of this probe
@@ -487,8 +480,10 @@ def sign_sgd_attack(memo: LabelMemo, cfg: AttackConfig, theta0: np.ndarray) -> A
     descent stops early, as ``converged``, after ``EARLY_STOP_PATIENCE``
     consecutive iterations in which ``memo.best_flips``, the flips of the
     graph the run returns, did not fall; it reads only the memo, so a cap
-    cannot change when a run stops.  It ends when the direction loses the
-    boundary or the query cap refuses a query.
+    cannot change when a run stops.  It also stops as ``converged`` where
+    the objective is not positive: no probe inverts there, so the step
+    would be zero.  It ends when the direction loses the boundary or the
+    query cap refuses a query.
 
     However it ends, the run returns the graph ``memo`` kept
     (``LabelMemo.best``): the coarse search's seed, a boundary point or a
@@ -513,6 +508,11 @@ def sign_sgd_attack(memo: LabelMemo, cfg: AttackConfig, theta0: np.ndarray) -> A
             g_t = boundary_distance(memo, theta, cfg.epsilon, lambda_hint)
             lambda_hint = g_t
             p_t = objective_p(theta, g_t)
+            if not p_t > 0.0:  # also NaN: no probe inverts, so the step is zero
+                p_trace.append(p_t)
+                grad_trace.append(0.0)
+                reason = "converged"
+                break
             grad = estimate_gradient(memo, theta, p_t, cfg.directions_per_step,
                                      cfg.smoothing, rng)
             p_trace.append(p_t)

@@ -40,6 +40,7 @@ from blackedge.partition import louvain
 from helpers import (
     TableOracle,
     hashed_label,
+    perfbench_module,
     random_graph,
     reference_boundary_distance,
     reference_estimate_gradient,
@@ -1189,6 +1190,41 @@ def test_the_descent_stops_when_its_returned_graph_stops_improving(monkeypatch):
     # p never stood still, so a stop on the objective alone would run all
     # iterations
     assert np.all(np.abs(np.diff(res.p_trace)) > 1e-6)
+
+
+def test_a_zero_objective_ends_the_descent_after_one_iteration():
+    # a hashed label often flips on a single-slot seed, whose boundary point
+    # lies exactly on the flip threshold: the objective is 0 there, no probe
+    # inverts and theta cannot move
+    cfg = AttackConfig(budget=0.2, iterations=12, directions_per_step=10, seed=1)
+    stopped = 0
+    for n in range(9, 15):
+        g = erdos_renyi(n, 0.2, np.random.default_rng(100 + n))
+        y0 = hashed_label(g)
+        one = attack_graph(FunctionOracle(hashed_label), g, y0, replace(cfg, iterations=1))
+        if not one.p_trace or one.p_trace[0] > 0.0:
+            continue
+        stopped += 1
+        res = attack_graph(FunctionOracle(hashed_label), g, y0, cfg)
+        assert res.stop_reason == "converged"
+        assert res.p_trace == one.p_trace and res.gradient_norm_trace == [0.0]
+        assert res.queries["qegc"] == 0
+        assert (res.success, res.flips, res.queries) == (one.success, one.flips, one.queries)
+        assert np.array_equal(res.adversarial_graph.bits, one.adversarial_graph.bits)
+    assert stopped >= 3
+
+
+def test_only_the_last_iteration_of_a_descent_has_a_zero_objective():
+    workloads = perfbench_module("workloads")
+    w = workloads.build("gin_balanced_n20", 1)
+    zero_ends = 0
+    for idx, g, y0 in w.targets:
+        res = attack_graph(w.oracle.clone(), g, y0, w.target_cfg(idx))
+        assert all(p > 0.0 for p in res.p_trace[:-1]), idx
+        if res.p_trace and not res.p_trace[-1] > 0.0:
+            zero_ends += 1
+            assert res.stop_reason == "converged", idx
+    assert zero_ends  # the stop is exercised
 
 
 def test_capped_run_keeps_the_verified_boundary_graph(monkeypatch):

@@ -12,9 +12,10 @@ both traces, float for float.
 A change that keeps behaviour leaves the recording as it is.  A change
 meant to alter outcomes re-records it with
 ``PYTHONPATH=src python tests/test_seeded_outcomes.py`` and says why;
-the re-record prints, per key, how many runs changed, the success rate,
-flips per success and total queries, and the count of each stop reason,
-before and after.
+the re-record prints, per key, how many runs changed and the names of
+the fields that changed in any of them, the success rate, flips per
+success and total queries, and the count of each stop reason, before and
+after.
 No GIN here: its float matmuls depend on the BLAS build.
 """
 
@@ -141,7 +142,10 @@ if __name__ == "__main__":
     for key, runs in new.items():
         before = old.get(key, [])
         changed = sum(run != was for run, was in zip(runs, before)) + abs(len(runs) - len(before))
+        fields = sorted({name for run, was in zip(runs, before)
+                         for name in run.keys() | was.keys() if run.get(name) != was.get(name)})
         print(f"{key}: {changed} of {len(runs)} runs changed; "
               f"{_summary(before)} -> {_summary(runs)}")
+        print(f"    fields changed: {', '.join(fields) or 'none'}")
         print(f"    stop reasons: {_stop_reasons(before)} -> {_stop_reasons(runs)}")
     EXPECTED.write_text(json.dumps(new, indent=1) + "\n")
