@@ -36,7 +36,6 @@ from .harness import (
 from .oracle import (
     HardLabelOracle,
     LabelMemo,
-    QueryLedger,
     StructuralOracle,
     structural_oracle,
 )

@@ -142,7 +142,7 @@ class AttackResult:
             added=added,
             removed=removed,
             rate=perturbation_rate(graph, adversarial),
-            queries=memo.oracle.ledger.snapshot(),
+            queries={**memo.queries, "total": memo.total},
             wall_time=time.perf_counter() - start,
             memo_hits=memo.hits,
             **fields,
@@ -531,7 +531,7 @@ def sign_sgd_attack(memo: LabelMemo, cfg: AttackConfig, theta0: np.ndarray) -> A
     if memo.best is not None:
         try:
             # a counted re-verification, never answered from the memo
-            if not memo.predicate(memo.oracle.classify(memo.best)):
+            if not memo.predicate(memo.query(memo.best, "other")):
                 memo.best = None  # the oracle disagrees: nothing verified to return
         except BudgetExhausted:
             reason = "query_budget"
@@ -547,26 +547,25 @@ def attack_graph(
 ) -> AttackResult:
     """Full pipeline for one target: partition, coarse search, sign-SGD.
 
-    ``cfg.max_queries`` becomes the cap of ``oracle.ledger``, which keeps
-    counting for the caller.  A budget that allows no flip on ``graph``
-    (``LabelMemo.max_flips == 0``) fails at once with no query.  A cap
-    that stops the run returns the graph the memo kept, without a
-    re-verification: in the coarse search, a success its gallop or
-    bisection found so far (none before the first one, and ``found_in``
-    stays None); in the descent, see ``sign_sgd_attack``, the seed if the
-    cap came before the first boundary search.
+    ``cfg.max_queries`` caps the queries of this run alone: its memo
+    counts them, so runs on one oracle share no count.  A budget that
+    allows no flip on ``graph`` (``LabelMemo.max_flips == 0``) fails at
+    once with no query.  A cap that stops the run returns the graph the
+    memo kept, without a re-verification: in the coarse search, a success
+    its gallop or bisection found so far (none before the first one, and
+    ``found_in`` stays None); in the descent, see ``sign_sgd_attack``, the
+    seed if the cap came before the first boundary search.
 
-    One label memo, bound to ``oracle``, the run's predicate, ``graph`` and
-    ``cfg.budget``, answers every step of the run and keeps the graph it
-    returns: each distinct graph costs one query, and ``memo_hits`` counts
-    the repeats.
+    One label memo, bound to ``oracle``, the run's predicate, ``graph``,
+    ``cfg.budget`` and ``cfg.max_queries``, counts and answers every step
+    of the run and keeps the graph it returns: each distinct graph costs
+    one query, and ``memo_hits`` counts the repeats.
     """
     from .cgs import coarse_grained_search
     from .partition import louvain
 
     start = time.perf_counter()
-    oracle.ledger.max_queries = cfg.max_queries
-    memo = LabelMemo(oracle, cfg.predicate(y0), graph, cfg.budget)
+    memo = LabelMemo(oracle, cfg.predicate(y0), graph, cfg.budget, cfg.max_queries)
     if memo.max_flips == 0:
         return AttackResult.of_run(memo, start, stop_reason="rate_budget")
     partition = louvain(graph, seed=cfg.seed)

@@ -79,10 +79,9 @@ def _parse_oracle(spec: str):
 
 def _label_targets(bundle: DatasetBundle, oracle) -> list:
     """Graphs without stored labels get the oracle's own label."""
-    probe = oracle.clone()
     out = []
     for g in bundle.graphs:
-        out.append(g if g.label is not None else g.replace(label=probe.classify(g)))
+        out.append(g if g.label is not None else g.replace(label=oracle.classify(g)))
     return out
 
 

@@ -80,14 +80,13 @@ def _low_rank_bits_many(n_nodes: int, bits: np.ndarray, cfg: LowRankConfig) -> n
 class DefendedOracle(HardLabelOracle):
     """Filter every queried graph through the low-rank defense first.
 
-    An input transform in front of ``inner``: one classify is one query on
-    this oracle's ledger, which starts out as ``inner.ledger``.  It has a
-    batch kernel when ``inner`` has one: a block is filtered in one stacked
-    pass and the filtered graphs labelled with ``inner``'s batch kernel.
+    An input transform in front of ``inner``: one classify labels the
+    filtered graph with ``inner``'s ``_classify``.  It has a batch kernel
+    when ``inner`` has one: a block is filtered in one stacked pass and the
+    filtered graphs labelled with ``inner``'s batch kernel.
     """
 
     def __init__(self, inner: HardLabelOracle, cfg: LowRankConfig):
-        super().__init__(inner.ledger)
         self.inner = inner
         self.cfg = cfg
         if inner._classify_many is None:

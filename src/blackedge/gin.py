@@ -264,7 +264,6 @@ class GinOracle(HardLabelOracle):
     """Hard-label oracle backed by a fixed-weight network."""
 
     def __init__(self, weights: GinWeights):
-        super().__init__()
         self.weights = weights
 
     def _classify(self, graph: Graph) -> int:

@@ -35,7 +35,7 @@ def random_attack(
     """Matched-budget baseline: flip a random fraction of slots per trial.
 
     Reads ``cfg.budget``, ``cfg.seed``, the predicate of ``cfg`` and
-    ``cfg.max_queries``, which becomes the cap of ``oracle.ledger`` as in
+    ``cfg.max_queries``, the cap of this run's queries as in
     ``attack_graph``.  Each of the ``query_budget`` trials draws a
     perturbation ratio ``r`` uniform in [0, budget) and flips
     ``min(max(1, round(r * slots)), memo.max_flips)`` distinct random
@@ -65,8 +65,7 @@ def random_attack(
     if query_budget < 1:
         raise ConfigError(f"query_budget must be at least 1, got {query_budget}")
     start = time.perf_counter()
-    oracle.ledger.max_queries = cfg.max_queries
-    memo = LabelMemo(oracle, cfg.predicate(y0), graph, cfg.budget)
+    memo = LabelMemo(oracle, cfg.predicate(y0), graph, cfg.budget, cfg.max_queries)
     if memo.max_flips == 0:
         return AttackResult.of_run(memo, start, found_in="random", stop_reason="rate_budget",
                                    skipped=query_budget)
@@ -78,19 +77,18 @@ def random_attack(
     trials = (graph.flip(rng.permutation(s)[:n_flip])
               for n_flip in np.sort(flips).astype(int).tolist())
     reason = "iterations"
-    submitted = 0
     for candidate in memo.in_blocks(trials):
         try:
             memo.adversarial(candidate, "other")
         except BudgetExhausted:
             reason = "query_budget"
             break
-        submitted += 1
         if memo.best is not None:
             reason = "converged"
             break
+    # each submission that returned was one query or one memo hit
     return AttackResult.of_run(memo, start, found_in="random", stop_reason=reason,
-                               skipped=query_budget - submitted)
+                               skipped=query_budget - (memo.total + memo.hits))
 
 
 # -- metrics -------------------------------------------------------------
@@ -183,13 +181,12 @@ def _result_row(idx: int, res: AttackResult) -> dict:
 def select_targets(oracle: HardLabelOracle, graphs: list[Graph]) -> list[tuple[int, Graph, int]]:
     """Correctly classified graphs, as (index, graph, label) triples.
 
-    Selection queries run on a throwaway ledger; they are not attack
-    cost.
+    Selection labels are asked of ``oracle`` outside any run, so they are
+    not attack cost.
     """
-    probe = oracle.clone()
     targets = []
     for idx, g in enumerate(graphs):
-        label = probe.classify(g)
+        label = oracle.classify(g)
         if g.label is None or label == g.label:
             targets.append((idx, g, label))
     return targets
@@ -205,8 +202,8 @@ def run_experiment(
 ) -> ExperimentReport:
     """Attack every correctly classified graph and aggregate the metrics.
 
-    ``method`` is ``signsgd`` or ``random``; each target gets a fresh
-    oracle clone so query accounting is per run.  With ``n_trials > 1``
+    ``method`` is ``signsgd`` or ``random``; every run asks ``oracle``
+    and counts its own queries in its memo.  With ``n_trials > 1``
     each target is attacked under ``n_trials`` derived seeds and every
     run contributes one row.
     """
@@ -224,13 +221,12 @@ def run_experiment(
     results = []
     for idx, graph, y0 in targets:
         for trial in range(n_trials):
-            run_oracle = oracle.clone()
             seed = cfg.seed + 7919 * trial + idx
             run_cfg = replace(cfg, seed=seed)
             if method == "signsgd":
-                res = attack_graph(run_oracle, graph, y0, run_cfg)
+                res = attack_graph(oracle, graph, y0, run_cfg)
             else:
-                res = random_attack(run_oracle, graph, y0, run_cfg, random_query_budget)
+                res = random_attack(oracle, graph, y0, run_cfg, random_query_budget)
             results.append(res)
             rows.append(_result_row(idx, res))
     config = {**cfg.__dict__, "method": method, "n_targets": len(targets),
@@ -262,8 +258,7 @@ def clean_accuracy(oracle: HardLabelOracle, graphs: list[Graph]) -> float:
     labeled = [g for g in graphs if g.label is not None]
     if not labeled:
         return 0.0
-    probe = oracle.clone()
-    hits = sum(probe.classify(g) == g.label for g in labeled)
+    hits = sum(oracle.classify(g) == g.label for g in labeled)
     return hits / len(labeled)
 
 
@@ -279,7 +274,7 @@ def defense_sweep(
     """
     rows = []
     for gamma in sorted(float(g) for g in gammas):
-        defended = DefendedOracle(oracle.clone(), LowRankConfig(gamma=gamma))
+        defended = DefendedOracle(oracle, LowRankConfig(gamma=gamma))
         row = {"gamma": gamma, "clean_accuracy": clean_accuracy(defended, graphs)}
         if cfg is not None:
             report = run_experiment(defended, graphs, cfg)

@@ -1,15 +1,17 @@
-"""Hard-label classifier oracles with exact query accounting.
+"""Hard-label classifier oracles, and the run memo that counts their queries.
 
-Every call to ``classify`` costs exactly one ledger query, attributed to
-the phase the caller names (coarse search, binary search, gradient
-probes, ...).  Oracles return only an integer class label.
+Oracles return only an integer class label and count nothing.  An attack
+run asks them through its ``LabelMemo``, whose ``query`` is the one place
+a query is counted: one per ``classify`` call, attributed to the phase
+the caller names (coarse search, binary search, gradient probes, ...),
+and refused once the run's cap is reached.
 
 An oracle with a batch label kernel (``_classify_many``) can compute the
 labels of a block of graphs in one call before any of them is asked
 about (``LabelMemo.in_blocks``).  The run's memo holds those labels
-apart from its verdicts until a query hands one to ``classify``, which
-counts it, so a label computed ahead but never asked for is never a
-query and never a verdict.  The oracle itself holds no label.
+apart from its verdicts until a query hands one to ``classify``, so a
+label computed ahead but never asked for is never a query and never a
+verdict.  The oracle itself holds no label.
 """
 
 from __future__ import annotations
@@ -29,34 +31,8 @@ PHASES = ("cgs", "binary_search", "qegc", "other")
 BLOCK = 32
 
 
-class QueryLedger:
-    """Per-phase query counter with an optional cap on the total."""
-
-    def __init__(self, max_queries: int | None = None):
-        self.max_queries = max_queries
-        self._counts = dict.fromkeys(PHASES, 0)
-
-    @property
-    def total(self) -> int:
-        return sum(self._counts.values())
-
-    def record(self, phase: str):
-        """Count one query in ``phase``; refuse it once the cap is reached."""
-        counts = self._counts
-        if phase not in counts:
-            raise ValueError(f"unknown phase {phase!r}; choose from {PHASES}")
-        if self.max_queries is not None and sum(counts.values()) >= self.max_queries:
-            raise BudgetExhausted(f"query budget of {self.max_queries} reached")
-        counts[phase] += 1
-
-    def snapshot(self) -> dict:
-        counts = dict(self._counts)
-        counts["total"] = sum(counts.values())
-        return counts
-
-
 class HardLabelOracle:
-    """Base class: deterministic Graph -> label with a query ledger.
+    """Base class: a deterministic Graph -> label map that counts nothing.
 
     A subclass with a batch label kernel defines ``_classify_many``: the
     labels ``_classify`` gives a non-empty list of graphs on one node
@@ -66,40 +42,37 @@ class HardLabelOracle:
 
     _classify_many = None
 
-    def __init__(self, ledger: QueryLedger | None = None):
-        self.ledger = QueryLedger() if ledger is None else ledger
-
-    def classify(self, graph: Graph, phase: str = "other", label: int | None = None) -> int:
-        """Count one query in ``phase`` and return the label of ``graph``.
+    def classify(self, graph: Graph, label: int | None = None) -> int:
+        """The label of ``graph``.
 
         ``label`` is one ``_classify_many`` computed ahead for ``graph``
-        (only ``LabelMemo`` passes one); it is returned as is, the query
-        counted like any other.  Without it, ``_classify`` computes it.
+        (only ``LabelMemo.query`` passes one); it is returned as is, so a
+        query costs one ``classify`` call either way.  Without it,
+        ``_classify`` computes it.
         """
-        self.ledger.record(phase)
         return self._classify(graph) if label is None else label
 
     def _classify(self, graph: Graph) -> int:
         raise NotImplementedError
 
     def clone(self) -> "HardLabelOracle":
-        """Same classifier with fresh counts and the same cap (per-target
-        accounting)."""
-        twin = copy.copy(self)
-        twin.ledger = QueryLedger(self.ledger.max_queries)
-        return twin
+        """A shallow copy: the same classifier."""
+        return copy.copy(self)
 
 
 class LabelMemo:
-    """The context of one attack run: its verdicts and the graph it returns.
+    """The context of one attack run: its queries, its verdicts and the
+    graph it returns.
 
     Binds the run's oracle, its predicate on labels (what counts as
-    adversarial), its target ``graph`` and its perturbation-rate budget.
-    Oracles are deterministic, so a graph submitted again is answered from
-    the labels held here without a query; ``hits`` counts those answers.
-    Keyed by the edge bits alone: one run keeps the node count fixed.  Kept
-    per run, never on an oracle or ledger (a ``DefendedOracle`` shares its
-    inner oracle's ledger).
+    adversarial), its target ``graph``, its perturbation-rate budget and
+    its query cap ``max_queries`` (None for none).  ``queries`` counts the
+    run's queries per phase of ``PHASES``; ``query`` is the only place one
+    is counted.  Oracles are deterministic, so a graph submitted again is
+    answered from the labels held here without a query; ``hits`` counts
+    those answers.  Keyed by the edge bits alone: one run keeps the node
+    count fixed.  Kept per run, never on an oracle, so runs on one oracle
+    share no count, no cap and no verdict.
 
     The budget is held as ``max_flips``: the largest k in [0, d] with
     ``k / d <= budget`` over d slots (one on a graph without any), the
@@ -110,13 +83,14 @@ class LabelMemo:
 
     ``ahead`` holds the labels of the current block of ``in_blocks``,
     computed ahead and not asked about yet; a query takes its graph's
-    label from there and hands it to ``classify``.
+    label from there and hands it to ``query``.
     """
 
-    __slots__ = ("oracle", "predicate", "graph", "max_flips", "labels", "hits", "best",
-                 "best_flips", "ahead")
+    __slots__ = ("oracle", "predicate", "graph", "max_flips", "max_queries", "queries",
+                 "labels", "hits", "best", "best_flips", "ahead")
 
-    def __init__(self, oracle: HardLabelOracle, predicate, graph: Graph, budget: float):
+    def __init__(self, oracle: HardLabelOracle, predicate, graph: Graph, budget: float,
+                 max_queries: int | None = None):
         self.oracle = oracle
         self.predicate = predicate
         self.graph = graph
@@ -126,11 +100,34 @@ class LabelMemo:
         while k > 0 and k / max(d, 1) > budget:
             k -= 1
         self.max_flips = k
+        self.max_queries = max_queries
+        self.queries = dict.fromkeys(PHASES, 0)
         self.labels: dict[bytes, int] = {}
         self.hits = 0
         self.best: Graph | None = None
         self.best_flips = k + 1
         self.ahead: dict[bytes, int] = {}
+
+    @property
+    def total(self) -> int:
+        return sum(self.queries.values())
+
+    def query(self, graph: Graph, phase: str, label: int | None = None) -> int:
+        """Count one query in ``phase`` and return the oracle's label of
+        ``graph``, never answered from the memo.
+
+        ``label`` is the one ``in_blocks`` computed ahead for ``graph``,
+        handed to ``classify`` as is.  Once ``max_queries`` are counted the
+        query is refused with ``BudgetExhausted``, and an unknown phase
+        with ``ValueError``; neither counts anything or asks the oracle.
+        """
+        queries = self.queries
+        if phase not in queries:
+            raise ValueError(f"unknown phase {phase!r}; choose from {PHASES}")
+        if self.max_queries is not None and self.total >= self.max_queries:
+            raise BudgetExhausted(f"query budget of {self.max_queries} reached")
+        queries[phase] += 1
+        return self.oracle.classify(graph, label)
 
     def adversarial(self, graph: Graph, phase: str) -> bool:
         """Whether ``graph`` is adversarial: a query in ``phase`` unless
@@ -140,8 +137,7 @@ class LabelMemo:
         if label is not None:
             self.hits += 1
             return self.predicate(label)
-        label = self.labels[key] = self.oracle.classify(graph, phase,
-                                                        self.ahead.pop(key, None))
+        label = self.labels[key] = self.query(graph, phase, self.ahead.pop(key, None))
         if not self.predicate(label):
             return False
         flips = int(np.count_nonzero(graph.bits ^ self.graph.bits))
@@ -179,7 +175,6 @@ class FunctionOracle(HardLabelOracle):
     """Wrap an arbitrary pure function Graph -> int."""
 
     def __init__(self, fn):
-        super().__init__()
         self._fn = fn
 
     def _classify(self, graph: Graph) -> int:
@@ -212,7 +207,6 @@ class StructuralOracle(HardLabelOracle):
     def __init__(self, feature: str, threshold: int):
         if feature not in STRUCTURAL_FEATURES:
             raise ValueError(f"feature must be one of {STRUCTURAL_FEATURES}")
-        super().__init__()
         self.feature = feature
         self.threshold = int(threshold)
 

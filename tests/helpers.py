@@ -37,7 +37,7 @@ from blackedge.graph import (
     normalize,
     perturbation_rate,
 )
-from blackedge.oracle import HardLabelOracle, LabelMemo
+from blackedge.oracle import FunctionOracle, HardLabelOracle, LabelMemo
 from blackedge.partition import enumerate_components
 
 
@@ -104,7 +104,6 @@ class TableOracle(HardLabelOracle):
     """Pure lookup oracle over an explicit graph -> label table."""
 
     def __init__(self, labels: dict[bytes, int]):
-        super().__init__()
         self._table = dict(labels)
 
     @classmethod
@@ -125,13 +124,25 @@ class TableOracle(HardLabelOracle):
         return self._table[key]
 
 
+class CountingOracle(FunctionOracle):
+    """Oracle of ``fn`` that counts in ``computed`` the labels it computes."""
+
+    def __init__(self, fn):
+        super().__init__(fn)
+        self.computed = 0
+
+    def _classify(self, graph: Graph) -> int:
+        self.computed += 1
+        return super()._classify(graph)
+
+
 # -- label memos -----------------------------------------------------------
 
 
-def untargeted_memo(oracle, graph, y0=0, budget=1.0) -> LabelMemo:
+def untargeted_memo(oracle, graph, y0=0, budget=1.0, max_queries=None) -> LabelMemo:
     """A fresh run memo on ``oracle`` and target ``graph`` for which any
-    label but ``y0`` is adversarial."""
-    return LabelMemo(oracle, lambda label: label != y0, graph, budget)
+    label but ``y0`` is adversarial, capped at ``max_queries``."""
+    return LabelMemo(oracle, lambda label: label != y0, graph, budget, max_queries)
 
 
 # -- reference kernels: the first implementations, kept for exact checks
@@ -383,6 +394,9 @@ def reference_random_attack(oracle, graph, y0, cfg, query_budget):
     for i in sorted(range(query_budget), key=lambda i: flips[i]):
         chosen[i] = rng.permutation(s)[:flips[i]]
     best_graph = None
+    # every draw is queried, in the phase the library counts them in
+    queries = {"cgs": 0, "binary_search": 0, "qegc": 0, "other": len(chosen),
+               "total": len(chosen)}
     for slots in chosen:
         theta = np.zeros(s)
         theta[slots] = 1.0
@@ -392,13 +406,13 @@ def reference_random_attack(oracle, graph, y0, cfg, query_budget):
             best_graph = candidate
     if best_graph is None:
         return AttackResult(success=False, adversarial_graph=graph,
-                            queries=oracle.ledger.snapshot(), found_in="random",
+                            queries=queries, found_in="random",
                             stop_reason="iterations")
     added, removed = flip_ledger(graph, best_graph)
     return AttackResult(success=True, adversarial_graph=best_graph,
                         added=added, removed=removed,
                         rate=perturbation_rate(graph, best_graph),
-                        queries=oracle.ledger.snapshot(), found_in="random",
+                        queries=queries, found_in="random",
                         stop_reason="converged")
 
 

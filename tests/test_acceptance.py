@@ -29,10 +29,15 @@ from blackedge.errors import DegenerateTarget
 from blackedge.gin import GinOracle, GinWeights
 from blackedge.graph import Graph, apply_perturbation, flip_ledger, n_slots, normalize, perturbation_rate
 from blackedge.harness import clean_accuracy, defense_sweep, random_attack, rows_to_csv
-from blackedge.oracle import structural_oracle
 from blackedge.partition import Partition, louvain, modularity, search_space_report
 
-from helpers import TableOracle, complete_graph, set_partitions, untargeted_memo
+from helpers import (
+    CountingOracle,
+    TableOracle,
+    complete_graph,
+    set_partitions,
+    untargeted_memo,
+)
 
 
 @contextmanager
@@ -123,17 +128,17 @@ def test_criterion_3_one_query_sign_equivalence():
                 theta_new = theta_old + 0.1 * normalize(rng.standard_normal(s))
                 try:
                     expected, p_old, p_new = _brute_force_sign(
-                        table.clone, graph, 0, theta_old, theta_new
+                        lambda: table, graph, 0, theta_old, theta_new
                     )
                     [probe_graph] = probe_graphs(graph, p_old, [theta_new])
                     if probe_graph is None:
                         continue
-                    probe = table.clone()
-                    got = qegc_sign(untargeted_memo(probe, graph), probe_graph)
+                    memo = untargeted_memo(table, graph)
+                    got = qegc_sign(memo, probe_graph)
                 except DegenerateTarget:
                     continue
-                assert probe.ledger.total == 1  # exactly one query
-                assert probe.ledger.snapshot()["qegc"] == 1
+                assert memo.total == 1  # exactly one query
+                assert memo.queries["qegc"] == 1
                 total += 1
                 if got == expected:
                     agree += 1
@@ -234,7 +239,8 @@ def attack_suite():
     """50 seeded 20-node graphs attacked once each, plus the matched
     random baseline.  All downstream criteria read from this record."""
     bundle = generate_synthetic("erdos_renyi", 50, seed=7, n=20, p=0.2)
-    oracle = structural_oracle("edge_count", SUITE_THRESHOLD)
+    # the edge-count oracle, counting the labels it is asked for
+    oracle = CountingOracle(lambda g: int(g.n_edges >= SUITE_THRESHOLD))
     assert all(g.n_edges < SUITE_THRESHOLD for g in bundle.graphs)
 
     base_cfg = AttackConfig(budget=0.2, iterations=30, directions_per_step=100,
@@ -242,22 +248,21 @@ def attack_suite():
     runs = []
     t0 = time.perf_counter()
     for idx, graph in enumerate(bundle.graphs):
-        run_oracle = oracle.clone()
+        asked = oracle.computed
         cfg = replace(base_cfg, seed=idx)
-        res = attack_graph(run_oracle, graph, 0, cfg)
+        res = attack_graph(oracle, graph, 0, cfg)
         runs.append({
             "graph": graph,
             "optimum": SUITE_THRESHOLD - graph.n_edges,
             "result": res,
-            "ledger_total": run_oracle.ledger.total,
+            "asked": oracle.computed - asked,
         })
     signsgd_time = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     for idx, run in enumerate(runs):
-        run_oracle = oracle.clone()
         run["random"] = random_attack(
-            run_oracle, run["graph"], 0, replace(base_cfg, seed=1000 + idx),
+            oracle, run["graph"], 0, replace(base_cfg, seed=1000 + idx),
             # the graphs the attack drew, memo hits and skipped coarse-search
             # trials included: the baseline gets as many trials as before
             # the memo and the coarse search's gallop
@@ -305,14 +310,15 @@ def test_criterion_9_budget_and_accounting(attack_suite):
         budget = attack_suite["budget"]
         for r in attack_suite["runs"]:
             res = r["result"]
-            # reported totals equal the ledger spend, phase sums included
-            assert res.queries["total"] == r["ledger_total"]
+            # reported totals equal the labels the oracle was asked for,
+            # phase sums included
+            assert res.queries["total"] == r["asked"]
             phase_sum = sum(v for k, v in res.queries.items() if k != "total")
             assert phase_sum == res.queries["total"]
             if res.success:
                 assert res.rate <= budget
                 # independently re-verify the misclassification
-                assert oracle.clone().classify(res.adversarial_graph) == 1
+                assert oracle.classify(res.adversarial_graph) == 1
                 assert perturbation_rate(r["graph"], res.adversarial_graph) == res.rate
 
 
@@ -353,7 +359,7 @@ def test_criterion_10_defense_identity_and_curve():
 
         oracle = GinOracle(GinWeights.random(seed=0))
         bundle = generate_synthetic("erdos_renyi", 20, seed=4, n=12, p=0.3)
-        graphs = [g.replace(label=oracle.clone().classify(g))
+        graphs = [g.replace(label=oracle.classify(g))
                   for g in bundle.graphs]
         gammas = np.round(np.arange(0.05, 1.0 + 0.025, 0.05), 10)
         rows = defense_sweep(oracle, graphs, gammas)

@@ -24,7 +24,7 @@ from blackedge.attack import (
     solve_g_star,
 )
 from blackedge.cgs import coarse_grained_search
-from blackedge.datasets import erdos_renyi
+from blackedge.datasets import erdos_renyi, generate_synthetic
 from blackedge.errors import (
     BudgetExhausted,
     ConfigError,
@@ -81,9 +81,9 @@ def test_boundary_distance_graded_direction():
 def test_boundary_distance_counts_queries_in_phase():
     oracle = structural_oracle("edge_count", 3)
     g = Graph.empty(5)
-    boundary_distance(untargeted_memo(oracle, g), np.ones(10))
-    snap = oracle.ledger.snapshot()
-    assert snap["binary_search"] == snap["total"] > 0
+    memo = untargeted_memo(oracle, g)
+    boundary_distance(memo, np.ones(10))
+    assert memo.queries["binary_search"] == memo.total > 0
 
 
 def test_boundary_distance_no_label_change_raises():
@@ -129,8 +129,8 @@ class _RecordingMemo(LabelMemo):
 
 def _boundary_run(search, label_fn, y0, graph, theta, epsilon, hint, known=()):
     """Everything a boundary search leaves behind: its scale (or its
-    NoBoundary message), each submission in order, the ledger, the memo
-    hits and the memo's verdicts in insertion order.  ``known`` graphs are
+    NoBoundary message), each submission in order, the query counts, the
+    memo hits and the memo's verdicts in insertion order.  ``known`` graphs are
     asked first, so the search starts from a memo that holds them."""
     memo = _RecordingMemo(FunctionOracle(label_fn), lambda label: label != y0, graph)
     for g in known:
@@ -140,7 +140,7 @@ def _boundary_run(search, label_fn, y0, graph, theta, epsilon, hint, known=()):
         out = search(memo, theta, epsilon, hint)
     except NoBoundary as exc:
         out = str(exc)
-    return (out, type(out), memo.log, memo.oracle.ledger.snapshot(), memo.hits,
+    return (out, type(out), memo.log, dict(memo.queries), memo.hits,
             list(memo.labels.items()))
 
 
@@ -661,14 +661,12 @@ def test_qegc_sign_matches_brute_force_on_exhaustive_oracle():
         theta_old = rng.uniform(0.1, 1.0, size=6)
         theta_new = theta_old + 0.1 * normalize(rng.standard_normal(6))
         expected, p_old, p_new = _brute_force_sign(
-            table.clone, graph, 0, theta_old, theta_new
+            lambda: table, graph, 0, theta_old, theta_new
         )
-        probe = table.clone()
+        memo = untargeted_memo(table, graph)
         [probe_graph] = probe_graphs(graph, p_old, [theta_new])
-        got = qegc_sign(untargeted_memo(probe, graph), probe_graph)
-        assert probe.ledger.snapshot() == {
-            "cgs": 0, "binary_search": 0, "qegc": 1, "other": 0, "total": 1
-        }
+        got = qegc_sign(memo, probe_graph)
+        assert memo.queries == {"cgs": 0, "binary_search": 0, "qegc": 1, "other": 0}
         if got == expected:
             agree += 1
         else:
@@ -830,8 +828,8 @@ def test_estimate_gradient_costs_one_query_per_direction():
     memo = untargeted_memo(oracle, graph)
     estimate_gradient(memo, theta, 0.7, 25, 0.1, np.random.default_rng(0))
     # a direction whose probe graph repeats an earlier one is a memo hit
-    assert oracle.ledger.snapshot()["qegc"] == oracle.ledger.total
-    assert oracle.ledger.total + memo.hits == 25
+    assert memo.queries["qegc"] == memo.total
+    assert memo.total + memo.hits == 25
 
 
 def test_estimate_gradient_antisymmetry():
@@ -852,16 +850,16 @@ def test_estimate_gradient_antisymmetry():
 
 def _gradient_step(step, graph, theta, p_t, q, seed, cap=None):
     """One gradient step and everything it leaves behind: the gradient (or
-    the cap's message), the ledger, the memo hits and the generator state."""
+    the cap's message), the query counts, the memo hits and the generator
+    state."""
     oracle = structural_oracle("edge_count", graph.n_edges + 1)
-    oracle.ledger.max_queries = cap
-    memo = untargeted_memo(oracle, graph)
+    memo = untargeted_memo(oracle, graph, max_queries=cap)
     rng = np.random.default_rng(seed)
     try:
         out = step(memo, theta, p_t, q, 0.1, rng)
     except BudgetExhausted as exc:
         out = str(exc)
-    return out, oracle.ledger.snapshot(), memo.hits, rng.bit_generator.state
+    return out, {**memo.queries, "total": memo.total}, memo.hits, rng.bit_generator.state
 
 
 @pytest.mark.parametrize("q", [1, 10, 25])
@@ -887,7 +885,7 @@ def test_estimate_gradient_equals_the_reference(monkeypatch, p_kind, q):
                 _gradient_step(reference_estimate_gradient, *args, cap)
             got = _gradient_step(estimate_gradient, *args, cap)
             assert np.array_equal(got[0], want[0])  # the gradient or the message
-            assert got[1:3] == want[1:3]  # the ledger and the memo hits
+            assert got[1:3] == want[1:3]  # the query counts and the memo hits
             if isinstance(want[0], str):
                 # a refused query ends the run: nothing reads the generator after it
                 capped += 1
@@ -930,11 +928,11 @@ def test_estimate_gradient_redraws_a_zero_draw_as_the_reference_does():
             warnings.simplefilter("error")  # a zero row is no division by zero
             grad = step(memo, theta, 0.3, 4, 0.1, normals)
         if step is reference_estimate_gradient:
-            want = grad, oracle.ledger.total, normals.state
+            want = grad, memo.total, normals.state
             assert normals.state >= 7 * d  # 4 probes and the 3 zero draws
         else:
             assert np.array_equal(grad, want[0])
-            assert (oracle.ledger.total, normals.state) == want[1:]
+            assert (memo.total, normals.state) == want[1:]
 
 
 # -- sign-SGD loop -------------------------------------------------------
@@ -950,7 +948,8 @@ def test_attack_succeeds_on_edge_count_oracle():
     cfg = AttackConfig(budget=0.5, iterations=8, directions_per_step=20, seed=1)
     res = attack_graph(oracle, g, 0, cfg)
     assert res.success
-    assert res.queries == oracle.ledger.snapshot()
+    assert sum(n for phase, n in res.queries.items() if phase != "total") == \
+        res.queries["total"]
     assert oracle.classify(res.adversarial_graph) == 1
     assert res.rate <= cfg.budget
     assert res.flips == len(res.added) + len(res.removed)
@@ -1025,10 +1024,9 @@ def test_cap_in_the_coarse_search_keeps_its_first_success():
     assert np.array_equal(res.adversarial_graph.bits, apply_perturbation(g, seed.theta0).bits)
     assert res.queries == {"cgs": spent, "binary_search": 0, "qegc": 0, "other": 0,
                            "total": spent}  # no extra verification query
-    assert res.queries == oracle.ledger.snapshot()
     assert res.rate <= cfg.budget and res.p_trace == []
     assert res.flips == int(seed.theta0.sum()) > 0
-    assert oracle.clone().classify(res.adversarial_graph) == 1
+    assert oracle.classify(res.adversarial_graph) == 1
     # the same cap with a budget below the seed's rate is a failure
     tight = attack_graph(structural_oracle("edge_count", threshold), g, 0,
                          replace(cfg, max_queries=spent, budget=res.rate / 2))
@@ -1219,7 +1217,7 @@ def test_only_the_last_iteration_of_a_descent_has_a_zero_objective():
     w = workloads.build("gin_balanced_n20", 1)
     zero_ends = 0
     for idx, g, y0 in w.targets:
-        res = attack_graph(w.oracle.clone(), g, y0, w.target_cfg(idx))
+        res = attack_graph(w.oracle, g, y0, w.target_cfg(idx))
         assert all(p > 0.0 for p in res.p_trace[:-1]), idx
         if res.p_trace and not res.p_trace[-1] > 0.0:
             zero_ends += 1
@@ -1252,14 +1250,13 @@ def test_capped_run_keeps_the_verified_boundary_graph(monkeypatch):
     for cap in caps:
         cfg = replace(uncapped, max_queries=cap)
         del boundary[:]
-        res, oracle, asked = _asked_attack(rule, g, 0, cfg)
+        res, _, asked = _asked_attack(rule, g, 0, cfg)
         assert res.queries["total"] == cap == len(asked)  # the cap stopped the descent
         assert 0 < len(res.p_trace) < cfg.iterations
         assert res.queries["other"] == 0  # no extra verification query
         assert res.success and res.stop_reason == "query_budget"
         assert res.rate <= cfg.budget
-        assert res.queries == oracle.ledger.snapshot()
-        assert oracle.clone().classify(res.adversarial_graph) == 1
+        assert rule(res.adversarial_graph) == 1
         # the memo's graph, which need not be the last boundary point
         assert res.adversarial_graph is _fewest_flip_verified(g, asked, cfg.predicate(0),
                                                               cfg.budget)
@@ -1355,7 +1352,6 @@ def test_each_distinct_graph_costs_one_query(monkeypatch):
     assert asked[-1] == res.adversarial_graph.bits.tobytes() and asked[-1] in asked[:-1]
     assert res.queries["total"] == len(asked) == len(set(asked)) + 1
     assert res.queries["other"] == 1
-    assert res.queries == oracle.ledger.snapshot()
     # every other submission to the memo is a query or a memo hit; a flip
     # count a boundary search probes again is a memo hit that never reaches it
     assert res.queries["total"] == len(submitted) - sum(held) + 1
@@ -1373,11 +1369,35 @@ def test_runs_on_clones_do_not_share_a_memo():
     second = attack_graph(oracle.clone(), g, 0, cfg)
     assert asked[n:] == asked[:n]  # every graph asked again, in the same order
     assert (second.queries, second.memo_hits) == (first.queries, first.memo_hits)
-    # nor do two runs on one oracle; its ledger keeps counting
-    attack_graph(oracle, g, 0, cfg)
-    attack_graph(oracle, g, 0, cfg)
+    # nor do two runs on one oracle, and each reports only its own queries
+    runs = [attack_graph(oracle, g, 0, cfg) for _ in range(2)]
     assert asked[2 * n:] == asked[:n] * 2
-    assert oracle.ledger.total == 2 * n
+    assert [(r.queries, r.memo_hits) for r in runs] == [(first.queries, first.memo_hits)] * 2
+
+
+@pytest.mark.parametrize("method", ["signsgd", "random"])
+def test_runs_on_one_oracle_each_count_and_cap_their_own_queries(method):
+    # each run on a shared oracle reports only its own queries and gets the
+    # whole cap, whatever the runs before it spent
+    graphs = generate_synthetic("erdos_renyi", 3, 1, n=20, p=0.2).graphs
+    labels = [structural_oracle("edge_count", 45).classify(g) for g in graphs]
+    cfg = AttackConfig(budget=0.2, iterations=5, directions_per_step=5, max_queries=60)
+
+    def run(oracle, g, y0):
+        if method == "signsgd":
+            return attack_graph(oracle, g, y0, cfg)
+        return random_attack(oracle, g, y0, cfg, 100)
+
+    def outcome(res):
+        return (res.success, res.adversarial_graph.bits.tobytes(), res.queries,
+                res.memo_hits, res.skipped, res.stop_reason)
+
+    shared = structural_oracle("edge_count", 45)
+    runs = [run(shared, g, y0) for g, y0 in zip(graphs, labels)]
+    alone = [run(structural_oracle("edge_count", 45), g, y0) for g, y0 in zip(graphs, labels)]
+    assert [outcome(r) for r in runs] == [outcome(r) for r in alone]
+    totals = {"signsgd": [47, 38, 32], "random": [39, 60, 29]}[method]
+    assert [r.queries["total"] for r in runs] == totals
 
 
 def test_capped_run_never_returns_an_unverified_seed():
@@ -1386,10 +1406,10 @@ def test_capped_run_never_returns_an_unverified_seed():
     theta0[np.flatnonzero(g.bits == 0)[:5]] = 1.0  # adversarial, but never queried
     for iterations in (0, 3):
         oracle = structural_oracle("edge_count", g.n_edges + 3)
-        oracle.ledger.max_queries = 1
-        oracle.classify(g)  # the cap is already spent
         cfg = AttackConfig(budget=0.5, iterations=iterations, directions_per_step=10)
-        res = sign_sgd_attack(untargeted_memo(oracle, g, budget=cfg.budget), cfg, theta0)
+        memo = untargeted_memo(oracle, g, budget=cfg.budget, max_queries=1)
+        memo.query(g, "other")  # the cap is already spent
+        res = sign_sgd_attack(memo, cfg, theta0)
         assert not res.success and res.queries["total"] == 1
         # with no iteration nothing is queried, and the memo holds no graph
         # to re-verify

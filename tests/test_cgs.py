@@ -39,8 +39,8 @@ def test_no_success_exhausts_every_phase(setup):
         coarse_grained_search(memo, part)
     # components carry 4+4+8+8 incident nodes, 5 trials each per node; a
     # trial repeating an earlier graph is answered by the memo
-    assert oracle.ledger.total + memo.hits == 120
-    assert oracle.ledger.snapshot()["cgs"] == oracle.ledger.total == len(memo.labels)
+    assert memo.total + memo.hits == 120
+    assert memo.queries["cgs"] == memo.total == len(memo.labels)
 
 
 def test_success_skips_later_phases(setup):
@@ -52,9 +52,9 @@ def test_success_skips_later_phases(setup):
     # the supernode phase draws the flip counts of all its 40 trials (both
     # components); its fewest-flip trial is submitted first and succeeds,
     # the other 39 are skipped, and later phases are never drawn
-    assert oracle.ledger.total + memo.hits + outcome.skipped == 40
+    assert memo.total + memo.hits + outcome.skipped == 40
     assert outcome.skipped == 39
-    assert oracle.ledger.total == len(memo.labels) == 1
+    assert memo.total == len(memo.labels) == 1
 
 
 def test_outcome_theta_reproduces_the_flips(setup):
@@ -87,16 +87,14 @@ def test_deterministic_given_seed(setup):
 
 def test_budget_exhaustion_reports_exact_spend(setup):
     g, part = setup
-    oracle = FunctionOracle(lambda _: 0)  # never adversarial
-    oracle.ledger.max_queries = 25
+    memo = untargeted_memo(FunctionOracle(lambda _: 0), g, max_queries=25)  # never adversarial
     with pytest.raises(BudgetExhausted):
-        coarse_grained_search(untargeted_memo(oracle, g), part)
-    assert oracle.ledger.total == 25
+        coarse_grained_search(memo, part)
+    assert memo.total == 25
     # a success ends the search, so a cap never stops it holding one
-    oracle = FunctionOracle(lambda _: 1)
-    oracle.ledger.max_queries = 1
-    coarse_grained_search(untargeted_memo(oracle, g), part)
-    assert oracle.ledger.total == 1
+    memo = untargeted_memo(FunctionOracle(lambda _: 1), g, max_queries=1)
+    coarse_grained_search(memo, part)
+    assert memo.total == 1
 
 
 def test_custom_predicate_targets_a_label():
@@ -115,8 +113,8 @@ def test_strategy_three_searches_whole_graph_only(setup):
     outcome = coarse_grained_search(memo, part, strategy="III")
     assert outcome.found_in == "whole_graph"
     # 5 trials x 8 incident nodes; only the first in flip order is submitted
-    assert oracle.ledger.total + memo.hits + outcome.skipped == 40
-    assert oracle.ledger.total == 1
+    assert memo.total + memo.hits + outcome.skipped == 40
+    assert memo.total == 1
 
 
 class _KeyedPermutations:
@@ -162,7 +160,7 @@ def _phase_sizes(part, strategy):
 def test_flip_order_search_equals_the_draw_order_reference(strategy, monkeypatch):
     """The reference's outcome on labels monotone in the flip count; an
     adversarial outcome within budget on any other label; the reference's
-    failure, message and ledger when no trial succeeds."""
+    failure, message and query counts when no trial succeeds."""
     targets = []
     for seed in range(12):
         g = erdos_renyi(10 + seed % 4, 0.3, np.random.default_rng(seed))
@@ -187,22 +185,22 @@ def test_flip_order_search_equals_the_draw_order_reference(strategy, monkeypatch
                     coarse_grained_search(memo, *args)
                 # every trial is submitted once when none succeeds, and a
                 # trial has the same slots in both searches
-                assert oracle.ledger.snapshot() == ref_oracle.ledger.snapshot()
+                assert memo.queries == ref_memo.queries
                 assert memo.hits == ref_memo.hits
-                assert oracle.ledger.total + memo.hits == drawn[-1]
+                assert memo.total + memo.hits == drawn[-1]
                 failed += 1
                 continue
             outcome = coarse_grained_search(memo, *args)
             # the drawn trials are submitted or skipped, phase by phase
-            assert oracle.ledger.total + memo.hits + outcome.skipped in drawn
+            assert memo.total + memo.hits + outcome.skipped in drawn
             if is_monotone:
                 # the gallop finds the first phase with a success, and the
                 # bisection its fewest-flip trial, first in draw order
                 assert np.array_equal(outcome.theta0, expected.theta0)
                 assert outcome.found_in == expected.found_in
-                assert oracle.ledger.total <= ref_oracle.ledger.total
+                assert memo.total <= ref_memo.total
                 kinds = [kind for kind, _ in phases]
-                assert oracle.ledger.total + memo.hits + outcome.skipped == \
+                assert memo.total + memo.hits + outcome.skipped == \
                     drawn[kinds.index(outcome.found_in)]
                 monotone += 1
             else:
@@ -240,7 +238,7 @@ def test_a_monotone_label_costs_a_logarithmic_number_of_trials_per_phase(monkeyp
                 outcome = coarse_grained_search(memo, part, strategy, seed)
                 assert outcome.found_in == expected.found_in
                 assert np.array_equal(outcome.theta0, expected.theta0)
-                asked = memo.oracle.ledger.total + memo.hits  # trials submitted
+                asked = memo.total + memo.hits  # trials submitted
                 for kind, n in phases:
                     if kind == outcome.found_in:
                         assert asked <= 2 * math.ceil(math.log2(n)) + 2
@@ -437,7 +435,7 @@ def test_a_25_query_cap_keeps_a_seed_on_nine_in_ten_balanced_gin_targets():
     w = workloads.build("gin_balanced_n20", 1)
     successes = 0
     for idx, g, y0 in w.targets:
-        res = attack_graph(w.oracle.clone(), g, y0, replace(w.target_cfg(idx), max_queries=25))
+        res = attack_graph(w.oracle, g, y0, replace(w.target_cfg(idx), max_queries=25))
         assert res.queries["total"] <= 25
         successes += res.success
     assert successes >= 0.9 * len(w.targets)

@@ -18,6 +18,7 @@ from blackedge.graph import Graph, apply_perturbation
 from blackedge.oracle import LabelMemo, structural_oracle
 
 from helpers import (
+    CountingOracle,
     complete_graph,
     perfbench_module,
     random_graph,
@@ -156,39 +157,36 @@ def test_gamma_validation():
     LowRankConfig(gamma=1e-9)
 
 
-def test_defended_oracle_costs_one_query_and_shares_ledger():
-    inner = structural_oracle("edge_count", 3)
+def test_defended_oracle_costs_one_query():
+    inner = CountingOracle(lambda g: int(g.n_edges >= 3))
     oracle = DefendedOracle(inner, LowRankConfig(gamma=0.5))
-    oracle.classify(complete_graph(4))
-    assert inner.ledger.total == 1
-    assert oracle.ledger is inner.ledger
+    memo = LabelMemo(oracle, lambda label: label == 1, complete_graph(4), 1.0)
+    memo.query(complete_graph(4), "other")
+    assert memo.total == inner.computed == 1
 
 
 def test_defended_oracle_filters_before_classifying():
     # an almost-empty graph loses its single edge under aggressive filtering
     inner = structural_oracle("edge_count", 1)
     g = Graph.from_edges(6, [(0, 1)])
-    defended = DefendedOracle(inner.clone(), LowRankConfig(gamma=1.0))
+    defended = DefendedOracle(inner, LowRankConfig(gamma=1.0))
     assert defended.classify(g) == 1  # identity keeps the edge
     # the single edge contributes eigenvalues +-1; keeping only three of
     # six components halves the reconstruction to 0.5, which binarizes up
     filtered = low_rank_filter(g, LowRankConfig(gamma=0.5))
-    assert inner.clone().classify(filtered) == DefendedOracle(
-        inner.clone(), LowRankConfig(gamma=0.5)
+    assert inner.classify(filtered) == DefendedOracle(
+        inner, LowRankConfig(gamma=0.5)
     ).classify(g)
 
 
 def test_defended_clone_is_independent():
     oracle = DefendedOracle(structural_oracle("edge_count", 1),
                              LowRankConfig(gamma=0.5))
-    oracle.classify(complete_graph(3))
     twin = oracle.clone()
-    assert twin.ledger.total == 0
-    assert twin.cfg.gamma == 0.5
-    twin.classify(complete_graph(3), "qegc")
-    assert twin.ledger.snapshot()["qegc"] == 1
-    assert oracle.ledger.snapshot() == {"cgs": 0, "binary_search": 0, "qegc": 0,
-                                        "other": 1, "total": 1}
+    assert twin is not oracle and twin.cfg.gamma == 0.5
+    assert twin.classify(complete_graph(3)) == oracle.classify(complete_graph(3))
+    twin.cfg = LowRankConfig(gamma=1.0)
+    assert oracle.cfg.gamma == 0.5
 
 
 def test_memo_keys_the_submitted_graph_and_keeps_the_defended_label():
@@ -201,13 +199,13 @@ def test_memo_keys_the_submitted_graph_and_keeps_the_defended_label():
     inner = structural_oracle("edge_count", max(g.n_edges, filtered.n_edges))
     defended = DefendedOracle(inner, cfg)
     memo = LabelMemo(defended, lambda label: label == 1, g, 1.0)
-    label = inner.clone().classify(filtered)
-    assert label != inner.clone().classify(g)
+    label = inner.classify(filtered)
+    assert label != inner.classify(g)
     assert memo.adversarial(g, "qegc") == (label == 1)
     assert memo.labels == {g.bits.tobytes(): label}  # keyed by the unfiltered graph
     assert memo.adversarial(g, "qegc") == (label == 1)  # answered from the memo
     assert memo.hits == 1
-    assert defended.ledger.snapshot()["qegc"] == defended.ledger.total == 1
+    assert memo.queries["qegc"] == memo.total == 1
 
 
 class _RecordingDefended(DefendedOracle):
@@ -233,5 +231,5 @@ def test_attack_on_a_defended_oracle_submits_each_graph_once():
     # the memo kept, which is the one returned
     assert len(oracle.asked) == res.queries["total"] == len(set(oracle.asked)) + 1
     assert oracle.asked[-1] == res.adversarial_graph.bits.tobytes()
-    assert oracle.inner.clone().classify(
+    assert oracle.inner.classify(
         low_rank_filter(res.adversarial_graph, oracle.cfg)) == 1

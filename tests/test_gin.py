@@ -9,6 +9,7 @@ import pytest
 from blackedge.errors import ShapeMismatch
 from blackedge.gin import Dense, GinLayer, GinOracle, GinWeights, gin_forward, gin_logits
 from blackedge.graph import Graph
+from blackedge.oracle import LabelMemo
 
 from helpers import (
     complete_graph,
@@ -105,9 +106,10 @@ def test_feature_dim_mismatch_rejected():
 
 def test_gin_oracle_records_queries():
     oracle = GinOracle(GinWeights.random(seed=0))
-    oracle.classify(complete_graph(4))
-    oracle.classify(Graph.empty(4))
-    assert oracle.ledger.total == 2
+    memo = LabelMemo(oracle, bool, Graph.empty(4), 1.0)
+    memo.query(complete_graph(4), "other")
+    memo.query(Graph.empty(4), "qegc")
+    assert memo.queries == {"cgs": 0, "binary_search": 0, "qegc": 1, "other": 1}
 
 
 def test_random_weights_deterministic():

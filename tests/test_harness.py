@@ -2,11 +2,12 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from blackedge.attack import AttackConfig, AttackResult
+from blackedge.attack import AttackConfig, AttackResult, attack_graph
 from blackedge.datasets import erdos_renyi, generate_synthetic
 from blackedge.errors import ConfigError
 from blackedge.graph import Graph
@@ -21,7 +22,7 @@ from blackedge.harness import (
 )
 from blackedge.oracle import FunctionOracle, structural_oracle
 
-from helpers import reference_random_attack, search_label_cases
+from helpers import CountingOracle, reference_random_attack, search_label_cases
 
 
 def _result(success, flips=0, queries=0, wall=1.0):
@@ -68,7 +69,7 @@ def test_random_attack_respects_flip_cap_and_query_budget():
     res = random_attack(oracle, g, 0, AttackConfig(budget=0.2, seed=4), 300)
     # draws after the first success in flip order are never submitted, and a
     # draw that repeats an earlier graph is answered by the memo
-    assert oracle.ledger.total + res.memo_hits + res.skipped == 300
+    assert res.queries["total"] + res.memo_hits + res.skipped == 300
     assert res.found_in == "random"
     if res.success:
         assert res.flips <= int(0.2 * g.n_edge_slots)
@@ -88,9 +89,8 @@ def test_random_attack_stops_at_oracle_budget():
     g = Graph.empty(8)
     oracle = structural_oracle("edge_count", 100)
     res = random_attack(oracle, g, 0, AttackConfig(budget=0.5, max_queries=50), 500)
-    assert oracle.ledger.max_queries == 50  # the config's cap, set on the ledger
-    assert not res.success
-    assert oracle.ledger.total == 50
+    assert not res.success and res.stop_reason == "query_budget"
+    assert res.queries["total"] == res.queries["other"] == 50
 
 
 @pytest.mark.parametrize("n_nodes, budget", [(5, 0.05), (5, 0.0999), (20, 0.005), (1, 1.0)])
@@ -101,7 +101,7 @@ def test_random_attack_fails_when_the_budget_allows_no_flip(n_nodes, budget):
     res = random_attack(oracle, Graph.empty(n_nodes), 0, AttackConfig(budget=budget, seed=3), 10)
     assert not res.success and res.flips == 0 and res.rate == 0.0
     assert res.stop_reason == "rate_budget"
-    assert res.skipped == 10 and res.memo_hits == 0 and oracle.ledger.total == 0
+    assert res.skipped == 10 and res.memo_hits == 0 and res.queries["total"] == 0
     report = run_experiment(structural_oracle("edge_count", 1), [Graph.empty(n_nodes)],
                             AttackConfig(budget=budget), method="random",
                             random_query_budget=10)
@@ -134,10 +134,10 @@ def test_random_attack_reaches_the_top_of_its_budget():
 ])
 def test_random_attack_rejects_invalid_budgets(budget, query_budget, match):
     # the rate budget is checked where the config is made
-    oracle = structural_oracle("edge_count", 1)
+    oracle = CountingOracle(lambda g: int(g.n_edges >= 1))
     with pytest.raises(ConfigError, match=match):
         random_attack(oracle, Graph.empty(8), 0, AttackConfig(budget=budget), query_budget)
-    assert oracle.ledger.total == 0
+    assert oracle.computed == 0
 
 
 def test_ratio_draw_equals_the_uniform_draw():
@@ -200,15 +200,19 @@ def test_flip_order_random_attack_equals_the_draw_order_reference(budget, query_
 def small_suite():
     bundle = generate_synthetic("erdos_renyi", 4, seed=2, n=10, p=0.3)
     oracle = structural_oracle("edge_count", 20)
-    graphs = [g.replace(label=oracle.clone().classify(g)) for g in bundle.graphs]
+    graphs = [g.replace(label=oracle.classify(g)) for g in bundle.graphs]
     return oracle, graphs
 
 
-def test_select_targets_uses_throwaway_ledger(small_suite):
+def test_select_targets_keeps_the_correctly_labelled_graphs(small_suite):
     oracle, graphs = small_suite
     targets = select_targets(oracle, graphs)
-    assert oracle.ledger.total == 0
     assert len(targets) == len(graphs)  # labels came from the oracle itself
+    graphs = [graphs[0].replace(label=1 - graphs[0].label), *graphs[1:],
+              graphs[0].replace(label=None)]
+    targets = select_targets(oracle, graphs)
+    assert [idx for idx, _, _ in targets] == list(range(1, len(graphs)))
+    assert [y0 for _, _, y0 in targets] == [oracle.classify(g) for g in graphs[1:]]
 
 
 def test_run_experiment_rows_match_aggregates(small_suite):
@@ -220,8 +224,11 @@ def test_run_experiment_rows_match_aggregates(small_suite):
     assert report.aggregates["AQ"] == pytest.approx(np.mean(total_queries))
     successes = [r for r in report.per_graph if r["success"]]
     assert report.aggregates["SR"] == len(successes) / len(graphs)
-    # the shared oracle is never spent: each run used its own clone
-    assert oracle.ledger.total == 0
+    # every run on the shared oracle counts its own queries, as a lone run does
+    for (idx, g, y0), row in zip(select_targets(oracle, graphs), report.per_graph):
+        alone = attack_graph(structural_oracle("edge_count", 20), g, y0,
+                             replace(cfg, seed=cfg.seed + idx))
+        assert row["queries"] == alone.queries
 
 
 def test_run_experiment_trials_multiply_rows(small_suite):

@@ -53,9 +53,9 @@ class LoggedGin(GinOracle):
         super().__init__(weights)
         self.events = []
 
-    def classify(self, graph, phase="other", label=None):
+    def classify(self, graph, label=None):
         self.events.append(("query", graph, label))
-        return super().classify(graph, phase, label)
+        return super().classify(graph, label)
 
     def _classify(self, graph):
         self.events.append(("computed", graph))
@@ -158,7 +158,7 @@ def test_only_oracles_with_a_batch_kernel_label_ahead():
         assert list(queue) == graphs[1:]
         # the last block's labels, never asked for: no query, no verdict
         assert len(memo.ahead) == unasked and memo.labels == {}
-        assert oracle.ledger.total == 0
+        assert memo.total == 0
 
 
 # -- accounting --------------------------------------------------------------
@@ -179,25 +179,24 @@ def test_a_block_labels_only_graphs_not_in_the_memo_and_counts_at_classify():
         if not out:
             # the nine graphs the memo did not hold, each once
             assert labelled == [9] and len(memo.ahead) == 9
-            assert oracle.ledger.total == 1  # labelled, not queried
+            assert memo.total == 1  # labelled, not queried
         out.append(g)
         if g is not None:
             memo.adversarial(g, "cgs")
     assert memo.ahead == {}  # each label taken by its query
     assert out == stream
-    assert oracle.ledger.snapshot()["cgs"] == 9 and memo.hits == 3
+    assert memo.queries["cgs"] == 9 and memo.hits == 3
 
 
 def test_a_capped_stream_gives_the_refused_graph_no_verdict():
     rng = np.random.default_rng(2)
     oracle = GinOracle(GinWeights.random(0))
-    oracle.ledger.max_queries = 5
     graphs = [random_graph(rng, 8) for _ in range(12)]
-    memo = untargeted_memo(oracle, graphs[0])
+    memo = untargeted_memo(oracle, graphs[0], max_queries=5)
     with pytest.raises(BudgetExhausted):
         for g in memo.in_blocks(graphs):
             memo.adversarial(g, "qegc")
-    assert oracle.ledger.total == 5
+    assert memo.total == 5
     # the refused graph never got a verdict; the labels left unasked stay
     # in the memo, apart from its verdicts
     assert len(memo.labels) == 5 and graphs[5].bits.tobytes() not in memo.labels
@@ -219,7 +218,7 @@ def test_a_label_left_unasked_answers_a_later_query_of_its_graph():
     verdict = memo.adversarial(graphs[5], "binary_search")
     # one counted query, answered with the label computed ahead
     assert computed == []
-    assert oracle.ledger.snapshot()["binary_search"] == 1 and oracle.ledger.total == 3
+    assert memo.queries["binary_search"] == 1 and memo.total == 3
     label = single(graphs[5])
     assert memo.labels[graphs[5].bits.tobytes()] == label
     assert verdict == memo.predicate(label)
@@ -229,7 +228,7 @@ def test_the_final_re_verification_computes_its_label(weights):
     graphs = workloads.evaluation_set()
     for idx, g in enumerate(graphs):
         oracle = LoggedGin(weights)
-        y0 = oracle.clone().classify(g)
+        y0 = GinOracle(weights).classify(g)
         res = attack_graph(oracle, g, y0, replace(workloads.ATTACK, seed=idx))
         if res.success:
             break
@@ -245,14 +244,16 @@ def test_a_clone_shares_no_labels_computed_ahead():
     weights = GinWeights.random(0)
     for oracle in (GinOracle(weights), DefendedOracle(GinOracle(weights), LowRankConfig(0.5))):
         graph = random_graph(rng, 8)
+        memo = untargeted_memo(oracle, graph)
+        next(memo.in_blocks([graph]))
         twin = oracle.clone()
-        assert twin.ledger is not oracle.ledger and twin.ledger.total == 0
-        # the gate's re-verification on a clone costs exactly one query
+        # the labels computed ahead stay in the memo: the oracle and its
+        # clone hold none, and the gate's re-verification on the clone
+        # computes its label
+        assert list(memo.ahead) == [graph.bits.tobytes()]
+        assert twin is not oracle and vars(twin) == vars(oracle)
+        assert "ahead" not in vars(twin) and "labels" not in vars(twin)
         assert twin.classify(graph) == oracle._classify(graph)
-        assert twin.ledger.total == 1 and oracle.ledger.total == 0
-    # a defended oracle shares its inner oracle's ledger from the start
-    inner = GinOracle(weights)
-    assert DefendedOracle(inner, LowRankConfig(0.5)).ledger is inner.ledger
 
 
 # -- outcomes do not move ----------------------------------------------------
@@ -277,7 +278,7 @@ def test_the_coarse_search_is_the_same_with_and_without_a_batch_kernel(weights):
                 except NoAdversarialFound as exc:
                     outcome = str(exc)
                 best = None if memo.best is None else memo.best.bits.tobytes()
-                runs.append((outcome, oracle.ledger.snapshot(), memo.hits, best))
+                runs.append((outcome, memo.queries, memo.hits, best))
             assert runs[0] == runs[1]
             searched += isinstance(runs[0][0], tuple)
     assert searched == 12
@@ -304,12 +305,12 @@ def test_labelling_ahead_moves_no_outcome(weights, max_queries):
     for batched, single in pairs:
         for idx in (0, 3, 5, 8):
             g = graphs[idx]
-            y0 = single.clone().classify(g)
+            y0 = single.classify(g)
             run_cfg = replace(cfg, seed=idx)
             runs = []
-            for oracle in (batched.clone(), single.clone()):
+            for oracle in (batched, single):
                 res = attack_graph(oracle, g, y0, run_cfg)
-                rnd = random_attack(oracle.clone(), g, y0, run_cfg, 300)
+                rnd = random_attack(oracle, g, y0, run_cfg, 300)
                 runs.append((_outcome(res), _outcome(rnd)))
             assert runs[0] == runs[1]
             successes += runs[0][0][0] + runs[0][1][0]

@@ -9,12 +9,12 @@ from blackedge.graph import Graph, perturbation_rate
 from blackedge.oracle import (
     FunctionOracle,
     LabelMemo,
-    QueryLedger,
     StructuralOracle,
     structural_oracle,
 )
 
 from helpers import (
+    CountingOracle,
     TableOracle,
     UnknownGraph,
     complete_graph,
@@ -25,54 +25,52 @@ from helpers import (
 )
 
 
-# -- ledger --------------------------------------------------------------
+# -- query accounting ------------------------------------------------------
+
+
+def _memo(oracle, max_queries=None):
+    return LabelMemo(oracle, lambda label: label == 1, complete_graph(3), 1.0, max_queries)
 
 
 def test_ledger_counts_by_phase():
-    ledger = QueryLedger()
+    memo = _memo(structural_oracle("edge_count", 1))
     for phase in ("other", "cgs", "cgs", "qegc", "cgs"):
-        ledger.record(phase)
-    snap = ledger.snapshot()
-    assert snap == {"cgs": 3, "binary_search": 0, "qegc": 1, "other": 1, "total": 5}
-    assert ledger.total == 5
-
-
-def test_classify_records_its_phase():
-    oracle = structural_oracle("edge_count", 1)
-    g = complete_graph(3)
-    oracle.classify(g)  # default phase
-    oracle.classify(g, "cgs")
-    oracle.classify(g, phase="binary_search")
-    assert oracle.ledger.snapshot() == {"cgs": 1, "binary_search": 1, "qegc": 0,
-                                        "other": 1, "total": 3}
+        assert memo.query(complete_graph(3), phase) == 1
+    assert memo.queries == {"cgs": 3, "binary_search": 0, "qegc": 1, "other": 1}
+    assert memo.total == 5
 
 
 def test_unknown_phase_is_rejected_and_not_recorded():
-    oracle = structural_oracle("edge_count", 1)
-    with pytest.raises(ValueError):
-        oracle.classify(complete_graph(3), "search")
-    with pytest.raises(ValueError):
-        oracle.ledger.record("total")
-    assert oracle.ledger.snapshot() == {"cgs": 0, "binary_search": 0, "qegc": 0,
-                                        "other": 0, "total": 0}
+    oracle = CountingOracle(lambda g: int(g.n_edges >= 1))
+    memo = _memo(oracle)
+    for phase in ("search", "total"):
+        with pytest.raises(ValueError):
+            memo.query(complete_graph(3), phase)
+    assert memo.total == 0 and oracle.computed == 0
 
 
 def test_every_classify_costs_one_query():
-    oracle = structural_oracle("edge_count", 1)
+    oracle = CountingOracle(lambda g: int(g.n_edges >= 1))
+    memo = _memo(oracle)
     g = complete_graph(3)
-    for expected in range(1, 6):
-        oracle.classify(g)
-        assert oracle.ledger.total == expected
+    memo.adversarial(g, "cgs")
+    for expected in range(2, 6):
+        assert memo.query(g, "other") == 1
+        assert memo.total == oracle.computed == expected
+    assert memo.hits == 0
+    # the memo answers a repeated verdict, never a query
+    assert memo.adversarial(g, "cgs") and memo.hits == 1 and memo.total == 5
+    # a label computed ahead is returned as is, and still counted
+    assert memo.query(g, "qegc", label=0) == 0
+    assert memo.queries["qegc"] == 1 and oracle.computed == 5
 
 
-def test_clone_gets_fresh_ledger_same_behavior():
+def test_clone_is_the_same_classifier():
     oracle = structural_oracle("edge_count", 2)
-    g = complete_graph(3)
-    oracle.classify(g)
     twin = oracle.clone()
-    assert twin.ledger.total == 0
-    assert twin.classify(g) == oracle.classify(g)
-    assert oracle.ledger.total == 2 and twin.ledger.total == 1
+    assert twin is not oracle and vars(twin) == vars(oracle)
+    g = complete_graph(3)
+    assert twin.classify(g) == oracle.classify(g) == 1
 
 
 # -- structural oracles --------------------------------------------------
@@ -126,36 +124,34 @@ def test_table_oracle_rejects_unknown_graphs():
 
 
 def test_budget_enforced_before_the_query():
-    oracle = structural_oracle("edge_count", 1)
-    oracle.ledger.max_queries = 3
+    oracle = CountingOracle(lambda g: int(g.n_edges >= 1))
+    memo = _memo(oracle, max_queries=3)
     g = complete_graph(3)
     for _ in range(3):
-        oracle.classify(g)
+        memo.query(g, "other")
     with pytest.raises(BudgetExhausted):
-        oracle.classify(g)
-    # the refused query is not recorded
-    assert oracle.ledger.total == 3
+        memo.query(g, "other")
+    # the refused query is neither counted nor asked of the oracle
+    assert memo.total == oracle.computed == 3
 
 
 def test_budget_counts_all_phases():
-    ledger = QueryLedger(max_queries=2)
-    ledger.record("cgs")
-    ledger.record("qegc")
+    memo = _memo(structural_oracle("edge_count", 1), max_queries=2)
+    memo.query(complete_graph(3), "cgs")
+    memo.query(complete_graph(3), "qegc")
     with pytest.raises(BudgetExhausted):
-        ledger.record("binary_search")
-    assert ledger.snapshot()["binary_search"] == 0
+        memo.query(complete_graph(3), "binary_search")
+    assert memo.queries["binary_search"] == 0
 
 
-def test_budgeted_clone_resets_spend():
+def test_each_memo_has_its_own_count_and_cap():
     oracle = structural_oracle("edge_count", 1)
-    oracle.ledger.max_queries = 1
-    oracle.classify(complete_graph(3))
-    twin = oracle.clone()
-    twin.classify(complete_graph(3))  # fresh ledger, fresh budget
-    assert twin.ledger.max_queries == 1
-    assert twin.ledger.total == 1 and oracle.ledger.total == 1
+    first, second = _memo(oracle, max_queries=1), _memo(oracle, max_queries=1)
+    first.query(complete_graph(3), "other")
+    second.query(complete_graph(3), "other")  # fresh count, fresh cap
+    assert first.total == second.total == 1
     with pytest.raises(BudgetExhausted):
-        twin.classify(complete_graph(3))
+        second.query(complete_graph(3), "other")
 
 
 def test_the_memo_keeps_the_first_fewest_flip_graph_within_its_budget():
@@ -172,7 +168,7 @@ def test_the_memo_keeps_the_first_fewest_flip_graph_within_its_budget():
     assert kept[:2] == [None, None] and kept[2].n_edges == 3
     assert kept[3] is kept[4] is kept[5] is kept[6]
     assert kept[3].bits.tolist() == g.flip([7, 8]).bits.tolist()
-    assert oracle.ledger.total == 6 and memo.hits == 1
+    assert memo.total == memo.queries["other"] == 6 and memo.hits == 1
 
 
 def test_the_flip_bound_is_the_largest_count_within_the_budget():

@@ -56,9 +56,9 @@ def _labelled_run(monkeypatch, oracle, graph, budget, query_budget):
         events.append(("batch", [g.bits.tobytes() for g in graphs]))
         return many(self, graphs)
 
-    def logged_classify(self, graph, phase="other", label=None):
+    def logged_classify(self, graph, label=None):
         events.append(("query", graph.bits.tobytes()))
-        return classify(self, graph, phase, label)
+        return classify(self, graph, label)
 
     monkeypatch.setattr(DefendedOracle, "_classify_many", logged_many)
     monkeypatch.setattr(DefendedOracle, "classify", logged_classify)
