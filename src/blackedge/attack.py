@@ -45,7 +45,7 @@ from .partition import STRATEGIES
 
 # sign_sgd_attack stops after this many consecutive iterations in which
 # the flips of the graph it returns (memo.best_flips) did not fall
-EARLY_STOP_PATIENCE = 10
+EARLY_STOP_PATIENCE = 3
 
 # Why a run stopped, in order: the graph sign-SGD returns stopped improving,
 # its objective fell to 0, or a random success ended the trials; all
@@ -445,8 +445,7 @@ def estimate_gradient(
     inverts no probe, so the step is zero; ``sign_sgd_attack`` takes none.
     """
     d = np.asarray(theta).shape[0]
-    signs = []
-    dirs = []
+    grad = np.zeros(d)
     done = attempt = 0  # probes done, draws of this probe
     while done < q_directions:
         # every remaining probe takes at least one row, so each row is used
@@ -454,20 +453,20 @@ def estimate_gradient(
         norms = _row_norms(u)
         norms[norms == 0.0] = np.nan  # a zero row becomes a NaN row, which probe_graphs rejects
         u /= norms[:, None]
-        for row, probe in zip(u, memo.in_blocks(probe_graphs(memo.graph, p_t, theta + mu * u))):
+        signs, kept = [], []
+        for i, probe in enumerate(memo.in_blocks(probe_graphs(memo.graph, p_t, theta + mu * u))):
             attempt += 1
             if probe is None:
                 if attempt < 4:
                     continue
             else:
                 signs.append(qegc_sign(memo, probe))
-                dirs.append(row)
+                kept.append(i)
             done += 1
             attempt = 0
-    if not signs:
-        return np.zeros(d)
-    # sums of +-1 terms are exact in any order
-    return (np.array(signs, dtype=float) @ np.sign(dirs)) / q_directions
+        # sums of +-1 terms are exact in any order
+        grad += np.array(signs, dtype=float) @ np.sign(u[kept])
+    return grad / q_directions
 
 
 def sign_sgd_attack(memo: LabelMemo, cfg: AttackConfig, theta0: np.ndarray) -> AttackResult:

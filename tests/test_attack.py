@@ -962,10 +962,13 @@ def test_attack_succeeds_on_edge_count_oracle():
 @pytest.mark.parametrize("budget, stop_reason", [(0.02, "rate_budget"), (0.05, "iterations")])
 def test_attack_failure_when_budget_too_tight(budget, stop_reason):
     # 45 slots: 0.02 allows no flip, so nothing is queried; 0.05 allows 2
-    # flips against an oracle that needs 6, so no graph found is kept
+    # flips against an oracle that needs 6, so no graph found is kept.  The
+    # flips kept never fall, so the descent runs out of iterations before
+    # its patience
     g = _er_target()
     oracle = structural_oracle("edge_count", g.n_edges + 6)
-    cfg = AttackConfig(budget=budget, iterations=4, directions_per_step=10, seed=1)
+    cfg = AttackConfig(budget=budget, iterations=EARLY_STOP_PATIENCE - 1,
+                       directions_per_step=10, seed=1)
     res = attack_graph(oracle, g, 0, cfg)
     assert not res.success
     assert res.adversarial_graph is g  # failures return the input graph
@@ -1164,7 +1167,7 @@ def _improving_descent():
     coarse-search seed, then runs with p moving until it stops."""
     g = _er_target()
     threshold = g.n_edges + 8
-    cfg = AttackConfig(budget=0.5, iterations=50, directions_per_step=50, seed=6)
+    cfg = AttackConfig(budget=0.5, iterations=50, directions_per_step=50, seed=1)
     return g, lambda h: int(h.n_edges >= threshold), cfg
 
 
@@ -1266,13 +1269,12 @@ def test_capped_run_keeps_the_verified_boundary_graph(monkeypatch):
     assert not_last
 
 
-def test_a_capped_run_is_a_prefix_of_the_uncapped_run():
-    # the stop reads only the memo, so a cap cannot change when a run stops:
-    # capped at Q, a run asks the uncapped run's first min(Q, total) graphs
-    # and returns what its memo held after them
-    g, rule, cfg = _improving_descent()
-    runs = [(g, rule, 0, cfg)]
-    for seed in range(6):
+def _four_rule_runs(seeds):
+    """(target, label rule, clean label, config) for one ER target per seed
+    under four rules: edge count up and down, and the hashed label,
+    untargeted and targeted."""
+    runs = []
+    for seed in seeds:
         g = _er_target(seed, n=10 + seed)
         m, y_hash = g.n_edges, hashed_label(g)
         cfg = AttackConfig(budget=0.5, iterations=30, directions_per_step=20, seed=seed)
@@ -1280,6 +1282,15 @@ def test_a_capped_run_is_a_prefix_of_the_uncapped_run():
                  (g, lambda h, t=m - 2: int(h.n_edges >= t), 1, cfg),
                  (g, hashed_label, y_hash, cfg),
                  (g, hashed_label, y_hash, replace(cfg, target_label=(y_hash + 1) % 8))]
+    return runs
+
+
+def test_a_capped_run_is_a_prefix_of_the_uncapped_run():
+    # the stop reads only the memo, so a cap cannot change when a run stops:
+    # capped at Q, a run asks the uncapped run's first min(Q, total) graphs
+    # and returns what its memo held after them
+    g, rule, cfg = _improving_descent()
+    runs = [(g, rule, 0, cfg)] + _four_rule_runs(range(6))
     improved = 0
     for g, label_fn, y0, uncapped in runs:
         predicate = uncapped.predicate(y0)
@@ -1301,6 +1312,32 @@ def test_a_capped_run_is_a_prefix_of_the_uncapped_run():
                 assert res.flips == len(np.flatnonzero(best.bits ^ g.bits))
             assert res.stop_reason == ("query_budget" if cap < total else full.stop_reason)
     assert improved >= 2
+
+
+def test_a_lower_patience_run_is_a_prefix_of_the_patience_10_run(monkeypatch):
+    # the stop reads only the memo, so a lower patience only cuts a run short:
+    # up to its re-verification it asks the first graphs of the same run at
+    # patience 10, so it asks no more queries and ends with no fewer flips
+    cut = 0
+    for g, label_fn, y0, cfg in _four_rule_runs(range(4)):
+        pair = []
+        for patience in (10, 3):
+            monkeypatch.setattr(attack, "EARLY_STOP_PATIENCE", patience)
+            pair.append(_asked_attack(label_fn, g, y0, cfg))
+        (long, _, long_asked), (short, _, asked) = pair
+        asked = asked[:len(asked) - short.queries["other"]]  # up to the re-verification
+        assert [h.bits.tobytes() for h, _ in asked] == \
+            [h.bits.tobytes() for h, _ in long_asked[:len(asked)]]
+        assert all(short.queries[phase] <= long.queries[phase] for phase in long.queries)
+        assert short.success <= long.success
+        if short.success:
+            assert short.flips >= long.flips
+        assert short.p_trace == long.p_trace[:len(short.p_trace)]
+        if short.stop_reason != long.stop_reason:  # only the earlier stop came first
+            assert short.stop_reason == "converged"
+            assert len(short.p_trace) < len(long.p_trace) or long.stop_reason == "iterations"
+        cut += len(short.p_trace) < len(long.p_trace)
+    assert cut  # the lower patience did stop some runs earlier
 
 
 def test_cap_at_the_final_verification_keeps_the_candidate():
@@ -1396,8 +1433,10 @@ def test_runs_on_one_oracle_each_count_and_cap_their_own_queries(method):
     runs = [run(shared, g, y0) for g, y0 in zip(graphs, labels)]
     alone = [run(structural_oracle("edge_count", 45), g, y0) for g, y0 in zip(graphs, labels)]
     assert [outcome(r) for r in runs] == [outcome(r) for r in alone]
-    totals = {"signsgd": [47, 38, 32], "random": [39, 60, 29]}[method]
+    totals = {"signsgd": [38, 31, 25], "random": [39, 60, 29]}[method]
     assert [r.queries["total"] for r in runs] == totals
+    # one count shared by the runs would refuse the third run every query
+    assert sum(totals[:2]) > cfg.max_queries
 
 
 def test_capped_run_never_returns_an_unverified_seed():

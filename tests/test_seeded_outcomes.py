@@ -1,8 +1,9 @@
 """Seeded end-to-end outcomes, pinned to recorded values.
 
-``run_experiment`` attacks a few small seeded graphs under four label
+``run_experiment`` attacks a few small seeded graphs under five label
 rules: edge count, a hashed 8-class labelling, untargeted and targeted,
-and a constant label that no search can flip.  Each rule is attacked by sign-SGD and by the random baseline,
+maximum degree, and a constant label that no search can flip.  Each rule
+is attacked by sign-SGD and by the random baseline,
 each uncapped and under a query cap.  Every run must reproduce the values
 recorded in ``seeded_outcomes.json``: success, the adversarial graph's
 bits, the edges added and removed, the rate, the per-phase queries, memo
@@ -36,13 +37,17 @@ EXPECTED = Path(__file__).with_name("seeded_outcomes.json")
 
 GRAPHS = [erdos_renyi(n, 0.2, np.random.default_rng(100 + n)) for n in range(9, 22)]
 EDGE_THRESHOLD = 20  # below and above the graphs' edge counts: both directions
+MAX_DEGREE_THRESHOLD = 4  # below and above the graphs' maximum degrees
 ORACLES = {
     "edge_count": lambda: structural_oracle("edge_count", EDGE_THRESHOLD),
     "hashed": lambda: FunctionOracle(hashed_label),
+    # its descents lose the boundary on several graphs: a no_boundary exit
+    "max_degree": lambda: structural_oracle("max_degree", MAX_DEGREE_THRESHOLD),
     "constant": lambda: FunctionOracle(lambda _: 0),  # nothing flips it: no seed is found
 }
 # (oracle, target label)
-RULES = [("edge_count", None), ("hashed", None), ("hashed", 3), ("constant", None)]
+RULES = [("edge_count", None), ("hashed", None), ("hashed", 3), ("max_degree", None),
+         ("constant", None)]
 CFG = AttackConfig(budget=0.2, iterations=12, directions_per_step=10, seed=1)
 RANDOM_QUERY_BUDGET = 300
 CAP = 150
