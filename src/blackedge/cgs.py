@@ -83,8 +83,9 @@ def coarse_grained_search(
     neither drawn nor submitted.  If no phase's gallop succeeds, each
     phase's remaining trials are submitted in flip order, phase by phase,
     and the first success is the outcome.  No trial is built or submitted
-    twice.  ``skipped`` counts the drawn trials never submitted, so the
-    queries, memo hits and ``skipped`` add up to the trials drawn.
+    twice.  ``skipped`` counts the drawn trials never submitted: the
+    trials drawn less the queries and memo hits this call added to
+    ``memo``, which may hold others from before.
 
     The trials perturb ``memo.graph``, and ``memo`` decides what counts as
     adversarial; a trial whose graph it already holds costs no query.
@@ -105,7 +106,9 @@ def coarse_grained_search(
     """
     graph = memo.graph
     rng = np.random.default_rng(rng_seed)
-    drawn = submitted = 0
+    drawn = 0
+    # each submission that returns is one query or one memo hit
+    asked = memo.total + memo.hits
 
     def build(n_flip: int, slots: np.ndarray):
         return graph.flip(rng.permutation(slots)[:n_flip])
@@ -113,7 +116,7 @@ def coarse_grained_search(
     def outcome(candidate, kind: str) -> CgsOutcome:
         # 1.0 on the flipped slots: the trial's chosen slots
         theta = (candidate.bits ^ graph.bits).astype(float)
-        return CgsOutcome(theta, kind, drawn - submitted)
+        return CgsOutcome(theta, kind, drawn - (memo.total + memo.hits - asked))
 
     galloped = []  # (kind, ordered trials, gallop positions) of each phase
     for kind, phase in groupby(enumerate_components(partition, strategy), lambda c: c.kind):
@@ -137,13 +140,11 @@ def coarse_grained_search(
         gallop = [build(*ordered[pos]) for pos in positions]
         failed = -1
         for pos, candidate in zip(positions, memo.in_blocks(gallop)):
-            submitted += 1
             if memo.adversarial(candidate, "cgs"):
                 found = candidate
                 while pos - failed > 1:
                     mid = (failed + pos) // 2
                     trial = build(*ordered[mid])
-                    submitted += 1
                     if memo.adversarial(trial, "cgs"):
                         pos, found = mid, trial
                     else:
@@ -155,7 +156,6 @@ def coarse_grained_search(
     for kind, ordered, positions in galloped:
         rest = [trial for pos, trial in enumerate(ordered) if pos not in positions]
         for candidate in memo.in_blocks(build(*trial) for trial in rest):
-            submitted += 1
             if memo.adversarial(candidate, "cgs"):
                 return outcome(candidate, kind)
     raise NoAdversarialFound(f"no adversarial graph after {drawn} trials across all phases")

@@ -215,15 +215,21 @@ def gin_logits(weights: GinWeights, graph: Graph) -> np.ndarray:
         a = graph.adjacency
         logits = heads[0].weight @ h.sum(axis=0) + heads[0].bias
     for layer, head in zip(layers, heads[1:]):
-        # in place, in an order with the same bits as
-        # relu(((1 + eps) * h + a @ h) @ W.T + b): addition commutes
-        m = a @ h
-        m += (1.0 + layer.epsilon) * h
-        h = m @ layer.weight.T
-        h += layer.bias
-        np.maximum(h, 0.0, out=h)
+        h = _message_pass(layer, a, h)
         logits = logits + head.weight @ h.sum(axis=0) + head.bias
     return logits
+
+
+def _message_pass(layer: GinLayer, a: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """One layer's embeddings from adjacency ``a`` and embeddings ``h``, of
+    one graph or of a stack of graphs; in place, in an order with the same
+    bits as relu(((1 + eps) * h + a @ h) @ W.T + b): addition commutes."""
+    m = a @ h
+    m += (1.0 + layer.epsilon) * h
+    h = m @ layer.weight.T
+    h += layer.bias
+    np.maximum(h, 0.0, out=h)
+    return h
 
 
 def _pooled_product(head: Dense, h: np.ndarray) -> np.ndarray:
@@ -244,11 +250,7 @@ def _featureless_logits_many(weights: GinWeights, a: np.ndarray) -> np.ndarray:
     h = layers[0].degree_table(n)[a.sum(axis=2, dtype=np.intp)]
     logits = logits + _pooled_product(heads[1], h) + heads[1].bias
     for layer, head in zip(layers[1:], heads[2:]):
-        m = a @ h
-        m += (1.0 + layer.epsilon) * h
-        h = m @ layer.weight.T
-        h += layer.bias
-        np.maximum(h, 0.0, out=h)
+        h = _message_pass(layer, a, h)
         logits = logits + _pooled_product(head, h) + head.bias
     return logits
 

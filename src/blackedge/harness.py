@@ -22,7 +22,7 @@ from .errors import BudgetExhausted, ConfigError
 # random_attack builds its trials with Graph.flip; the name stays bound here
 # because perfbench/tracing.py wraps harness.apply_perturbation by name
 from .graph import Graph, apply_perturbation  # noqa: F401
-from .oracle import HardLabelOracle, LabelMemo
+from .oracle import PHASES, HardLabelOracle, LabelMemo
 
 
 def random_attack(
@@ -132,9 +132,9 @@ class ExperimentReport:
     def to_csv(self) -> str:
         """Per-graph rows."""
         buf = io.StringIO()
-        fields = ["id", "success", "flips_added", "flips_removed", "rate",
-                  "queries_total", "queries_cgs", "queries_binary_search",
-                  "queries_qegc", "memo_hits", "skipped", "time_s", "found_in"]
+        fields = ["id", "success", "flips_added", "flips_removed", "rate", "queries_total",
+                  *(f"queries_{phase}" for phase in PHASES), "memo_hits", "skipped",
+                  "time_s", "found_in", "stop_reason"]
         writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
         writer.writeheader()
         for row in self.per_graph:
@@ -145,13 +145,12 @@ class ExperimentReport:
                 "flips_removed": row["flips_removed"],
                 "rate": f"{row['rate']:.6f}",
                 "queries_total": row["queries"]["total"],
-                "queries_cgs": row["queries"].get("cgs", 0),
-                "queries_binary_search": row["queries"].get("binary_search", 0),
-                "queries_qegc": row["queries"].get("qegc", 0),
+                **{f"queries_{phase}": row["queries"][phase] for phase in PHASES},
                 "memo_hits": row["memo_hits"],
                 "skipped": row["skipped"],
                 "time_s": f"{row['time_s']:.3f}",
                 "found_in": row["found_in"] or "",
+                "stop_reason": row["stop_reason"],
             }
             writer.writerow(out)
         return buf.getvalue()

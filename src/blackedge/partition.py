@@ -140,27 +140,18 @@ def louvain(graph: Graph, seed: int = 0) -> Partition:
     rng = np.random.default_rng(seed)
     dense = graph.adjacency
     a = dense  # the current level's (contracted) matrix
-    # node_groups[i] = original nodes merged into current node i
-    node_groups = [[v] for v in range(n)]
-    assignment = np.arange(n)
+    assignment = np.arange(n)  # original node -> its node at the current level
     q = _modularity_matrix(dense, assignment)
 
     while True:
-        level = _one_level(a, rng)
-        level, k = _relabel(level)
-        # contract communities
-        new_groups = [[] for _ in range(k)]
-        for i, c in enumerate(level):
-            new_groups[c].extend(node_groups[i])
-        candidate = np.empty(n, dtype=np.int64)
-        for c, group in enumerate(new_groups):
-            candidate[group] = c
+        level, k = _relabel(_one_level(a, rng))
+        candidate = level[assignment]
         new_q = _modularity_matrix(dense, candidate)
         if new_q - q < MODULARITY_TOL:
             break
         q = new_q
         assignment = candidate
-        node_groups = new_groups
+        # contract communities
         indicator = np.zeros((a.shape[0], k))
         indicator[np.arange(a.shape[0]), level] = 1.0
         a = indicator.T @ a @ indicator
@@ -194,19 +185,6 @@ SUPERLINK = "superlink"
 WHOLE_GRAPH = "whole_graph"
 
 
-def _component_slots(partition: Partition, kind: str, clusters: tuple[int, ...]) -> np.ndarray:
-    em = edge_index_map(partition.n_nodes)
-    row_c = partition.assignment[em.rows]
-    col_c = partition.assignment[em.cols]
-    if kind == SUPERNODE:
-        (c,) = clusters
-        mask = (row_c == c) & (col_c == c)
-    else:
-        c1, c2 = clusters
-        mask = ((row_c == c1) & (col_c == c2)) | ((row_c == c2) & (col_c == c1))
-    return np.flatnonzero(mask)
-
-
 def enumerate_components(partition: Partition, strategy: str = "I") -> list[SuperComponent]:
     """Ordered search components for a strategy.
 
@@ -225,19 +203,22 @@ def enumerate_components(partition: Partition, strategy: str = "I") -> list[Supe
         return [whole] if whole.slots.size else []
 
     sizes = partition.cluster_sizes
-    supernodes = []
-    for c in range(partition.n_clusters):
-        slots = _component_slots(partition, SUPERNODE, (c,))
-        if slots.size:
-            supernodes.append(SuperComponent(SUPERNODE, (c,), slots, int(sizes[c])))
-    superlinks = []
-    for c1 in range(partition.n_clusters):
-        for c2 in range(c1 + 1, partition.n_clusters):
-            slots = _component_slots(partition, SUPERLINK, (c1, c2))
-            if slots.size:
-                superlinks.append(
-                    SuperComponent(SUPERLINK, (c1, c2), slots, int(sizes[c1] + sizes[c2]))
-                )
+    em = edge_index_map(n)
+    # each slot's endpoint clusters (c1, c2) with c1 <= c2; a stable sort
+    # by the pair keeps each component's slots ascending
+    ends = np.sort(partition.assignment[np.stack([em.rows, em.cols])], axis=0)
+    key = ends[0] * partition.n_clusters + ends[1]
+    order = np.argsort(key, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(key[order])) + 1) if order.size else []
+    supernodes, superlinks = [], []
+    for slots in groups:
+        c1, c2 = ends[:, slots[0]].tolist()
+        if c1 == c2:
+            supernodes.append(SuperComponent(SUPERNODE, (c1,), slots, int(sizes[c1])))
+        else:
+            superlinks.append(
+                SuperComponent(SUPERLINK, (c1, c2), slots, int(sizes[c1] + sizes[c2]))
+            )
     supernodes.sort(key=lambda comp: (comp.slots.size, comp.clusters))
     superlinks.sort(key=lambda comp: (comp.slots.size, comp.clusters))
 
@@ -257,16 +238,6 @@ class SearchSpaceReport:
     log2_beta: float
 
 
-def _log2_big(x: int) -> float:
-    if x <= 0:
-        raise ValueError("log2 of a non-positive integer")
-    bl = x.bit_length()
-    if bl <= 53:
-        return math.log2(x)
-    shift = bl - 53
-    return math.log2(x >> shift) + shift
-
-
 def search_space_report(partition: Partition) -> SearchSpaceReport:
     """Exact candidate-space sizes of the phased search vs the full space.
 
@@ -282,7 +253,7 @@ def search_space_report(partition: Partition) -> SearchSpaceReport:
     )
     s_graph = 1 << n_slots(partition.n_nodes)
     denom = s_node + s_link
-    log2_beta = _log2_big(s_graph) - _log2_big(denom)
+    log2_beta = math.log2(s_graph) - math.log2(denom)
     try:
         beta = s_graph / denom
     except OverflowError:

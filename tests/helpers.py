@@ -38,7 +38,15 @@ from blackedge.graph import (
     perturbation_rate,
 )
 from blackedge.oracle import FunctionOracle, HardLabelOracle, LabelMemo
-from blackedge.partition import enumerate_components
+from blackedge.partition import (
+    MODULARITY_TOL,
+    Partition,
+    SuperComponent,
+    _modularity_matrix,
+    _one_level,
+    _relabel,
+    enumerate_components,
+)
 
 
 # -- independent GIN forward pass ----------------------------------------
@@ -473,6 +481,71 @@ def reference_one_level(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
             if best_c != ci:
                 improved = True
     return community
+
+
+def reference_louvain(graph: Graph, seed: int = 0) -> Partition:
+    """Louvain that tracks each current node's original members as a list
+    of node groups, merged level by level; the library maps the original
+    nodes through one array and must return the same partition."""
+    n = graph.n_nodes
+    if graph.n_edges == 0:
+        return Partition(np.arange(n), n)
+    rng = np.random.default_rng(seed)
+    dense = graph.adjacency
+    a = dense
+    node_groups = [[v] for v in range(n)]  # original nodes of each current node
+    assignment = np.arange(n)
+    q = _modularity_matrix(dense, assignment)
+    while True:
+        level, k = _relabel(_one_level(a, rng))
+        new_groups = [[] for _ in range(k)]
+        for i, c in enumerate(level):
+            new_groups[c].extend(node_groups[i])
+        candidate = np.empty(n, dtype=np.int64)
+        for c, group in enumerate(new_groups):
+            candidate[group] = c
+        new_q = _modularity_matrix(dense, candidate)
+        if new_q - q < MODULARITY_TOL:
+            break
+        q = new_q
+        assignment = candidate
+        node_groups = new_groups
+        indicator = np.zeros((a.shape[0], k))
+        indicator[np.arange(a.shape[0]), level] = 1.0
+        a = indicator.T @ a @ indicator
+        if k == 1:
+            break
+    assignment, k = _relabel(assignment)
+    return Partition(assignment, k)
+
+
+def reference_enumerate_components(partition: Partition, strategy: str = "I") -> list:
+    """Search components from one scan of all slots per cluster and per
+    cluster pair; the library groups the slots in one sort and must return
+    the same components in the same order."""
+    n = partition.n_nodes
+    whole = SuperComponent("whole_graph", (), np.arange(n_slots(n)), n)
+    if strategy == "III":
+        return [whole] if whole.slots.size else []
+    em = edge_index_map(n)
+    row_c = partition.assignment[em.rows]
+    col_c = partition.assignment[em.cols]
+    sizes = partition.cluster_sizes
+    supernodes, superlinks = [], []
+    for c1 in range(partition.n_clusters):
+        slots = np.flatnonzero((row_c == c1) & (col_c == c1))
+        if slots.size:
+            supernodes.append(SuperComponent("supernode", (c1,), slots, int(sizes[c1])))
+        for c2 in range(c1 + 1, partition.n_clusters):
+            mask = ((row_c == c1) & (col_c == c2)) | ((row_c == c2) & (col_c == c1))
+            slots = np.flatnonzero(mask)
+            if slots.size:
+                superlinks.append(SuperComponent("superlink", (c1, c2), slots,
+                                                 int(sizes[c1] + sizes[c2])))
+    supernodes.sort(key=lambda comp: (comp.slots.size, comp.clusters))
+    superlinks.sort(key=lambda comp: (comp.slots.size, comp.clusters))
+    phases = [supernodes, superlinks] if strategy == "I" else [superlinks, supernodes]
+    return [comp for phase in phases for comp in phase] + [whole]
 
 
 def reference_modularity_matrix(a: np.ndarray, assignment: np.ndarray) -> float:

@@ -57,6 +57,21 @@ def test_success_skips_later_phases(setup):
     assert memo.total == len(memo.labels) == 1
 
 
+def test_skipped_counts_only_this_calls_submissions(setup):
+    """A memo that already holds queries and hits leaves ``skipped`` as it
+    is on a fresh memo."""
+    g, part = setup
+    oracle = FunctionOracle(lambda graph: int(graph.n_edges <= 11))
+    fresh = coarse_grained_search(untargeted_memo(oracle, g), part)
+    memo = untargeted_memo(oracle, g)
+    for slots in ([0], [1], [0]):  # two queries and one hit, none adversarial
+        assert not memo.adversarial(g.flip(slots), "other")
+    assert (memo.total, memo.hits) == (2, 1)
+    outcome = coarse_grained_search(memo, part)
+    assert outcome.skipped == fresh.skipped > 0
+    assert np.array_equal(outcome.theta0, fresh.theta0)
+
+
 def test_outcome_theta_reproduces_the_flips(setup):
     g, part = setup
     oracle = FunctionOracle(lambda _: 1)

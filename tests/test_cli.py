@@ -5,9 +5,12 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from blackedge import cli
 from blackedge.cli import _parse_dataset, _parse_oracle, _parse_sweep, main
 from blackedge.errors import ConfigError
 from blackedge.gin import GinOracle, GinWeights
+
+from helpers import CountingOracle
 
 
 @pytest.fixture
@@ -102,6 +105,27 @@ def test_baseline_random_command(runner, tmp_path):
     assert result.exit_code == 0, result.output
     doc = json.loads(out.read_text())
     assert doc["config"]["method"] == "random"
+
+
+@pytest.mark.parametrize("command", [
+    ["attack", "--budget", "0.4", "--T", "3", "--Q", "10"],
+    ["baseline-random", "--query-budget", "50"],
+])
+def test_runs_label_each_unlabelled_graph_once_outside_the_runs(runner, tmp_path,
+                                                                 monkeypatch, command):
+    """Target selection is the only label asked outside a run, one per
+    graph; every other label is one of the runs' own queries."""
+    oracle = CountingOracle(lambda g: int(g.n_edges >= 12))
+    monkeypatch.setattr(cli, "_parse_oracle", lambda spec: oracle)
+    out = tmp_path / "report.json"
+    result = runner.invoke(main, command + [
+        "--dataset", "er:8:0.3:3", "--oracle", "structural:edge_count:12",
+        "--out", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(out.read_text())
+    queries = sum(row["queries"]["total"] for row in doc["per_graph"])
+    assert oracle.computed == 3 + queries
 
 
 def test_eval_command(runner, tmp_path):

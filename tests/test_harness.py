@@ -246,6 +246,12 @@ def test_run_experiment_random_method(small_suite):
     assert all(row["found_in"] == "random" for row in report.per_graph)
     assert all(row["queries"]["total"] + row["memo_hits"] + row["skipped"] == 100
                for row in report.per_graph)
+    # every random query is an ``other`` one, and the CSV shows them
+    rows = list(csv.DictReader(report.to_csv().splitlines()))
+    assert any(int(out["queries_total"]) > 0 for out in rows)
+    for out in rows:
+        assert out["queries_other"] == out["queries_total"]
+        assert out["queries_cgs"] == out["queries_binary_search"] == out["queries_qegc"] == "0"
 
 
 def test_run_experiment_rejects_bad_method(small_suite):
@@ -297,11 +303,13 @@ def test_report_json_and_csv(small_suite, tmp_path):
     header = csv_text.splitlines()[0]
     assert header == ("id,success,flips_added,flips_removed,rate,"
                       "queries_total,queries_cgs,queries_binary_search,"
-                      "queries_qegc,memo_hits,skipped,time_s,found_in")
+                      "queries_qegc,queries_other,memo_hits,skipped,time_s,"
+                      "found_in,stop_reason")
     # graphs submitted and drawn are recoverable from the CSV alone
     for out, row in zip(csv.DictReader(csv_text.splitlines()), report.per_graph):
         assert int(out["memo_hits"]) == row["memo_hits"]
         assert int(out["skipped"]) == row["skipped"]
+        assert out["stop_reason"] == row["stop_reason"]
 
 
 # -- sweeps --------------------------------------------------------------

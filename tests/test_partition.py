@@ -1,6 +1,7 @@
 """Community detection, search components and search-space accounting."""
 
 import copy
+import decimal
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from helpers import (
     perfbench_module,
     random_graph,
     reference_adjacency,
+    reference_enumerate_components,
+    reference_louvain,
     reference_modularity,
     reference_modularity_matrix,
     reference_one_level,
@@ -167,6 +170,25 @@ def test_louvain_and_modularity_equal_those_of_the_reference_adjacency(monkeypat
     assert ours == outputs()
 
 
+def _partition_cases():
+    """Graphs of n = 0, 1 and 2, edgeless, complete, barbell and random
+    graphs up to 29 nodes."""
+    rng = np.random.default_rng(29)
+    graphs = [Graph.empty(n) for n in (0, 1, 2, 7)]
+    graphs += [complete_graph(n) for n in (2, 3, 6)]
+    graphs += [barbell(k) for k in (3, 4, 6)]
+    graphs += [random_graph(rng, int(rng.integers(1, 30))) for _ in range(120)]
+    return graphs
+
+
+def test_louvain_equals_the_reference_louvain():
+    for g in _partition_cases():
+        for seed in (0, 1, 7):
+            got, want = louvain(g, seed=seed), reference_louvain(g, seed=seed)
+            assert got.n_clusters == want.n_clusters
+            assert got.assignment.tolist() == want.assignment.tolist()
+
+
 def test_partition_validation():
     with pytest.raises(ValueError):
         Partition(np.array([0, 2]), 2)  # non-contiguous ids
@@ -212,6 +234,29 @@ def test_singleton_clusters_have_no_supernode_slots():
     assert [c.kind for c in comps] == ["superlink"] * 3 + ["whole_graph"]
 
 
+def _assert_same_components(got, want):
+    assert [(c.kind, c.clusters, c.n_incident) for c in got] == \
+        [(c.kind, c.clusters, c.n_incident) for c in want]
+    for x, y in zip(got, want):
+        assert x.slots.dtype == y.slots.dtype == np.int64
+        assert x.slots.tolist() == y.slots.tolist()
+
+
+@pytest.mark.parametrize("strategy", ["I", "II", "III"])
+def test_components_equal_the_reference_scan(strategy):
+    rng = np.random.default_rng(31)
+    partitions = [louvain(g, seed=3) for g in _partition_cases()]
+    for _ in range(200):  # any assignment, some cluster ids unused
+        n = int(rng.integers(0, 30))
+        k = int(rng.integers(1, n + 2))
+        partitions.append(Partition(rng.integers(0, k, size=n), k))
+    partitions += [Partition(np.arange(n), n) for n in (0, 1, 2, 5)]
+    partitions += [Partition(np.zeros(n, dtype=int), 1) for n in (1, 2, 5)]
+    for part in partitions:
+        _assert_same_components(enumerate_components(part, strategy),
+                                reference_enumerate_components(part, strategy))
+
+
 def test_unknown_strategy_rejected(barbell_partition):
     with pytest.raises(ValueError):
         enumerate_components(barbell_partition, "IV")
@@ -254,3 +299,25 @@ def test_report_survives_float_overflow():
 def test_beta_exceeds_one_for_balanced_two_clusters():
     part = Partition(np.repeat([0, 1], 3), 2)
     assert search_space_report(part).beta > 1.0
+
+
+def _exact_log2(x: int) -> decimal.Decimal:
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        return decimal.Decimal(x).ln() / decimal.Decimal(2).ln()
+
+
+@pytest.mark.parametrize("sizes", [[1] * 80, [20, 20, 20], [10] * 10, [3, 50, 7, 40]])
+def test_log2_beta_of_an_overflowing_ratio_is_exact(sizes):
+    part = Partition(np.repeat(np.arange(len(sizes)), sizes), len(sizes))
+    report = search_space_report(part)
+    denom = report.s_node + report.s_link
+    assert report.beta == np.inf  # the ratio overflows a float
+    # integer bracket: floor(log2(s_graph / denom)) is the bit length of
+    # the integer quotient less one
+    floor_log2 = (report.s_graph // denom).bit_length() - 1
+    assert floor_log2 >= 1024
+    assert floor_log2 <= report.log2_beta <= floor_log2 + 1  # the float may round up
+    # and within rounding of the value at 60 digits
+    exact = _exact_log2(report.s_graph) - _exact_log2(denom)
+    assert abs(decimal.Decimal(report.log2_beta) - exact) <= decimal.Decimal("1e-11")
