@@ -3,6 +3,10 @@
 Adversarial edge flips live mostly in the small singular components of
 the adjacency; truncating the spectrum before classification strips
 them at some cost in clean accuracy.
+
+One reconstruction and one binarisation serve one (n, n) adjacency and
+a (rows, n, n) stack alike, so a block filtered in one pass gets the
+bits of each graph filtered alone.
 """
 
 from __future__ import annotations
@@ -34,17 +38,31 @@ class LowRankConfig:
 
 
 def low_rank_reconstruction(graph: Graph, cfg: LowRankConfig) -> np.ndarray:
-    """Real-valued truncated-spectrum adjacency (for weighted-input models).
+    """Real-valued truncated-spectrum adjacency (for weighted-input models)."""
+    return _reconstruction(graph.adjacency, cfg.rank(graph.n_nodes))
 
-    The adjacency is symmetric, so its singular values are the absolute
-    eigenvalues and the truncated SVD reduces to keeping the largest-
-    magnitude eigenpairs.
-    """
-    eigvals, eigvecs = np.linalg.eigh(graph.adjacency)
-    order = np.argsort(-np.abs(eigvals))
-    keep = order[: cfg.rank(graph.n_nodes)]
-    vk = eigvecs[:, keep]
-    return (vk * eigvals[keep]) @ vk.T
+
+def _reconstruction(a: np.ndarray, rank: int) -> np.ndarray:
+    """The truncated-spectrum matrix of a symmetric (n, n) ``a``, or of each
+    matrix of a (rows, n, n) stack: the singular values are the absolute
+    eigenvalues, so the truncated SVD keeps the ``rank`` largest-magnitude
+    eigenpairs."""
+    eigvals, eigvecs = np.linalg.eigh(a)
+    keep = np.argsort(-np.abs(eigvals), axis=-1)[..., :rank]
+    vk = np.take_along_axis(eigvecs, keep[..., None, :], axis=-1)
+    kept = np.take_along_axis(eigvals, keep, axis=-1)
+    return (vk * kept[..., None, :]) @ np.swapaxes(vk, -1, -2)
+
+
+def _binarized_bits(r: np.ndarray) -> np.ndarray:
+    """The edge bits of an (n, n) ``r``, or of each matrix of a stack, as
+    ``low_rank_filter`` binarises them."""
+    n = r.shape[-1]
+    em = edge_index_map(n)
+    r = r.reshape(*r.shape[:-2], n * n)
+    # max(r_ij, r_ji) >= t is r_ij >= t or r_ji >= t; a bool array is 0/1
+    keep = np.maximum(r.take(em.upper, axis=-1), r.take(em.lower, axis=-1))
+    return (keep >= BINARIZE_THRESHOLD).view(np.uint8)
 
 
 def low_rank_filter(graph: Graph, cfg: LowRankConfig) -> Graph:
@@ -53,28 +71,7 @@ def low_rank_filter(graph: Graph, cfg: LowRankConfig) -> Graph:
     A slot is an edge when its entry or the mirrored one (rounding can break
     symmetry) reaches ``BINARIZE_THRESHOLD``; features and label are shared.
     """
-    r = low_rank_reconstruction(graph, cfg)
-    em = edge_index_map(graph.n_nodes)
-    # max(r_ij, r_ji) >= t is r_ij >= t or r_ji >= t; a bool vector is 0/1
-    keep = np.maximum(r, r.T).ravel().take(em.upper) >= BINARIZE_THRESHOLD
-    return graph._with_valid_bits(keep.view(np.uint8))
-
-
-def _low_rank_bits_many(n_nodes: int, bits: np.ndarray, cfg: LowRankConfig) -> np.ndarray:
-    """``low_rank_filter``'s bits for each row of a (rows, slots) bit stack
-    of graphs on ``n_nodes`` nodes, with the same bits.
-
-    One stacked ``eigh`` decomposes every matrix as the single call does,
-    and each stacked product is the single-graph product once per graph.
-    """
-    eigvals, eigvecs = np.linalg.eigh(stacked_adjacency(n_nodes, bits))
-    keep = np.argsort(-np.abs(eigvals), axis=1)[:, :cfg.rank(n_nodes)]
-    vk = np.take_along_axis(eigvecs, keep[:, None, :], axis=2)
-    r = (vk * np.take_along_axis(eigvals, keep, axis=1)[:, None, :]) @ vk.transpose(0, 2, 1)
-    em = edge_index_map(n_nodes)
-    r = r.reshape(len(r), n_nodes * n_nodes)
-    keep = np.maximum(r[:, em.upper], r[:, em.lower]) >= BINARIZE_THRESHOLD
-    return keep.view(np.uint8)
+    return graph._with_valid_bits(_binarized_bits(low_rank_reconstruction(graph, cfg)))
 
 
 class DefendedOracle(HardLabelOracle):
@@ -100,7 +97,8 @@ class DefendedOracle(HardLabelOracle):
         return self.inner._classify(low_rank_filter(graph, self.cfg))
 
     def _classify_many(self, graphs: list[Graph]) -> list[int]:
-        bits = np.stack([g.bits for g in graphs])
-        bits = _low_rank_bits_many(graphs[0].n_nodes, bits, self.cfg)
+        n = graphs[0].n_nodes
+        a = stacked_adjacency(n, np.stack([g.bits for g in graphs]))
+        bits = _binarized_bits(_reconstruction(a, self.cfg.rank(n)))
         return self.inner._classify_many([g._with_valid_bits(row)
                                           for g, row in zip(graphs, bits)])

@@ -10,6 +10,10 @@ are sum-pooled into graph embeddings; a linear head per depth is applied
 and the resulting logits are summed.  The predicted label is the argmax,
 ties broken toward the smallest class index.
 
+One forward pass serves one graph's (n, n) adjacency and a block's
+(rows, n, n) stack alike; each stacked product runs one graph's product
+once per graph, so a block's logits have the bits of its graphs'.
+
 A graph without node features gets all-ones input.  Its depth-0 logits
 then depend only on ``n`` and its first-layer embeddings only on the node
 degrees, so both come from caches: the depth-0 logits on ``readout[0]``
@@ -191,32 +195,35 @@ def gin_logits(weights: GinWeights, graph: Graph) -> np.ndarray:
 
     Graphs without node features get all-ones features of the network's
     input dimension (permutation invariant, so the label depends on the
-    structure only).  Their depth-0 logits and first-layer embeddings are
-    read from the caches of ``readout[0]`` and ``layers[0]``, with the
-    node degrees as row indices; deeper layers run the full pass.
+    structure only).
     """
+    return _logits(weights, graph.adjacency, graph.features)
+
+
+def _logits(weights: GinWeights, a: np.ndarray, h: np.ndarray | None) -> np.ndarray:
+    """Summed per-depth logits from an (n, n) adjacency ``a`` and (n, l)
+    features ``h``, or a (rows, n, n) and (rows, n, l) stack, with None
+    for all-ones input: its depth-0 logits and first-layer embeddings come
+    from the caches, with the node degrees as row indices."""
     layers, heads = weights.layers, weights.readout
-    if graph.features is None:
-        n = graph.n_nodes
+    if h is None:
+        n = a.shape[-1]
         logits = heads[0].ones_logits(n)
         if not layers:
-            return logits
-        a = graph.adjacency
-        h = layers[0].degree_table(n)[a.sum(axis=1, dtype=np.intp)]
-        logits = logits + heads[1].weight @ h.sum(axis=0) + heads[1].bias
+            return np.broadcast_to(logits, a.shape[:-2] + logits.shape)
+        h = layers[0].degree_table(n).take(a.sum(axis=-1, dtype=np.intp), axis=0)
+        logits = logits + _pooled_product(heads[1], h) + heads[1].bias
         layers, heads = layers[1:], heads[1:]
     else:
-        h = np.asarray(graph.features, dtype=float)
-        if h.shape[1] != weights.feature_dim:
+        if h.shape[-1] != weights.feature_dim:
             raise ShapeMismatch(
-                f"graph features have dim {h.shape[1]}, network expects "
+                f"graph features have dim {h.shape[-1]}, network expects "
                 f"{weights.feature_dim}"
             )
-        a = graph.adjacency
-        logits = heads[0].weight @ h.sum(axis=0) + heads[0].bias
+        logits = _pooled_product(heads[0], h) + heads[0].bias
     for layer, head in zip(layers, heads[1:]):
         h = _message_pass(layer, a, h)
-        logits = logits + head.weight @ h.sum(axis=0) + head.bias
+        logits = logits + _pooled_product(head, h) + head.bias
     return logits
 
 
@@ -233,26 +240,9 @@ def _message_pass(layer: GinLayer, a: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def _pooled_product(head: Dense, h: np.ndarray) -> np.ndarray:
-    # one matrix-vector product per graph, as gin_logits takes it; a
-    # (rows, l) @ (l, classes) product would sum in another order
-    return np.matmul(head.weight, h.sum(axis=1)[:, :, None])[:, :, 0]
-
-
-def _featureless_logits_many(weights: GinWeights, a: np.ndarray) -> np.ndarray:
-    """``gin_logits`` of featureless graphs from their (rows, n, n) stacked
-    adjacency, one row of logits per graph, with the same bits: each
-    stacked matmul runs the single-graph product once per graph."""
-    layers, heads = weights.layers, weights.readout
-    n = a.shape[1]
-    logits = np.broadcast_to(heads[0].ones_logits(n), (len(a), weights.n_classes))
-    if not layers:
-        return logits
-    h = layers[0].degree_table(n)[a.sum(axis=2, dtype=np.intp)]
-    logits = logits + _pooled_product(heads[1], h) + heads[1].bias
-    for layer, head in zip(layers[1:], heads[2:]):
-        h = _message_pass(layer, a, h)
-        logits = logits + _pooled_product(head, h) + head.bias
-    return logits
+    # one matrix-vector product per graph; a (rows, l) @ (l, classes)
+    # product would sum a stack in another order than one graph
+    return np.matmul(head.weight, h.sum(axis=-2)[..., None])[..., 0]
 
 
 def gin_forward(weights: GinWeights, graph: Graph) -> int:
@@ -272,9 +262,9 @@ class GinOracle(HardLabelOracle):
         return gin_forward(self.weights, graph)
 
     def _classify_many(self, graphs: list[Graph]) -> list[int]:
-        """``_classify`` of each graph: one stacked pass when none has
-        features, else one pass per graph."""
-        if any(g.features is not None for g in graphs):
-            return [self._classify(g) for g in graphs]
+        """``_classify`` of each graph, in one stacked pass; the graphs
+        all have node features of one dimension, or none has any."""
         a = stacked_adjacency(graphs[0].n_nodes, np.stack([g.bits for g in graphs]))
-        return _featureless_logits_many(self.weights, a).argmax(axis=1).tolist()
+        features = [g.features for g in graphs]
+        h = None if all(f is None for f in features) else np.stack(features)
+        return _logits(self.weights, a, h).argmax(axis=-1).tolist()

@@ -61,12 +61,13 @@ def edge_index_map(n_nodes: int) -> EdgeIndexMap:
 
 
 def stacked_adjacency(n_nodes: int, bits: np.ndarray) -> np.ndarray:
-    """The float64 0/1 adjacency of each row of a (rows, slots) bit stack,
-    as a (rows, n, n) stack; each matrix equals ``Graph.adjacency``."""
+    """The float64 0/1 adjacency of a (..., slots) bit array, as a
+    C-contiguous (..., n, n) array: a stack is laid out, and so summed
+    and multiplied, as one graph is."""
     em = edge_index_map(n_nodes)
-    padded = np.zeros((len(bits), em.n_slots + 1))  # the trailing 0 fills the diagonal
-    padded[:, :-1] = bits
-    return padded[:, em.gather]
+    padded = np.zeros((*bits.shape[:-1], em.n_slots + 1))  # the trailing 0 fills the diagonal
+    padded[..., :-1] = bits
+    return padded.take(em.gather, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -75,9 +76,9 @@ class Graph:
 
     ``bits`` holds the upper-triangular adjacency (uint8, one entry per
     slot).  ``adjacency`` builds the full symmetric matrix on each call, as
-    a float64 0/1 matrix gathered from the bits at indices cached per node
-    count.  ``features`` is an optional ``n x l`` real matrix, never
-    perturbed.
+    a float64 0/1 matrix gathered from the bits by ``stacked_adjacency``
+    at indices cached per node count.  ``features`` is an optional
+    ``n x l`` real matrix, never perturbed.
     """
 
     n_nodes: int
@@ -131,10 +132,7 @@ class Graph:
 
     @property
     def adjacency(self) -> np.ndarray:
-        em = edge_index_map(self.n_nodes)
-        padded = np.zeros(em.n_slots + 1)  # the trailing 0 fills the diagonal
-        padded[:-1] = self.bits
-        return padded[em.gather]
+        return stacked_adjacency(self.n_nodes, self.bits)
 
     def edges(self) -> list[tuple[int, int]]:
         em = edge_index_map(self.n_nodes)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .graph import Graph, edge_index_map, n_slots
 
 MODULARITY_TOL = 1e-7
@@ -242,8 +243,11 @@ def search_space_report(partition: Partition) -> SearchSpaceReport:
     """Exact candidate-space sizes of the phased search vs the full space.
 
     ``beta`` is the full-space-to-phased-space ratio; ``log2_beta`` stays
-    finite when the exact ratio overflows floating point.
+    finite when the exact ratio overflows floating point.  A partition
+    without a cluster has no phased space, and raises ``ConfigError``.
     """
+    if partition.n_clusters == 0:
+        raise ConfigError("the empty partition has no cluster, so no phased search space")
     sizes = [int(d) for d in partition.cluster_sizes]
     s_node = sum(1 << (d * (d - 1) // 2) for d in sizes)
     s_link = sum(

@@ -15,6 +15,7 @@ from blackedge.graph import (
     n_slots,
     normalize,
     perturbation_rate,
+    stacked_adjacency,
 )
 
 from helpers import (
@@ -73,6 +74,16 @@ def test_adjacency_equals_the_reference(n):
         assert np.array_equal(a, reference_adjacency(g))
         a[...] = 7.0  # each call builds its own matrix
         assert np.array_equal(g.adjacency, reference_adjacency(g))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 20, 80])
+def test_adjacency_is_its_row_of_the_stacked_adjacency(n):
+    rng = np.random.default_rng(n)
+    graphs = [Graph.empty(n), complete_graph(n)] + [random_graph(rng, n) for _ in range(5)]
+    stack = stacked_adjacency(n, np.stack([g.bits for g in graphs]))
+    assert stack.shape == (len(graphs), n, n) and stack.flags.c_contiguous
+    for g, row in zip(graphs, stack):
+        assert row.tobytes() == g.adjacency.tobytes()
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 20, 80])

@@ -18,17 +18,25 @@ from blackedge.cgs import coarse_grained_search
 from blackedge.defense import (
     DefendedOracle,
     LowRankConfig,
-    _low_rank_bits_many,
+    _binarized_bits,
+    _reconstruction,
     low_rank_filter,
+    low_rank_reconstruction,
 )
-from blackedge.errors import BudgetExhausted, NoAdversarialFound
-from blackedge.gin import GinOracle, GinWeights, _featureless_logits_many, gin_logits
+from blackedge.errors import BudgetExhausted, NoAdversarialFound, ShapeMismatch
+from blackedge.gin import GinOracle, GinWeights, _logits, gin_logits
 from blackedge.graph import Graph, stacked_adjacency
 from blackedge.harness import random_attack
 from blackedge.oracle import BLOCK, LabelMemo, structural_oracle
 from blackedge.partition import louvain
 
-from helpers import complete_graph, perfbench_module, random_graph, untargeted_memo
+from helpers import (
+    complete_graph,
+    from_adjacency,
+    perfbench_module,
+    random_graph,
+    untargeted_memo,
+)
 
 workloads = perfbench_module("workloads")
 BATCHES = (1, 2, 7, 32, 33)
@@ -84,56 +92,89 @@ def _blocks(graphs, size):
 # -- batch kernels equal the single path -----------------------------------
 
 
+def _assert_the_stack_equals_the_single_path(weights, cfg, block):
+    """Each kernel run once on the stack of ``block`` gives, row by row, the
+    bits it gives each graph alone, and both batch kernels its labels."""
+    n = block[0].n_nodes
+    a = stacked_adjacency(n, np.stack([g.bits for g in block]))
+    h = None if block[0].features is None else np.stack([g.features for g in block])
+    r = _reconstruction(a, cfg.rank(n))
+    for g, a_row, logits, r_row, kept in zip(block, a, _logits(weights, a, h), r,
+                                             _binarized_bits(r)):
+        assert a_row.tobytes() == g.adjacency.tobytes()
+        assert logits.tobytes() == gin_logits(weights, g).tobytes()
+        assert r_row.tobytes() == low_rank_reconstruction(g, cfg).tobytes()
+        assert kept.tobytes() == low_rank_filter(g, cfg).bits.tobytes()
+    gin = GinOracle(weights)
+    defended = DefendedOracle(gin, cfg)
+    assert gin._classify_many(block) == [gin._classify(g) for g in block]
+    assert defended._classify_many(block) == [defended._classify(g) for g in block]
+
+
 @pytest.mark.parametrize("size", BATCHES)
 def test_batch_kernels_equal_the_single_path_on_the_workload_graphs(
         workload_graphs, weights, size):
-    cfg = workloads.DEFENSE
-    gin = GinOracle(weights)
-    defended = DefendedOracle(gin, cfg)
     for block in _blocks(workload_graphs, size):
-        bits = np.stack([g.bits for g in block])
-        logits = _featureless_logits_many(weights, stacked_adjacency(20, bits))
-        filtered = _low_rank_bits_many(20, bits, cfg)
-        for g, row, kept in zip(block, logits, filtered):
-            assert row.tobytes() == gin_logits(weights, g).tobytes()
-            assert kept.tobytes() == low_rank_filter(g, cfg).bits.tobytes()
-        assert gin._classify_many(block) == [gin._classify(g) for g in block]
-        assert defended._classify_many(block) == [defended._classify(g) for g in block]
-    labels = gin._classify_many(workload_graphs)
+        _assert_the_stack_equals_the_single_path(weights, workloads.DEFENSE, block)
+    defended = DefendedOracle(GinOracle(weights), workloads.DEFENSE)
+    labels = GinOracle(weights)._classify_many(workload_graphs)
     assert set(labels) == set(defended._classify_many(workload_graphs)) == {0, 1}
 
 
-@pytest.mark.parametrize("n", [2, 3, 12])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 12])
 @pytest.mark.parametrize("size", BATCHES)
 def test_batch_kernels_equal_the_single_path_on_small_graphs(n, size):
     rng = np.random.default_rng(n)
     graphs = [Graph.empty(n), complete_graph(n)] + [random_graph(rng, n) for _ in range(40)]
+    # with a hidden layer of width 1, a stack laid out unlike one graph is
+    # summed in another order and its logits differ in their last bits
     for weights in (GinWeights.random(1), GinWeights.random(2, hidden_dims=(5, 4, 3)),
-                    GinWeights.random(3, hidden_dims=())):
+                    GinWeights.random(3, hidden_dims=()),
+                    GinWeights.random(0, hidden_dims=(1,)),
+                    GinWeights.random(4, hidden_dims=(1, 4)),
+                    GinWeights.random(5, hidden_dims=(4, 1))):
         for cfg in (LowRankConfig(0.5), LowRankConfig(0.25),
                     LowRankConfig(1.0)):
-            gin = GinOracle(weights)
-            defended = DefendedOracle(gin, cfg)
             for block in _blocks(graphs, size):
-                bits = np.stack([g.bits for g in block])
-                logits = _featureless_logits_many(weights, stacked_adjacency(n, bits))
-                for g, row, kept in zip(block, logits, _low_rank_bits_many(n, bits, cfg)):
-                    assert row.tobytes() == gin_logits(weights, g).tobytes()
-                    assert kept.tobytes() == low_rank_filter(g, cfg).bits.tobytes()
-                assert gin._classify_many(block) == [gin._classify(g) for g in block]
-                assert defended._classify_many(block) == [defended._classify(g)
-                                                          for g in block]
+                _assert_the_stack_equals_the_single_path(weights, cfg, block)
 
 
 def test_batch_kernels_equal_the_single_path_on_featured_graphs():
     rng = np.random.default_rng(4)
-    oracle = GinOracle(GinWeights.random(5, feature_dim=3))
-    graphs = [random_graph(rng, 6).replace(features=rng.standard_normal((6, 3)))
-              for _ in range(40)]
-    for batched in (oracle, DefendedOracle(oracle, LowRankConfig(0.5))):
+    for feature_dim in (1, 2, 3):
+        weights = GinWeights.random(5, feature_dim=feature_dim)
+        graphs = [random_graph(rng, 6).replace(features=rng.standard_normal((6, feature_dim)))
+                  for _ in range(40)]
         for size in BATCHES:
             for block in _blocks(graphs, size):
-                assert batched._classify_many(block) == [batched._classify(g) for g in block]
+                _assert_the_stack_equals_the_single_path(weights, LowRankConfig(0.5), block)
+
+
+def test_a_featured_block_of_another_feature_dim_is_rejected():
+    rng = np.random.default_rng(6)
+    oracle = GinOracle(GinWeights.random(5, feature_dim=3))
+    block = [random_graph(rng, 6).replace(features=rng.standard_normal((6, 2)))
+             for _ in range(4)]
+    for batched in (oracle, DefendedOracle(oracle, LowRankConfig(0.5))):
+        with pytest.raises(ShapeMismatch):
+            batched._classify_many(block)
+
+
+@pytest.mark.parametrize("gamma", [0.05, 0.5, 1.0])
+def test_the_filter_stack_equals_the_single_path_on_complete_bipartite_graphs(gamma):
+    # K_{p,q} has the eigenvalues sqrt(pq) and -sqrt(pq), which tie in |λ|
+    rng = np.random.default_rng(7)
+    cfg = LowRankConfig(gamma)
+    for n in (7, 12):
+        graphs = []
+        for p in range(1, n):
+            a = np.zeros((n, n))
+            a[:p, p:] = a[p:, :p] = 1
+            perm = rng.permutation(n)
+            graphs += [from_adjacency(a), from_adjacency(a[np.ix_(perm, perm)])]
+        for size in BATCHES:
+            for block in _blocks(graphs, size):
+                _assert_the_stack_equals_the_single_path(GinWeights.random(n), cfg, block)
 
 
 def test_only_oracles_with_a_batch_kernel_label_ahead():

@@ -8,6 +8,7 @@ import pytest
 
 from blackedge import partition
 from blackedge.datasets import barbell, generate_synthetic
+from blackedge.errors import ConfigError
 from blackedge.graph import Graph, n_slots
 from blackedge.partition import (
     Partition,
@@ -294,6 +295,11 @@ def test_report_survives_float_overflow():
     report = search_space_report(part)
     assert report.beta <= 1.0 or report.beta == np.inf
     assert np.isfinite(report.log2_beta)
+
+
+def test_the_empty_partition_has_no_report():
+    with pytest.raises(ConfigError, match="empty partition"):
+        search_space_report(Partition(np.arange(0), 0))
 
 
 def test_beta_exceeds_one_for_balanced_two_clusters():
