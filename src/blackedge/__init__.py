@@ -44,7 +44,6 @@ from .partition import (
     SuperComponent,
     enumerate_components,
     louvain,
-    modularity,
     search_space_report,
 )
 

@@ -96,9 +96,14 @@ class AttackConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     def predicate(self, y0: int):
+        """What counts as adversarial for a target labelled ``y0``.  A
+        targeted run toward ``y0`` itself has nothing to attack, and raises
+        ``ConfigError``."""
         if self.target_label is None:
             return lambda label: label != y0
         target = self.target_label
+        if target == y0:
+            raise ConfigError(f"target_label {target} is the target's own label")
         return lambda label: label == target
 
 

@@ -77,15 +77,6 @@ def _parse_oracle(spec: str):
     raise ConfigError(f"unknown oracle spec {spec!r}")
 
 
-def _label_targets(bundle: DatasetBundle, oracle) -> list:
-    """Graphs without stored labels get the oracle's own label, for the
-    clean accuracy of ``defend``."""
-    out = []
-    for g in bundle.graphs:
-        out.append(g if g.label is not None else g.replace(label=oracle.classify(g)))
-    return out
-
-
 def _parse_sweep(spec: str) -> list[float]:
     """``lo:hi:step`` with finite ``lo <= hi`` and ``step > 0``, both ends kept."""
     try:
@@ -182,9 +173,8 @@ def defend(dataset, name, oracle_spec, gamma_spec, attack_sr, budget, seed, out)
     """Sweep the low-rank defense strength and write a CSV."""
     bundle = _parse_dataset(dataset, name)
     oracle = _parse_oracle(oracle_spec)
-    graphs = _label_targets(bundle, oracle)
     cfg = AttackConfig(budget=budget, seed=seed) if attack_sr else None
-    rows = defense_sweep(oracle, graphs, _parse_sweep(gamma_spec), cfg)
+    rows = defense_sweep(oracle, bundle.graphs, _parse_sweep(gamma_spec), cfg)
     Path(out).write_text(rows_to_csv(rows))
     click.echo(f"defense sweep written to {out}")
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DanglingNode, InvalidParams, ParseError
+from .errors import ConfigError, ParseError
 from .graph import Graph, edge_index_map, n_slots
 
 
@@ -22,27 +22,6 @@ class DatasetBundle:
     graphs: list[Graph]
     name: str
     n_classes: int
-
-    @property
-    def n_graphs(self) -> int:
-        return len(self.graphs)
-
-    @property
-    def avg_nodes(self) -> float:
-        return float(np.mean([g.n_nodes for g in self.graphs])) if self.graphs else 0.0
-
-    @property
-    def avg_edges(self) -> float:
-        return float(np.mean([g.n_edges for g in self.graphs])) if self.graphs else 0.0
-
-    def summary(self) -> dict:
-        return {
-            "name": self.name,
-            "n_graphs": self.n_graphs,
-            "n_classes": self.n_classes,
-            "avg_nodes": self.avg_nodes,
-            "avg_edges": self.avg_edges,
-        }
 
     # -- JSON round trip -------------------------------------------------
 
@@ -109,7 +88,7 @@ def load_tudataset(directory, name: str) -> DatasetBundle:
 
     graph_ids = sorted(set(indicator))
     if graph_ids != list(range(1, len(raw_labels) + 1)):
-        raise DanglingNode(
+        raise ParseError(
             "graph indicator ids do not match the label file"
         )
     # nodes per graph, remapped to 0-based local ids
@@ -117,7 +96,7 @@ def load_tudataset(directory, name: str) -> DatasetBundle:
     counts = [0] * len(raw_labels)
     for node, gid in enumerate(indicator, start=1):
         if not 1 <= gid <= len(raw_labels):
-            raise DanglingNode(f"node {node} references missing graph id {gid}")
+            raise ParseError(f"node {node} references missing graph id {gid}")
         local_id[node] = (gid - 1, counts[gid - 1])
         counts[gid - 1] += 1
 
@@ -136,7 +115,7 @@ def load_tudataset(directory, name: str) -> DatasetBundle:
         if i == j:
             raise ParseError(f"{a_path.name}: self-loop on node {i}", line=lineno)
         if i not in local_id or j not in local_id:
-            raise DanglingNode(f"edge ({i}, {j}) references an unknown node")
+            raise ParseError(f"edge ({i}, {j}) references an unknown node")
         gi, li = local_id[i]
         gj, lj = local_id[j]
         if gi != gj:
@@ -177,7 +156,7 @@ def load_tudataset(directory, name: str) -> DatasetBundle:
 
 def erdos_renyi(n: int, p: float, rng: np.random.Generator) -> Graph:
     if n < 1 or not 0.0 <= p <= 1.0:
-        raise InvalidParams(f"bad Erdos-Renyi parameters n={n}, p={p}")
+        raise ConfigError(f"bad Erdos-Renyi parameters n={n}, p={p}")
     bits = (rng.random(n_slots(n)) < p).astype(np.uint8)
     return Graph(n, bits)
 
@@ -185,7 +164,7 @@ def erdos_renyi(n: int, p: float, rng: np.random.Generator) -> Graph:
 def barbell(k: int) -> Graph:
     """Two k-cliques joined by a single bridge edge."""
     if k < 2:
-        raise InvalidParams(f"barbell needs cliques of size >= 2, got {k}")
+        raise ConfigError(f"barbell needs cliques of size >= 2, got {k}")
     edges = []
     for i in range(k):
         for j in range(i + 1, k):
@@ -198,7 +177,7 @@ def barbell(k: int) -> Graph:
 def stochastic_block_model(sizes, p_in: float, p_out: float,
                            rng: np.random.Generator) -> Graph:
     if any(s < 1 for s in sizes) or not (0 <= p_in <= 1 and 0 <= p_out <= 1):
-        raise InvalidParams(f"bad SBM parameters sizes={sizes}")
+        raise ConfigError(f"bad SBM parameters sizes={sizes}")
     n = int(sum(sizes))
     block = np.repeat(np.arange(len(sizes)), sizes)
     em = edge_index_map(n)
@@ -216,7 +195,7 @@ def generate_synthetic(kind: str, count: int, seed: int, **params) -> DatasetBun
     with a structural oracle if needed.
     """
     if count < 0:
-        raise InvalidParams(f"graph count must be non-negative, got {count}")
+        raise ConfigError(f"graph count must be non-negative, got {count}")
     rng = np.random.default_rng(seed)
     if kind == "erdos_renyi":
         graphs = [erdos_renyi(params["n"], params["p"], rng) for _ in range(count)]
@@ -228,5 +207,5 @@ def generate_synthetic(kind: str, count: int, seed: int, **params) -> DatasetBun
             for _ in range(count)
         ]
     else:
-        raise InvalidParams(f"unknown synthetic kind {kind!r}")
+        raise ConfigError(f"unknown synthetic kind {kind!r}")
     return DatasetBundle(graphs, f"{kind}-{seed}", n_classes=2)

@@ -37,11 +37,6 @@ class LowRankConfig:
         return max(1, round(self.gamma * n_nodes))
 
 
-def low_rank_reconstruction(graph: Graph, cfg: LowRankConfig) -> np.ndarray:
-    """Real-valued truncated-spectrum adjacency (for weighted-input models)."""
-    return _reconstruction(graph.adjacency, cfg.rank(graph.n_nodes))
-
-
 def _reconstruction(a: np.ndarray, rank: int) -> np.ndarray:
     """The truncated-spectrum matrix of a symmetric (n, n) ``a``, or of each
     matrix of a (rows, n, n) stack: the singular values are the absolute
@@ -71,7 +66,8 @@ def low_rank_filter(graph: Graph, cfg: LowRankConfig) -> Graph:
     A slot is an edge when its entry or the mirrored one (rounding can break
     symmetry) reaches ``BINARIZE_THRESHOLD``; features and label are shared.
     """
-    return graph._with_valid_bits(_binarized_bits(low_rank_reconstruction(graph, cfg)))
+    r = _reconstruction(graph.adjacency, cfg.rank(graph.n_nodes))
+    return graph._with_valid_bits(_binarized_bits(r))
 
 
 class DefendedOracle(HardLabelOracle):

@@ -34,7 +34,8 @@ class DegenerateTarget(BlackedgeError):
 
 
 class ParseError(BlackedgeError):
-    """A dataset file is malformed; carries the offending line number."""
+    """A dataset file is malformed or refers to a node or graph that does
+    not exist; carries the offending line number when there is one."""
 
     def __init__(self, message, line=None):
         if line is not None:
@@ -43,13 +44,5 @@ class ParseError(BlackedgeError):
         self.line = line
 
 
-class DanglingNode(BlackedgeError):
-    """A node references a graph id that does not exist."""
-
-
-class InvalidParams(BlackedgeError):
-    """Synthetic generator parameters are out of range."""
-
-
 class ConfigError(BlackedgeError):
-    """An experiment configuration is invalid."""
+    """An experiment configuration or a generator's parameters are invalid."""

@@ -116,10 +116,6 @@ class Graph:
             bits[em.flatten(i, j)] = 1
         return cls(n_nodes, bits, features, label)
 
-    @classmethod
-    def empty(cls, n_nodes, **kw) -> "Graph":
-        return cls(n_nodes, np.zeros(n_slots(n_nodes), dtype=np.uint8), **kw)
-
     # -- views -----------------------------------------------------------
 
     @property

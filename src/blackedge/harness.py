@@ -201,6 +201,8 @@ def run_experiment(
 ) -> ExperimentReport:
     """Attack every correctly classified graph and aggregate the metrics.
 
+    A targeted ``cfg`` skips the graphs already labelled ``target_label``,
+    which leave nothing to attack; ``n_targets`` counts the rest.
     ``method`` is ``signsgd`` or ``random``; every run asks ``oracle``
     and counts its own queries in its memo.  With ``n_trials > 1``
     each target is attacked under ``n_trials`` derived seeds and every
@@ -215,7 +217,7 @@ def run_experiment(
     if n_trials < 1:
         raise ConfigError(f"n_trials must be at least 1, got {n_trials}")
 
-    targets = select_targets(oracle, graphs)
+    targets = [t for t in select_targets(oracle, graphs) if t[2] != cfg.target_label]
     rows = []
     results = []
     for idx, graph, y0 in targets:
@@ -269,8 +271,11 @@ def defense_sweep(
 ) -> list[dict]:
     """Clean accuracy (and attack SR when a config is given) per gamma.
 
-    Rows are emitted in ascending gamma order.
+    A graph without a label is labelled by the undefended ``oracle``, once,
+    before the sweep.  Rows are emitted in ascending gamma order.
     """
+    graphs = [g if g.label is not None else g.replace(label=oracle.classify(g))
+              for g in graphs]
     rows = []
     for gamma in sorted(float(g) for g in gammas):
         defended = DefendedOracle(oracle, LowRankConfig(gamma=gamma))

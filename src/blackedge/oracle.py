@@ -181,20 +181,21 @@ class FunctionOracle(HardLabelOracle):
         return int(self._fn(graph))
 
 
-STRUCTURAL_FEATURES = ("edge_count", "triangle_count", "max_degree")
+def _triangle_count(graph: Graph) -> int:
+    a = graph.adjacency.astype(np.int64)
+    return int(np.trace(a @ a @ a)) // 6
 
 
-def _structural_statistic(graph: Graph, feature: str) -> int:
-    if feature == "edge_count":
-        return graph.n_edges
-    if feature == "triangle_count":
-        a = graph.adjacency.astype(np.int64)
-        return int(np.trace(a @ a @ a)) // 6
-    if feature == "max_degree":
-        if graph.n_nodes == 0:
-            return 0
-        return int(graph.adjacency.sum(axis=1).max())
-    raise ValueError(f"unknown structural feature {feature!r}")
+def _max_degree(graph: Graph) -> int:
+    return int(graph.adjacency.sum(axis=1).max()) if graph.n_nodes else 0
+
+
+# the statistic a StructuralOracle thresholds, by feature name
+STRUCTURAL_FEATURES = {
+    "edge_count": lambda graph: graph.n_edges,
+    "triangle_count": _triangle_count,
+    "max_degree": _max_degree,
+}
 
 
 class StructuralOracle(HardLabelOracle):
@@ -206,12 +207,12 @@ class StructuralOracle(HardLabelOracle):
 
     def __init__(self, feature: str, threshold: int):
         if feature not in STRUCTURAL_FEATURES:
-            raise ValueError(f"feature must be one of {STRUCTURAL_FEATURES}")
+            raise ValueError(f"feature must be one of {tuple(STRUCTURAL_FEATURES)}")
         self.feature = feature
         self.threshold = int(threshold)
 
     def _classify(self, graph: Graph) -> int:
-        return int(_structural_statistic(graph, self.feature) >= self.threshold)
+        return int(STRUCTURAL_FEATURES[self.feature](graph) >= self.threshold)
 
 
 def structural_oracle(feature: str, threshold: int) -> StructuralOracle:

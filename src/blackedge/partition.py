@@ -42,13 +42,9 @@ class Partition:
         return np.bincount(self.assignment, minlength=self.n_clusters)
 
 
-def modularity(graph: Graph, assignment) -> float:
-    """Classic Newman modularity of a node partition (resolution 1)."""
-    return _modularity_matrix(graph.adjacency, np.asarray(assignment, dtype=np.int64))
-
-
 def _modularity_matrix(a: np.ndarray, assignment: np.ndarray) -> float:
-    """Modularity of ``assignment`` on the 0/1 matrix ``a``.
+    """Modularity of ``assignment`` on ``a``, a 0/1 matrix or a Louvain
+    level contracted from one, so integer-valued.
 
     Each community's internal and degree sums come from one indicator
     matrix; they are sums of integers, exact in any order.  The terms are
@@ -139,19 +135,18 @@ def louvain(graph: Graph, seed: int = 0) -> Partition:
         return Partition(np.arange(n), n)
 
     rng = np.random.default_rng(seed)
-    dense = graph.adjacency
-    a = dense  # the current level's (contracted) matrix
+    a = graph.adjacency  # the current level's (contracted) matrix
     assignment = np.arange(n)  # original node -> its node at the current level
-    q = _modularity_matrix(dense, assignment)
+    q = _modularity_matrix(a, assignment)
 
     while True:
         level, k = _relabel(_one_level(a, rng))
-        candidate = level[assignment]
-        new_q = _modularity_matrix(dense, candidate)
+        # level's community sums on a are level[assignment]'s on the graph
+        new_q = _modularity_matrix(a, level)
         if new_q - q < MODULARITY_TOL:
             break
         q = new_q
-        assignment = candidate
+        assignment = level[assignment]
         # contract communities
         indicator = np.zeros((a.shape[0], k))
         indicator[np.arange(a.shape[0]), level] = 1.0

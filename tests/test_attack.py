@@ -38,6 +38,7 @@ from blackedge.oracle import FunctionOracle, LabelMemo, structural_oracle
 from blackedge.partition import louvain
 
 from helpers import (
+    CountingOracle,
     TableOracle,
     hashed_label,
     perfbench_module,
@@ -59,7 +60,7 @@ def test_boundary_distance_uniform_direction():
     # empty 5-node graph, uniform direction: all 10 slots flip together at
     # lambda = 0.5 * sqrt(10), which crosses the edge_count >= 3 boundary
     oracle = structural_oracle("edge_count", 3)
-    g = Graph.empty(5)
+    g = Graph.from_edges(5, [])
     eps = 1e-3
     dist = boundary_distance(untargeted_memo(oracle, g), np.ones(10), epsilon=eps)
     true = 0.5 * np.sqrt(10)
@@ -69,7 +70,7 @@ def test_boundary_distance_uniform_direction():
 def test_boundary_distance_graded_direction():
     # slots flip one by one as lambda grows; the boundary needs two edges
     oracle = structural_oracle("edge_count", 2)
-    g = Graph.empty(4)
+    g = Graph.from_edges(4, [])
     theta = np.array([1.0, 0.9, 0.8, 0.7, 0.6, 0.5])
     eps = 1e-4
     dist = boundary_distance(untargeted_memo(oracle, g), theta, epsilon=eps)
@@ -80,7 +81,7 @@ def test_boundary_distance_graded_direction():
 
 def test_boundary_distance_counts_queries_in_phase():
     oracle = structural_oracle("edge_count", 3)
-    g = Graph.empty(5)
+    g = Graph.from_edges(5, [])
     memo = untargeted_memo(oracle, g)
     boundary_distance(memo, np.ones(10))
     assert memo.queries["binary_search"] == memo.total > 0
@@ -88,14 +89,14 @@ def test_boundary_distance_counts_queries_in_phase():
 
 def test_boundary_distance_no_label_change_raises():
     oracle = FunctionOracle(lambda _: 0)
-    g = Graph.empty(5)
+    g = Graph.from_edges(5, [])
     with pytest.raises(NoBoundary):
         boundary_distance(untargeted_memo(oracle, g), np.ones(10))
 
 
 def test_boundary_distance_needs_a_positive_component():
     oracle = structural_oracle("edge_count", 1)
-    g = Graph.empty(5)
+    g = Graph.from_edges(5, [])
     with pytest.raises(NoBoundary):
         boundary_distance(untargeted_memo(oracle, g), -np.ones(10))
 
@@ -104,7 +105,7 @@ def test_boundary_distance_beyond_sqrt_d():
     # one dominant slot: the others need lambda = 0.5/0.01 * norm >> sqrt(d),
     # so the saturation cap (not sqrt(d)) must bound the bracket
     oracle = structural_oracle("edge_count", 2)
-    g = Graph.empty(4)
+    g = Graph.from_edges(4, [])
     theta = np.array([1.0, 0.01, 0.0, 0.0, 0.0, 0.0])
     dist = boundary_distance(untargeted_memo(oracle, g), theta, epsilon=1e-3)
     theta_n = normalize(theta)
@@ -653,7 +654,7 @@ def _brute_force_sign(make_oracle, graph, y0, theta_old, theta_new):
 
 def test_qegc_sign_matches_brute_force_on_exhaustive_oracle():
     table = TableOracle.exhaustive(4, lambda g: int(g.n_edges >= 3))
-    graph = Graph.empty(4)
+    graph = Graph.from_edges(4, [])
     rng = np.random.default_rng(7)
     agree = 0
     trials = 40
@@ -678,7 +679,7 @@ def test_qegc_sign_direction_of_the_inequality():
     # along theta_new the boundary is nearer than g*: the probe graph is
     # already misclassified, so the objective decreased
     oracle = structural_oracle("edge_count", 1)
-    graph = Graph.empty(3)
+    graph = Graph.from_edges(3, [])
     [probe] = probe_graphs(graph, 0.4, [np.array([1.0, 1.0, 0.1])])
     assert qegc_sign(untargeted_memo(oracle, graph), probe) == -1
 
@@ -823,7 +824,7 @@ def test_probe_graphs_reject_degenerate_rows_as_the_reference_does():
 
 def test_estimate_gradient_costs_one_query_per_direction():
     oracle = structural_oracle("edge_count", 2)
-    graph = Graph.empty(4)
+    graph = Graph.from_edges(4, [])
     theta = np.ones(6)
     memo = untargeted_memo(oracle, graph)
     estimate_gradient(memo, theta, 0.7, 25, 0.1, np.random.default_rng(0))
@@ -834,7 +835,7 @@ def test_estimate_gradient_costs_one_query_per_direction():
 
 def test_estimate_gradient_antisymmetry():
     # flipping every probe answer flips the estimate exactly
-    graph = Graph.empty(4)
+    graph = Graph.from_edges(4, [])
     theta = np.ones(6)
     grad_neg = estimate_gradient(
         untargeted_memo(FunctionOracle(lambda _: 1), graph), theta, 0.7, 30, 0.1,
@@ -1499,6 +1500,17 @@ def test_targeted_attack_reaches_the_requested_label():
     res = attack_graph(oracle, g, 0, cfg)
     assert res.success
     assert oracle.classify(res.adversarial_graph) == 1
+
+
+def test_a_targeted_run_toward_the_targets_own_label_is_a_config_error():
+    g = _er_target()
+    oracle = CountingOracle(lambda h: int(h.n_edges >= g.n_edges))  # labels g 1
+    cfg = AttackConfig(budget=0.5, iterations=5, directions_per_step=10, target_label=1)
+    with pytest.raises(ConfigError, match="target_label 1 is the target's own label"):
+        attack_graph(oracle, g, 1, cfg)
+    with pytest.raises(ConfigError, match="target_label 1 is the target's own label"):
+        random_attack(oracle, g, 1, cfg, 50)
+    assert oracle.computed == 0  # raised before any query
 
 
 def test_sign_sgd_uses_seed_direction():

@@ -215,7 +215,7 @@ def test_synthetic_specs_with_trailing_fields_are_config_errors(spec):
     with pytest.raises(ConfigError, match="too many fields"):
         _parse_dataset(spec, None)
     # the same spec without its last field parses
-    assert _parse_dataset(spec.rsplit(":", 1)[0], None).n_graphs == 2
+    assert len(_parse_dataset(spec.rsplit(":", 1)[0], None).graphs) == 2
 
 
 @pytest.mark.parametrize("spec", ["gin", "gin:", "gin:no/such/weights.json"])
@@ -284,7 +284,7 @@ def test_no_trials_or_no_queries_is_a_config_error(runner, tmp_path, args):
 
 @pytest.mark.parametrize("dataset, message", [
     ("er:20:0.2:5:1:x", "synthetic spec 'er:20:0.2:5:1:x' has too many fields"),
-    ("er:20:0.2:-5", "graph count must be non-negative, got -5"),  # an InvalidParams
+    ("er:20:0.2:-5", "graph count must be non-negative, got -5"),  # a generator's ConfigError
 ], ids=["too_many_fields", "negative_count"])
 def test_invalid_datasets_are_one_line_errors(runner, tmp_path, dataset, message):
     out = tmp_path / "report.json"

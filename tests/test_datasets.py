@@ -11,7 +11,7 @@ from blackedge.datasets import (
     load_tudataset,
     stochastic_block_model,
 )
-from blackedge.errors import DanglingNode, InvalidParams, ParseError
+from blackedge.errors import ConfigError, ParseError
 
 from helpers import TU_FIXTURE
 
@@ -21,7 +21,7 @@ from helpers import TU_FIXTURE
 
 def test_load_tu_fixture(tu_dir):
     bundle = load_tudataset(tu_dir, "TINY")
-    assert bundle.n_graphs == 2
+    assert len(bundle.graphs) == 2
     assert bundle.n_classes == 2
     triangle, path = bundle.graphs
     assert triangle.n_nodes == 3
@@ -60,7 +60,7 @@ def test_cross_graph_edge_rejected(tu_dir):
 
 def test_unknown_node_rejected(tu_dir):
     (tu_dir / "TINY_A.txt").write_text(TU_FIXTURE["A.txt"] + "1, 99\n")
-    with pytest.raises(DanglingNode):
+    with pytest.raises(ParseError):
         load_tudataset(tu_dir, "TINY")
 
 
@@ -72,10 +72,10 @@ def test_malformed_edge_line_rejected(tu_dir):
 
 
 def test_summary_statistics(tu_dir):
-    summary = load_tudataset(tu_dir, "TINY").summary()
-    assert summary["n_graphs"] == 2
-    assert summary["avg_nodes"] == 3.0
-    assert summary["avg_edges"] == 2.5
+    graphs = load_tudataset(tu_dir, "TINY").graphs
+    assert len(graphs) == 2
+    assert np.mean([g.n_nodes for g in graphs]) == 3.0
+    assert np.mean([g.n_edges for g in graphs]) == 2.5
 
 
 # -- bundle serialization ------------------------------------------------
@@ -105,7 +105,7 @@ def test_barbell_shape():
 
 
 def test_barbell_validation():
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ConfigError):
         barbell(1)
 
 
@@ -113,7 +113,7 @@ def test_erdos_renyi_determinism_and_bounds():
     a = erdos_renyi(12, 0.4, np.random.default_rng(5))
     b = erdos_renyi(12, 0.4, np.random.default_rng(5))
     assert np.array_equal(a.bits, b.bits)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ConfigError):
         erdos_renyi(5, 1.5, np.random.default_rng(0))
     assert erdos_renyi(6, 0.0, np.random.default_rng(0)).n_edges == 0
     assert erdos_renyi(6, 1.0, np.random.default_rng(0)).n_edges == 15
@@ -129,12 +129,12 @@ def test_sbm_extremes_form_disjoint_cliques():
 
 def test_generate_synthetic_bundle():
     bundle = generate_synthetic("erdos_renyi", 5, seed=1, n=8, p=0.3)
-    assert bundle.n_graphs == 5
+    assert len(bundle.graphs) == 5
     assert all(g.n_nodes == 8 for g in bundle.graphs)
     again = generate_synthetic("erdos_renyi", 5, seed=1, n=8, p=0.3)
     for a, b in zip(bundle.graphs, again.graphs):
         assert np.array_equal(a.bits, b.bits)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ConfigError):
         generate_synthetic("lattice", 3, seed=0)
 
 
@@ -144,6 +144,6 @@ def test_generate_synthetic_bundle():
     ("sbm", {"sizes": [2, 3], "p_in": 0.9, "p_out": 0.1}),
 ])
 def test_negative_count_is_rejected(kind, params):
-    with pytest.raises(InvalidParams, match="count"):
+    with pytest.raises(ConfigError, match="count"):
         generate_synthetic(kind, -3, 0, **params)
-    assert generate_synthetic(kind, 0, 0, **params).n_graphs == 0
+    assert generate_synthetic(kind, 0, 0, **params).graphs == []

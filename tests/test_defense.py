@@ -9,8 +9,8 @@ from blackedge.defense import (
     BINARIZE_THRESHOLD,
     DefendedOracle,
     LowRankConfig,
+    _reconstruction,
     low_rank_filter,
-    low_rank_reconstruction,
 )
 from blackedge.errors import ConfigError
 from blackedge.gin import GinOracle, gin_forward
@@ -43,7 +43,7 @@ def test_k4_rank_one_recovers_the_clique():
     g = complete_graph(4)
     cfg = LowRankConfig(gamma=0.25)
     assert cfg.rank(4) == 1
-    approx = low_rank_reconstruction(g, cfg)
+    approx = _reconstruction(g.adjacency, cfg.rank(4))
     assert np.allclose(approx, 0.75 * np.ones((4, 4)))
     assert np.array_equal(low_rank_filter(g, cfg).bits, g.bits)
 
@@ -59,7 +59,7 @@ def test_reconstruction_matches_svd_truncation():
         if s[k - 1] - s[k] < 1e-8:
             continue  # truncation is not unique when singular values tie
         expected = (u[:, :k] * s[:k]) @ vt[:k]
-        assert np.allclose(low_rank_reconstruction(g, cfg), expected, atol=1e-8)
+        assert np.allclose(_reconstruction(g.adjacency, k), expected, atol=1e-8)
         checked += 1
 
 
@@ -73,7 +73,7 @@ def test_filter_equals_reference_exactly():
     for g, cfg in cases:
         assert np.array_equal(low_rank_filter(g, cfg).bits,
                               reference_low_rank_filter(g, cfg).bits)
-        keep = low_rank_reconstruction(g, cfg) >= BINARIZE_THRESHOLD
+        keep = _reconstruction(g.adjacency, cfg.rank(g.n_nodes)) >= BINARIZE_THRESHOLD
         upper = np.triu_indices(g.n_nodes, k=1)
         asymmetric += not np.array_equal(keep, keep.T)
         mirror_only += np.any(keep.T[upper] & ~keep[upper])
@@ -89,7 +89,7 @@ def test_filter_equals_the_two_take_reference(n, gamma):
     slots that thresholding both and joining them by OR keeps."""
     rng = np.random.default_rng(100 * n + 10 * int(4 * gamma))
     cfg = LowRankConfig(gamma=gamma)
-    graphs = [Graph.empty(n), complete_graph(n, label=1)]
+    graphs = [Graph.from_edges(n, []), complete_graph(n, label=1)]
     graphs += [random_graph(rng, n) for _ in range(60)]
     for g in graphs:
         out = low_rank_filter(g, cfg)
@@ -110,7 +110,8 @@ def test_defended_path_equals_the_reference_on_the_workload_graphs(monkeypatch):
     rng = np.random.default_rng(17)
     perturbed = [apply_perturbation(g, rng.random(g.n_edge_slots) < rng.uniform(0.0, 0.2))
                  for g in graphs for _ in range(5)]
-    ours = [(gin_forward(weights, g), low_rank_reconstruction(g, cfg).tobytes(),
+    rank = cfg.rank(graphs[0].n_nodes)
+    ours = [(gin_forward(weights, g), _reconstruction(g.adjacency, rank).tobytes(),
              low_rank_filter(g, cfg).bits.tobytes(), defended.classify(g)) for g in perturbed]
     monkeypatch.setattr(Graph, "adjacency", property(reference_adjacency))
     reference = []

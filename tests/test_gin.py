@@ -106,9 +106,9 @@ def test_feature_dim_mismatch_rejected():
 
 def test_gin_oracle_records_queries():
     oracle = GinOracle(GinWeights.random(seed=0))
-    memo = LabelMemo(oracle, bool, Graph.empty(4), 1.0)
+    memo = LabelMemo(oracle, bool, Graph.from_edges(4, []), 1.0)
     memo.query(complete_graph(4), "other")
-    memo.query(Graph.empty(4), "qegc")
+    memo.query(Graph.from_edges(4, []), "qegc")
     assert memo.queries == {"cgs": 0, "binary_search": 0, "qegc": 1, "other": 1}
 
 
@@ -143,7 +143,7 @@ def test_logits_equal_the_dense_reference_on_the_workload_graphs():
 
 def _shape_cases(rng, n):
     """Empty, complete, random, and random with isolated nodes."""
-    cases = [Graph.empty(n), complete_graph(n)]
+    cases = [Graph.from_edges(n, []), complete_graph(n)]
     if n > 1:
         cases.append(random_graph(rng, n))
         half = n // 2

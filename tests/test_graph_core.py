@@ -67,7 +67,7 @@ def test_edge_index_map_is_cached():
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 20, 80])
 def test_adjacency_equals_the_reference(n):
     rng = np.random.default_rng(n)
-    graphs = [Graph.empty(n), complete_graph(n)] + [random_graph(rng, n) for _ in range(5)]
+    graphs = [Graph.from_edges(n, []), complete_graph(n)] + [random_graph(rng, n) for _ in range(5)]
     for g in graphs:
         a = g.adjacency
         assert a.dtype == np.float64 and a.flags.c_contiguous
@@ -79,7 +79,7 @@ def test_adjacency_equals_the_reference(n):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 20, 80])
 def test_adjacency_is_its_row_of_the_stacked_adjacency(n):
     rng = np.random.default_rng(n)
-    graphs = [Graph.empty(n), complete_graph(n)] + [random_graph(rng, n) for _ in range(5)]
+    graphs = [Graph.from_edges(n, []), complete_graph(n)] + [random_graph(rng, n) for _ in range(5)]
     stack = stacked_adjacency(n, np.stack([g.bits for g in graphs]))
     assert stack.shape == (len(graphs), n, n) and stack.flags.c_contiguous
     for g, row in zip(graphs, stack):
@@ -89,7 +89,7 @@ def test_adjacency_is_its_row_of_the_stacked_adjacency(n):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 20, 80])
 def test_n_edges_equals_the_bit_sum(n):
     rng = np.random.default_rng(n)
-    graphs = [Graph.empty(n), complete_graph(n)] + [random_graph(rng, n) for _ in range(5)]
+    graphs = [Graph.from_edges(n, []), complete_graph(n)] + [random_graph(rng, n) for _ in range(5)]
     for g in graphs:
         assert type(g.n_edges) is int
         assert g.n_edges == int(g.bits.sum()) == len(g.edges())
@@ -99,7 +99,7 @@ def test_n_edges_equals_the_bit_sum(n):
 def test_flip_equals_apply_perturbation_of_the_indicator(n):
     rng = np.random.default_rng(n)
     s = n_slots(n)
-    for g in [Graph.empty(n), complete_graph(n, label=1)] + [random_graph(rng, n)
+    for g in [Graph.from_edges(n, []), complete_graph(n, label=1)] + [random_graph(rng, n)
                                                              for _ in range(5)]:
         slot_sets = [np.array([], dtype=np.intp), np.arange(s), rng.permutation(s)]
         slot_sets += [rng.choice(s, size=int(rng.integers(0, s + 1)), replace=False)
@@ -145,8 +145,8 @@ def test_graph_is_immutable():
 
 def test_canonical_key_distinguishes_structures():
     assert complete_graph(4).canonical_key() == complete_graph(4).canonical_key()
-    assert complete_graph(4).canonical_key() != Graph.empty(4).canonical_key()
-    assert Graph.empty(3).canonical_key() != Graph.empty(4).canonical_key()
+    assert complete_graph(4).canonical_key() != Graph.from_edges(4, []).canonical_key()
+    assert Graph.from_edges(3, []).canonical_key() != Graph.from_edges(4, []).canonical_key()
 
 
 def test_replace_preserves_unspecified_fields():
@@ -172,31 +172,31 @@ def test_single_edge_deletion_on_triangle():
 
 
 def test_flip_threshold_is_inclusive():
-    g = Graph.empty(3)
+    g = Graph.from_edges(3, [])
     theta = np.array([0.5, 0.4999999, 0.0])
     assert apply_perturbation(g, theta).edges() == [(0, 1)]
 
 
 def test_perturbation_rate_single_flip():
     # one flipped edge of a 4-node graph: 1 slot out of 6
-    a = Graph.empty(4)
+    a = Graph.from_edges(4, [])
     b = apply_perturbation(a, np.array([1.0, 0, 0, 0, 0, 0]))
     assert perturbation_rate(a, b) == pytest.approx(1 / 6)
 
 
 def test_flip_ledger_empty_to_triangle():
-    added, removed = flip_ledger(Graph.empty(3), complete_graph(3))
+    added, removed = flip_ledger(Graph.from_edges(3, []), complete_graph(3))
     assert added == [(0, 1), (0, 2), (1, 2)]
     assert removed == []
 
 
 def test_dimension_checks():
     with pytest.raises(DimensionMismatch):
-        apply_perturbation(Graph.empty(4), np.zeros(5))
+        apply_perturbation(Graph.from_edges(4, []), np.zeros(5))
     with pytest.raises(DimensionMismatch):
-        perturbation_rate(Graph.empty(3), Graph.empty(4))
+        perturbation_rate(Graph.from_edges(3, []), Graph.from_edges(4, []))
     with pytest.raises(DimensionMismatch):
-        flip_ledger(Graph.empty(3), Graph.empty(4))
+        flip_ledger(Graph.from_edges(3, []), Graph.from_edges(4, []))
 
 
 def test_normalize():

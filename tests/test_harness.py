@@ -10,6 +10,7 @@ import pytest
 from blackedge.attack import AttackConfig, AttackResult, attack_graph
 from blackedge.datasets import erdos_renyi, generate_synthetic
 from blackedge.errors import ConfigError
+from blackedge.gin import GinOracle, GinWeights
 from blackedge.graph import Graph
 from blackedge.harness import (
     aggregate_metrics,
@@ -28,7 +29,7 @@ from helpers import CountingOracle, reference_random_attack, search_label_cases
 def _result(success, flips=0, queries=0, wall=1.0):
     return AttackResult(
         success=success,
-        adversarial_graph=Graph.empty(3),
+        adversarial_graph=Graph.from_edges(3, []),
         added=[(0, k) for k in range(1, flips + 1)],
         queries={"total": queries},
         wall_time=wall,
@@ -77,7 +78,7 @@ def test_random_attack_respects_flip_cap_and_query_budget():
 
 
 def test_random_attack_keeps_the_minimal_flip_success():
-    g = Graph.empty(8)
+    g = Graph.from_edges(8, [])
     # any single flip changes the label: the minimum over many uniform
     # draws must be exactly one flip
     oracle = structural_oracle("edge_count", 1)
@@ -86,7 +87,7 @@ def test_random_attack_keeps_the_minimal_flip_success():
 
 
 def test_random_attack_stops_at_oracle_budget():
-    g = Graph.empty(8)
+    g = Graph.from_edges(8, [])
     oracle = structural_oracle("edge_count", 100)
     res = random_attack(oracle, g, 0, AttackConfig(budget=0.5, max_queries=50), 500)
     assert not res.success and res.stop_reason == "query_budget"
@@ -98,11 +99,11 @@ def test_random_attack_fails_when_the_budget_allows_no_flip(n_nodes, budget):
     # max_flips == 0: no trial is drawn, none is submitted, and the run
     # fails instead of flipping a slot above its budget
     oracle = structural_oracle("edge_count", 1)
-    res = random_attack(oracle, Graph.empty(n_nodes), 0, AttackConfig(budget=budget, seed=3), 10)
+    res = random_attack(oracle, Graph.from_edges(n_nodes, []), 0, AttackConfig(budget=budget, seed=3), 10)
     assert not res.success and res.flips == 0 and res.rate == 0.0
     assert res.stop_reason == "rate_budget"
     assert res.skipped == 10 and res.memo_hits == 0 and res.queries["total"] == 0
-    report = run_experiment(structural_oracle("edge_count", 1), [Graph.empty(n_nodes)],
+    report = run_experiment(structural_oracle("edge_count", 1), [Graph.from_edges(n_nodes, [])],
                             AttackConfig(budget=budget), method="random",
                             random_query_budget=10)
     assert report.aggregates["SR"] == 0.0
@@ -111,14 +112,14 @@ def test_random_attack_fails_when_the_budget_allows_no_flip(n_nodes, budget):
 
 def test_random_attack_flips_one_slot_at_a_budget_of_one_slot():
     oracle = structural_oracle("edge_count", 1)
-    res = random_attack(oracle, Graph.empty(5), 0, AttackConfig(budget=0.1, seed=3), 10)
+    res = random_attack(oracle, Graph.from_edges(5, []), 0, AttackConfig(budget=0.1, seed=3), 10)
     assert res.success and res.flips == 1 and res.rate == 0.1
 
 
 def test_random_attack_reaches_the_top_of_its_budget():
     # 300 slots at a budget of 0.41: 123 / 300 == 0.41 is within it, though
     # floor(0.41 * 300) == 122; only 123 flips change the label
-    g = Graph.empty(25)
+    g = Graph.from_edges(25, [])
     assert int(np.floor(0.41 * g.n_edge_slots)) == 122 and 123 / 300 <= 0.41
     for seed in range(3):
         res = random_attack(structural_oracle("edge_count", 123), g, 0,
@@ -136,7 +137,7 @@ def test_random_attack_rejects_invalid_budgets(budget, query_budget, match):
     # the rate budget is checked where the config is made
     oracle = CountingOracle(lambda g: int(g.n_edges >= 1))
     with pytest.raises(ConfigError, match=match):
-        random_attack(oracle, Graph.empty(8), 0, AttackConfig(budget=budget), query_budget)
+        random_attack(oracle, Graph.from_edges(8, []), 0, AttackConfig(budget=budget), query_budget)
     assert oracle.computed == 0
 
 
@@ -229,6 +230,18 @@ def test_run_experiment_rows_match_aggregates(small_suite):
         alone = attack_graph(structural_oracle("edge_count", 20), g, y0,
                              replace(cfg, seed=cfg.seed + idx))
         assert row["queries"] == alone.queries
+
+
+def test_a_targeted_experiment_attacks_only_the_targets_not_at_the_target_label():
+    graphs = generate_synthetic("erdos_renyi", 6, seed=1, n=12, p=0.3).graphs
+    oracle = structural_oracle("edge_count", 20)
+    clean = [oracle.classify(g) for g in graphs]
+    assert sorted(clean) == [0, 0, 0, 1, 1, 1]
+    cfg = AttackConfig(target_label=1, iterations=5, directions_per_step=5)
+    report = run_experiment(oracle, graphs, cfg)
+    assert report.config["n_targets"] == 3
+    assert [row["id"] for row in report.per_graph] == [i for i, y in enumerate(clean) if y == 0]
+    assert all(row["flips_added"] + row["flips_removed"] > 0 for row in report.per_graph)
 
 
 def test_run_experiment_trials_multiply_rows(small_suite):
@@ -328,6 +341,23 @@ def test_defense_sweep_orders_gammas_and_hits_identity(small_suite):
     rows = defense_sweep(oracle, graphs, [1.0, 0.3, 0.6])
     assert [r["gamma"] for r in rows] == [0.3, 0.6, 1.0]
     assert rows[-1]["clean_accuracy"] == clean_accuracy(oracle, graphs)
+
+
+@pytest.mark.parametrize("oracle", [GinOracle(GinWeights.random(0)),
+                                    structural_oracle("edge_count", 14)],
+                         ids=["gin", "edge_count"])
+def test_a_sweep_on_unlabelled_graphs_equals_the_sweep_on_oracle_labelled_copies(oracle):
+    graphs = generate_synthetic("erdos_renyi", 8, seed=0, n=10, p=0.3).graphs
+    labelled = [g.replace(label=oracle.classify(g)) for g in graphs]
+    gammas = [0.5, 1.0]
+    cfg = AttackConfig(budget=0.3, iterations=2, directions_per_step=5)
+    expected = defense_sweep(oracle, labelled, gammas, cfg)
+    assert expected[-1]["clean_accuracy"] == 1.0  # gamma 1 keeps every graph's bits
+    assert defense_sweep(oracle, graphs, gammas, cfg) == expected
+    # each unlabelled graph is labelled once, before the sweep
+    counting = CountingOracle(lambda g: int(g.n_edges >= 14))
+    defense_sweep(counting, [*graphs[:4], *labelled[4:]], gammas)
+    assert counting.computed == 4 + len(gammas) * len(graphs)
 
 
 def test_rows_to_csv():

@@ -86,7 +86,7 @@ def test_triangle_count_statistic():
     # K4 contains exactly 4 triangles
     oracle = structural_oracle("triangle_count", 4)
     assert oracle.classify(complete_graph(4)) == 1
-    assert oracle.classify(Graph.empty(4)) == 0
+    assert oracle.classify(Graph.from_edges(4, [])) == 0
 
 
 def test_max_degree_statistic():
@@ -117,7 +117,7 @@ def test_exhaustive_table_matches_function():
 def test_table_oracle_rejects_unknown_graphs():
     table = TableOracle.exhaustive(3, lambda g: 0)
     with pytest.raises(UnknownGraph):
-        table.classify(Graph.empty(4))
+        table.classify(Graph.from_edges(4, []))
 
 
 # -- budgets -------------------------------------------------------------
@@ -155,7 +155,7 @@ def test_each_memo_has_its_own_count_and_cap():
 
 
 def test_the_memo_keeps_the_first_fewest_flip_graph_within_its_budget():
-    g = Graph.empty(5)  # 10 slots
+    g = Graph.from_edges(5, [])  # 10 slots
     oracle = FunctionOracle(lambda h: int(h.n_edges >= 2))
     memo = LabelMemo(oracle, lambda label: label == 1, g, 0.3)
     kept = []
@@ -174,7 +174,7 @@ def test_the_memo_keeps_the_first_fewest_flip_graph_within_its_budget():
 def test_the_flip_bound_is_the_largest_count_within_the_budget():
     short = set()  # (n, budget) where floor(budget * d) is below the bound
     for n in range(2, 121):
-        g = Graph.empty(n)
+        g = Graph.from_edges(n, [])
         d = g.n_edge_slots
         for budget in (k / 100 for k in range(1, 101)):
             memo = LabelMemo(FunctionOracle(lambda _: 1), bool, g, budget)
@@ -192,7 +192,7 @@ def test_the_flip_bound_is_the_largest_count_within_the_budget():
     assert short == {(25, 0.41), (25, 0.57), (25, 0.69), (25, 0.82), (76, 0.58),
                      (76, 0.7), (100, 0.82), (105, 0.35), (105, 0.7)}
     # a graph without a slot allows its own zero flips
-    assert LabelMemo(FunctionOracle(lambda _: 1), bool, Graph.empty(1), 0.5).max_flips == 0
+    assert LabelMemo(FunctionOracle(lambda _: 1), bool, Graph.from_edges(1, []), 0.5).max_flips == 0
 
 
 def test_the_memo_keeps_what_the_rate_rule_keeps():
