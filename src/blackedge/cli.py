@@ -95,6 +95,10 @@ dataset_option = click.option("--dataset", required=True,
 name_option = click.option("--name", default=None, help="TU dataset name")
 oracle_option = click.option("--oracle", "oracle_spec", required=True,
                              help="gin:weights.json or structural:feature:threshold")
+# an option that sets an AttackConfig field defaults to that field's default
+budget_option = click.option("--budget", type=float, default=AttackConfig.budget,
+                             show_default=True)
+seed_option = click.option("--seed", type=int, default=AttackConfig.seed, show_default=True)
 
 
 class _Main(click.Group):
@@ -116,17 +120,18 @@ def main():
 @dataset_option
 @name_option
 @oracle_option
-@click.option("--budget", type=float, default=0.2, show_default=True)
-@click.option("--strategy", type=click.Choice(STRATEGIES), default="I",
+@budget_option
+@click.option("--strategy", type=click.Choice(STRATEGIES), default=AttackConfig.strategy,
               show_default=True)
-@click.option("--Q", "q_directions", type=int, default=100, show_default=True,
-              help="probe directions per iteration")
-@click.option("--mu", type=float, default=0.1, show_default=True)
-@click.option("--T", "iterations", type=int, default=200, show_default=True)
-@click.option("--epsilon", type=float, default=1e-3, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--max-queries", type=int, default=None)
-@click.option("--target-label", type=int, default=None,
+@click.option("--Q", "q_directions", type=int, default=AttackConfig.directions_per_step,
+              show_default=True, help="probe directions per iteration")
+@click.option("--mu", type=float, default=AttackConfig.smoothing, show_default=True)
+@click.option("--T", "iterations", type=int, default=AttackConfig.iterations,
+              show_default=True)
+@click.option("--epsilon", type=float, default=AttackConfig.epsilon, show_default=True)
+@seed_option
+@click.option("--max-queries", type=int)
+@click.option("--target-label", type=int,
               help="targeted attack toward this label")
 @click.option("--n-trials", type=int, default=1, show_default=True)
 @click.option("--budget-sweep", "sweep_spec", default=None,
@@ -153,8 +158,7 @@ def attack(dataset, name, oracle_spec, budget, strategy, q_directions, mu,
         click.echo(f"budget sweep written to {out} and {csv_path}")
         return
     report = run_experiment(oracle, bundle.graphs, cfg, n_trials=n_trials)
-    report.save_json(out)
-    report.save_csv(Path(out).with_suffix(".csv"))
+    report.save(out)
     click.echo(json.dumps(report.aggregates, indent=2))
 
 
@@ -166,8 +170,8 @@ def attack(dataset, name, oracle_spec, budget, strategy, q_directions, mu,
               show_default=True, help="lo:hi:step over kept-spectrum fraction")
 @click.option("--attack-sr/--no-attack-sr", default=False, show_default=True,
               help="also measure attack SR per gamma (slow)")
-@click.option("--budget", type=float, default=0.2, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@budget_option
+@seed_option
 @click.option("--out", type=click.Path(), default="defense.csv", show_default=True)
 def defend(dataset, name, oracle_spec, gamma_spec, attack_sr, budget, seed, out):
     """Sweep the low-rank defense strength and write a CSV."""
@@ -199,8 +203,8 @@ def eval_report(report_path):
 @name_option
 @oracle_option
 @click.option("--query-budget", type=int, required=True)
-@click.option("--budget", type=float, default=0.2, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@budget_option
+@seed_option
 @click.option("--out", type=click.Path(), default="random_report.json",
               show_default=True)
 def baseline_random(dataset, name, oracle_spec, query_budget, budget, seed, out):
@@ -210,8 +214,7 @@ def baseline_random(dataset, name, oracle_spec, query_budget, budget, seed, out)
     cfg = AttackConfig(budget=budget, seed=seed)
     report = run_experiment(oracle, bundle.graphs, cfg, method="random",
                             random_query_budget=query_budget)
-    report.save_json(out)
-    report.save_csv(Path(out).with_suffix(".csv"))
+    report.save(out)
     click.echo(json.dumps(report.aggregates, indent=2))
 
 

@@ -21,7 +21,11 @@ from .graph import Graph, edge_index_map, n_slots
 class DatasetBundle:
     graphs: list[Graph]
     name: str
-    n_classes: int
+
+    @property
+    def n_classes(self) -> int:
+        """How many distinct labels the graphs carry; 0 when none has one."""
+        return len({g.label for g in self.graphs} - {None})
 
     # -- JSON round trip -------------------------------------------------
 
@@ -53,7 +57,7 @@ class DatasetBundle:
             )
             for g in doc["graphs"]
         ]
-        return cls(graphs, doc["name"], doc["n_classes"])
+        return cls(graphs, doc["name"])
 
 
 # -- TU text format ------------------------------------------------------
@@ -95,8 +99,6 @@ def load_tudataset(directory, name: str) -> DatasetBundle:
     local_id: dict[int, tuple[int, int]] = {}
     counts = [0] * len(raw_labels)
     for node, gid in enumerate(indicator, start=1):
-        if not 1 <= gid <= len(raw_labels):
-            raise ParseError(f"node {node} references missing graph id {gid}")
         local_id[node] = (gid - 1, counts[gid - 1])
         counts[gid - 1] += 1
 
@@ -115,7 +117,8 @@ def load_tudataset(directory, name: str) -> DatasetBundle:
         if i == j:
             raise ParseError(f"{a_path.name}: self-loop on node {i}", line=lineno)
         if i not in local_id or j not in local_id:
-            raise ParseError(f"edge ({i}, {j}) references an unknown node")
+            raise ParseError(f"{a_path.name}: edge ({i}, {j}) references an unknown node",
+                             line=lineno)
         gi, li = local_id[i]
         gj, lj = local_id[j]
         if gi != gj:
@@ -148,7 +151,7 @@ def load_tudataset(directory, name: str) -> DatasetBundle:
                          label=label_index[raw_labels[g]])
         for g in range(len(raw_labels))
     ]
-    return DatasetBundle(graphs, name, len(classes))
+    return DatasetBundle(graphs, name)
 
 
 # -- synthetic generators ------------------------------------------------
@@ -208,4 +211,4 @@ def generate_synthetic(kind: str, count: int, seed: int, **params) -> DatasetBun
         ]
     else:
         raise ConfigError(f"unknown synthetic kind {kind!r}")
-    return DatasetBundle(graphs, f"{kind}-{seed}", n_classes=2)
+    return DatasetBundle(graphs, f"{kind}-{seed}")

@@ -163,14 +163,6 @@ class Graph:
         bits[slots] ^= 1
         return self._with_valid_bits(bits)
 
-    def replace(self, bits=None, features=..., label=...) -> "Graph":
-        return Graph(
-            self.n_nodes,
-            self.bits if bits is None else bits,
-            self.features if features is ... else features,
-            self.label if label is ... else label,
-        )
-
 
 # -- perturbation algebra ------------------------------------------------
 

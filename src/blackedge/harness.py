@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -95,19 +95,18 @@ def random_attack(
 
 
 def aggregate_metrics(results: list[AttackResult]) -> dict:
-    """SR / AP / AQ / AT plus added/removed-edge averages."""
-    if not results:
-        return {"SR": 0.0, "AP": 0.0, "AQ": 0.0, "AT": 0.0,
-                "avg_added": 0.0, "avg_removed": 0.0}
+    """SR / AP / AQ / AT plus added/removed-edge averages; a mean over no
+    run, or (AP and the edge averages) over no success, is ``None``."""
+    def mean(values):
+        return float(np.mean(values)) if values else None
+
     successes = [r for r in results if r.success]
-    sr = len(successes) / len(results)
-    ap = float(np.mean([r.flips for r in successes])) if successes else 0.0
-    aq = float(np.mean([r.queries.get("total", 0) for r in results]))
-    at = float(np.mean([r.wall_time for r in results]))
-    avg_added = float(np.mean([len(r.added) for r in successes])) if successes else 0.0
-    avg_removed = float(np.mean([len(r.removed) for r in successes])) if successes else 0.0
-    return {"SR": sr, "AP": ap, "AQ": aq, "AT": at,
-            "avg_added": avg_added, "avg_removed": avg_removed}
+    return {"SR": len(successes) / len(results) if results else None,
+            "AP": mean([r.flips for r in successes]),
+            "AQ": mean([r.queries.get("total", 0) for r in results]),
+            "AT": mean([r.wall_time for r in results]),
+            "avg_added": mean([len(r.added) for r in successes]),
+            "avg_removed": mean([len(r.removed) for r in successes])}
 
 
 # -- experiment runner ---------------------------------------------------
@@ -119,26 +118,13 @@ class ExperimentReport:
     per_graph: list[dict]
     aggregates: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "per_graph": self.per_graph,
-            "aggregates": self.aggregates,
-        }
-
-    def save_json(self, path):
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2))
-
     def to_csv(self) -> str:
-        """Per-graph rows."""
-        buf = io.StringIO()
+        """Per-graph rows; a report without rows is its header alone."""
         fields = ["id", "success", "flips_added", "flips_removed", "rate", "queries_total",
                   *(f"queries_{phase}" for phase in PHASES), "memo_hits", "skipped",
                   "time_s", "found_in", "stop_reason"]
-        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-        writer.writeheader()
-        for row in self.per_graph:
-            out = {
+        return rows_to_csv([
+            {
                 "id": row["id"],
                 "success": int(row["success"]),
                 "flips_added": row["flips_added"],
@@ -149,14 +135,18 @@ class ExperimentReport:
                 "memo_hits": row["memo_hits"],
                 "skipped": row["skipped"],
                 "time_s": f"{row['time_s']:.3f}",
-                "found_in": row["found_in"] or "",
+                "found_in": row["found_in"],
                 "stop_reason": row["stop_reason"],
             }
-            writer.writerow(out)
-        return buf.getvalue()
+            for row in self.per_graph
+        ], fields)
 
-    def save_csv(self, path):
-        Path(path).write_text(self.to_csv())
+    def save(self, path):
+        """The report as JSON at ``path``, and ``to_csv`` beside it with a
+        ``.csv`` suffix."""
+        path = Path(path)
+        path.write_text(json.dumps(asdict(self), indent=2))
+        path.with_suffix(".csv").write_text(self.to_csv())
 
 
 def _result_row(idx: int, res: AttackResult) -> dict:
@@ -212,6 +202,8 @@ def run_experiment(
         raise ConfigError(f"unknown method {method!r}")
     if method == "random" and random_query_budget is None:
         raise ConfigError("random method needs random_query_budget")
+    if method == "signsgd" and random_query_budget is not None:
+        raise ConfigError("signsgd method takes no random_query_budget")
     if random_query_budget is not None and random_query_budget < 1:
         raise ConfigError(f"random_query_budget must be at least 1, got {random_query_budget}")
     if n_trials < 1:
@@ -255,10 +247,11 @@ def budget_sweep(
 
 
 def clean_accuracy(oracle: HardLabelOracle, graphs: list[Graph]) -> float:
-    """Fraction of labeled graphs the oracle classifies correctly."""
+    """Fraction of labeled graphs the oracle classifies correctly; without
+    a labeled graph there is no fraction, and it raises ``ConfigError``."""
     labeled = [g for g in graphs if g.label is not None]
     if not labeled:
-        return 0.0
+        raise ConfigError("clean accuracy needs at least one labeled graph")
     hits = sum(oracle.classify(g) == g.label for g in labeled)
     return hits / len(labeled)
 
@@ -274,7 +267,7 @@ def defense_sweep(
     A graph without a label is labelled by the undefended ``oracle``, once,
     before the sweep.  Rows are emitted in ascending gamma order.
     """
-    graphs = [g if g.label is not None else g.replace(label=oracle.classify(g))
+    graphs = [g if g.label is not None else replace(g, label=oracle.classify(g))
               for g in graphs]
     rows = []
     for gamma in sorted(float(g) for g in gammas):
@@ -288,12 +281,15 @@ def defense_sweep(
     return rows
 
 
-def rows_to_csv(rows: list[dict]) -> str:
-    if not rows:
-        return ""
+def rows_to_csv(rows: list[dict], fields: list[str] | None = None) -> str:
+    """``rows`` under the header ``fields``, by default the first row's keys;
+    no rows and no ``fields`` give the empty string.  ``None`` is an empty cell."""
+    if fields is None:
+        if not rows:
+            return ""
+        fields = list(rows[0])
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()

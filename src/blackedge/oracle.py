@@ -21,7 +21,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import BudgetExhausted
+from .errors import BudgetExhausted, ConfigError
 from .graph import Graph
 
 PHASES = ("cgs", "binary_search", "qegc", "other")
@@ -207,7 +207,7 @@ class StructuralOracle(HardLabelOracle):
 
     def __init__(self, feature: str, threshold: int):
         if feature not in STRUCTURAL_FEATURES:
-            raise ValueError(f"feature must be one of {tuple(STRUCTURAL_FEATURES)}")
+            raise ConfigError(f"feature must be one of {tuple(STRUCTURAL_FEATURES)}")
         self.feature = feature
         self.threshold = int(threshold)
 

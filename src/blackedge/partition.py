@@ -31,7 +31,7 @@ class Partition:
         a.flags.writeable = False
         object.__setattr__(self, "assignment", a)
         if a.size and (a.min() < 0 or a.max() >= self.n_clusters):
-            raise ValueError("cluster ids must be contiguous from 0")
+            raise ConfigError("cluster ids must be contiguous from 0")
 
     @property
     def n_nodes(self) -> int:
@@ -191,7 +191,7 @@ def enumerate_components(partition: Partition, strategy: str = "I") -> list[Supe
     dropped.
     """
     if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be I, II or III, got {strategy!r}")
+        raise ConfigError(f"strategy must be I, II or III, got {strategy!r}")
 
     n = partition.n_nodes
     whole = SuperComponent(WHOLE_GRAPH, (), np.arange(n_slots(n)), n)

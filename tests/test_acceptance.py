@@ -359,7 +359,7 @@ def test_criterion_10_defense_identity_and_curve():
 
         oracle = GinOracle(GinWeights.random(seed=0))
         bundle = generate_synthetic("erdos_renyi", 20, seed=4, n=12, p=0.3)
-        graphs = [g.replace(label=oracle.classify(g))
+        graphs = [replace(g, label=oracle.classify(g))
                   for g in bundle.graphs]
         gammas = np.round(np.arange(0.05, 1.0 + 0.025, 0.05), 10)
         rows = defense_sweep(oracle, graphs, gammas)

@@ -174,7 +174,7 @@ def test_boundary_distance_equals_the_reference(n_nodes):
     # zero components, and one with no positive component, under monotone,
     # hashed and constant labels
     rng = np.random.default_rng(n_nodes)
-    graph = random_graph(rng, n_nodes).replace(label=1)
+    graph = replace(random_graph(rng, n_nodes), label=1)
     d = graph.n_edge_slots
     found = raised = 0
     for trial in range(16):

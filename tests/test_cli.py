@@ -1,11 +1,13 @@
 """Command-line interface smoke tests."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 from click.testing import CliRunner
 
 from blackedge import cli
+from blackedge.attack import AttackConfig
 from blackedge.cli import _parse_dataset, _parse_oracle, _parse_sweep, main
 from blackedge.errors import ConfigError
 from blackedge.gin import GinOracle, GinWeights
@@ -105,6 +107,19 @@ def test_baseline_random_command(runner, tmp_path):
     assert result.exit_code == 0, result.output
     doc = json.loads(out.read_text())
     assert doc["config"]["method"] == "random"
+
+
+@pytest.mark.parametrize("command", [["attack"], ["baseline-random", "--query-budget", "20"]])
+def test_runs_without_tuning_flags_use_the_attack_config_defaults(runner, tmp_path, command):
+    out = tmp_path / "report.json"
+    result = runner.invoke(main, command + [
+        "--dataset", "er:8:0.3:2", "--oracle", "structural:edge_count:12",
+        "--out", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    config = json.loads(out.read_text())["config"]
+    defaults = asdict(AttackConfig())
+    assert {key: config[key] for key in defaults} == defaults
 
 
 @pytest.mark.parametrize("command", [

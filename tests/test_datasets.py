@@ -1,5 +1,8 @@
 """TU-format parsing, bundle serialization and synthetic generators."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -60,8 +63,9 @@ def test_cross_graph_edge_rejected(tu_dir):
 
 def test_unknown_node_rejected(tu_dir):
     (tu_dir / "TINY_A.txt").write_text(TU_FIXTURE["A.txt"] + "1, 99\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="unknown node") as exc_info:
         load_tudataset(tu_dir, "TINY")
+    assert exc_info.value.line == len(TU_FIXTURE["A.txt"].splitlines()) + 1
 
 
 def test_malformed_edge_line_rejected(tu_dir):
@@ -92,6 +96,18 @@ def test_bundle_round_trip(tu_dir, tmp_path):
         assert np.array_equal(a.bits, b.bits)
         assert a.label == b.label
         assert np.array_equal(a.features, b.features)
+
+
+def test_bundle_classes_are_counted_from_the_labels(tu_dir, tmp_path):
+    bundle = load_tudataset(tu_dir, "TINY")
+    path = tmp_path / "bundle.json"
+    bundle.save(path)
+    doc = json.loads(path.read_text())
+    doc["n_classes"] = 7  # a stored count the labels do not back
+    path.write_text(json.dumps(doc))
+    assert DatasetBundle.load(path).n_classes == 2
+    bundle.graphs[1] = replace(bundle.graphs[1], label=None)
+    assert bundle.n_classes == 1
 
 
 # -- synthetic generators ------------------------------------------------
@@ -136,6 +152,10 @@ def test_generate_synthetic_bundle():
         assert np.array_equal(a.bits, b.bits)
     with pytest.raises(ConfigError):
         generate_synthetic("lattice", 3, seed=0)
+
+
+def test_an_unlabelled_synthetic_bundle_has_no_classes():
+    assert generate_synthetic("erdos_renyi", 5, seed=1, n=8, p=0.3).n_classes == 0
 
 
 @pytest.mark.parametrize("kind, params", [

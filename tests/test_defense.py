@@ -1,5 +1,7 @@
 """Low-rank spectral filtering defense."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -136,7 +138,7 @@ def test_filter_output_is_a_valid_graph():
 
 
 def test_filter_preserves_features_and_label():
-    g = complete_graph(4, label=1).replace(features=np.ones((4, 2)))
+    g = replace(complete_graph(4, label=1), features=np.ones((4, 2)))
     out = low_rank_filter(g, LowRankConfig(gamma=0.5))
     assert out.label == 1
     assert out.features is g.features

@@ -28,7 +28,7 @@ def test_forward_matches_reference_on_random_inputs():
                                     hidden_dims=(5, 4), n_classes=3)
         g = random_graph(rng, int(rng.integers(2, 12)))
         feats = rng.standard_normal((g.n_nodes, 3))
-        g = g.replace(features=feats)
+        g = dataclasses.replace(g, features=feats)
         ref = reference_gin_logits(weights, g)
         assert gin_forward(weights, g) == int(np.argmax(ref))
 
@@ -36,7 +36,7 @@ def test_forward_matches_reference_on_random_inputs():
 def test_default_features_are_all_ones():
     weights = GinWeights.random(seed=1, feature_dim=2)
     g = complete_graph(4)
-    explicit = g.replace(features=np.ones((4, 2)))
+    explicit = dataclasses.replace(g, features=np.ones((4, 2)))
     assert gin_forward(weights, g) == gin_forward(weights, explicit)
     ref = reference_gin_logits(weights, explicit)
     assert gin_forward(weights, g) == int(np.argmax(ref))
@@ -46,7 +46,7 @@ def test_permutation_invariance():
     rng = np.random.default_rng(5)
     weights = GinWeights.random(seed=9, feature_dim=2, hidden_dims=(6,))
     for _ in range(20):
-        g = random_graph(rng, 8).replace(features=rng.standard_normal((8, 2)))
+        g = dataclasses.replace(random_graph(rng, 8), features=rng.standard_normal((8, 2)))
         perm = rng.permutation(8)
         a = g.adjacency[np.ix_(perm, perm)]
         permuted = from_adjacency(a, features=g.features[perm])
@@ -99,7 +99,7 @@ def test_shape_validation():
 
 def test_feature_dim_mismatch_rejected():
     weights = GinWeights.random(seed=0, feature_dim=2)
-    g = complete_graph(3).replace(features=np.ones((3, 5)))
+    g = dataclasses.replace(complete_graph(3), features=np.ones((3, 5)))
     with pytest.raises(ShapeMismatch):
         gin_forward(weights, g)
 
@@ -165,7 +165,7 @@ def test_logits_equal_the_dense_reference_across_shapes(feature_dim, hidden_dims
             for g in _shape_cases(rng, n):
                 _assert_bitwise_reference(weights, g)
                 feats = rng.standard_normal((n, feature_dim))
-                _assert_bitwise_reference(weights, g.replace(features=feats))
+                _assert_bitwise_reference(weights, dataclasses.replace(g, features=feats))
 
 
 def test_the_degree_table_is_built_once_per_first_layer_and_node_count():

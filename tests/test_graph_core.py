@@ -1,5 +1,7 @@
 """Graph storage, slot indexing and the perturbation algebra."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,7 +137,7 @@ def test_graph_is_immutable():
     with pytest.raises(ValueError):
         g.bits[0] = 0
     # apply_perturbation builds its result without re-validating the bits
-    perturbed = apply_perturbation(g.replace(label=1), np.array([1.0, 0, 0, 0, 0, 0.5]))
+    perturbed = apply_perturbation(replace(g, label=1), np.array([1.0, 0, 0, 0, 0, 0.5]))
     assert perturbed.bits.dtype == np.uint8
     assert perturbed.bits.tolist() == [0, 1, 1, 1, 1, 0]
     assert perturbed.label == 1
@@ -151,9 +153,11 @@ def test_canonical_key_distinguishes_structures():
 
 def test_replace_preserves_unspecified_fields():
     g = complete_graph(3, label=1)
-    g2 = g.replace(label=0)
+    g2 = replace(g, label=0)
     assert g2.label == 0 and g.label == 1
     assert np.array_equal(g2.bits, g.bits)
+    with pytest.raises(DimensionMismatch):  # the copy is validated as a new graph is
+        replace(g, bits=np.zeros(2))
 
 
 # -- perturbation algebra ------------------------------------------------

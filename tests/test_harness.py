@@ -55,10 +55,12 @@ def test_aggregate_metrics_conventions():
 
 
 def test_aggregate_metrics_empty_and_all_failed():
-    assert aggregate_metrics([])["SR"] == 0.0
+    # a mean over no run, or over no success, is None, not 0
+    assert aggregate_metrics([]) == {"SR": None, "AP": None, "AQ": None, "AT": None,
+                                     "avg_added": None, "avg_removed": None}
     metrics = aggregate_metrics([_result(False, queries=10)])
-    assert metrics == {"SR": 0.0, "AP": 0.0, "AQ": 10.0, "AT": 1.0,
-                       "avg_added": 0.0, "avg_removed": 0.0}
+    assert metrics == {"SR": 0.0, "AP": None, "AQ": 10.0, "AT": 1.0,
+                       "avg_added": None, "avg_removed": None}
 
 
 # -- random baseline -----------------------------------------------------
@@ -201,7 +203,7 @@ def test_flip_order_random_attack_equals_the_draw_order_reference(budget, query_
 def small_suite():
     bundle = generate_synthetic("erdos_renyi", 4, seed=2, n=10, p=0.3)
     oracle = structural_oracle("edge_count", 20)
-    graphs = [g.replace(label=oracle.classify(g)) for g in bundle.graphs]
+    graphs = [replace(g, label=oracle.classify(g)) for g in bundle.graphs]
     return oracle, graphs
 
 
@@ -209,8 +211,8 @@ def test_select_targets_keeps_the_correctly_labelled_graphs(small_suite):
     oracle, graphs = small_suite
     targets = select_targets(oracle, graphs)
     assert len(targets) == len(graphs)  # labels came from the oracle itself
-    graphs = [graphs[0].replace(label=1 - graphs[0].label), *graphs[1:],
-              graphs[0].replace(label=None)]
+    graphs = [replace(graphs[0], label=1 - graphs[0].label), *graphs[1:],
+              replace(graphs[0], label=None)]
     targets = select_targets(oracle, graphs)
     assert [idx for idx, _, _ in targets] == list(range(1, len(graphs)))
     assert [y0 for _, _, y0 in targets] == [oracle.classify(g) for g in graphs[1:]]
@@ -277,6 +279,13 @@ def test_run_experiment_rejects_bad_method(small_suite):
         run_experiment(oracle, graphs, AttackConfig(), method="random")
 
 
+def test_run_experiment_rejects_a_random_query_budget_for_signsgd(small_suite):
+    oracle, graphs = small_suite
+    with pytest.raises(ConfigError, match="random_query_budget"):
+        run_experiment(oracle, graphs, AttackConfig(), method="signsgd",
+                       random_query_budget=100)
+
+
 @pytest.mark.parametrize("query_budget", [0, -5])
 def test_run_experiment_rejects_a_random_query_budget_below_one(small_suite, query_budget):
     oracle, graphs = small_suite
@@ -300,7 +309,7 @@ def test_report_json_and_csv(small_suite, tmp_path):
     cfg = AttackConfig(budget=0.4, iterations=2, directions_per_step=5, seed=0)
     report = run_experiment(oracle, graphs, cfg)
     json_path = tmp_path / "report.json"
-    report.save_json(json_path)
+    report.save(json_path)
     doc = json.loads(json_path.read_text())
     assert set(doc) == {"config", "per_graph", "aggregates"}
     assert set(doc["aggregates"]) == {"SR", "AP", "AQ", "AT",
@@ -313,6 +322,7 @@ def test_report_json_and_csv(small_suite, tmp_path):
                                    "total"}
 
     csv_text = report.to_csv()
+    assert (tmp_path / "report.csv").read_text() == csv_text
     header = csv_text.splitlines()[0]
     assert header == ("id,success,flips_added,flips_removed,rate,"
                       "queries_total,queries_cgs,queries_binary_search,"
@@ -325,15 +335,27 @@ def test_report_json_and_csv(small_suite, tmp_path):
         assert out["stop_reason"] == row["stop_reason"]
 
 
+def test_a_report_without_targets_saves_null_aggregates_and_a_csv_header(small_suite, tmp_path):
+    oracle, _ = small_suite
+    report = run_experiment(oracle, [], AttackConfig())
+    report.save(tmp_path / "empty.json")
+    doc = json.loads((tmp_path / "empty.json").read_text())
+    assert doc["per_graph"] == [] and set(doc["aggregates"].values()) == {None}
+    header = (tmp_path / "empty.csv").read_text()
+    assert header.startswith("id,success,") and header.endswith(",stop_reason\n")
+    assert header.count("\n") == 1
+
+
 # -- sweeps --------------------------------------------------------------
 
 
 def test_clean_accuracy(small_suite):
     oracle, graphs = small_suite
     assert clean_accuracy(oracle, graphs) == 1.0  # labels came from it
-    flipped = [g.replace(label=1 - g.label) for g in graphs]
+    flipped = [replace(g, label=1 - g.label) for g in graphs]
     assert clean_accuracy(oracle, flipped) == 0.0
-    assert clean_accuracy(oracle, [g.replace(label=None) for g in graphs]) == 0.0
+    with pytest.raises(ConfigError, match="labeled graph"):
+        clean_accuracy(oracle, [replace(g, label=None) for g in graphs])
 
 
 def test_defense_sweep_orders_gammas_and_hits_identity(small_suite):
@@ -348,7 +370,7 @@ def test_defense_sweep_orders_gammas_and_hits_identity(small_suite):
                          ids=["gin", "edge_count"])
 def test_a_sweep_on_unlabelled_graphs_equals_the_sweep_on_oracle_labelled_copies(oracle):
     graphs = generate_synthetic("erdos_renyi", 8, seed=0, n=10, p=0.3).graphs
-    labelled = [g.replace(label=oracle.classify(g)) for g in graphs]
+    labelled = [replace(g, label=oracle.classify(g)) for g in graphs]
     gammas = [0.5, 1.0]
     cfg = AttackConfig(budget=0.3, iterations=2, directions_per_step=5)
     expected = defense_sweep(oracle, labelled, gammas, cfg)
@@ -364,3 +386,5 @@ def test_rows_to_csv():
     rows = [{"gamma": 0.5, "clean_accuracy": 1.0}]
     assert rows_to_csv(rows) == "gamma,clean_accuracy\n0.5,1.0\n"
     assert rows_to_csv([]) == ""
+    assert rows_to_csv([], ["gamma", "AP"]) == "gamma,AP\n"
+    assert rows_to_csv([{"gamma": 0.5, "AP": None}]) == "gamma,AP\n0.5,\n"

@@ -142,7 +142,7 @@ def test_batch_kernels_equal_the_single_path_on_featured_graphs():
     rng = np.random.default_rng(4)
     for feature_dim in (1, 2, 3):
         weights = GinWeights.random(5, feature_dim=feature_dim)
-        graphs = [random_graph(rng, 6).replace(features=rng.standard_normal((6, feature_dim)))
+        graphs = [replace(random_graph(rng, 6), features=rng.standard_normal((6, feature_dim)))
                   for _ in range(40)]
         for size in BATCHES:
             for block in _blocks(graphs, size):
@@ -152,7 +152,7 @@ def test_batch_kernels_equal_the_single_path_on_featured_graphs():
 def test_a_featured_block_of_another_feature_dim_is_rejected():
     rng = np.random.default_rng(6)
     oracle = GinOracle(GinWeights.random(5, feature_dim=3))
-    block = [random_graph(rng, 6).replace(features=rng.standard_normal((6, 2)))
+    block = [replace(random_graph(rng, 6), features=rng.standard_normal((6, 2)))
              for _ in range(4)]
     for batched in (oracle, DefendedOracle(oracle, LowRankConfig(0.5))):
         with pytest.raises(ShapeMismatch):

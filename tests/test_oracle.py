@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blackedge.datasets import barbell
-from blackedge.errors import BudgetExhausted
+from blackedge.errors import BudgetExhausted, ConfigError
 from blackedge.graph import Graph, perturbation_rate
 from blackedge.oracle import (
     FunctionOracle,
@@ -97,7 +97,7 @@ def test_max_degree_statistic():
 
 
 def test_unknown_feature_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="feature must be one of"):
         StructuralOracle("clustering", 1)
 
 

@@ -190,7 +190,7 @@ def test_louvain_equals_the_reference_louvain():
 
 
 def test_partition_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="contiguous"):
         Partition(np.array([0, 2]), 2)  # non-contiguous ids
 
 
@@ -258,7 +258,7 @@ def test_components_equal_the_reference_scan(strategy):
 
 
 def test_unknown_strategy_rejected(barbell_partition):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="strategy must be I, II or III"):
         enumerate_components(barbell_partition, "IV")
 
 

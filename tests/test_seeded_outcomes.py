@@ -95,8 +95,9 @@ def collect() -> dict:
                     harness.attack_graph = recording(attack_graph)
                     harness.random_attack = recording(random_attack)
                     cfg = replace(CFG, target_label=target, max_queries=cap)
+                    budget = RANDOM_QUERY_BUDGET if method == "random" else None
                     harness.run_experiment(ORACLES[oracle_name](), GRAPHS, cfg, method,
-                                           random_query_budget=RANDOM_QUERY_BUDGET)
+                                           random_query_budget=budget)
                     outcomes[f"{oracle_name}/{target}/{method}/{cap}"] = runs
     finally:
         harness.attack_graph, harness.random_attack = attack_graph, random_attack
