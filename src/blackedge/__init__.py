@@ -36,7 +36,6 @@ from .harness import (
 from .oracle import (
     HardLabelOracle,
     LabelMemo,
-    StructuralOracle,
     structural_oracle,
 )
 from .partition import (

@@ -78,7 +78,8 @@ def _parse_oracle(spec: str):
 
 
 def _parse_sweep(spec: str) -> list[float]:
-    """``lo:hi:step`` with finite ``lo <= hi`` and ``step > 0``, both ends kept."""
+    """``lo:hi:step`` with finite ``lo <= hi`` and a ``step > 0`` that divides
+    ``hi - lo``: ``lo + k * step`` from ``lo`` to ``hi``, both ends kept."""
     try:
         lo, hi, step = (float(x) for x in spec.split(":"))
     except ValueError as exc:
@@ -87,7 +88,10 @@ def _parse_sweep(spec: str) -> list[float]:
         raise ConfigError(
             f"sweep spec {spec!r} needs finite lo <= hi and step > 0"
         )
-    return list(np.round(np.arange(lo, hi + step / 2, step), 10))
+    n = round((hi - lo) / step)
+    if abs(lo + n * step - hi) > 1e-9 * max(1.0, abs(hi)):
+        raise ConfigError(f"sweep spec {spec!r}: step {step} does not divide hi - lo")
+    return list(np.round(lo + step * np.arange(n + 1), 10))
 
 
 dataset_option = click.option("--dataset", required=True,

@@ -47,25 +47,37 @@ class DatasetBundle:
 
     @classmethod
     def load(cls, path) -> "DatasetBundle":
-        doc = json.loads(Path(path).read_text())
-        graphs = [
-            Graph.from_edges(
-                g["n_nodes"],
-                [tuple(e) for e in g["edges"]],
-                features=None if g["features"] is None else np.asarray(g["features"]),
-                label=g["label"],
-            )
-            for g in doc["graphs"]
-        ]
-        return cls(graphs, doc["name"])
+        """The bundle saved at ``path``; any other file is a ``ParseError``."""
+        try:
+            doc = json.loads(Path(path).read_text())
+            graphs = [
+                Graph.from_edges(
+                    g["n_nodes"],
+                    g["edges"],
+                    features=None if g["features"] is None else np.asarray(g["features"]),
+                    label=g["label"],
+                )
+                for g in doc["graphs"]
+            ]
+            return cls(graphs, doc["name"])
+        except (ValueError, LookupError, TypeError) as exc:
+            raise ParseError(f"{path} is not a dataset bundle: {exc!r}") from exc
 
 
 # -- TU text format ------------------------------------------------------
 
 
+def _read_lines(path: Path) -> list[str]:
+    try:
+        return path.read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ParseError(f"cannot read {path}: {reason}") from exc
+
+
 def _read_int_lines(path: Path) -> list[int]:
     values = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_lines(path), start=1):
         raw = raw.strip()
         if not raw:
             continue
@@ -102,9 +114,9 @@ def load_tudataset(directory, name: str) -> DatasetBundle:
         local_id[node] = (gid - 1, counts[gid - 1])
         counts[gid - 1] += 1
 
-    edges: list[set] = [set() for _ in raw_labels]
+    edges: list[list] = [[] for _ in raw_labels]
     a_path = directory / f"{name}_A.txt"
-    for lineno, raw in enumerate(a_path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_lines(a_path), start=1):
         raw = raw.strip()
         if not raw:
             continue
@@ -125,7 +137,7 @@ def load_tudataset(directory, name: str) -> DatasetBundle:
             raise ParseError(
                 f"{a_path.name}: edge ({i}, {j}) crosses graphs", line=lineno
             )
-        edges[gi].add((min(li, lj), max(li, lj)))
+        edges[gi].append((li, lj))
 
     node_label_path = directory / f"{name}_node_labels.txt"
     features: list[np.ndarray | None] = [None] * len(raw_labels)
@@ -147,7 +159,7 @@ def load_tudataset(directory, name: str) -> DatasetBundle:
     classes = sorted(set(raw_labels))
     label_index = {v: k for k, v in enumerate(classes)}
     graphs = [
-        Graph.from_edges(counts[g], sorted(edges[g]), features=features[g],
+        Graph.from_edges(counts[g], edges[g], features=features[g],
                          label=label_index[raw_labels[g]])
         for g in range(len(raw_labels))
     ]

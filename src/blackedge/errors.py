@@ -6,15 +6,11 @@ class BlackedgeError(Exception):
 
 
 class DimensionMismatch(BlackedgeError):
-    """Operands refer to graphs or vectors of incompatible size."""
+    """Operands refer to graphs, vectors or weights of incompatible size."""
 
 
 class ZeroVector(BlackedgeError):
     """A direction with zero L2 norm cannot be normalized."""
-
-
-class ShapeMismatch(BlackedgeError):
-    """Model weight matrices do not chain to the expected shapes."""
 
 
 class BudgetExhausted(BlackedgeError):
@@ -34,8 +30,9 @@ class DegenerateTarget(BlackedgeError):
 
 
 class ParseError(BlackedgeError):
-    """A dataset file is malformed or refers to a node or graph that does
-    not exist; carries the offending line number when there is one."""
+    """An input file (a dataset or GIN weights) is missing or malformed, or
+    names a node or graph that does not exist; carries the offending line
+    number when there is one."""
 
     def __init__(self, message, line=None):
         if line is not None:

@@ -32,14 +32,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import DimensionMismatch, ParseError
 from .graph import Graph, stacked_adjacency
 from .oracle import HardLabelOracle
 
 
 def _read_only(array) -> np.ndarray:
     # no copy of a float array, so a layer rebuilt from another's arrays
-    # compares equal to it, as before
+    # compares equal to it
     out = np.asarray(array, dtype=float)
     out.flags.writeable = False
     return out
@@ -61,16 +61,13 @@ class GinLayer:
     def degree_table(self, n: int) -> np.ndarray:
         """First-layer embeddings of all-ones input on ``n`` nodes, by degree.
 
-        Row ``k`` is what the layer gives a node of degree ``k``; it is
-        computed with the forward pass's own operations on an
-        ``(n, feature_dim)`` input, so its bits equal the rows the pass
-        would compute.
+        Row ``k`` is what the layer gives a node of degree ``k``: the
+        layer's own step on an adjacency whose row ``k`` holds ``k`` ones,
+        so its bits equal the rows the forward pass would compute.
         """
         table = self._degree_tables.get(n)
         if table is None:
-            h = np.ones((n, self.weight.shape[1]), dtype=float)
-            h = (1.0 + self.epsilon) * h + np.arange(n, dtype=float)[:, None]
-            table = np.maximum(h @ self.weight.T + self.bias, 0.0)
+            table = _message_pass(self, np.tri(n, k=-1), np.ones((n, self.weight.shape[1])))
             table.flags.writeable = False
             self._degree_tables[n] = table
         return table
@@ -110,24 +107,24 @@ class GinWeights:
 
     def __post_init__(self):
         if len(self.readout) != len(self.layers) + 1:
-            raise ShapeMismatch(
+            raise DimensionMismatch(
                 f"need {len(self.layers) + 1} readout heads for "
                 f"{len(self.layers)} layers, got {len(self.readout)}"
             )
         dim = self.feature_dim
         for k, layer in enumerate(self.layers):
             if layer.weight.shape[1] != dim:
-                raise ShapeMismatch(
+                raise DimensionMismatch(
                     f"layer {k} expects input dim {layer.weight.shape[1]}, "
                     f"previous embedding has dim {dim}"
                 )
             if layer.bias.shape != (layer.weight.shape[0],):
-                raise ShapeMismatch(f"layer {k} bias shape {layer.bias.shape}")
+                raise DimensionMismatch(f"layer {k} bias shape {layer.bias.shape}")
             dim = layer.weight.shape[0]
         dims = [self.feature_dim] + [l.weight.shape[0] for l in self.layers]
         for k, head in enumerate(self.readout):
             if head.weight.shape != (self.n_classes, dims[k]):
-                raise ShapeMismatch(
+                raise DimensionMismatch(
                     f"readout {k} must be ({self.n_classes}, {dims[k]}), "
                     f"got {head.weight.shape}"
                 )
@@ -164,7 +161,11 @@ class GinWeights:
 
     @classmethod
     def load(cls, path) -> "GinWeights":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        """The weights saved at ``path``; any other file is a ``ParseError``."""
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text()))
+        except (ValueError, LookupError, TypeError) as exc:
+            raise ParseError(f"{path} is not a GIN weights file: {exc!r}") from exc
 
     @classmethod
     def random(cls, seed: int, feature_dim: int = 1, hidden_dims=(8, 8),
@@ -216,7 +217,7 @@ def _logits(weights: GinWeights, a: np.ndarray, h: np.ndarray | None) -> np.ndar
         layers, heads = layers[1:], heads[1:]
     else:
         if h.shape[-1] != weights.feature_dim:
-            raise ShapeMismatch(
+            raise DimensionMismatch(
                 f"graph features have dim {h.shape[-1]}, network expects "
                 f"{weights.feature_dim}"
             )

@@ -35,7 +35,6 @@ class EdgeIndexMap:
     """
 
     def __init__(self, n_nodes: int):
-        self.n_nodes = n_nodes
         self.n_slots = n_slots(n_nodes)
         self.rows, self.cols = np.triu_indices(n_nodes, k=1)
         self.upper = self.rows * n_nodes + self.cols
@@ -43,16 +42,6 @@ class EdgeIndexMap:
         gather = np.full(n_nodes * n_nodes, self.n_slots, dtype=np.intp)
         gather[self.upper] = gather[self.lower] = np.arange(self.n_slots)
         self.gather = gather.reshape(n_nodes, n_nodes)
-
-    def flatten(self, i: int, j: int) -> int:
-        if i == j:
-            raise DimensionMismatch(f"no slot for self-pair ({i}, {j})")
-        if i > j:
-            i, j = j, i
-        if not 0 <= i < j < self.n_nodes:
-            raise DimensionMismatch(f"pair ({i}, {j}) outside graph of {self.n_nodes} nodes")
-        n = self.n_nodes
-        return i * n - i * (i + 1) // 2 + (j - i - 1)
 
 
 @lru_cache(maxsize=256)
@@ -110,10 +99,15 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n_nodes, edges, features=None, label=None) -> "Graph":
-        em = edge_index_map(n_nodes)
-        bits = np.zeros(em.n_slots, dtype=np.uint8)
+        """An edge on each ``(i, j)`` of ``edges``; ``(j, i)`` sets the same slot."""
+        gather = edge_index_map(n_nodes).gather
+        bits = np.zeros(n_slots(n_nodes), dtype=np.uint8)
         for i, j in edges:
-            bits[em.flatten(i, j)] = 1
+            if i == j:
+                raise DimensionMismatch(f"no slot for self-pair ({i}, {j})")
+            if not (0 <= i < n_nodes and 0 <= j < n_nodes):
+                raise DimensionMismatch(f"pair ({i}, {j}) outside graph of {n_nodes} nodes")
+            bits[gather[i, j]] = 1
         return cls(n_nodes, bits, features, label)
 
     # -- views -----------------------------------------------------------
@@ -131,9 +125,8 @@ class Graph:
         return stacked_adjacency(self.n_nodes, self.bits)
 
     def edges(self) -> list[tuple[int, int]]:
-        em = edge_index_map(self.n_nodes)
-        on = np.flatnonzero(self.bits)
-        return [(int(em.rows[k]), int(em.cols[k])) for k in on]
+        em, on = edge_index_map(self.n_nodes), np.flatnonzero(self.bits)
+        return list(zip(em.rows[on].tolist(), em.cols[on].tolist()))
 
     def canonical_key(self) -> bytes:
         """Hashable encoding of the structure, shared by isostructural copies."""

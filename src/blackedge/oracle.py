@@ -190,7 +190,7 @@ def _max_degree(graph: Graph) -> int:
     return int(graph.adjacency.sum(axis=1).max()) if graph.n_nodes else 0
 
 
-# the statistic a StructuralOracle thresholds, by feature name
+# the statistic a structural oracle thresholds, by feature name
 STRUCTURAL_FEATURES = {
     "edge_count": lambda graph: graph.n_edges,
     "triangle_count": _triangle_count,
@@ -198,22 +198,13 @@ STRUCTURAL_FEATURES = {
 }
 
 
-class StructuralOracle(HardLabelOracle):
-    """Label 1 iff a structural statistic reaches the threshold, else 0.
+def structural_oracle(feature: str, threshold: int) -> FunctionOracle:
+    """Label 1 iff a structural statistic reaches ``threshold``, else 0.
 
-    Ground-truth target with an analytically known decision boundary,
-    used for small-scale validation runs.
+    A ground-truth target with an analytically known decision boundary,
+    for small-scale validation runs.
     """
-
-    def __init__(self, feature: str, threshold: int):
-        if feature not in STRUCTURAL_FEATURES:
-            raise ConfigError(f"feature must be one of {tuple(STRUCTURAL_FEATURES)}")
-        self.feature = feature
-        self.threshold = int(threshold)
-
-    def _classify(self, graph: Graph) -> int:
-        return int(STRUCTURAL_FEATURES[self.feature](graph) >= self.threshold)
-
-
-def structural_oracle(feature: str, threshold: int) -> StructuralOracle:
-    return StructuralOracle(feature, threshold)
+    if feature not in STRUCTURAL_FEATURES:
+        raise ConfigError(f"feature must be one of {tuple(STRUCTURAL_FEATURES)}")
+    statistic, threshold = STRUCTURAL_FEATURES[feature], int(threshold)
+    return FunctionOracle(lambda graph: statistic(graph) >= threshold)

@@ -257,6 +257,8 @@ def test_gin_spec_path_may_contain_colons(tmp_path):
     "0.5:0.1:0.1",  # lo above hi
     "0.1:0.5:-0.1",  # negative step
     "0.1:nan:0.1",  # not finite
+    "0.5:1:0.3",  # would step past hi to 1.1
+    "0.1:0.3:0.15",  # would stop at 0.25, short of hi
 ])
 def test_malformed_sweep_specs_are_config_errors(spec):
     with pytest.raises(ConfigError):
@@ -308,4 +310,28 @@ def test_invalid_datasets_are_one_line_errors(runner, tmp_path, dataset, message
         "--out", str(out),
     ])
     assert_one_line_error(result, message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option, text, message", [
+    ("--dataset", '{"name": "x"}', "{path} is not a dataset bundle: KeyError('graphs')"),
+    ("--dataset", "not json", "{path} is not a dataset bundle: JSONDecodeError('Expecting"),
+    ("--oracle", '{"readout": []}', "{path} is not a GIN weights file: KeyError('layers')"),
+    ("--oracle", "not json", "{path} is not a GIN weights file: JSONDecodeError('Expecting"),
+    ("--dataset", None, "cannot read {path}: No such file or directory"),
+], ids=["bundle_keys", "bundle_json", "gin_keys", "gin_json", "tu_indicator"])
+def test_malformed_input_files_are_one_line_errors(runner, tmp_path, option, text, message):
+    args = {"--dataset": "er:8:0.3:2", "--oracle": "structural:edge_count:5"}
+    if text is None:  # a TU directory without its graph indicator file
+        (tmp_path / "TINY_graph_labels.txt").write_text("1\n")
+        args.update({"--dataset": str(tmp_path), "--name": "TINY"})
+        path = tmp_path / "TINY_graph_indicator.txt"
+    else:
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        args[option] = str(path) if option == "--dataset" else f"gin:{path}"
+    out = tmp_path / "report.json"
+    result = runner.invoke(main, ["attack", *(x for kv in args.items() for x in kv),
+                                  "--out", str(out)])
+    assert_one_line_error(result, message.format(path=path))
     assert not out.exists()

@@ -75,6 +75,16 @@ def test_malformed_edge_line_rejected(tu_dir):
     assert exc_info.value.line == 1
 
 
+def test_unreadable_files_are_parse_errors(tu_dir):
+    (tu_dir / "TINY_graph_indicator.txt").write_bytes(b"\xff\xfe")
+    with pytest.raises(ParseError, match="TINY_graph_indicator.txt: 'utf-8' codec"):
+        load_tudataset(tu_dir, "TINY")
+    (tu_dir / "TINY_graph_indicator.txt").write_text(TU_FIXTURE["graph_indicator.txt"])
+    (tu_dir / "TINY_A.txt").unlink()
+    with pytest.raises(ParseError, match="TINY_A.txt: No such file or directory"):
+        load_tudataset(tu_dir, "TINY")
+
+
 def test_summary_statistics(tu_dir):
     graphs = load_tudataset(tu_dir, "TINY").graphs
     assert len(graphs) == 2

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from blackedge.errors import ShapeMismatch
+from blackedge.errors import DimensionMismatch
 from blackedge.gin import Dense, GinLayer, GinOracle, GinWeights, gin_forward, gin_logits
 from blackedge.graph import Graph
 from blackedge.oracle import LabelMemo
@@ -82,13 +82,13 @@ def test_json_round_trip_is_exact(tmp_path):
 
 
 def test_shape_validation():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DimensionMismatch):
         GinWeights(  # readout head count must be layers + 1
             layers=[GinLayer(np.zeros((2, 1)), np.zeros(2), 0.0)],
             readout=[Dense(np.zeros((2, 1)), np.zeros(2))],
             n_classes=2, feature_dim=1,
         )
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DimensionMismatch):
         GinWeights(  # layer input dim must chain
             layers=[GinLayer(np.zeros((2, 3)), np.zeros(2), 0.0)],
             readout=[Dense(np.zeros((2, 1)), np.zeros(2)),
@@ -100,7 +100,7 @@ def test_shape_validation():
 def test_feature_dim_mismatch_rejected():
     weights = GinWeights.random(seed=0, feature_dim=2)
     g = dataclasses.replace(complete_graph(3), features=np.ones((3, 5)))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DimensionMismatch):
         gin_forward(weights, g)
 
 

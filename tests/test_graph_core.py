@@ -36,13 +36,15 @@ from helpers import (
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_flatten_unflatten_round_trip(n):
-    # slot k holds the k-th pair of np.triu_indices, and flatten maps it back
-    em = EdgeIndexMap(n)
+    # from_edges flattens the k-th pair of np.triu_indices, in either
+    # order, to slot k alone, and edges() maps slot k back to it
     rows, cols = np.triu_indices(n, k=1)
-    assert rows.size == em.n_slots
+    assert rows.size == n_slots(n)
     for k, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
-        assert em.flatten(i, j) == k
-        assert em.flatten(j, i) == k  # order-insensitive
+        for pair in ((i, j), (j, i)):
+            g = Graph.from_edges(n, [pair])
+            assert np.flatnonzero(g.bits).tolist() == [k]
+            assert g.edges() == [(i, j)]
 
 
 def test_slot_order_matches_numpy_triu():
@@ -52,11 +54,11 @@ def test_slot_order_matches_numpy_triu():
 
 
 def test_flatten_rejects_bad_pairs():
-    em = EdgeIndexMap(4)
-    with pytest.raises(DimensionMismatch):
-        em.flatten(2, 2)
-    with pytest.raises(DimensionMismatch):
-        em.flatten(0, 4)
+    # from_edges rejects a self-pair, node n and node -1; a bare lookup in
+    # the gather table would wrap node -1 round to node n - 1
+    for i, j in [(2, 2), (0, 4), (4, 0), (-1, 2), (2, -1)]:
+        with pytest.raises(DimensionMismatch, match=rf"\({i}, {j}\)"):
+            Graph.from_edges(4, [(0, 1), (i, j)])
 
 
 def test_edge_index_map_is_cached():

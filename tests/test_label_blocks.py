@@ -22,7 +22,7 @@ from blackedge.defense import (
     _reconstruction,
     low_rank_filter,
 )
-from blackedge.errors import BudgetExhausted, NoAdversarialFound, ShapeMismatch
+from blackedge.errors import BudgetExhausted, DimensionMismatch, NoAdversarialFound
 from blackedge.gin import GinOracle, GinWeights, _logits, gin_logits
 from blackedge.graph import Graph, stacked_adjacency
 from blackedge.harness import random_attack
@@ -155,7 +155,7 @@ def test_a_featured_block_of_another_feature_dim_is_rejected():
     block = [replace(random_graph(rng, 6), features=rng.standard_normal((6, 2)))
              for _ in range(4)]
     for batched in (oracle, DefendedOracle(oracle, LowRankConfig(0.5))):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DimensionMismatch):
             batched._classify_many(block)
 
 

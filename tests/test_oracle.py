@@ -9,7 +9,6 @@ from blackedge.graph import Graph, perturbation_rate
 from blackedge.oracle import (
     FunctionOracle,
     LabelMemo,
-    StructuralOracle,
     structural_oracle,
 )
 
@@ -98,7 +97,7 @@ def test_max_degree_statistic():
 
 def test_unknown_feature_rejected():
     with pytest.raises(ConfigError, match="feature must be one of"):
-        StructuralOracle("clustering", 1)
+        structural_oracle("clustering", 1)
 
 
 # -- table oracle --------------------------------------------------------
