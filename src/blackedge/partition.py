@@ -7,6 +7,7 @@ superlink, and together they partition all candidate slots of the graph.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,120 +43,119 @@ class Partition:
         return np.bincount(self.assignment, minlength=self.n_clusters)
 
 
-def _modularity_matrix(a: np.ndarray, assignment: np.ndarray) -> float:
-    """Modularity of ``assignment`` on ``a``, a 0/1 matrix or a Louvain
-    level contracted from one, so integer-valued.
-
-    Each community's internal and degree sums come from one indicator
-    matrix; they are sums of integers, exact in any order.  The terms are
-    added in ascending community id, as scalars.
-    """
-    m2 = a.sum()
-    if m2 == 0:
-        return 0.0
-    degrees = a.sum(axis=1)
-    indicator = (assignment[:, None] == np.unique(assignment)).astype(float)
-    internal = ((a @ indicator) * indicator).sum(axis=0)
-    degree_sums = degrees @ indicator
+def _modularity(internal, degrees, m2: float) -> float:
+    """Modularity from each community's internal and degree sums (integers,
+    so exact), added as scalars in ascending community id."""
     q = 0.0
-    for inside, degree in zip(internal, degree_sums):
+    for inside, degree in zip(internal, degrees):
         q += inside / m2 - (degree / m2) ** 2
-    return float(q)
+    return q
 
 
-def _one_level(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _one_level(neighbours, degrees, m2: float, rng: np.random.Generator) -> list:
     """One Louvain phase: greedy node moves until no positive gain.
 
+    ``neighbours[i]`` holds node i's ``(node, weight)`` pairs, self
+    excluded; ``degrees[i]`` counts its self-loop too.  Nodes are visited
+    cyclically in one random order until ``len(neighbours)`` consecutive
+    visits make no move: those saw one state, and as ``tot`` and the link
+    sums are integer-valued floats, any later visit decides the same.
     Ties between equal-gain target communities break to the lowest
     community id, so runs are reproducible given the visit order.
-
-    The sweep runs on Python floats over per-node neighbour lists; the
-    sums and comparisons are the float64 operations of a loop over the
-    matrix rows, in the same order.
     """
-    n = a.shape[0]
-    m2 = float(a.sum())
-    degrees = a.sum(axis=1).tolist()
+    n = len(neighbours)
     community = list(range(n))
     tot = list(degrees)  # total degree per community
-    # (neighbour, weight) in ascending neighbour order, self excluded
-    neighbours = []
-    for i in range(n):
-        js = np.flatnonzero(a[i])
-        js = js[js != i]
-        neighbours.append(list(zip(js.tolist(), a[i, js].tolist())))
-
-    order = rng.permutation(n).tolist()
-    improved = True
-    while improved:
-        improved = False
-        for i in order:
-            ci = community[i]
-            ki = degrees[i]
-            # weights from i to each neighboring community
-            links = {}
-            for j, w in neighbours[i]:
-                cj = community[j]
-                links[cj] = links.get(cj, 0.0) + w
-            tot[ci] -= ki
-            # gain of joining community c (up to a factor 2/m2 shared by
-            # all candidates): k_{i,c} - tot_c * k_i / m2
-            base = links.get(ci, 0.0) - tot[ci] * ki / m2
-            best_c, best_gain = ci, 0.0
-            for cj in sorted(links):
-                delta = (links[cj] - tot[cj] * ki / m2) - base
-                if delta > best_gain + 1e-15:
-                    best_gain = delta
-                    best_c = cj
-            community[i] = best_c
-            tot[best_c] += ki
-            if best_c != ci:
-                improved = True
-    return np.array(community, dtype=np.int64)
+    idle = 0  # consecutive visits without a move
+    for i in itertools.cycle(rng.permutation(n).tolist()):
+        ci = community[i]
+        ki = degrees[i]
+        # weights from i to each neighboring community
+        links = {}
+        for j, w in neighbours[i]:
+            cj = community[j]
+            links[cj] = links.get(cj, 0.0) + w
+        tot[ci] -= ki
+        # gain of joining community c (up to a factor 2/m2 shared by
+        # all candidates): k_{i,c} - tot_c * k_i / m2
+        base = links.get(ci, 0.0) - tot[ci] * ki / m2
+        best_c, best_gain = ci, 0.0
+        for cj in sorted(links):
+            delta = (links[cj] - tot[cj] * ki / m2) - base
+            if delta > best_gain + 1e-15:
+                best_gain = delta
+                best_c = cj
+        community[i] = best_c
+        tot[best_c] += ki
+        idle = idle + 1 if best_c == ci else 0
+        if idle == n:
+            return community
 
 
-def _relabel(assignment: np.ndarray) -> tuple[np.ndarray, int]:
-    """Contiguous ids ordered by each cluster's smallest member."""
-    seen = {}
-    out = np.empty_like(assignment)
-    for node, c in enumerate(assignment):
-        if c not in seen:
-            seen[c] = len(seen)
-        out[node] = seen[c]
-    return out, len(seen)
+def _relabel(labels) -> tuple[list, int]:
+    """Contiguous ids ordered by each label's first position."""
+    ids = {}
+    return [ids.setdefault(c, len(ids)) for c in labels], len(ids)
 
 
 def louvain(graph: Graph, seed: int = 0) -> Partition:
     """Two-phase Louvain maximizing modularity, deterministic given seed.
 
-    Edgeless graphs (and isolated nodes) end as singleton clusters.
+    A level is each node's ``(neighbour, weight)`` list in ascending
+    neighbour order, degree and self-loop weight; level 0 comes from the
+    graph's bits.  A level is contracted by summing its weights per
+    community pair, and its modularity comes from the per-community sums
+    of that contraction.  Edgeless graphs (and isolated nodes) end as
+    singleton clusters.  A seed that is not a non-negative integer
+    raises ``ConfigError``.
     """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     n = graph.n_nodes
     if graph.n_edges == 0:
         return Partition(np.arange(n), n)
 
     rng = np.random.default_rng(seed)
-    a = graph.adjacency  # the current level's (contracted) matrix
-    assignment = np.arange(n)  # original node -> its node at the current level
-    q = _modularity_matrix(a, assignment)
+    em = edge_index_map(n)
+    edges = np.flatnonzero(graph.bits)
+    neighbours = [[] for _ in range(n)]  # slots run row-major: each list ascends
+    for i, j in zip(em.rows[edges].tolist(), em.cols[edges].tolist()):
+        neighbours[i].append((j, 1.0))
+        neighbours[j].append((i, 1.0))
+    degrees = [float(len(pairs)) for pairs in neighbours]
+    self_loops = [0.0] * n
+    m2 = float(2 * edges.size)
+    assignment = list(range(n))  # original node -> its node at the current level
+    q = _modularity(self_loops, degrees, m2)
 
     while True:
-        level, k = _relabel(_one_level(a, rng))
-        # level's community sums on a are level[assignment]'s on the graph
-        new_q = _modularity_matrix(a, level)
+        level, k = _relabel(_one_level(neighbours, degrees, m2, rng))
+        # contract: sum each node's weights into its community's row
+        rows = [{} for _ in range(k)]
+        internal, tot = [0.0] * k, [0.0] * k
+        for i, c in enumerate(level):
+            internal[c] += self_loops[i]
+            tot[c] += degrees[i]
+            row = rows[c]
+            for j, w in neighbours[i]:
+                d = level[j]
+                if d == c:
+                    internal[c] += w
+                else:
+                    row[d] = row.get(d, 0.0) + w
+        # level's community sums on this level are level[assignment]'s on the graph
+        new_q = _modularity(internal, tot, m2)
         if new_q - q < MODULARITY_TOL:
             break
         q = new_q
-        assignment = level[assignment]
-        # contract communities
-        indicator = np.zeros((a.shape[0], k))
-        indicator[np.arange(a.shape[0]), level] = 1.0
-        a = indicator.T @ a @ indicator
+        assignment = [level[c] for c in assignment]
+        neighbours = [sorted(row.items()) for row in rows]
+        degrees, self_loops = tot, internal
         if k == 1:
             break
 
     assignment, k = _relabel(assignment)
-    return Partition(assignment, k)
+    return Partition(np.array(assignment), k)
 
 
 # -- supernode / superlink decomposition ---------------------------------

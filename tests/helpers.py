@@ -42,9 +42,6 @@ from blackedge.partition import (
     MODULARITY_TOL,
     Partition,
     SuperComponent,
-    _modularity_matrix,
-    _one_level,
-    _relabel,
     enumerate_components,
 )
 
@@ -447,8 +444,9 @@ def search_label_cases(graph: Graph):
 
 
 def reference_one_level(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One Louvain phase over the dense matrix with numpy scalars; the
-    library's list-based sweep must return the same communities."""
+    """One Louvain phase over the dense matrix with numpy scalars, in full
+    passes until one makes no move; the library's list-based sweep, which
+    stops after n visits without a move, must return the same communities."""
     n = a.shape[0]
     m2 = a.sum()
     degrees = a.sum(axis=1)
@@ -483,10 +481,45 @@ def reference_one_level(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return community
 
 
+def reference_relabel(assignment) -> tuple[np.ndarray, int]:
+    """Contiguous ids ordered by each cluster's smallest member."""
+    seen = {}
+    out = np.empty(len(assignment), dtype=np.int64)
+    for node, c in enumerate(assignment):
+        if c not in seen:
+            seen[c] = len(seen)
+        out[node] = seen[c]
+    return out, len(seen)
+
+
+def modularity_matrix(a: np.ndarray, assignment: np.ndarray) -> float:
+    """Modularity of ``assignment`` on ``a``, a 0/1 matrix or a Louvain
+    level contracted from one, so integer-valued.
+
+    Each community's internal and degree sums come from one indicator
+    matrix; they are sums of integers, exact in any order.  The terms are
+    added in ascending community id, as scalars.
+    """
+    m2 = a.sum()
+    if m2 == 0:
+        return 0.0
+    degrees = a.sum(axis=1)
+    indicator = (assignment[:, None] == np.unique(assignment)).astype(float)
+    internal = ((a @ indicator) * indicator).sum(axis=0)
+    degree_sums = degrees @ indicator
+    q = 0.0
+    for inside, degree in zip(internal, degree_sums):
+        q += inside / m2 - (degree / m2) ** 2
+    return float(q)
+
+
 def reference_louvain(graph: Graph, seed: int = 0) -> Partition:
-    """Louvain that tracks each current node's original members as a list
-    of node groups, merged level by level; the library maps the original
-    nodes through one array and must return the same partition."""
+    """Louvain on dense matrices: each level is swept by
+    ``reference_one_level``, contracted by ``indicator.T @ a @ indicator``
+    and scored by ``modularity_matrix`` on the graph, with each current
+    node's original members tracked as a list of node groups.  The library
+    sweeps neighbour lists and scores each level from its sums, and must
+    return the same partition."""
     n = graph.n_nodes
     if graph.n_edges == 0:
         return Partition(np.arange(n), n)
@@ -495,16 +528,16 @@ def reference_louvain(graph: Graph, seed: int = 0) -> Partition:
     a = dense
     node_groups = [[v] for v in range(n)]  # original nodes of each current node
     assignment = np.arange(n)
-    q = _modularity_matrix(dense, assignment)
+    q = modularity_matrix(dense, assignment)
     while True:
-        level, k = _relabel(_one_level(a, rng))
+        level, k = reference_relabel(reference_one_level(a, rng))
         new_groups = [[] for _ in range(k)]
         for i, c in enumerate(level):
             new_groups[c].extend(node_groups[i])
         candidate = np.empty(n, dtype=np.int64)
         for c, group in enumerate(new_groups):
             candidate[group] = c
-        new_q = _modularity_matrix(dense, candidate)
+        new_q = modularity_matrix(dense, candidate)
         if new_q - q < MODULARITY_TOL:
             break
         q = new_q
@@ -515,7 +548,7 @@ def reference_louvain(graph: Graph, seed: int = 0) -> Partition:
         a = indicator.T @ a @ indicator
         if k == 1:
             break
-    assignment, k = _relabel(assignment)
+    assignment, k = reference_relabel(assignment)
     return Partition(assignment, k)
 
 
@@ -549,8 +582,8 @@ def reference_enumerate_components(partition: Partition, strategy: str = "I") ->
 
 
 def reference_modularity_matrix(a: np.ndarray, assignment: np.ndarray) -> float:
-    """Modularity with one masked block sum per community, the library's
-    first loop; the library's version must return the same bits."""
+    """Modularity with one masked block sum per community; each Louvain
+    level's q and ``modularity_matrix`` must return the same bits."""
     m2 = a.sum()
     if m2 == 0:
         return 0.0

@@ -29,12 +29,13 @@ from blackedge.errors import DegenerateTarget
 from blackedge.gin import GinOracle, GinWeights
 from blackedge.graph import Graph, apply_perturbation, flip_ledger, n_slots, normalize, perturbation_rate
 from blackedge.harness import clean_accuracy, defense_sweep, random_attack, rows_to_csv
-from blackedge.partition import Partition, _modularity_matrix, louvain, search_space_report
+from blackedge.partition import Partition, louvain, search_space_report
 
 from helpers import (
     CountingOracle,
     TableOracle,
     complete_graph,
+    modularity_matrix,
     set_partitions,
     untargeted_memo,
 )
@@ -213,12 +214,12 @@ def test_criterion_6_louvain_vs_brute_force():
         g = barbell(4)
         best_q, best_assignment = -np.inf, None
         for assignment in set_partitions(8):
-            q = _modularity_matrix(g.adjacency, assignment)
+            q = modularity_matrix(g.adjacency, assignment)
             if q > best_q:
                 best_q, best_assignment = q, assignment
         part = louvain(g, seed=0)
         assert part.assignment.tolist() == best_assignment.tolist()
-        assert abs(_modularity_matrix(g.adjacency, part.assignment) - best_q) < 1e-12
+        assert abs(modularity_matrix(g.adjacency, part.assignment) - best_q) < 1e-12
         assert part.assignment.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
 
         assert louvain(complete_graph(5), seed=0).n_clusters == 1

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from blackedge import partition
-from blackedge.datasets import barbell, generate_synthetic
+from blackedge.datasets import barbell, generate_synthetic, stochastic_block_model
 from blackedge.errors import ConfigError
 from blackedge.graph import Graph, n_slots
 from blackedge.partition import (
@@ -19,6 +19,7 @@ from blackedge.partition import (
 
 from helpers import (
     complete_graph,
+    modularity_matrix,
     perfbench_module,
     random_graph,
     reference_adjacency,
@@ -27,6 +28,7 @@ from helpers import (
     reference_modularity,
     reference_modularity_matrix,
     reference_one_level,
+    reference_relabel,
     set_partitions,
 )
 
@@ -41,7 +43,7 @@ def test_modularity_matches_reference():
         bits = (rng.random(n_slots(n)) < 0.5).astype(np.uint8)
         g = Graph(n, bits)
         assignment = rng.integers(0, 3, size=n)
-        assert partition._modularity_matrix(g.adjacency, assignment) == pytest.approx(
+        assert modularity_matrix(g.adjacency, assignment) == pytest.approx(
             reference_modularity(g, assignment)
         )
 
@@ -54,7 +56,7 @@ def test_modularity_matrix_equals_the_reference():
         assignment = rng.integers(0, int(rng.integers(1, n + 1)), size=n)
         if case % 3 == 0:
             assignment = 7 * assignment + 3  # ids need not be contiguous
-        assert partition._modularity_matrix(a, assignment) == \
+        assert modularity_matrix(a, assignment) == \
             reference_modularity_matrix(a, assignment)
 
 
@@ -63,11 +65,11 @@ def test_modularity_of_barbell_clique_split():
     # internal edge mass 12/26 per clique -> Q = 2*(12/26 - (13/26)^2)
     g = barbell(4)
     split = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-    assert partition._modularity_matrix(g.adjacency, split) == pytest.approx(286 / 676)
+    assert modularity_matrix(g.adjacency, split) == pytest.approx(286 / 676)
 
 
 def test_modularity_of_edgeless_graph_is_zero():
-    assert partition._modularity_matrix(Graph.from_edges(5, []).adjacency, np.zeros(5, int)) == 0.0
+    assert modularity_matrix(Graph.from_edges(5, []).adjacency, np.zeros(5, int)) == 0.0
 
 
 # -- louvain -------------------------------------------------------------
@@ -103,10 +105,10 @@ def test_louvain_modularity_agrees_with_networkx():
         nx_graph.add_edges_from(g.edges())
         communities = [set(np.flatnonzero(assignment == c).tolist())
                        for c in np.unique(assignment)]
-        q = partition._modularity_matrix(g.adjacency, assignment)
+        q = modularity_matrix(g.adjacency, assignment)
         assert q == pytest.approx(nx.community.modularity(nx_graph, communities),
                                   abs=1e-12)
-        assert q > partition._modularity_matrix(g.adjacency, np.arange(n))  # better than singletons
+        assert q > modularity_matrix(g.adjacency, np.arange(n))  # better than singletons
 
 
 def test_louvain_deterministic_given_seed():
@@ -119,55 +121,112 @@ def test_louvain_deterministic_given_seed():
         assert a.assignment.tolist() == b.assignment.tolist()
 
 
+def _dense(neighbours, degrees) -> np.ndarray:
+    """A Louvain level's matrix from its neighbour lists: each node's
+    self-loop is its degree less its links."""
+    a = np.zeros((len(neighbours), len(neighbours)))
+    for i, pairs in enumerate(neighbours):
+        for j, w in pairs:
+            a[i, j] = w
+        a[i, i] = degrees[i] - sum(w for _, w in pairs)
+    return a
+
+
+def _record_levels(monkeypatch):
+    """Make every ``_one_level`` call append its level's dense matrix and
+    communities to the returned list."""
+    one_level, levels = partition._one_level, []
+
+    def recorded(neighbours, degrees, m2, rng):
+        communities = one_level(neighbours, degrees, m2, rng)
+        levels.append((_dense(neighbours, degrees), communities))
+        return communities
+
+    monkeypatch.setattr(partition, "_one_level", recorded)
+    return levels
+
+
 def test_one_level_equals_the_reference_at_every_level(monkeypatch):
     """Every Louvain level, contracted and self-looped ones included, gives
-    the reference's communities and leaves the generator in its state."""
+    the reference's communities on its dense matrix and leaves the
+    generator in its state; each level is the last one contracted by its
+    indicator matrix, and its lists ascend and skip the node itself."""
     fast = partition._one_level
-    self_looped = []  # one entry per level
+    levels = []  # one louvain call's (dense matrix, communities) per level
 
-    def checked(a, rng):
+    def checked(neighbours, degrees, m2, rng):
+        a = _dense(neighbours, degrees)
+        assert m2 == a.sum()
+        for i, pairs in enumerate(neighbours):
+            assert [j for j, _ in pairs] == sorted({j for j, _ in pairs} - {i})
         ref_rng = copy.deepcopy(rng)
-        got = fast(a, rng)
-        want = reference_one_level(a.copy(), ref_rng)
-        assert got.tolist() == want.tolist()
+        got = fast(neighbours, degrees, m2, rng)
+        assert got == reference_one_level(a, ref_rng).tolist()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        self_looped.append(bool(a.diagonal().any()))
+        levels.append((a, got))
         return got
 
     monkeypatch.setattr(partition, "_one_level", checked)
     rng = np.random.default_rng(12)
+    n_levels = n_self_looped = 0
     for n in (12, 20, 30):
         for _ in range(8):
             g = Graph(n, (rng.random(n_slots(n)) < rng.uniform(0.05, 0.5)).astype(np.uint8))
             for seed in range(5):
+                levels.clear()
                 louvain(g, seed=seed)
-    assert sum(self_looped) >= 50  # contracted levels carry self-loops
-    assert not all(self_looped)
+                for (a, communities), (contracted, _) in zip(levels, levels[1:]):
+                    level, k = reference_relabel(communities)
+                    indicator = np.zeros((a.shape[0], k))
+                    indicator[np.arange(a.shape[0]), level] = 1.0
+                    assert np.array_equal(contracted, indicator.T @ a @ indicator)
+                n_levels += len(levels)
+                n_self_looped += sum(bool(a.diagonal().any()) for a, _ in levels)
+    assert n_self_looped >= 50  # contracted levels carry self-loops
+    assert n_self_looped < n_levels
 
 
 def test_louvain_partitions_equal_those_of_the_reference_modularity(monkeypatch):
+    """Each level's q, and the singletons' q louvain starts from, has the
+    bits of ``reference_modularity_matrix`` on that level's matrix, so the
+    ``MODULARITY_TOL`` stop falls where the dense modularity puts it."""
+    levels = _record_levels(monkeypatch)
+    modularity, qs = partition._modularity, []
+
+    def recorded(internal, degrees, m2):
+        qs.append(modularity(internal, degrees, m2))
+        return qs[-1]
+
+    monkeypatch.setattr(partition, "_modularity", recorded)
     graphs = generate_synthetic("erdos_renyi", 32, seed=5, n=20, p=0.2).graphs
     graphs += [random_graph(np.random.default_rng(n), n) for n in (12, 30, 40)]
-    seeds = (0, 1, 2)
-    got = [louvain(g, seed=s).assignment for g in graphs for s in seeds]
-    monkeypatch.setattr(partition, "_modularity_matrix", reference_modularity_matrix)
-    expected = [louvain(g, seed=s).assignment for g in graphs for s in seeds]
-    assert all(np.array_equal(x, y) for x, y in zip(got, expected))
+    for g in graphs:
+        for seed in (0, 1, 2):
+            levels.clear()
+            qs.clear()
+            louvain(g, seed=seed)
+            want = [reference_modularity_matrix(levels[0][0], np.arange(g.n_nodes))]
+            want += [reference_modularity_matrix(a, reference_relabel(c)[0]) for a, c in levels]
+            assert [q.hex() for q in qs] == [float(q).hex() for q in want]
 
 
 def test_louvain_and_modularity_equal_those_of_the_reference_adjacency(monkeypatch):
-    # criterion 6's graphs (modularity of every partition of the barbell),
-    # and the benchmark's graphs at three seeds
+    """On criterion 6's graphs and the benchmark's graphs at three seeds,
+    louvain reads no dense matrix and sweeps ``reference_adjacency``'s as
+    its first level; the modularity of every partition of the barbell is
+    the same on either matrix."""
     barbell_assignments = list(set_partitions(8))
-    graphs = [barbell(4), complete_graph(5)] + perfbench_module("workloads").evaluation_set()
+    dense = reference_adjacency(barbell(4))
+    assert [modularity_matrix(barbell(4).adjacency, x) for x in barbell_assignments] == \
+        [modularity_matrix(dense, x) for x in barbell_assignments]
 
-    def outputs():
-        q = [partition._modularity_matrix(barbell(4).adjacency, x) for x in barbell_assignments]
-        return q, [louvain(g, seed=s).assignment.tolist() for g in graphs for s in (0, 1, 2)]
-
-    ours = outputs()
-    monkeypatch.setattr(Graph, "adjacency", property(reference_adjacency))
-    assert ours == outputs()
+    levels = _record_levels(monkeypatch)
+    monkeypatch.setattr(Graph, "adjacency", property(lambda g: pytest.fail("read adjacency")))
+    for g in [barbell(4), complete_graph(5)] + perfbench_module("workloads").evaluation_set():
+        for seed in (0, 1, 2):
+            levels.clear()
+            louvain(g, seed=seed)
+            assert np.array_equal(levels[0][0], reference_adjacency(g))
 
 
 def _partition_cases():
@@ -181,12 +240,42 @@ def _partition_cases():
     return graphs
 
 
+def _louvain_cases():
+    """``_partition_cases``, SBM graphs of 2-4 blocks, graphs with isolated
+    nodes beside their edges and sparse random graphs up to 60 nodes."""
+    rng = np.random.default_rng(61)
+    graphs = _partition_cases()
+    for _ in range(30):
+        sizes = rng.integers(2, 12, size=int(rng.integers(2, 5))).tolist()
+        graphs.append(stochastic_block_model(sizes, rng.uniform(0.4, 0.9),
+                                             rng.uniform(0.0, 0.15), rng))
+    for _ in range(20):
+        n, isolated = int(rng.integers(4, 30)), int(rng.integers(1, 4))
+        order = rng.permutation(n)  # the isolated nodes land anywhere
+        edges = [(order[i], order[j]) for i, j in random_graph(rng, n - isolated).edges()]
+        graphs.append(Graph.from_edges(n, edges))
+    for _ in range(10):
+        n = int(rng.integers(30, 61))
+        graphs.append(Graph(n, (rng.random(n_slots(n)) < rng.uniform(0.03, 0.2)).astype(np.uint8)))
+    return graphs
+
+
 def test_louvain_equals_the_reference_louvain():
-    for g in _partition_cases():
-        for seed in (0, 1, 7):
-            got, want = louvain(g, seed=seed), reference_louvain(g, seed=seed)
-            assert got.n_clusters == want.n_clusters
-            assert got.assignment.tolist() == want.assignment.tolist()
+    evaluation = perfbench_module("workloads").evaluation_set()
+    cases = [(g, seed) for g in _louvain_cases() for seed in (0, 1, 7)]
+    cases += [(g, seed) for g in evaluation for seed in range(10)]
+    for g, seed in cases:
+        got, want = louvain(g, seed=seed), reference_louvain(g, seed=seed)
+        assert got.n_clusters == want.n_clusters
+        assert got.assignment.tolist() == want.assignment.tolist()
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_an_invalid_louvain_seed_is_a_config_error(seed):
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+        louvain(barbell(4), seed=seed)
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+        louvain(Graph.from_edges(3, []), seed=seed)  # before the edgeless shortcut
 
 
 def test_partition_validation():
