@@ -55,6 +55,14 @@ STOP_REASONS = ("converged", "iterations", "query_budget", "no_boundary", "no_se
                 "rate_budget")
 
 
+def require_int(name: str, value, least: int) -> None:
+    """Raise ``ConfigError`` unless ``value`` is a Python or numpy integer >= ``least``."""
+    if not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be at least {least}, got {value}")
+
+
 @dataclass
 class AttackConfig:
     """Knobs of the sign-SGD attack loop.
@@ -75,25 +83,23 @@ class AttackConfig:
     strategy: str = "I"
 
     def __post_init__(self):
-        if self.directions_per_step < 1:
-            raise ConfigError(
-                f"directions_per_step must be at least 1, got {self.directions_per_step}")
+        require_int("directions_per_step", self.directions_per_step, 1)
         if not self.epsilon > 0.0:  # also rejects NaN
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if not 0.0 < self.budget <= 1.0:
             raise ConfigError(f"budget must be in (0, 1], got {self.budget}")
-        if self.iterations < 0:
-            raise ConfigError(f"iterations must be non-negative, got {self.iterations}")
-        if self.max_queries is not None and self.max_queries < 1:
-            raise ConfigError(f"max_queries must be at least 1, got {self.max_queries}")
+        require_int("iterations", self.iterations, 0)
+        if self.max_queries is not None:
+            require_int("max_queries", self.max_queries, 1)
+        if self.target_label is not None:
+            require_int("target_label", self.target_label, 0)
         # a probe radius of 0 probes the iterate itself, an infinite one no
         # direction at all
         if not 0.0 < self.smoothing < math.inf:
             raise ConfigError(f"smoothing must be positive and finite, got {self.smoothing}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        if self.seed < 0:  # run_experiment seeds numpy generators with seed + idx
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        require_int("seed", self.seed, 0)  # run_experiment seeds generators with seed + idx
 
     def predicate(self, y0: int):
         """What counts as adversarial for a target labelled ``y0``.  A

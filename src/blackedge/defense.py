@@ -75,8 +75,8 @@ class DefendedOracle(HardLabelOracle):
 
     An input transform in front of ``inner``: one classify labels the
     filtered graph with ``inner``'s ``_classify``.  It has a batch kernel
-    when ``inner`` has one: a block is filtered in one stacked pass and the
-    filtered graphs labelled with ``inner``'s batch kernel.
+    when ``inner`` has one: a bit matrix is filtered in one stacked pass and
+    the filtered matrix labelled with ``inner``'s batch kernel.
     """
 
     def __init__(self, inner: HardLabelOracle, cfg: LowRankConfig):
@@ -92,9 +92,7 @@ class DefendedOracle(HardLabelOracle):
     def _classify(self, graph: Graph) -> int:
         return self.inner._classify(low_rank_filter(graph, self.cfg))
 
-    def _classify_many(self, graphs: list[Graph]) -> list[int]:
-        n = graphs[0].n_nodes
-        a = stacked_adjacency(n, np.stack([g.bits for g in graphs]))
-        bits = _binarized_bits(_reconstruction(a, self.cfg.rank(n)))
-        return self.inner._classify_many([g._with_valid_bits(row)
-                                          for g, row in zip(graphs, bits)])
+    def _classify_many(self, graph: Graph, bits: np.ndarray) -> list[int]:
+        n = graph.n_nodes
+        r = _reconstruction(stacked_adjacency(n, bits), self.cfg.rank(n))
+        return self.inner._classify_many(graph, _binarized_bits(r))

@@ -262,10 +262,10 @@ class GinOracle(HardLabelOracle):
     def _classify(self, graph: Graph) -> int:
         return gin_forward(self.weights, graph)
 
-    def _classify_many(self, graphs: list[Graph]) -> list[int]:
-        """``_classify`` of each graph, in one stacked pass; the graphs
-        all have node features of one dimension, or none has any."""
-        a = stacked_adjacency(graphs[0].n_nodes, np.stack([g.bits for g in graphs]))
-        features = [g.features for g in graphs]
-        h = None if all(f is None for f in features) else np.stack(features)
+    def _classify_many(self, graph: Graph, bits: np.ndarray) -> list[int]:
+        """``_classify`` of ``graph`` with each row of ``bits`` as its edge bits, in
+        one stacked pass; its features go to every row as one C-contiguous stack."""
+        h = graph.features
+        h = None if h is None else np.ascontiguousarray(np.broadcast_to(h, (len(bits), *h.shape)))
+        a = stacked_adjacency(graph.n_nodes, bits)
         return _logits(self.weights, a, h).argmax(axis=-1).tolist()

@@ -16,13 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .attack import AttackConfig, AttackResult, attack_graph
+from .attack import AttackConfig, AttackResult, attack_graph, require_int
 from .defense import DefendedOracle, LowRankConfig
 from .errors import BudgetExhausted, ConfigError
-# random_attack builds its trials with Graph.flip; the name stays bound here
-# because perfbench/tracing.py wraps harness.apply_perturbation by name
+# random_attack builds each block of trials in one XOR; the name stays bound
+# here because perfbench/tracing.py wraps harness.apply_perturbation by name
 from .graph import Graph, apply_perturbation  # noqa: F401
-from .oracle import PHASES, HardLabelOracle, LabelMemo
+from .oracle import BLOCK, PHASES, HardLabelOracle, LabelMemo
 
 
 def random_attack(
@@ -43,8 +43,8 @@ def random_attack(
     allows; the ``max(1, ·)`` makes the low end flip one slot.  All flip
     counts are drawn first, in one call; the trials are then submitted in
     ascending flip count until the call's label memo keeps a success
-    (``LabelMemo.best``), and a trial's slots are drawn, as a uniform
-    subset of its size, only when it is submitted.  That first success is
+    (``LabelMemo.best``); a trial's slots are drawn, as a uniform subset
+    of its size, only when its block is reached.  That first success is
     the fewest-flip success among all trials: the draws ignore the labels,
     so a trial with at least as many flips cannot improve on it.  The memo
     answers a trial that repeats an earlier graph, counted in
@@ -53,17 +53,14 @@ def random_attack(
     no flip on ``graph`` (``max_flips == 0``) draws nothing and fails with
     every trial skipped.
 
-    With an oracle that has a batch label kernel, the trials go in blocks
-    (``LabelMemo.in_blocks``): a block's slots are drawn and the labels of
-    its graphs not yet in the memo computed in one call before any of
-    them is submitted.  So at most one block past the success (or the
-    cap) has its slots drawn and its labels computed; none of it is
-    submitted or counted.  The generator is local to the call, so no
-    outcome moves.  Without a batch kernel, a trial that is never
-    submitted costs no slot draw.
+    The trials are drawn ``oracle.BLOCK`` at a time, and an oracle with a
+    batch label kernel labels each block's graphs not yet in the memo in
+    one call before any of them is submitted (``LabelMemo.in_blocks``).  So
+    at most one block past the success (or the cap) is drawn, and labelled
+    with a batch kernel, but never submitted or counted.  The generator is
+    local to the call, so no outcome moves.
     """
-    if query_budget < 1:
-        raise ConfigError(f"query_budget must be at least 1, got {query_budget}")
+    require_int("query_budget", query_budget, 1)
     start = time.perf_counter()
     memo = LabelMemo(oracle, cfg.predicate(y0), graph, cfg.budget, cfg.max_queries)
     if memo.max_flips == 0:
@@ -74,10 +71,8 @@ def random_attack(
     # budget * random() is uniform(0, budget); np.rint rounds half to even,
     # as round() does
     flips = np.clip(np.rint(cfg.budget * rng.random(query_budget) * s), 1, memo.max_flips)
-    trials = (graph.flip(rng.permutation(s)[:n_flip])
-              for n_flip in np.sort(flips).astype(int).tolist())
     reason = "iterations"
-    for candidate in memo.in_blocks(trials):
+    for candidate in memo.in_blocks(_random_trials(graph, rng, np.sort(flips).astype(int))):
         try:
             memo.adversarial(candidate, "other")
         except BudgetExhausted:
@@ -89,6 +84,18 @@ def random_attack(
     # each submission that returned was one query or one memo hit
     return AttackResult.of_run(memo, start, found_in="random", stop_reason=reason,
                                skipped=query_budget - (memo.total + memo.hits))
+
+
+def _random_trials(graph: Graph, rng: np.random.Generator, counts: np.ndarray):
+    """``graph`` with a uniform set of ``counts[i]`` slots flipped, for each i: a
+    block of ``BLOCK`` trials draws its slot orders in one call, which uses
+    ``rng`` as one ``rng.permutation`` per trial does, and flips in one XOR."""
+    s = graph.n_edge_slots
+    for counts in np.split(counts, range(BLOCK, counts.size, BLOCK)):
+        order = rng.permuted(np.broadcast_to(np.arange(s), (counts.size, s)), axis=1)
+        mask = np.empty(order.shape, np.uint8)
+        np.put_along_axis(mask, order, np.arange(s) < counts[:, None], axis=1)
+        yield from map(graph._with_valid_bits, graph.bits ^ mask)
 
 
 # -- metrics -------------------------------------------------------------
@@ -200,14 +207,11 @@ def run_experiment(
     """
     if method not in ("signsgd", "random"):
         raise ConfigError(f"unknown method {method!r}")
-    if method == "random" and random_query_budget is None:
-        raise ConfigError("random method needs random_query_budget")
     if method == "signsgd" and random_query_budget is not None:
         raise ConfigError("signsgd method takes no random_query_budget")
-    if random_query_budget is not None and random_query_budget < 1:
-        raise ConfigError(f"random_query_budget must be at least 1, got {random_query_budget}")
-    if n_trials < 1:
-        raise ConfigError(f"n_trials must be at least 1, got {n_trials}")
+    if method == "random":  # None too is refused: the random method needs a budget
+        require_int("random_query_budget", random_query_budget, 1)
+    require_int("n_trials", n_trials, 1)
 
     targets = [t for t in select_targets(oracle, graphs) if t[2] != cfg.target_label]
     rows = []

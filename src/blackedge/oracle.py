@@ -6,12 +6,12 @@ a query is counted: one per ``classify`` call, attributed to the phase
 the caller names (coarse search, binary search, gradient probes, ...),
 and refused once the run's cap is reached.
 
-An oracle with a batch label kernel (``_classify_many``) can compute the
-labels of a block of graphs in one call before any of them is asked
-about (``LabelMemo.in_blocks``).  The run's memo holds those labels
-apart from its verdicts until a query hands one to ``classify``, so a
-label computed ahead but never asked for is never a query and never a
-verdict.  The oracle itself holds no label.
+An oracle with a batch label kernel (``_classify_many``) can label a
+block of graphs, given as the run graph and one matrix of their bits, in
+one call before any is asked about (``LabelMemo.in_blocks``).  The memo
+holds those labels apart from its verdicts until a query hands one to
+``classify``, so a label computed ahead but never asked for is never a
+query and never a verdict.  The oracle itself holds no label.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ BLOCK = 32
 class HardLabelOracle:
     """Base class: a deterministic Graph -> label map that counts nothing.
 
-    A subclass with a batch label kernel defines ``_classify_many``: the
-    labels ``_classify`` gives a non-empty list of graphs on one node
-    count, in order.  Without one, ``_classify_many`` is None and no label
-    is ever computed ahead.
+    A subclass with a batch label kernel defines ``_classify_many(graph,
+    bits)``: the labels ``_classify`` gives ``graph`` with each row of a
+    (rows, slots) 0/1 uint8 matrix ``bits`` as its edge bits.  Without one,
+    ``_classify_many`` is None and no label is ever computed ahead.
     """
 
     _classify_many = None
@@ -150,13 +150,14 @@ class LabelMemo:
         of ``BLOCK`` graphs labelled ahead in one batch call of the oracle.
 
         Fixed streams only: which graphs come next must not depend on the
-        labels of those before.  A block is taken from ``graphs`` before
-        any of it is yielded, so a lazy ``graphs`` builds at most one
-        block past the point where the caller stops.  The labels computed
-        are those of the block's graphs not in the memo yet, held in
-        ``ahead``; each still costs its query only when ``adversarial``
-        submits it.  Those left unasked when the caller stops stay there,
-        never a query or a verdict, until the next block replaces them.
+        labels of those before, and the graphs share the node count and
+        features of the run's ``graph``.  A block is taken from ``graphs``
+        before any of it is yielded, so a lazy ``graphs`` builds at most
+        one block past the point where the caller stops.  The labels
+        computed, from one matrix of their bits, are those of the block's
+        graphs not in the memo yet, held in ``ahead``; each still costs its
+        query only when ``adversarial`` submits it.  Those left unasked
+        stay there, never a query or a verdict, until the next block.
         An oracle without a batch kernel yields ``graphs`` as they come.
         """
         classify_many = self.oracle._classify_many
@@ -165,9 +166,10 @@ class LabelMemo:
             return
         graphs = iter(graphs)
         while block := list(islice(graphs, BLOCK)):
-            fresh = {g.bits.tobytes(): g for g in block if g is not None}
-            fresh = {key: g for key, g in fresh.items() if key not in self.labels}
-            self.ahead = dict(zip(fresh, classify_many(list(fresh.values())))) if fresh else {}
+            fresh = {key: g.bits for g in block
+                     if g is not None and (key := g.bits.tobytes()) not in self.labels}
+            labels = classify_many(self.graph, np.stack(list(fresh.values()))) if fresh else []
+            self.ahead = dict(zip(fresh, labels))
             yield from block
 
 

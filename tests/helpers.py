@@ -380,6 +380,14 @@ def reference_keeps(graph: Graph, best: Graph | None, candidate: Graph, budget: 
     return rate <= budget and (best is None or rate < perturbation_rate(graph, best))
 
 
+def reference_random_trials(graph: Graph, rng, counts):
+    """The random baseline's trials one at a time: for each flip count
+    ``k`` in ``counts``, one fresh permutation of the slots and its first
+    ``k`` slots flipped."""
+    for k in counts:
+        yield graph.flip(rng.permutation(graph.n_edge_slots)[:k])
+
+
 def reference_random_attack(oracle, graph, y0, cfg, query_budget):
     """Random baseline that queries every draw in draw order and keeps the
     first one with the fewest flips among the successes.

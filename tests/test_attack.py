@@ -1477,6 +1477,22 @@ def test_invalid_config_rejected(field, value):
         AttackConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("seed", "3"), ("seed", None), ("iterations", 2.5),
+    ("directions_per_step", 2.5), ("max_queries", 10.5), ("target_label", 1.5),
+    ("target_label", "1"), ("target_label", -1),
+])
+def test_a_count_or_label_that_is_not_an_integer_in_range_is_a_config_error(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be"):
+        AttackConfig(**{field: value})
+
+
+def test_numpy_integers_are_valid_counts_and_labels():
+    cfg = AttackConfig(seed=np.int64(3), iterations=np.int32(2), directions_per_step=np.uint8(4),
+                       max_queries=np.int64(9), target_label=np.int16(1))
+    assert replace(cfg, seed=np.uint32(0)).seed == 0
+
+
 def test_edge_of_range_configs_are_valid():
     AttackConfig(iterations=0, budget=1.0, directions_per_step=1, max_queries=1)
     AttackConfig(strategy="III", smoothing=1e-12, seed=0)

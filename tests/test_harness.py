@@ -13,6 +13,7 @@ from blackedge.errors import ConfigError
 from blackedge.gin import GinOracle, GinWeights
 from blackedge.graph import Graph
 from blackedge.harness import (
+    _random_trials,
     aggregate_metrics,
     clean_accuracy,
     defense_sweep,
@@ -21,9 +22,15 @@ from blackedge.harness import (
     run_experiment,
     select_targets,
 )
-from blackedge.oracle import FunctionOracle, structural_oracle
+from blackedge.oracle import BLOCK, FunctionOracle, structural_oracle
 
-from helpers import CountingOracle, reference_random_attack, search_label_cases
+from helpers import (
+    CountingOracle,
+    reference_max_flips,
+    reference_random_attack,
+    reference_random_trials,
+    search_label_cases,
+)
 
 
 def _result(success, flips=0, queries=0, wall=1.0):
@@ -131,7 +138,7 @@ def test_random_attack_reaches_the_top_of_its_budget():
 
 
 @pytest.mark.parametrize("budget, query_budget, match", [
-    (0.2, 0, "query_budget"), (0.2, -5, "query_budget"),
+    (0.2, 0, "query_budget"), (0.2, -5, "query_budget"), (0.2, 2.5, "query_budget"),
     (0.0, 10, "budget"), (-0.1, 10, "budget"), (1.5, 10, "budget"),
     (float("nan"), 10, "budget"),
 ])
@@ -168,6 +175,40 @@ def test_ratio_draw_equals_the_uniform_draw():
     counts = np.concatenate([ties, 190 * np.random.default_rng(5).random(2000)])
     assert np.rint(counts).astype(int).tolist() == [round(c) for c in counts.tolist()]
     assert np.rint(ties[:4]).tolist() == [0.0, 2.0, 2.0, 4.0]
+
+
+@pytest.mark.parametrize("query_budget", [1, 31, 32, 33, 1200])
+def test_block_trials_equal_the_per_trial_reference(query_budget):
+    """Each block of trials drawn in one call has the bits of one
+    permutation per trial, and leaves the generator where those draws
+    leave it: at each block's end and at the stream's."""
+    clipped = set()
+    for n in (2, 3, 8, 20):  # 1, 3, 28 and 190 slots
+        graph = erdos_renyi(n, 0.3, np.random.default_rng(n))
+        d = graph.n_edge_slots
+        for seed, budget in enumerate((0.1, 0.2, 0.33, 0.5, 0.9, 1.0)):
+            max_flips = reference_max_flips(d, budget)
+            if max_flips == 0:
+                continue
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            # the flip counts as random_attack draws them
+            unclipped = np.rint(budget * ours.random(query_budget) * d)
+            counts = np.sort(np.clip(unclipped, 1, max_flips)).astype(int)
+            ref.random(query_budget)
+            if (unclipped > max_flips).any():
+                clipped.add(d)
+            trials = _random_trials(graph, ours, counts)
+            for i, want in enumerate(reference_random_trials(graph, ref, counts.tolist())):
+                got = next(trials)
+                assert got.bits.tobytes() == want.bits.tobytes()
+                if i % BLOCK == BLOCK - 1:
+                    assert ours.bit_generator.state == ref.bit_generator.state
+            assert next(trials, None) is None
+            assert ours.bit_generator.state == ref.bit_generator.state
+    # 1,200 trials reach the top clip where a budget's share of the slots
+    # exceeds max_flips by more than a half: 2.7 of 3, 2.8 of 28, 62.7 of 190
+    if query_budget == 1200:
+        assert clipped == {3, 28, 190}
 
 
 @pytest.mark.parametrize("budget, query_budget", [(0.1, 40), (0.2, 150), (0.5, 100)])
@@ -286,7 +327,7 @@ def test_run_experiment_rejects_a_random_query_budget_for_signsgd(small_suite):
                        random_query_budget=100)
 
 
-@pytest.mark.parametrize("query_budget", [0, -5])
+@pytest.mark.parametrize("query_budget", [0, -5, 2.5, "100"])
 def test_run_experiment_rejects_a_random_query_budget_below_one(small_suite, query_budget):
     oracle, graphs = small_suite
     with pytest.raises(ConfigError, match="random_query_budget"):
@@ -294,7 +335,7 @@ def test_run_experiment_rejects_a_random_query_budget_below_one(small_suite, que
                        random_query_budget=query_budget)
 
 
-@pytest.mark.parametrize("n_trials", [0, -1])
+@pytest.mark.parametrize("n_trials", [0, -1, 1.5, None])
 def test_run_experiment_rejects_fewer_than_one_trial(small_suite, n_trials):
     oracle, graphs = small_suite
     with pytest.raises(ConfigError, match="n_trials"):

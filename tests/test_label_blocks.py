@@ -1,10 +1,11 @@
 """Labels computed ahead in blocks: batch kernels and their accounting.
 
 The batch kernels (``GinOracle._classify_many``, ``DefendedOracle.
-_classify_many``) must give the single-graph path's bits.  The fixed query
-streams that label their blocks ahead (random baseline, coarse search,
-gradient probes) must give outcomes identical to an oracle without a
-batch kernel and count each query once.  The labels computed ahead live
+_classify_many``) take a run graph and a bit matrix and must give the
+single-graph path's bits for each row.  The fixed query streams that
+label their blocks ahead (random baseline, coarse search, gradient
+probes) must give outcomes identical to an oracle without a batch kernel
+and count each query once.  The labels computed ahead live
 in the run's memo, never on the oracle.
 """
 
@@ -91,12 +92,19 @@ def _blocks(graphs, size):
 # -- batch kernels equal the single path -----------------------------------
 
 
+def _batch_labels(oracle, block):
+    """The batch kernel's labels of ``block``, whose graphs share the node
+    count and features of ``block[0]``, the run graph."""
+    return oracle._classify_many(block[0], np.stack([g.bits for g in block]))
+
+
 def _assert_the_stack_equals_the_single_path(weights, cfg, block):
     """Each kernel run once on the stack of ``block`` gives, row by row, the
     bits it gives each graph alone, and both batch kernels its labels."""
-    n = block[0].n_nodes
+    n, features = block[0].n_nodes, block[0].features
+    assert all(g.features is features for g in block)
     a = stacked_adjacency(n, np.stack([g.bits for g in block]))
-    h = None if block[0].features is None else np.stack([g.features for g in block])
+    h = None if features is None else np.stack([g.features for g in block])
     r = _reconstruction(a, cfg.rank(n))
     for g, a_row, logits, r_row, kept in zip(block, a, _logits(weights, a, h), r,
                                              _binarized_bits(r)):
@@ -106,8 +114,8 @@ def _assert_the_stack_equals_the_single_path(weights, cfg, block):
         assert kept.tobytes() == low_rank_filter(g, cfg).bits.tobytes()
     gin = GinOracle(weights)
     defended = DefendedOracle(gin, cfg)
-    assert gin._classify_many(block) == [gin._classify(g) for g in block]
-    assert defended._classify_many(block) == [defended._classify(g) for g in block]
+    assert _batch_labels(gin, block) == [gin._classify(g) for g in block]
+    assert _batch_labels(defended, block) == [defended._classify(g) for g in block]
 
 
 @pytest.mark.parametrize("size", BATCHES)
@@ -116,8 +124,8 @@ def test_batch_kernels_equal_the_single_path_on_the_workload_graphs(
     for block in _blocks(workload_graphs, size):
         _assert_the_stack_equals_the_single_path(weights, workloads.DEFENSE, block)
     defended = DefendedOracle(GinOracle(weights), workloads.DEFENSE)
-    labels = GinOracle(weights)._classify_many(workload_graphs)
-    assert set(labels) == set(defended._classify_many(workload_graphs)) == {0, 1}
+    labels = _batch_labels(GinOracle(weights), workload_graphs)
+    assert set(labels) == set(_batch_labels(defended, workload_graphs)) == {0, 1}
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 12])
@@ -139,24 +147,29 @@ def test_batch_kernels_equal_the_single_path_on_small_graphs(n, size):
 
 
 def test_batch_kernels_equal_the_single_path_on_featured_graphs():
+    # each block shares the features of its run graph, as a run's graphs do
     rng = np.random.default_rng(4)
     for feature_dim in (1, 2, 3):
-        weights = GinWeights.random(5, feature_dim=feature_dim)
-        graphs = [replace(random_graph(rng, 6), features=rng.standard_normal((6, feature_dim)))
-                  for _ in range(40)]
-        for size in BATCHES:
-            for block in _blocks(graphs, size):
-                _assert_the_stack_equals_the_single_path(weights, LowRankConfig(0.5), block)
+        for weights in (GinWeights.random(5, feature_dim=feature_dim),
+                        GinWeights.random(6, feature_dim=feature_dim, hidden_dims=()),
+                        GinWeights.random(7, feature_dim=feature_dim, hidden_dims=(1,))):
+            graphs = [random_graph(rng, 6) for _ in range(40)]
+            for size in BATCHES:
+                for block in _blocks(graphs, size):
+                    features = rng.standard_normal((6, feature_dim))
+                    block = [replace(g, features=features) for g in block]
+                    _assert_the_stack_equals_the_single_path(weights, LowRankConfig(0.5), block)
 
 
 def test_a_featured_block_of_another_feature_dim_is_rejected():
+    # the block's run graph has features of another dim than the network's
     rng = np.random.default_rng(6)
     oracle = GinOracle(GinWeights.random(5, feature_dim=3))
-    block = [replace(random_graph(rng, 6), features=rng.standard_normal((6, 2)))
-             for _ in range(4)]
+    graph = replace(random_graph(rng, 6), features=rng.standard_normal((6, 2)))
+    bits = np.stack([random_graph(rng, 6).bits for _ in range(4)])
     for batched in (oracle, DefendedOracle(oracle, LowRankConfig(0.5))):
         with pytest.raises(DimensionMismatch):
-            batched._classify_many(block)
+            batched._classify_many(graph, bits)
 
 
 @pytest.mark.parametrize("gamma", [0.05, 0.5, 1.0])
@@ -213,7 +226,7 @@ def test_a_block_labels_only_graphs_not_in_the_memo_and_counts_at_classify():
     memo.adversarial(graphs[0], "other")
     labelled = []
     many = oracle._classify_many
-    oracle._classify_many = lambda gs: labelled.append(len(gs)) or many(gs)
+    oracle._classify_many = lambda graph, bits: labelled.append(len(bits)) or many(graph, bits)
     out = []
     for g in memo.in_blocks(stream):
         if not out:
@@ -356,3 +369,26 @@ def test_labelling_ahead_moves_no_outcome(weights, max_queries):
             successes += runs[0][0][0] + runs[0][1][0]
     if max_queries != 1:
         assert successes > 0
+
+
+@pytest.mark.parametrize("query_budget", [1, 31, 32, 33, 1200])
+def test_the_random_baseline_is_the_same_with_and_without_a_batch_kernel(weights, query_budget):
+    # blocks of trials are drawn either way; only the batch kernel labels
+    # them ahead
+    graphs = workloads.evaluation_set()
+    cfg = workloads.DEFENSE
+    pairs = [(GinOracle(weights), UnbatchedGin(weights)),
+             (DefendedOracle(GinOracle(weights), cfg),
+              UnbatchedDefended(UnbatchedGin(weights), cfg))]
+    outcomes = []
+    for batched, single in pairs:
+        for idx in range(6):
+            g = graphs[idx]
+            y0 = single.classify(g)
+            run_cfg = replace(workloads.ATTACK, seed=idx)
+            runs = [_outcome(random_attack(oracle, g, y0, run_cfg, query_budget))
+                    for oracle in (batched, single)]
+            assert runs[0] == runs[1]
+            outcomes.append(runs[0])
+    successes = sum(outcome[0] for outcome in outcomes)
+    assert 0 < successes < len(outcomes) or query_budget < 32

@@ -52,9 +52,9 @@ def _labelled_run(monkeypatch, oracle, graph, budget, query_budget):
     events = []
     many, classify = DefendedOracle._classify_many, DefendedOracle.classify
 
-    def logged_many(self, graphs):
-        events.append(("batch", [g.bits.tobytes() for g in graphs]))
-        return many(self, graphs)
+    def logged_many(self, graph, bits):
+        events.append(("batch", [row.tobytes() for row in bits]))
+        return many(self, graph, bits)
 
     def logged_classify(self, graph, label=None):
         events.append(("query", graph.bits.tobytes()))
