@@ -21,14 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BudgetExhausted,
-    ConfigError,
-    DegenerateTarget,
-    DimensionMismatch,
-    NoAdversarialFound,
-    NoBoundary,
-)
+from .errors import (BudgetExhausted, ConfigError, DegenerateTarget, DimensionMismatch,
+                     NoAdversarialFound, NoBoundary, require_int, require_one_of, require_real)
 # probe graphs are built in one XOR (probe_graphs); apply_perturbation stays
 # bound here because perfbench/tracing.py wraps attack.apply_perturbation by name
 from .graph import (
@@ -55,21 +49,14 @@ STOP_REASONS = ("converged", "iterations", "query_budget", "no_boundary", "no_se
                 "rate_budget")
 
 
-def require_int(name: str, value, least: int) -> None:
-    """Raise ``ConfigError`` unless ``value`` is a Python or numpy integer >= ``least``."""
-    if not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ConfigError(f"{name} must be at least {least}, got {value}")
-
-
 @dataclass
 class AttackConfig:
     """Knobs of the sign-SGD attack loop.
 
     ``target_label=None`` runs the untargeted attack; setting it demands
     that exact label instead of any label change.  ``max_queries`` caps
-    the queries of one ``attack_graph`` run.
+    the queries of one ``attack_graph`` run.  Every field is checked by a
+    rule of ``errors`` when the config is made, by ``replace`` too.
     """
 
     budget: float = 0.2
@@ -83,23 +70,19 @@ class AttackConfig:
     strategy: str = "I"
 
     def __post_init__(self):
-        require_int("directions_per_step", self.directions_per_step, 1)
-        if not self.epsilon > 0.0:  # also rejects NaN
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-        if not 0.0 < self.budget <= 1.0:
-            raise ConfigError(f"budget must be in (0, 1], got {self.budget}")
+        require_real("budget", self.budget, 0.0, 1.0)
         require_int("iterations", self.iterations, 0)
+        require_int("directions_per_step", self.directions_per_step, 1)
+        # a probe radius of 0 probes the iterate itself, an infinite one no
+        # direction at all; an infinite tolerance skips every bisection
+        require_real("smoothing", self.smoothing, 0.0)
+        require_real("epsilon", self.epsilon, 0.0)
         if self.max_queries is not None:
             require_int("max_queries", self.max_queries, 1)
         if self.target_label is not None:
             require_int("target_label", self.target_label, 0)
-        # a probe radius of 0 probes the iterate itself, an infinite one no
-        # direction at all
-        if not 0.0 < self.smoothing < math.inf:
-            raise ConfigError(f"smoothing must be positive and finite, got {self.smoothing}")
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         require_int("seed", self.seed, 0)  # run_experiment seeds generators with seed + idx
+        require_one_of("strategy", self.strategy, STRATEGIES)
 
     def predicate(self, y0: int):
         """What counts as adversarial for a target labelled ``y0``.  A

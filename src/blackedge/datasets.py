@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ParseError, require_int, require_one_of, require_real
 from .graph import Graph, edge_index_map, n_slots
 
 
@@ -170,16 +170,16 @@ def load_tudataset(directory, name: str) -> DatasetBundle:
 
 
 def erdos_renyi(n: int, p: float, rng: np.random.Generator) -> Graph:
-    if n < 1 or not 0.0 <= p <= 1.0:
-        raise ConfigError(f"bad Erdos-Renyi parameters n={n}, p={p}")
+    """``n >= 1`` nodes, each slot an edge with probability ``p`` in [0, 1]."""
+    require_int("n", n, 1)
+    require_real("p", p, 0.0, 1.0, include_low=True)
     bits = (rng.random(n_slots(n)) < p).astype(np.uint8)
     return Graph(n, bits)
 
 
 def barbell(k: int) -> Graph:
-    """Two k-cliques joined by a single bridge edge."""
-    if k < 2:
-        raise ConfigError(f"barbell needs cliques of size >= 2, got {k}")
+    """Two k-cliques joined by a single bridge edge; ``k >= 2``."""
+    require_int("k", k, 2)
     edges = []
     for i in range(k):
         for j in range(i + 1, k):
@@ -191,8 +191,11 @@ def barbell(k: int) -> Graph:
 
 def stochastic_block_model(sizes, p_in: float, p_out: float,
                            rng: np.random.Generator) -> Graph:
-    if any(s < 1 for s in sizes) or not (0 <= p_in <= 1 and 0 <= p_out <= 1):
-        raise ConfigError(f"bad SBM parameters sizes={sizes}")
+    """Blocks of ``sizes >= 1`` nodes; edges with ``p_in`` inside, ``p_out`` across."""
+    for size in sizes:
+        require_int("sizes", size, 1)
+    require_real("p_in", p_in, 0.0, 1.0, include_low=True)
+    require_real("p_out", p_out, 0.0, 1.0, include_low=True)
     n = int(sum(sizes))
     block = np.repeat(np.arange(len(sizes)), sizes)
     em = edge_index_map(n)
@@ -207,20 +210,18 @@ def generate_synthetic(kind: str, count: int, seed: int, **params) -> DatasetBun
 
     ``kind`` is one of ``erdos_renyi`` (n, p), ``barbell`` (k) or
     ``sbm`` (sizes, p_in, p_out).  Labels are left unset; assign them
-    with a structural oracle if needed.
+    with a structural oracle if needed.  ``count`` and ``seed`` are
+    integers of at least 0; each generator checks its own parameters.
     """
-    if count < 0:
-        raise ConfigError(f"graph count must be non-negative, got {count}")
+    require_one_of("kind", kind, ("erdos_renyi", "barbell", "sbm"))
+    require_int("count", count, 0)
+    require_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     if kind == "erdos_renyi":
         graphs = [erdos_renyi(params["n"], params["p"], rng) for _ in range(count)]
     elif kind == "barbell":
         graphs = [barbell(params["k"]) for _ in range(count)]
-    elif kind == "sbm":
-        graphs = [
-            stochastic_block_model(params["sizes"], params["p_in"], params["p_out"], rng)
-            for _ in range(count)
-        ]
     else:
-        raise ConfigError(f"unknown synthetic kind {kind!r}")
+        graphs = [stochastic_block_model(params["sizes"], params["p_in"], params["p_out"], rng)
+                  for _ in range(count)]
     return DatasetBundle(graphs, f"{kind}-{seed}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import require_real
 from .graph import Graph, edge_index_map, stacked_adjacency
 from .oracle import HardLabelOracle
 
@@ -25,13 +25,13 @@ BINARIZE_THRESHOLD = 0.5
 
 @dataclass(frozen=True)
 class LowRankConfig:
-    """Keep the top ``gamma`` fraction of singular values (at least one)."""
+    """Keep the top ``gamma`` fraction of singular values (at least one);
+    ``gamma`` is a finite real in (0, 1] (``errors.require_real``)."""
 
     gamma: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 < self.gamma <= 1.0:  # also rejects NaN
-            raise ConfigError(f"gamma must be in (0, 1], got {self.gamma}")
+        require_real("gamma", self.gamma, 0.0, 1.0)
 
     def rank(self, n_nodes: int) -> int:
         return max(1, round(self.gamma * n_nodes))

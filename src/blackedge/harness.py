@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .attack import AttackConfig, AttackResult, attack_graph, require_int
+from .attack import AttackConfig, AttackResult, attack_graph
 from .defense import DefendedOracle, LowRankConfig
-from .errors import BudgetExhausted, ConfigError
+from .errors import BudgetExhausted, ConfigError, require_int, require_one_of
 # random_attack builds each block of trials in one XOR; the name stays bound
 # here because perfbench/tracing.py wraps harness.apply_perturbation by name
 from .graph import Graph, apply_perturbation  # noqa: F401
@@ -205,8 +205,7 @@ def run_experiment(
     each target is attacked under ``n_trials`` derived seeds and every
     run contributes one row.
     """
-    if method not in ("signsgd", "random"):
-        raise ConfigError(f"unknown method {method!r}")
+    require_one_of("method", method, ("signsgd", "random"))
     if method == "signsgd" and random_query_budget is not None:
         raise ConfigError("signsgd method takes no random_query_budget")
     if method == "random":  # None too is refused: the random method needs a budget

@@ -21,7 +21,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import BudgetExhausted, ConfigError
+from .errors import BudgetExhausted, require_int, require_one_of
 from .graph import Graph
 
 PHASES = ("cgs", "binary_search", "qegc", "other")
@@ -204,9 +204,9 @@ def structural_oracle(feature: str, threshold: int) -> FunctionOracle:
     """Label 1 iff a structural statistic reaches ``threshold``, else 0.
 
     A ground-truth target with an analytically known decision boundary,
-    for small-scale validation runs.
+    for small-scale validation runs.  ``threshold`` is an integer >= 0.
     """
-    if feature not in STRUCTURAL_FEATURES:
-        raise ConfigError(f"feature must be one of {tuple(STRUCTURAL_FEATURES)}")
+    require_one_of("feature", feature, tuple(STRUCTURAL_FEATURES))
+    require_int("threshold", threshold, 0)
     statistic, threshold = STRUCTURAL_FEATURES[feature], int(threshold)
     return FunctionOracle(lambda graph: statistic(graph) >= threshold)

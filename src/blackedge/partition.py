@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_int, require_one_of
 from .graph import Graph, edge_index_map, n_slots
 
 MODULARITY_TOL = 1e-7
@@ -106,11 +106,10 @@ def louvain(graph: Graph, seed: int = 0) -> Partition:
     graph's bits.  A level is contracted by summing its weights per
     community pair, and its modularity comes from the per-community sums
     of that contraction.  Edgeless graphs (and isolated nodes) end as
-    singleton clusters.  A seed that is not a non-negative integer
-    raises ``ConfigError``.
+    singleton clusters.  A seed that is not an integer of at least 0
+    raises ``ConfigError`` (``errors.require_int``).
     """
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    require_int("seed", seed, 0)
     n = graph.n_nodes
     if graph.n_edges == 0:
         return Partition(np.arange(n), n)
@@ -190,8 +189,7 @@ def enumerate_components(partition: Partition, strategy: str = "I") -> list[Supe
     ascending slot count (id order on ties); empty components are
     dropped.
     """
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"strategy must be I, II or III, got {strategy!r}")
+    require_one_of("strategy", strategy, STRATEGIES)
 
     n = partition.n_nodes
     whole = SuperComponent(WHOLE_GRAPH, (), np.arange(n_slots(n)), n)

@@ -299,9 +299,24 @@ def test_no_trials_or_no_queries_is_a_config_error(runner, tmp_path, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--epsilon", "inf", "epsilon must be in (0, inf), got inf"),  # would skip every bisection
+    ("--mu", "inf", "smoothing must be in (0, inf), got inf"),
+    ("--budget", "nan", "budget must be in (0, 1], got nan"),
+], ids=["epsilon_inf", "mu_inf", "budget_nan"])
+def test_an_unbounded_real_setting_is_a_one_line_error(runner, tmp_path, option, value, message):
+    out = tmp_path / "report.json"
+    result = runner.invoke(main, [
+        "attack", "--dataset", "er:8:0.3:2", "--oracle", "structural:edge_count:12",
+        option, value, "--out", str(out),
+    ])
+    assert_one_line_error(result, message)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("dataset, message", [
     ("er:20:0.2:5:1:x", "synthetic spec 'er:20:0.2:5:1:x' has too many fields"),
-    ("er:20:0.2:-5", "graph count must be non-negative, got -5"),  # a generator's ConfigError
+    ("er:20:0.2:-5", "count must be at least 0, got -5"),  # a generator's ConfigError
 ], ids=["too_many_fields", "negative_count"])
 def test_invalid_datasets_are_one_line_errors(runner, tmp_path, dataset, message):
     out = tmp_path / "report.json"
